@@ -14,17 +14,15 @@ from .closedform import (
     ClosedFormSolution,
     build_solution,
     eval_solution,
-    x_period,
 )
 from .dynamics import (
     FlowIntegrals,
-    PhaseDerivative,
     PhaseState,
     energy,
-    eval_rhs,
     integrals,
     momentum,
     reduced_lagrangian,
+    rhs,
     state_from_integrals,
 )
 from .elliptic import EllipticModulus, agm, complete_K, incomplete_F, sn
@@ -100,7 +98,6 @@ __all__ = [
     "OrbitDisc",
     "OrbitKind",
     "OvalKind",
-    "PhaseDerivative",
     "PhaseState",
     "QuarticCurve",
     "ReductionCase",
@@ -124,7 +121,6 @@ __all__ = [
     "cycle_action",
     "delta_y",
     "energy",
-    "eval_rhs",
     "eval_solution",
     "film_action",
     "film_strip_grid_search",
@@ -141,8 +137,8 @@ __all__ = [
     "quartic_from_params",
     "reduce_to_legendre",
     "reduced_lagrangian",
+    "rhs",
     "sn",
     "state_from_integrals",
     "vertical_line_action",
-    "x_period",
 ]

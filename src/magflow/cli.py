@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -136,8 +134,13 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Layer: built-in defaults < JSON config file < explicit flags."""
     cfg = dict(_DEFAULTS)
     if args.config is not None:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DomainError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise DomainError(f"config {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
@@ -279,8 +282,7 @@ def cmd_film(cfg) -> None:
     _json_dump(payload, cfg.out)
 
 
-def _sweep_cell(args):
-    E, p = args
+def _sweep_cell(E: float, p: float):
     try:
         c = classify(E, p)
     except MagflowError:
@@ -305,11 +307,7 @@ def cmd_sweep(cfg) -> None:
         raise DomainError("sweep ranges require 0 < e-min <= e-max, p-min <= p-max")
     es = np.linspace(cfg.e_min, cfg.e_max, cfg.grid_n)
     ps = np.linspace(cfg.p_min, cfg.p_max, cfg.grid_n)
-    cells = [(float(E), float(p)) for E in es for p in ps]
-    max_workers = int(os.environ.get("MAGFLOW_THREADS", "0")) or min(32, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(_sweep_cell, cells))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [_sweep_cell(float(E), float(p)) for E in es for p in ps]
     lines = ["E\tp\tkind\tdelta_y\tperiod\taction"]
     for E, p, kind, dy, period, action in rows:
         lines.append("\t".join([fmt(E), fmt(p), kind, fmt(dy), fmt(period), fmt(action)]))

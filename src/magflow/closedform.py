@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import PhaseState
+from .dynamics import TWO_PI, PhaseState
 from .elliptic import EllipticModulus
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
@@ -50,8 +50,6 @@ from .legendre import (
     quartic_from_params,
     reduce_to_legendre,
 )
-
-TWO_PI = 2.0 * math.pi
 
 #: Gauss-Legendre panels used for the per-period y-quadrature cache
 _N_PANELS = 256
@@ -97,10 +95,6 @@ class ClosedFormSolution:
     @property
     def k2(self) -> float:
         return self.modulus.k2
-
-    @property
-    def branch(self) -> str:
-        return self.mode.value
 
     @property
     def recurrence_time(self) -> float:
@@ -314,8 +308,3 @@ def eval_solution(sol: ClosedFormSolution, t):
     if scalar:
         return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))
     return x, y, xdot, ydot
-
-
-def x_period(sol: ClosedFormSolution) -> float:
-    """Period of sin x(t): one full xi-cycle, 4*C*K."""
-    return sol.x_period

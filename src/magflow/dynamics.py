@@ -57,16 +57,6 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class PhaseDerivative:
-    """Time derivative (xdot, ydot, xddot, yddot) of a phase-space point."""
-
-    xdot: float
-    ydot: float
-    xddot: float
-    yddot: float
-
-
-@dataclass(frozen=True)
 class FlowIntegrals:
     """The conserved pair (E, p) labelling an invariant set of the flow."""
 
@@ -80,10 +70,13 @@ class FlowIntegrals:
             raise DomainError(f"energy must be nonnegative, got {self.E}")
 
 
-def eval_rhs(state: PhaseState) -> PhaseDerivative:
-    """Right-hand side of the flow at one state."""
-    c = math.cos(state.x)
-    return PhaseDerivative(state.xdot, state.ydot, c * state.ydot, -c * state.xdot)
+def rhs(t, y):
+    """Vector field (xdot, ydot, xddot, yddot) at y = (x, y, xdot, ydot).
+
+    Signature and tuple result follow scipy's solve_ivp; t is unused.
+    """
+    c = np.cos(y[0])
+    return (y[2], y[3], c * y[3], -c * y[2])
 
 
 def energy(state: PhaseState) -> float:

@@ -3,9 +3,9 @@
 Everything is parameterized by the modulus k (never by m = k^2).  The
 complete integral K comes from the arithmetic-geometric mean, sn from the
 descending Landen ladder attached to the same AGM scale sequence, and the
-incomplete integral F from Carlson's symmetric R_F form.  Only sn is
-needed downstream; cn, dn and the second/third-kind integrals are out of
-scope.
+incomplete integral F from Carlson's symmetric R_F (scipy's elliprf).
+Only sn is needed downstream; cn, dn and the second/third-kind integrals
+are out of scope.
 """
 
 from __future__ import annotations
@@ -65,25 +65,6 @@ def _agm_ladder(k: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(avals), np.array(cvals)
 
 
-def _carlson_rf(x, y, z):
-    """Carlson symmetric form R_F(x, y, z) by the duplication theorem."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    for _ in range(100):
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mean = (x + y + z) / 3.0
-        dx, dy, dz = 1.0 - x / mean, 1.0 - y / mean, 1.0 - z / mean
-        if np.max(np.abs([dx, dy, dz])) < 1e-8:
-            break
-    e2 = dx * dy + dy * dz + dz * dx
-    e3 = dx * dy * dz
-    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return series / np.sqrt(mean)
-
-
 def incomplete_F(phi: float, k: float) -> float:
     """Incomplete elliptic integral F(phi, k) for any real amplitude phi.
 
@@ -91,12 +72,14 @@ def incomplete_F(phi: float, k: float) -> float:
     principal strip and the quasi-periodicity F(phi + n pi) = F(phi) + 2nK
     elsewhere.  Strictly increasing in phi with F(pi/2, k) = K.
     """
+    from scipy.special import elliprf
+
     k = _check_modulus(k)
     phi = float(phi)
     n = math.floor((phi + 0.5 * math.pi) / math.pi)
     r = phi - n * math.pi
     s, c = math.sin(r), math.cos(r)
-    val = s * float(_carlson_rf(c * c, (1.0 - k * s) * (1.0 + k * s), 1.0))
+    val = s * float(elliprf(c * c, (1.0 - k * s) * (1.0 + k * s), 1.0))
     if n != 0:
         val += 2.0 * n * complete_K(k)
     return val
@@ -143,12 +126,6 @@ class EllipticModulus:
         k = _check_modulus(self.k)
         object.__setattr__(self, "k2", k * k)
         object.__setattr__(self, "K_complete", complete_K(k))
-
-    @classmethod
-    def from_k2(cls, k2: float) -> "EllipticModulus":
-        if k2 < 0.0:
-            raise DomainError(f"k^2 must be nonnegative, got {k2}")
-        return cls(math.sqrt(k2))
 
     def sn(self, u):
         return sn(u, self.k)

