@@ -26,8 +26,7 @@ for label, x0, E, p in CASES:
                      with_events=False)
     xn, yn, _, _ = traj.eval(ts)
     print(f"{label}")
-    print(f"    reduction: case={sol.reduction.case_tag.value:9s} "
-          f"k^2={sol.k2:.6f}  C={sol.C:.6f}  sin-x period={sol.x_period:.6f}")
+    print(f"    reduction: k^2={sol.k2:.6f}  C={sol.C:.6f}  sin-x period={sol.x_period:.6f}")
     print(f"    sup|sin x  (exact - numeric)| = {np.abs(np.sin(xc) - np.sin(xn)).max():.3e}")
     print(f"    sup|y      (exact - numeric)| = {np.abs(yc - yn).max():.3e}")
 

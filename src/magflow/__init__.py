@@ -51,7 +51,6 @@ from .legendre import (
     LegendreReduction,
     OvalKind,
     QuarticCurve,
-    ReductionCase,
     map_xi_to_z,
     map_z_to_xi,
     quartic_from_params,
@@ -100,7 +99,6 @@ __all__ = [
     "OvalKind",
     "PhaseState",
     "QuarticCurve",
-    "ReductionCase",
     "ReductionInconsistency",
     "ReturnEvents",
     "SignScanResult",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import build_solution, eval_solution
-from .dynamics import PhaseState, state_from_integrals
+from .dynamics import PhaseState, energy, momentum, state_from_integrals
 from .errors import (
     DegenerateCurve,
     DomainError,
@@ -30,7 +30,6 @@ from .errors import (
     WrongRegime,
 )
 from .integrate import TOL_MAX, TOL_MIN, integrate
-from .legendre import ReductionCase
 from .orbits import (
     CylinderStrip,
     OrbitKind,
@@ -130,6 +129,19 @@ _DEFAULTS = dict(
 )
 
 
+def _check_config_type(key: str, value) -> None:
+    """A config value must have the JSON type of its built-in default."""
+    default = _DEFAULTS[key]
+    if isinstance(default, float):
+        want, ok = "a number", isinstance(value, (int, float))
+    elif isinstance(default, int):
+        want, ok = "an integer", isinstance(value, int)
+    else:
+        want, ok = "a string or null", value is None or isinstance(value, str)
+    if isinstance(value, bool) or not ok:
+        raise DomainError(f"config key '{key}' must be {want}, got {value!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Layer: built-in defaults < JSON config file < explicit flags."""
     cfg = dict(_DEFAULTS)
@@ -144,6 +156,8 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_type(key, value)
         cfg.update(file_cfg)
     for key in _DEFAULTS:
         flag_val = getattr(args, key, None)
@@ -167,6 +181,10 @@ _COMMAND_FORMATS = {
 
 
 def _validate(cfg: argparse.Namespace) -> None:
+    for key, default in _DEFAULTS.items():
+        value = getattr(cfg, key)
+        if isinstance(default, float) and not math.isfinite(value):
+            raise DomainError(f"{key} must be finite, got {value}")
     if not TOL_MIN <= cfg.tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if cfg.t_end <= 0.0:
@@ -199,10 +217,7 @@ def cmd_simulate(cfg) -> None:
 
 
 def _csv_row(t, s) -> str:
-    x, y, xd, yd = (float(v) for v in s)
-    e_inst = 0.5 * (xd * xd + yd * yd)
-    p_inst = yd + math.sin(x)
-    return ",".join(fmt(v) for v in (t, x, y, xd, yd, e_inst, p_inst))
+    return ",".join(fmt(v) for v in (t, *s, energy(s), momentum(s)))
 
 
 def cmd_compare(cfg) -> None:
@@ -215,7 +230,6 @@ def cmd_compare(cfg) -> None:
     payload = {
         "E": cfg.e,
         "p": cfg.p,
-        "case": sol.reduction.case_tag.value,
         "k2": sol.k2,
         "C": sol.C,
         "D": sol.D,

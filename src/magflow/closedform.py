@@ -240,7 +240,7 @@ def build_solution(
     x_offset = TWO_PI * round(n_turns)
 
     D = C * u_ref
-    x_period = 4.0 * C * K
+    x_period = red.period
 
     # per-period quadrature cache: prefix integrals of z(u) on GL panels
     u_start = u_ref

@@ -79,14 +79,25 @@ def rhs(t, y):
     return (y[2], y[3], c * y[3], -c * y[2])
 
 
-def energy(state: PhaseState) -> float:
-    """Kinetic energy E = (xdot^2 + ydot^2)/2."""
-    return 0.5 * (state.xdot**2 + state.ydot**2)
+def _unpack(state):
+    """(x, xdot, ydot) of a PhaseState, or of states (x, y, xdot, ydot)
+    stacked along the last axis of an array."""
+    if isinstance(state, PhaseState):
+        return state.x, state.xdot, state.ydot
+    s = np.asarray(state, dtype=float)
+    return s[..., 0], s[..., 2], s[..., 3]
 
 
-def momentum(state: PhaseState) -> float:
-    """Conserved y-momentum p = ydot + sin(x)."""
-    return state.ydot + math.sin(state.x)
+def energy(state):
+    """Kinetic energy E = (xdot^2 + ydot^2)/2, one value per state."""
+    _, xd, yd = _unpack(state)
+    return 0.5 * (xd * xd + yd * yd)
+
+
+def momentum(state):
+    """Conserved y-momentum p = ydot + sin(x), one value per state."""
+    x, _, yd = _unpack(state)
+    return yd + np.sin(x)
 
 
 def integrals(state: PhaseState) -> FlowIntegrals:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import PhaseState, rhs
+from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, NoReturnFound, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
@@ -134,8 +134,8 @@ def conservation_report(traj: Trajectory) -> tuple[float, float]:
     """Maximal drifts (max|dE|, max|dp|) over all samples."""
     if len(traj.t) == 0:
         raise DomainError("empty trajectory")
-    E = 0.5 * (traj.states[:, 2] ** 2 + traj.states[:, 3] ** 2)
-    p = traj.states[:, 3] + np.sin(traj.states[:, 0])
+    E = energy(traj.states)
+    p = momentum(traj.states)
     return float(np.abs(E - E[0]).max()), float(np.abs(p - p[0]).max())
 
 

@@ -6,22 +6,24 @@ oval of the elliptic curve
     w^2 = P(z) = (z - a1)(z - a2)(z - a3)(z - a4),
 
 whose roots are {-1, +1, p - sqrt(2E), p + sqrt(2E)} labelled in the order
-a3 < a1 < a2 < a4, so the oval covers the middle interval [a1, a2].  A
+a3 < a1 < a2 < a4, so the oval covers the middle interval [a1, a2].  One
 fractional-linear change of variable takes the curve to the normal form
 
     eta^2 = (1 - xi^2)(1 - k^2 xi^2),      0 < k^2 < 1,
 
-with dz/w = C dxi/eta for a positive constant C.  Two branches:
+with dz/w = C dxi/eta for a positive constant C, so every orbit is sn of
+time and its sin(x) period is 4 C K(k).  The map sends the common harmonic
+conjugates (nu, mu) of the root pairs {a1, a2} and {a3, a4} to xi = 0 and
+xi = infinity:
 
-* common-center case: the two quadratic factors Q1 = (z-a1)(z-a2) and
-  Q2 = (z-a3)(z-a4) share a midpoint (always true for p = 0); then the
-  affine map xi = (z - m)/h works directly, with k^2 = h^2/(m - a3)^2 and
-  C = 1/|a3 - m|.
-* general case: mu, nu are the common harmonic conjugates of the two root
-  pairs, obtained from the eigenvalue problem of the quadratic pair; the
-  map is xi = (1/lambda)(z - nu)/(z - mu).
+    xi = (zeta - h) / (h (1 - s zeta)),   zeta = z - a1,  h = nu - a1,
+                                           s = 1 / (mu - a1).
 
-The map is normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
+It is anchored at a1 and its constants are built only from the positive
+root gaps, so they keep full accuracy as mu escapes to infinity or closes
+in on a root next to a separatrix; s = 0 exactly when the two root pairs
+share a midpoint (always for p = 0), and the map is then affine.  It is
+normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
 xi(a4) = +1/k; all four values are verified internally.
 """
 
@@ -33,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from .elliptic import complete_K
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the curve is flagged degenerate
@@ -42,11 +45,6 @@ EPS_DEGENERATE = 1e-9
 
 #: accuracy demanded of the internal map-normalization checks
 _NORMALIZATION_TOL = 1e-10
-
-
-class ReductionCase(str, Enum):
-    SYMMETRIC = "symmetric"
-    GENERAL = "general"
 
 
 class OvalKind(str, Enum):
@@ -118,67 +116,22 @@ def quartic_from_params(E: float, p: float) -> QuarticCurve:
 
 @dataclass(frozen=True)
 class LegendreReduction:
-    """Constants and coordinate map taking the quartic to Legendre form."""
+    """Constants and coordinate map taking the quartic to Legendre form.
+
+    The map is xi = (zeta - h) / (h (1 - s zeta)) with zeta = z - a1.
+    """
 
     curve: QuarticCurve
-    case_tag: ReductionCase
     k2: float
     k: float
     C_const: float
-    # common-center branch
-    center: float | None = None
-    halfwidth: float | None = None
-    # general branch
-    mu: float | None = None
-    nu: float | None = None
-    lam: float | None = None
+    s: float  # 1/(mu - a1), the reciprocal pole measured from a1
+    h: float  # nu - a1, the scale of the map
 
-
-def _reduce_symmetric(curve: QuarticCurve) -> LegendreReduction:
-    m = 0.5 * (curve.a1 + curve.a2)
-    h = 0.5 * (curve.a2 - curve.a1)
-    span = m - curve.a3  # == a4 - m by the common center
-    k2 = (h / span) ** 2
-    return LegendreReduction(
-        curve=curve, case_tag=ReductionCase.SYMMETRIC,
-        k2=k2, k=math.sqrt(k2), C_const=1.0 / span,
-        center=m, halfwidth=h,
-    )
-
-
-def _reduce_general(curve: QuarticCurve) -> LegendreReduction:
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
-    den = a1 + a2 - a3 - a4
-    A = 2.0 * (a1 * a2 - a3 * a4) / den
-    B = (a1 * a2 * (a3 + a4) - a3 * a4 * (a1 + a2)) / den
-    disc = A * A - 4.0 * B
-    if disc <= 0.0:
-        raise ReductionInconsistency(
-            f"conjugate-point quadratic has no real roots (disc={disc:.3g})"
-        )
-    r1 = 0.5 * (A + math.copysign(math.sqrt(disc), A))
-    r2 = B / r1
-    if a1 < r1 < a2:
-        nu, mu = r1, r2
-    elif a1 < r2 < a2:
-        nu, mu = r2, r1
-    else:
-        raise ReductionInconsistency(
-            f"neither conjugate point lies in (a1, a2): {r1:.6g}, {r2:.6g}"
-        )
-    if not (mu < a3 or mu > a4):
-        raise ReductionInconsistency(
-            f"mu = {mu:.6g} does not lie on the unbounded oval"
-        )
-    lam = (a1 - nu) / (mu - a1)  # fixes xi(a1) = -1
-    k2 = ((nu - a1) / (mu - a1)) ** 2 * ((mu - a3) / (nu - a3)) ** 2
-    Pnu = float(curve.P(nu))
-    C_const = lam * (nu - mu) / math.sqrt(Pnu)
-    return LegendreReduction(
-        curve=curve, case_tag=ReductionCase.GENERAL,
-        k2=k2, k=math.sqrt(k2), C_const=C_const,
-        mu=mu, nu=nu, lam=lam,
-    )
+    @property
+    def period(self) -> float:
+        """sin(x) period 4 C K(k): one full sn cycle in time."""
+        return 4.0 * self.C_const * complete_K(self.k)
 
 
 def _verify(red: LegendreReduction) -> None:
@@ -202,28 +155,37 @@ def _verify(red: LegendreReduction) -> None:
 def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
     """Reduce a non-degenerate quartic to Legendre normal form.
 
-    The common-center branch triggers whenever the quadratic factors share
-    a midpoint (p = 0, and the one crossing-librator configuration at
-    E = 1/2 where the general eigenvalue formula degenerates).
+    Everything is built from the positive root gaps g_ij = a_i - a_j.  The
+    distances mu - a_i are w_i / (a1 + a2 - a3 - a4), with w_i a product
+    of two gaps plus R = sqrt(g13 g41 g23 g42), so the ratios
+    v_i = (mu - a_i) / (mu - a1) = w_i / w1 keep full relative accuracy
+    however close mu comes to a root or to infinity.  h = g21 / (1 + v2)
+    fixes xi(a1) = -1 and xi(a2) = +1; then k = h v3 / (g13 + h) and
+    C = 2 k sqrt(v2 / (v3 v4)) / g21.
     """
     if curve.degenerate:
         raise DegenerateCurve(
             f"curve at (E={curve.E}, p={curve.p}) has root gap "
             f"{curve.min_gap:.3g} < {EPS_DEGENERATE}: separatrix"
         )
-    scale = max(1.0, abs(curve.a3), abs(curve.a4))
-    if abs((curve.a1 + curve.a2) - (curve.a3 + curve.a4)) < 1e-12 * scale:
-        red = _reduce_symmetric(curve)
-    else:
-        red = _reduce_general(curve)
+    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
+    g13, g21, g23, g41, g42 = a1 - a3, a2 - a1, a2 - a3, a4 - a1, a4 - a2
+    R = math.sqrt(g13 * g41 * g23 * g42)
+    w1, w2, w3, w4 = g13 * g41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
+    h = g21 / (1.0 + w2 / w1)
+    k = h * (w3 / w1) / (g13 + h)
+    C_const = 2.0 * k * math.sqrt(w1 * w2 / (w3 * w4)) / g21
+    red = LegendreReduction(
+        curve=curve, k2=k * k, k=k, C_const=C_const,
+        s=(a1 + a2 - a3 - a4) / w1, h=h,
+    )
     _verify(red)
     return red
 
 
 def _xi_of_z(red: LegendreReduction, z):
-    if red.case_tag is ReductionCase.SYMMETRIC:
-        return (z - red.center) / red.halfwidth
-    return (z - red.nu) / ((z - red.mu) * red.lam)
+    zeta = z - red.curve.a1
+    return (zeta - red.h) / (red.h * (1.0 - red.s * zeta))
 
 
 def map_z_to_xi(red: LegendreReduction, z):
@@ -247,10 +209,6 @@ def map_xi_to_z(red: LegendreReduction, xi):
         raise DomainError("xi outside [-1, 1]")
     xi_arr = np.clip(xi_arr, -1.0, 1.0)
     c = red.curve
-    if red.case_tag is ReductionCase.SYMMETRIC:
-        out = red.center + red.halfwidth * xi_arr
-    else:
-        t = red.lam * xi_arr
-        out = (red.mu * t - red.nu) / (t - 1.0)
+    out = c.a1 + red.h * (1.0 + xi_arr) / (1.0 + red.s * red.h * xi_arr)
     out = np.clip(out, c.a1, c.a2)
     return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out

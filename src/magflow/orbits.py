@@ -11,6 +11,8 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 * double root      -> vertical line x = +-pi/2 (exact) or separatrix (band)
 * |p| > 1+sqrt(2E) -> forbidden (empty level set)
 
+The sin-x period of a cycle is 4 C K(k), with (k, C) from the Legendre
+reduction of the quartic, the same value the closed-form orbit runs on.
 The y-increment per cycle is Delta_y = 2 int_{z1}^{z2} (p-z) dz / w, which
 is 0 for p = 0 and has sign opposite to p.  The action of a closed curve
 on the level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and
@@ -36,10 +38,16 @@ from enum import Enum
 import numpy as np
 
 from .closedform import ClosedFormSolution, build_solution, eval_solution
-from .dynamics import PhaseState, TWO_PI, energy, momentum, reduced_lagrangian
+from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
 from .errors import DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
-from .legendre import EPS_DEGENERATE, OvalKind, QuarticCurve, quartic_from_params
+from .legendre import (
+    EPS_DEGENERATE,
+    OvalKind,
+    QuarticCurve,
+    quartic_from_params,
+    reduce_to_legendre,
+)
 from .quadrature import oval_quad
 
 #: absolute tolerance under which a near-double root is the exact line orbit
@@ -83,13 +91,10 @@ class OrbitClassification:
         }
 
 
-def _cycle_integrals(curve: QuarticCurve) -> tuple[float, float]:
-    """(period, Delta_y) of one full sin-x cycle over the bounded oval."""
-    T = 2.0 * oval_quad(lambda z: np.ones_like(z), curve.a1, curve.a2,
-                        curve.a3, curve.a4)
-    dy = 2.0 * oval_quad(lambda z: curve.p - z, curve.a1, curve.a2,
-                         curve.a3, curve.a4)
-    return T, dy
+def _delta_y_quad(curve: QuarticCurve) -> float:
+    """Delta_y = 2 int (p - z) dz/w of one full sin-x cycle over the bounded oval."""
+    return 2.0 * oval_quad(lambda z: curve.p - z, curve.a1, curve.a2,
+                           curve.a3, curve.a4)
 
 
 def cycle_action(E: float, p: float) -> float:
@@ -117,7 +122,12 @@ def vertical_line_action(E: float, p: float) -> float:
 
 
 def classify(E: float, p: float) -> OrbitClassification:
-    """Classify the level set (E, p); total on E > 0, never raises."""
+    """Classify the level set (E, p); total on E > 0, never raises.
+
+    For a bounded oval the period is the sin-x period 4 C K(k) of the
+    Legendre reduction and Delta_y one oval quadrature; a vertical line
+    reports the time of one y-circuit.
+    """
     if not E > 0.0:
         raise DomainError(f"energy must be positive, got {E}")
     a = math.sqrt(2.0 * E)
@@ -145,7 +155,8 @@ def classify(E: float, p: float) -> OrbitClassification:
             kind = OrbitKind.WINDING
         else:
             kind = OrbitKind.CROSSING_LIBRATOR
-        period, delta = _cycle_integrals(curve)
+        period = reduce_to_legendre(curve).period
+        delta = _delta_y_quad(curve)
 
     contractible = (
         kind is OrbitKind.TRAPPED_OVAL
@@ -171,8 +182,7 @@ def delta_y(E: float, p: float) -> float:
         raise WrongRegime(
             f"Delta_y is defined for trapped ovals only; (E={E}, p={p}) is not"
         )
-    _, dy = _cycle_integrals(curve)
-    return dy
+    return _delta_y_quad(curve)
 
 
 def contractible_orbit(

@@ -89,7 +89,6 @@ def test_compare_report(capsys):
                        "--t-end", "20", "--grid-n", "201")
     assert code == 0
     rep = json.loads(out)
-    assert rep["case"] == "general"
     assert 0.0 < rep["k2"] < 1.0
     assert rep["sup_err_sinx"] < 1e-6
     assert rep["samples"] == 201
@@ -177,16 +176,37 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ("binary.json", b"\xff\xfe"),
     ("string.json", '"e"'),
     ("list.json", "[1, 2]"),
+    # values of the wrong JSON type, each under a command that reads the key
+    pytest.param("e_string.json", ("classify", {"e": "abc"}), id="e_string"),
+    pytest.param("grid_n_float.json", ("sweep", {"grid_n": 2.5}), id="grid_n_float"),
+    pytest.param("e_null.json", ("classify", {"e": None}), id="e_null"),
+    pytest.param("out_int.json", ("classify", {"out": 7}), id="out_int"),
+    pytest.param("sign_bool.json", ("simulate", {"sign": True}), id="sign_bool"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, name, content):
+    command = "classify"
     cfg = tmp_path / name
     if content == "dir":
         cfg.mkdir()
     elif isinstance(content, bytes):
         cfg.write_bytes(content)
+    elif isinstance(content, tuple):
+        command, values = content
+        cfg.write_text(json.dumps(values))
     elif content is not None:
         cfg.write_text(content)
-    code, out, err = run(capsys, "classify", "--config", str(cfg))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == "" and err.startswith("magflow: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--e", "nan", "--t-end", "1"),
+    ("classify", "--e", "inf"),
+    ("compare", "--p", "nan", "--t-end", "1"),
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("magflow: ")
 

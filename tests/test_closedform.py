@@ -10,6 +10,7 @@ from magflow import (
     DomainError,
     UnsupportedRegime,
     build_solution,
+    classify,
     complete_K,
     energy,
     eval_solution,
@@ -84,13 +85,24 @@ def test_period_value_and_half_cycle():
 
 def test_period_equals_oval_quadrature():
     # oracle: 2 int_{a1}^{a2} dz/w with the inverse-sqrt endpoint weights
-    # handled by the algebraic-weight Gauss rule
-    sol = build_solution(0.1, 0.0, 0.125, 0.3, +1)
-    c = sol.curve
-    val, _ = quad(lambda z: 1.0 / np.sqrt((z - c.a3) * (c.a4 - z)),
-                  c.a1, c.a2, weight="alg", wvar=(-0.5, -0.5),
-                  epsabs=1e-12, epsrel=1e-12)
-    assert sol.x_period == pytest.approx(2.0 * val, abs=1e-8)
+    # handled by the algebraic-weight Gauss rule; the closed form and the
+    # classifier both take the period 4 C K from the Legendre reduction
+    levels = [
+        (0.1, 0.125, 0.3),         # trapped
+        (0.6, 0.3, 0.6),           # crossing right
+        (-1.2, 0.3, -0.5),         # crossing left
+        (0.0, 1.0, 0.3),           # winding
+        (0.15, 0.5, 0.3),          # crossing at E = 1/2: affine map, s = 0
+        (0.4, 0.18, 0.4 - 1e-7),   # trapped, turning root 1e-7 below +1
+    ]
+    for x0, E, p in levels:
+        sol = build_solution(x0, 0.0, E, p, +1)
+        c = sol.curve
+        val, _ = quad(lambda z: 1.0 / np.sqrt((z - c.a3) * (c.a4 - z)),
+                      c.a1, c.a2, weight="alg", wvar=(-0.5, -0.5),
+                      epsabs=1e-12, epsrel=1e-12)
+        assert sol.x_period == pytest.approx(2.0 * val, abs=1e-8)
+        assert classify(E, p).period == pytest.approx(2.0 * val, abs=1e-8)
 
 
 def test_small_energy_period_limit():

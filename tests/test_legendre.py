@@ -8,7 +8,6 @@ from magflow import (
     DegenerateCurve,
     DomainError,
     OvalKind,
-    ReductionCase,
     map_xi_to_z,
     map_z_to_xi,
     quartic_from_params,
@@ -56,7 +55,7 @@ def test_degenerate_flags():
 
 def test_symmetric_reduction_constants():
     red = reduce_to_legendre(quartic_from_params(0.125, 0.0))
-    assert red.case_tag is ReductionCase.SYMMETRIC
+    assert red.s == 0.0
     assert red.k2 == 0.25  # exactly 2E
     assert red.C_const == 1.0
     assert map_z_to_xi(red, 0.5) == pytest.approx(1.0, abs=1e-15)
@@ -66,7 +65,7 @@ def test_symmetric_reduction_constants():
 def test_symmetric_winding_reduction():
     # p = 0 above the critical energy: oval covers [-1, 1]
     red = reduce_to_legendre(quartic_from_params(1.0, 0.0))
-    assert red.case_tag is ReductionCase.SYMMETRIC
+    assert red.s == 0.0
     assert red.k2 == pytest.approx(0.5, abs=1e-15)         # 1/(2E)
     assert red.C_const == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
@@ -81,11 +80,12 @@ def test_reduction_rejects_degenerate():
 def test_general_reduction_normalization():
     c = quartic_from_params(E_GEN, P_GEN)
     red = reduce_to_legendre(c)
-    assert red.case_tag is ReductionCase.GENERAL
+    assert red.s != 0.0
     assert 0.0 < red.k2 < 1.0
     assert red.C_const > 0.0
-    assert c.a1 < red.nu < c.a2
-    assert red.mu < c.a3 or red.mu > c.a4
+    nu, mu = c.a1 + red.h, c.a1 + 1.0 / red.s
+    assert c.a1 < nu < c.a2
+    assert mu < c.a3 or mu > c.a4
     assert map_z_to_xi(red, c.a1) == pytest.approx(-1.0, abs=1e-12)
     assert map_z_to_xi(red, c.a2) == pytest.approx(1.0, abs=1e-12)
 
@@ -93,9 +93,9 @@ def test_general_reduction_normalization():
 def test_general_reduction_harmonicity_and_decomposition(rng):
     for c in general_curves(rng, 12):
         red = reduce_to_legendre(c)
-        if red.case_tag is not ReductionCase.GENERAL:
+        if red.s == 0.0:
             continue
-        mu, nu = red.mu, red.nu
+        mu, nu = c.a1 + 1.0 / red.s, c.a1 + red.h
         diff2 = (mu - nu) ** 2
         B1 = (nu - c.a1) * (nu - c.a2) / diff2
         C1 = (mu - c.a1) * (mu - c.a2) / diff2
@@ -138,10 +138,10 @@ def test_modulus_in_unit_interval(rng):
 
 
 def test_general_path_agrees_with_symmetric_in_small_p_limit():
-    # at p = 0 exactly the conjugate point mu escapes to infinity, so the
-    # general branch is exercised in the p -> 0 limit instead
+    # at p = 0 exactly the conjugate point mu escapes to infinity (s = 0);
+    # the fractional-linear map must tend to the affine one as p -> 0
     red = reduce_to_legendre(quartic_from_params(0.125, 1e-6))
-    assert red.case_tag is ReductionCase.GENERAL
+    assert red.s != 0.0
     assert abs(red.k2 - 0.25) < 1e-10
     assert abs(red.C_const - 1.0) < 1e-6
 
