@@ -32,16 +32,12 @@ from .errors import (
 from .integrate import TOL_MAX, TOL_MIN, integrate
 from .orbits import (
     CylinderStrip,
-    OrbitKind,
     action_contractible_formula,
     action_direct,
     action_increment,
     classify,
     contractible_orbit,
-    cycle_action,
     film_action,
-    film_strip_grid_search,
-    vertical_line_action,
 )
 
 EXIT_OK = 0
@@ -301,19 +297,7 @@ def _sweep_cell(E: float, p: float):
         c = classify(E, p)
     except MagflowError:
         return (E, p, "", None, None, None)
-    action = None
-    if c.kind in (OrbitKind.TRAPPED_OVAL, OrbitKind.CROSSING_LIBRATOR,
-                  OrbitKind.WINDING):
-        try:
-            action = cycle_action(E, p)
-        except MagflowError:
-            action = None
-    elif c.kind is OrbitKind.VERTICAL_LINE:
-        try:
-            action = vertical_line_action(E, p)
-        except MagflowError:
-            action = None
-    return (E, p, c.kind.value, c.delta_y, c.period, action)
+    return (E, p, c.kind.value, c.delta_y, c.period, c.action)
 
 
 def cmd_sweep(cfg) -> None:

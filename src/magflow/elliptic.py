@@ -4,8 +4,11 @@ Everything is parameterized by the modulus k (never by m = k^2).  The
 complete integral K comes from the arithmetic-geometric mean, sn from the
 descending Landen ladder attached to the same AGM scale sequence, and the
 incomplete integral F from Carlson's symmetric R_F (scipy's elliprf).
-Only sn is needed downstream; cn, dn and the second/third-kind integrals
-are out of scope.
+Only sn is needed downstream; cn and dn are out of scope.  The complete
+integrals of the second and third kind enter the cycle data and the
+contractible action directly as Carlson's R_D and R_J (scipy's elliprd
+and elliprj), in legendre.LegendreReduction.oval_moments and
+orbits.action_contractible_formula.
 """
 
 from __future__ import annotations

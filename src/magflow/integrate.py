@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, NoReturnFound, StepFailure
@@ -73,6 +72,9 @@ def integrate(
     controller's steps merged with the requested uniform grid (an int means
     that many equally spaced points).  t_end < 0 integrates backwards.
     """
+    # imported here so that `import magflow` does not load scipy.integrate
+    from scipy.integrate import solve_ivp
+
     tol = _check_tol(tol)
     if t_end == 0.0:
         raise DomainError("t_end must be nonzero")

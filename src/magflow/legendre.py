@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import elliprd, elliprj
 
 from .elliptic import complete_K
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
@@ -105,9 +106,8 @@ def quartic_from_params(E: float, p: float) -> QuarticCurve:
     if not E > 0.0:
         raise DomainError(f"energy must be positive, got {E}")
     a = math.sqrt(2.0 * E)
-    roots = np.sort([-1.0, 1.0, p - a, p + a])
-    min_gap = float(np.diff(roots).min())
-    a3, a1, a2, a4 = (float(r) for r in roots)
+    a3, a1, a2, a4 = sorted((-1.0, 1.0, float(p) - a, float(p) + a))
+    min_gap = min(a1 - a3, a2 - a1, a4 - a2)
     return QuarticCurve(
         E=float(E), p=float(p), a1=a1, a2=a2, a3=a3, a4=a4,
         min_gap=min_gap, degenerate=min_gap < EPS_DEGENERATE,
@@ -132,6 +132,44 @@ class LegendreReduction:
     def period(self) -> float:
         """sin(x) period 4 C K(k): one full sn cycle in time."""
         return 4.0 * self.C_const * complete_K(self.k)
+
+    def oval_moments(self) -> tuple[float, float, float]:
+        """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
+
+        The moments are first taken about the centre nu = a1 + h of the map
+        (xi = 0).  With c = s h the map reads z - nu = h (1 - c) xi / (1 + c xi)
+        and dz/w = C dxi/eta; only the even part survives the symmetric
+        integral over [-1, 1], which leaves K and two complete integrals of
+        the third kind with characteristic c^2 (Byrd & Friedman, four real
+        roots; DLMF 19.25.2 for their Carlson forms):
+
+            L = int xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2)
+            M = int xi^2 dxi / ((1 - c^2 xi^2)^2 eta)
+              = [c^2 K - k^2 R_D/3 + (c^4 - k^2) R_J/3] / ((k^2 - c^2)(c^2 - 1))
+            n_0 = 2 C K,  n_1 = -C h c (1 - c) L,  n_2 = C h^2 (1 - c)^2 (2M - L)
+
+        with R_D = R_D(0, k'^2, 1).  No term divides by c, and |c| < k < 1,
+        so p = 0 (c = 0) takes the same formulas.  The shift to p uses
+        q = p - nu = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
+        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed exactly, so a nearly
+        symmetric oval, where q and m_1 are small, keeps its digits.
+        """
+        cv = self.curve
+        k, k2, c, h = self.k, self.k2, self.s * self.h, self.h
+        c2 = c * c
+        K = complete_K(k)
+        k2c = (1.0 - k) * (1.0 + k)
+        RD = float(elliprd(0.0, k2c, 1.0))
+        RJ = float(elliprj(0.0, k2c, 1.0, 1.0 - c2))
+        L = (2.0 / 3.0) * RJ
+        M = ((c2 * K - k2 * RD / 3.0 + (c2 * c2 - k2) * RJ / 3.0)
+             / ((k2 - c2) * (c2 - 1.0)))
+        C, hc = self.C_const, h * (1.0 - c)
+        n0, n1, n2 = 2.0 * C * K, -C * hc * c * L, C * hc * hc * (2.0 * M - L)
+        g21s = (cv.a2 - cv.a1) * self.s
+        q = ((math.fsum((2.0 * cv.p, -cv.a1, -cv.a2)) - (cv.p - cv.a1) * g21s)
+             / (2.0 - g21s))
+        return n0, n1 - q * n0, n2 - 2.0 * q * n1 + q * q * n0
 
 
 def _verify(red: LegendreReduction) -> None:

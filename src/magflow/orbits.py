@@ -11,17 +11,22 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 * double root      -> vertical line x = +-pi/2 (exact) or separatrix (band)
 * |p| > 1+sqrt(2E) -> forbidden (empty level set)
 
-The sin-x period of a cycle is 4 C K(k), with (k, C) from the Legendre
-reduction of the quartic, the same value the closed-form orbit runs on.
-The y-increment per cycle is Delta_y = 2 int_{z1}^{z2} (p-z) dz / w, which
-is 0 for p = 0 and has sign opposite to p.  The action of a closed curve
-on the level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and
-ydot = p - z, so the integrand is L_E = 2E + z(p - z) with z = sin x, and
-the action over one sin-x cycle is 2 int (2E + z(p - z)) dz / w over the
-bounded oval of z.  For closed curves it also equals
-int xdot^2 dt + p Delta_y, and for the simple contractible orbits it has
-the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx, a = arcsin
-sqrt(2E).  Films (embedded surfaces with boundary) carry the action
+All cycle data of a level come from one Legendre reduction of the quartic
+(legendre.LegendreReduction.oval_moments: the moments int (z-p)^j dz/w,
+j = 0, 1, 2, over the bounded oval, as complete elliptic integrals in
+Carlson form).  The sin-x period of a cycle is 4 C K(k), the same value
+the closed-form orbit runs on.  The y-increment per cycle is
+Delta_y = 2 int (p-z) dz / w, which is 0 for p = 0 and, on a trapped oval,
+has sign opposite to p.  The action of a closed curve on the level E is
+S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and ydot = p - z, so the
+integrand is L_E = 2E + z(p - z) with z = sin x, and the action over one
+sin-x cycle is 2 int (2E + z(p - z)) dz / w over the bounded oval of z.
+No quadrature runs in any of them.  For closed curves the action also
+equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
+it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
+a = arcsin sqrt(2E), which is a complete elliptic integral too.
+
+Films (embedded surfaces with boundary) carry the action
 sqrt(2E) length(boundary) + flux of F; within the cylinder-strip family
 the minimizer is the strip between x = pi/2 and x = 3*pi/2, with value
 4*pi*(sqrt(2E) - 1).  Energy 1/2 is the Mane critical level: below it the
@@ -36,25 +41,24 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import elliprd
 
 from .closedform import ClosedFormSolution, build_solution, eval_solution
 from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
-from .errors import DomainError, MagflowError, OpenCurve, WrongRegime
+from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
     EPS_DEGENERATE,
     OvalKind,
-    QuarticCurve,
     quartic_from_params,
     reduce_to_legendre,
 )
-from .quadrature import oval_quad
 
 #: absolute tolerance under which a near-double root is the exact line orbit
 EPS_VERTICAL = 1e-12
 
 #: joint tolerance of the contractibility test (|p| and |Delta_y| together,
-#: so quadrature noise cannot flip the verdict)
+#: so rounding noise cannot flip the verdict)
 EPS_CONTRACTIBLE = 1e-10
 
 
@@ -77,6 +81,7 @@ class OrbitClassification:
     turning_roots: tuple[float, float]
     delta_y: float | None
     period: float | None
+    action: float | None
     contractible: bool
 
     def to_dict(self) -> dict:
@@ -87,46 +92,36 @@ class OrbitClassification:
             "turning_roots": list(self.turning_roots),
             "delta_y": self.delta_y,
             "period": self.period,
+            "action": self.action,
             "contractible": self.contractible,
         }
 
 
-def _delta_y_quad(curve: QuarticCurve) -> float:
-    """Delta_y = 2 int (p - z) dz/w of one full sin-x cycle over the bounded oval."""
-    return 2.0 * oval_quad(lambda z: curve.p - z, curve.a1, curve.a2,
-                           curve.a3, curve.a4)
-
-
-def cycle_action(E: float, p: float) -> float:
-    """Action int L_E dt accumulated over one sin-x cycle.
-
-    On the level E the integrand is L_E = 2E + z(p - z) with z = sin x,
-    so one oval quadrature gives the action; it is well defined per cycle
-    even when the orbit does not close up.
-    """
-    curve = quartic_from_params(E, p)
-    curve.oval_kind()  # raises DegenerateCurve on separatrices
-    return 2.0 * oval_quad(lambda z: 2.0 * E + z * (p - z),
-                           curve.a1, curve.a2, curve.a3, curve.a4)
+def _line_action(a: float, p: float) -> tuple[float, float]:
+    """Action of the vertical line at the wall z = +-1 nearest a turning root
+    p -+ a, with that root's distance to the wall."""
+    d_plus = min(abs(p + a - 1.0), abs(p - a - 1.0))
+    d_minus = min(abs(p + a + 1.0), abs(p - a + 1.0))
+    s = 1.0 if d_plus <= d_minus else -1.0
+    return TWO_PI * (a + s * math.copysign(1.0, p - s)), min(d_plus, d_minus)
 
 
 def vertical_line_action(E: float, p: float) -> float:
     """Action of the vertical-line orbit at a level with a double root at z = +-1."""
-    a = math.sqrt(2.0 * E)
-    d_plus = min(abs(p + a - 1.0), abs(p - a - 1.0))
-    d_minus = min(abs(p + a + 1.0), abs(p - a + 1.0))
-    if min(d_plus, d_minus) > EPS_DEGENERATE:
+    action, gap = _line_action(math.sqrt(2.0 * E), p)
+    if gap > EPS_DEGENERATE:
         raise WrongRegime(f"(E={E}, p={p}) carries no vertical-line orbit")
-    s = 1.0 if d_plus <= d_minus else -1.0
-    return TWO_PI * (a + s * math.copysign(1.0, p - s))
+    return action
 
 
 def classify(E: float, p: float) -> OrbitClassification:
     """Classify the level set (E, p); total on E > 0, never raises.
 
-    For a bounded oval the period is the sin-x period 4 C K(k) of the
-    Legendre reduction and Delta_y one oval quadrature; a vertical line
-    reports the time of one y-circuit.
+    A bounded oval gets its cycle data in closed form from the moments of
+    the Legendre reduction, m_j = int (z - p)^j dz/w over the oval: the
+    sin-x period 2 m_0 = 4 C K(k), Delta_y = 2 int (p - z) dz/w = -2 m_1
+    and the action 2 int (2E + z(p - z)) dz/w of one sin-x cycle.  A
+    vertical line reports the time and the action of one y-circuit.
     """
     if not E > 0.0:
         raise DomainError(f"energy must be positive, got {E}")
@@ -138,10 +133,12 @@ def classify(E: float, p: float) -> OrbitClassification:
     kind: OrbitKind
     delta: float | None = None
     period: float | None = None
+    action: float | None = None
 
     if line_gap < EPS_VERTICAL * scale:
         kind = OrbitKind.VERTICAL_LINE
         period = math.pi * math.sqrt(2.0 / E)  # one y-circuit of the line
+        action, _ = _line_action(a, p)
     elif line_gap < EPS_DEGENERATE or 2.0 * a < EPS_DEGENERATE:
         kind = OrbitKind.SEPARATRIX
     elif abs(p) > 1.0 + a:
@@ -155,8 +152,11 @@ def classify(E: float, p: float) -> OrbitClassification:
             kind = OrbitKind.WINDING
         else:
             kind = OrbitKind.CROSSING_LIBRATOR
-        period = reduce_to_legendre(curve).period
-        delta = _delta_y_quad(curve)
+        m0, m1, m2 = reduce_to_legendre(curve).oval_moments()
+        period = 2.0 * m0
+        delta = -2.0 * m1
+        # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
+        action = 2.0 * (2.0 * E * m0 - p * m1 - m2)
 
     contractible = (
         kind is OrbitKind.TRAPPED_OVAL
@@ -166,23 +166,40 @@ def classify(E: float, p: float) -> OrbitClassification:
     )
     return OrbitClassification(
         E=float(E), p=float(p), kind=kind, turning_roots=(z1, z2),
-        delta_y=delta, period=period, contractible=contractible,
+        delta_y=delta, period=period, action=action, contractible=contractible,
     )
 
 
-def delta_y(E: float, p: float) -> float:
-    """y-increment per x-cycle of a trapped oval orbit.
+def cycle_action(E: float, p: float) -> float:
+    """Action int L_E dt accumulated over one sin-x cycle, classify(E, p).action.
 
-    Evaluated with the singularity-removing substitution
-    z = p + sqrt(2E) sin(theta); by the symmetry of the substituted
-    integrand the sign is -sign(p), and exactly 0 at p = 0.
+    On the level E the integrand is L_E = 2E + z(p - z) with z = sin x; the
+    action is well defined per cycle even when the orbit does not close
+    up.  Separatrices and vertical lines raise DegenerateCurve (the latter
+    has vertical_line_action), a forbidden level WrongRegime.
     """
-    curve = quartic_from_params(E, p)
-    if curve.degenerate or curve.oval_kind() is not OvalKind.TRAPPED:
+    c = classify(E, p)
+    if c.kind is OrbitKind.FORBIDDEN:
+        raise WrongRegime(f"(E={E}, p={p}) is forbidden: its level set is empty")
+    if c.kind in (OrbitKind.SEPARATRIX, OrbitKind.VERTICAL_LINE):
+        raise DegenerateCurve(
+            f"(E={E}, p={p}) is a {c.kind.value}: no bounded oval, no cycle"
+        )
+    return c.action
+
+
+def delta_y(E: float, p: float) -> float:
+    """y-increment per x-cycle of a trapped oval orbit, classify(E, p).delta_y.
+
+    Delta_y = 2 int_{z1}^{z2} (p - z) dz/w, in closed form from the Legendre
+    reduction; its sign is -sign(p), and it is exactly 0 at p = 0.
+    """
+    c = classify(E, p)
+    if c.kind is not OrbitKind.TRAPPED_OVAL:
         raise WrongRegime(
             f"Delta_y is defined for trapped ovals only; (E={E}, p={p}) is not"
         )
-    return _delta_y_quad(curve)
+    return c.delta_y
 
 
 def contractible_orbit(
@@ -314,25 +331,17 @@ def action_increment(orbit, p: float | None = None, T: float | None = None) -> f
 def action_contractible_formula(E: float) -> float:
     """Closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx, a = arcsin sqrt(2E).
 
-    Computed after the substitution sin x = sqrt(2E) sin(theta), which makes
-    the integrand smooth: S = 2 int 2E cos^2(theta)/sqrt(1 - 2E sin^2 theta).
+    After sin x = sqrt(2E) sin(theta) this is 8E int_0^{pi/2} cos^2(theta)
+    / sqrt(1 - k^2 sin^2 theta) dtheta with k^2 = 2E, and that integral is
+    (E(k) - k'^2 K(k))/k^2 = (k'^2/3) R_D(0, 1, k'^2) (DLMF 19.25.1), one
+    Carlson integral with no cancellation, even as E -> 1/2.
     """
     if not 0.0 < E < 0.5:
         raise DomainError(
             f"the contractible-orbit action requires 0 < E < 1/2, got E = {E}"
         )
-    from scipy.integrate import quad
-
-    twoE = 2.0 * E
-
-    def integrand(theta):
-        s = np.sin(theta)
-        c = np.cos(theta)
-        return twoE * c * c / np.sqrt(1.0 - twoE * s * s)
-
-    val, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
-                  epsabs=1e-10, epsrel=1e-10, limit=200)
-    return 2.0 * val
+    k2c = 1.0 - 2.0 * E
+    return 8.0 * E * k2c * float(elliprd(0.0, 1.0, k2c)) / 3.0
 
 
 # ---------------------------------------------------------------------------

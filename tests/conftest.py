@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from magflow import PhaseState, state_from_integrals
+from magflow import state_from_integrals
 
 
 @pytest.fixture

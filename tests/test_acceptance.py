@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from magflow import (
@@ -28,7 +27,6 @@ from magflow import (
     eval_solution,
     film_action,
     film_strip_grid_search,
-    incomplete_F,
     integrate,
     lagrangian_sign_scan,
     mane_level_scan,

@@ -10,6 +10,13 @@ descending-Landen modulus of m, so
     k = (1 - k_m')/(1 + k_m'),   k_m' = sqrt(g13 g42/(g41 g23)),
     C = (1 + k)/sqrt(g41 g23).
 
+The cycle data of classify (period, Delta_y, action) are checked against
+40-digit quadrature of the oval integrals on the same roots.  Each half of
+the oval is mapped by z = a1 + (a1 - a3) sinh^2 u (z = a2 - (a4 - a2)
+sinh^2 u on the other half), which turns the endpoint singularity and the
+nearby root of a thin gap into the smooth weight 2 du / sqrt of the far
+factor, so tanh-sinh needs no help at any gap.
+
 Each bound is the worst value measured on the ladder, rounded up to the
 next power of ten.
 """
@@ -18,7 +25,7 @@ import math
 
 import pytest
 
-from magflow import build_solution, quartic_from_params, reduce_to_legendre
+from magflow import build_solution, classify, quartic_from_params, reduce_to_legendre
 
 mp = pytest.importorskip("mpmath")
 
@@ -27,7 +34,7 @@ mp = pytest.importorskip("mpmath")
 GAP_CONFIGS = (("z1", 1.0, -1.0), ("z2", -1.0, 1.0), ("z1", -1.0, -1.0),
                ("z1", -1.0, 1.0), ("z2", 1.0, -1.0), ("z2", 1.0, 1.0))
 GAPS = tuple(1.5 * 10.0 ** d for d in range(-9, -1))   # 1.5e-9 .. 1.5e-2
-AMPLITUDES = (0.3, 1.3)                                # sqrt(2E)
+AMPLITUDES = (0.3, 0.8, 1.3)                           # sqrt(2E)
 TINY_ENERGIES = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 TINY_WALL_FRACTIONS = (1e-6, 1e-3, 0.5)
 
@@ -101,3 +108,50 @@ def test_ladder_solutions_round_trip_initial_point(ladder, bound):
         sol = build_solution(x0, 0.0, E, p, +1)
         worst = max(worst, abs(math.sin(sol.eval(0.0).x) - math.sin(x0)))
     assert worst < bound
+
+
+def cycle_oracle(E, p, curve):
+    """(period, Delta_y, action) at 40 digits: 2 int g(z) dz/w over the oval
+    for g = 1, p - z and 2E + z (p - z), from the binary64 roots of the curve."""
+    with mp.workdps(40):
+        a1, a2, a3, a4 = (mp.mpf(v) for v in (curve.a1, curve.a2, curve.a3, curve.a4))
+        Em, pm = mp.mpf(E), mp.mpf(p)
+        mid = (a1 + a2) / 2
+        integrands = (lambda z: 1, lambda z: pm - z, lambda z: 2 * Em + z * (pm - z))
+        total = [mp.mpf(0)] * 3
+        # (end root, its neighbour outside the oval, direction, the two far roots)
+        for r, g, side, f1, f2 in ((a1, a1 - a3, 1, a2, a4), (a2, a4 - a2, -1, a1, a3)):
+            u_mid = mp.asinh(mp.sqrt(abs(mid - r) / g))
+            cache = {}
+
+            def z_and_weight(u):
+                if u not in cache:
+                    z = r + side * g * mp.sinh(u) ** 2
+                    cache[u] = z, 2 / mp.sqrt((f1 - z) * (f2 - z))
+                return cache[u]
+
+            for i, g_of_z in enumerate(integrands):
+                total[i] += mp.quad(lambda u: g_of_z(z_and_weight(u)[0]) * z_and_weight(u)[1],
+                                    [0, u_mid])
+        return tuple(2 * t for t in total)
+
+
+def worst_cycle_errors(levels):
+    worst = [0.0, 0.0, 0.0]
+    for E, p in levels:
+        c = classify(E, p)
+        ref = cycle_oracle(E, p, quartic_from_params(E, p))
+        for i, got in enumerate((c.period, c.delta_y, c.action)):
+            worst[i] = max(worst[i], float(abs(got / ref[i] - 1)))
+    return worst
+
+
+# measured worst relative errors of (period, Delta_y, action): 5.4e-13,
+# 4.0e-13 and 5.9e-12 on the gap ladder, where K(k) near k = 1 magnifies the
+# last bit of k, and 1.1e-15, 2.9e-15 and 3.6e-15 on tiny ovals (adaptive
+# quadrature of the same integrals: 1.7e-9, 2.1e-9 and 1.1e-9 on the gaps)
+@pytest.mark.parametrize("ladder, bounds", [(gap_levels, (1e-12, 1e-12, 1e-11)),
+                                            (tiny_levels, (1e-14, 1e-14, 1e-14))])
+def test_ladder_cycle_data_match_mpmath(ladder, bounds):
+    worst = worst_cycle_errors(ladder())
+    assert all(w < b for w, b in zip(worst, bounds)), worst

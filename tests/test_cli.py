@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from magflow import classify
 from magflow.cli import main
 
 GAMMA_P = repr(1.0 + math.sqrt(0.5))  # vertical-line momentum at E = 0.25
@@ -104,7 +105,9 @@ def test_compare_separatrix_exits_2(capsys):
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--e", "1", "--p", "0")
     assert code == 0
-    assert json.loads(out)["kind"] == "Winding"
+    rep = json.loads(out)
+    assert rep["kind"] == "Winding"
+    assert rep["action"] == classify(1.0, 0.0).action
 
 
 def test_film_matches_quoted_value(capsys):

@@ -16,7 +16,6 @@ from magflow import (
     eval_solution,
     integrate,
     momentum,
-    quartic_from_params,
     sn,
     state_from_integrals,
 )

@@ -7,7 +7,6 @@ from magflow import (
     DomainError,
     NoReturnFound,
     PhaseState,
-    StepFailure,
     build_solution,
     complete_K,
     conservation_report,

@@ -5,6 +5,7 @@ import pytest
 
 from magflow import (
     CylinderStrip,
+    DegenerateCurve,
     DomainError,
     OpenCurve,
     OrbitDisc,
@@ -14,6 +15,7 @@ from magflow import (
     action_contractible_formula,
     action_direct,
     action_increment,
+    build_solution,
     classify,
     contractible_orbit,
     cycle_action,
@@ -24,8 +26,12 @@ from magflow import (
     integrate,
     lagrangian_sign_scan,
     mane_level_scan,
+    quartic_from_params,
+    reduce_to_legendre,
     vertical_line_action,
 )
+from magflow.cli import main
+from magflow.quadrature import oval_quad
 from tests.conftest import sample_trapped
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +62,7 @@ def test_classify_vertical_line():
     assert c.period == pytest.approx(math.pi * math.sqrt(2.0 / 0.25), abs=1e-12)
     assert vertical_line_action(0.25, p) == pytest.approx(
         TWO_PI * (math.sqrt(0.5) + 1.0), abs=1e-12)
+    assert c.action == vertical_line_action(0.25, p)
 
 
 def test_classify_separatrix_band_and_crossing():
@@ -67,7 +74,7 @@ def test_classify_separatrix_band_and_crossing():
 def test_classify_forbidden_level():
     c = classify(0.125, 3.0)
     assert c.kind is OrbitKind.FORBIDDEN
-    assert c.delta_y is None and c.period is None
+    assert c.delta_y is None and c.period is None and c.action is None
 
 
 def test_classification_invariant_under_p_reflection(rng):
@@ -77,6 +84,77 @@ def test_classification_invariant_under_p_reflection(rng):
         assert a.kind is b.kind
         assert a.period == pytest.approx(b.period, abs=1e-9)
         assert a.delta_y == pytest.approx(-b.delta_y, abs=1e-10)
+
+
+# one level per regime: (E, p, kind)
+CYCLE_LEVELS = [
+    (0.125, 0.0, OrbitKind.TRAPPED_OVAL),
+    (0.125, 0.3, OrbitKind.TRAPPED_OVAL),
+    (0.18, 0.4 - 1e-7, OrbitKind.TRAPPED_OVAL),    # turning root 1e-7 below +1
+    (1e-6, -0.9, OrbitKind.TRAPPED_OVAL),          # tiny oval
+    (0.3, 0.6, OrbitKind.CROSSING_LIBRATOR),       # crossing right
+    (0.3, -0.5, OrbitKind.CROSSING_LIBRATOR),      # crossing left
+    (0.5, 0.3, OrbitKind.CROSSING_LIBRATOR),       # E = 1/2: affine map, s = 0
+    (1.0, 0.0, OrbitKind.WINDING),
+    (3.0, 0.1, OrbitKind.WINDING),
+]
+
+
+@pytest.mark.parametrize("E, p, kind", CYCLE_LEVELS)
+def test_cycle_data_match_oval_quadrature(E, p, kind):
+    # oracle: adaptive quadrature of 2 int g(z) dz/w over the oval
+    c = classify(E, p)
+    assert c.kind is kind
+    cv = quartic_from_params(E, p)
+
+    def oval(g):
+        return 2.0 * oval_quad(g, cv.a1, cv.a2, cv.a3, cv.a4, tol=1e-12)
+
+    assert c.period == reduce_to_legendre(cv).period       # the same 4 C K, bit for bit
+    assert c.period == pytest.approx(oval(np.ones_like), rel=1e-10)
+    assert c.delta_y == pytest.approx(oval(lambda z: p - z), rel=1e-10, abs=1e-12)
+    assert c.action == pytest.approx(oval(lambda z: 2.0 * E + z * (p - z)), rel=1e-10)
+    assert cycle_action(E, p) == c.action
+    if kind is OrbitKind.TRAPPED_OVAL:
+        assert delta_y(E, p) == c.delta_y
+
+
+@pytest.mark.parametrize("E, p, kind", CYCLE_LEVELS)
+def test_closed_form_y_advance_equals_classified_delta_y(E, p, kind):
+    a = math.sqrt(2.0 * E)
+    x0 = math.asin(0.5 * (max(-1.0, p - a) + min(1.0, p + a)))
+    sol = build_solution(x0, 0.0, E, p, +1)
+    assert sol.delta_y_per_cycle == pytest.approx(classify(E, p).delta_y, abs=1e-12)
+
+
+@pytest.mark.parametrize("E, p, error", [
+    (0.125, 3.0, WrongRegime),                          # forbidden: empty level set
+    (0.125, 0.5 + 1e-10, DegenerateCurve),              # separatrix band
+    (0.25, 1.0 + math.sqrt(0.5), DegenerateCurve),      # vertical line
+])
+def test_cycle_action_without_a_cycle_raises(E, p, error):
+    with pytest.raises(error):
+        cycle_action(E, p)
+
+
+def test_cycle_data_run_no_quadrature(monkeypatch, capsys):
+    import scipy.integrate
+
+    import magflow.quadrature
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad was called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    monkeypatch.setattr(magflow.quadrature, "quad", no_quad)
+    for E, p, _kind in CYCLE_LEVELS:
+        classify(E, p)
+        cycle_action(E, p)
+    # a grid that meets every kind, the vertical line x = pi/2 included
+    assert main(["sweep", "--e-min", "0.125", "--e-max", "1.125", "--grid-n", "9",
+                 "--p-min", "-2", "--p-max", "2"]) == 0
+    kinds = {line.split("\t")[2] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert {k.value for k in OrbitKind} - kinds == {OrbitKind.SEPARATRIX.value}
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +187,6 @@ def test_delta_y_wrong_regime():
 
 def test_delta_y_matches_integrated_orbit():
     E, p = 0.125, 0.3
-    from magflow import build_solution
-
     sol = build_solution(math.asin(p), 0.0, E, p, 1)
     a, b = sol.eval(0.0), sol.eval(sol.x_period)
     assert b.y - a.y == pytest.approx(delta_y(E, p), abs=1e-8)
@@ -251,6 +327,37 @@ def test_action_formula_limits():
         action_contractible_formula(0.0)
 
 
+def _quad_contractible_action(E):
+    """2 int 2E cos^2(theta)/sqrt(1 - 2E sin^2 theta) over |theta| < pi/2, by quad."""
+    from scipy.integrate import quad
+
+    def integrand(theta):
+        return 2.0 * E * np.cos(theta) ** 2 / np.sqrt(1.0 - 2.0 * E * np.sin(theta) ** 2)
+
+    val, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    return 2.0 * val
+
+
+@pytest.mark.parametrize("E", [1e-6, 0.01, 0.125, 0.3, 0.45, 0.5 - 1e-4])
+def test_action_formula_matches_quadrature(E):
+    assert action_contractible_formula(E) == pytest.approx(
+        _quad_contractible_action(E), rel=1e-10)
+
+
+def test_action_formula_matches_mpmath():
+    # S = 8E (E(k) - k'^2 K(k))/k^2 with k^2 = 2E; measured worst 3.3e-16
+    mp = pytest.importorskip("mpmath")
+    ladder = np.logspace(-8, math.log10(0.25), 12)
+    worst = 0.0
+    for E in np.concatenate([ladder, 0.5 - ladder]):
+        with mp.workdps(30):
+            m = 2 * mp.mpf(E)
+            ref = 4 * (mp.ellipe(m) - (1 - m) * mp.ellipk(m))
+        worst = max(worst, float(abs(action_contractible_formula(float(E)) / ref - 1)))
+    assert worst < 1e-15
+
+
 def test_cycle_action_matches_closed_form_at_p_zero():
     E = 0.125
     assert cycle_action(E, 0.0) == pytest.approx(
@@ -288,8 +395,6 @@ def test_cycle_action_matches_mpmath_at_nonzero_momentum(E, p, kind):
 
 
 def test_action_invariant_under_y_shift_and_time_reversal():
-    from magflow import build_solution
-
     E = 0.2
     base = action_direct(contractible_orbit(E))
     shifted = build_solution(0.0, 5.0, E, 0.0, +1)       # different y0
@@ -328,8 +433,6 @@ def test_film_strip_validation():
         CylinderStrip(0.0, 0.0, 0.125)
     with pytest.raises(DomainError):
         CylinderStrip(0.0, 7.0, 0.125)
-    from magflow import build_solution
-
     winding = build_solution(0.0, 0.0, 1.0, 0.3, +1)
     with pytest.raises(DomainError):
         OrbitDisc(winding)   # its boundary drifts in y

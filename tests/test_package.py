@@ -1,7 +1,54 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import magflow
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_resolve_without_duplicates():
     assert len(magflow.__all__) == len(set(magflow.__all__))
     for name in magflow.__all__:
         assert hasattr(magflow, name), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (a name listed in __all__ is read)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the RK oracle needs scipy.integrate, and it imports it on first use
+    code = "import sys, magflow; print('scipy.integrate' in sys.modules)"
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
