@@ -25,9 +25,22 @@ instead.  Three regimes result:
 * winding orbit   - xdot never vanishes and x advances by 2 pi per sin(x)
   cycle.
 
-y(t) = y0 + p t - int_0^t sin x(tau) dtau is evaluated by quadrature with
-a per-period cache: one sin(x) period is pre-integrated on fixed
-Gauss-Legendre panels at build time, so evaluation at large t costs O(1).
+y(t) = y0 + p t - int_0^t sin x(tau) dtau is in closed form too.  With
+c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
+
+    int_0^u sn/(1 + c sn) du' = J1(u) - c J2(u),
+
+    J1 = int_0^u sn/(1 - c^2 sn^2) du'
+       = [atanh(rho) - atanh(rho cn/dn)] / (rho (1 - c^2)),
+         rho^2 = (k^2 - c^2)/(1 - c^2),
+    J2 = int_0^u sn^2/(1 - c^2 sn^2) du'
+       = (sn^3/3) R_J(cn^2, dn^2, 1, 1 - c^2 sn^2)   on |u| <= K,
+
+where J1 is 4K-periodic and J2(u + 2K) = J2(u) + L, with L the complete
+integral of LegendreReduction.xi_square_integral (DLMF 19.25.14, 22.14).
+So one evaluation costs one sn/cn call and one R_J call for any t, and
+the y-advance per sin(x) period is -2 m_1 of LegendreReduction.oval_moments,
+the same number classify reports as Delta_y.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import elliprj
 
 from .dynamics import TWO_PI, PhaseState
 from .elliptic import EllipticModulus
@@ -50,10 +64,6 @@ from .legendre import (
     quartic_from_params,
     reduce_to_legendre,
 )
-
-#: Gauss-Legendre panels used for the per-period y-quadrature cache
-_N_PANELS = 256
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class BranchMode(Enum):
@@ -82,11 +92,11 @@ class ClosedFormSolution:
     mode: BranchMode
     C: float
     D: float
-    x_offset: float         # constant 2*pi*n placing the orbit at x0
-    x_period: float         # sin(x) period 4*C*K
-    z_cycle_integral: float # int of sin x dtau over one sin(x) period
-    _panel_bounds: np.ndarray
-    _panel_prefix: np.ndarray
+    x_offset: float           # constant 2*pi*n placing the orbit at x0
+    x_period: float           # sin(x) period 4*C*K
+    delta_y_per_cycle: float  # y-increment over one sin(x) period, -2 m_1
+    _L: float                 # advance of J2 over half an sn period
+    _G0: float                # G at the phase of t = 0
 
     @property
     def k(self) -> float:
@@ -103,17 +113,35 @@ class ClosedFormSolution:
             return 2.0 * self.x_period
         return self.x_period
 
-    @property
-    def delta_y_per_cycle(self) -> float:
-        """y-increment over one sin(x) period."""
-        return self.p * self.x_period - self.z_cycle_integral
-
     def eval(self, t):
         return eval_solution(self, t)
 
 
-def _z_of_u(sol_mod: EllipticModulus, red: LegendreReduction, u):
-    return map_xi_to_z(red, np.clip(sol_mod.sn(u), -1.0, 1.0))
+def _sn_integral(red: LegendreReduction, K: float, L: float, u, sn, cn):
+    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn and cn at u.
+
+    Every factor is a sum or product of positive terms: next to k = 1
+    (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
+    from k', and where cn < 0 the denominator dn + rho cn is rewritten as
+    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).
+    """
+    c, kc2, one_c2 = red.s * red.h, red.kc * red.kc, red.one_c2
+    rho = math.sqrt(red.k2_c2 / one_c2)
+    rhoc4 = (kc2 / one_c2) ** 2
+    s2, cn2, acn = sn * sn, cn * cn, np.abs(cn)
+    dn2 = cn2 + kc2 * s2
+    dn = np.sqrt(dn2)
+    den = one_c2 + c * c * cn2  # 1 - c^2 sn^2
+    # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0
+    front, back = dn + acn, dn + rho * acn
+    Y = 2.0 * (1.0 + rho) * np.where(
+        cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
+    J1 = np.log1p(rho * Y) / (2.0 * rho * one_c2)
+    # J2 on the half period [-K, K) that holds u - 2K m, continued by m L
+    m = np.floor((u + K) / (2.0 * K))
+    flip = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
+    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + m * L
+    return J1 - c * J2
 
 
 def _branch_arrays(mode: BranchMode, u, K: float):
@@ -184,7 +212,7 @@ def build_solution(
     curve = quartic_from_params(E, p)
     red = reduce_to_legendre(curve)  # raises DegenerateCurve on separatrices
     kind = curve.oval_kind()
-    mod = EllipticModulus(red.k)
+    mod = red.modulus
     K = mod.K_complete
     C = red.C_const
 
@@ -228,7 +256,10 @@ def build_solution(
         )
 
     cos_sign, _, cyc = _branch_arrays(mode, u_ref + 1e-12 * max(1.0, K), K)
-    z_ref = _z_of_u(mod, red, u_ref)
+    D = C * u_ref
+    u0 = D / C  # the phase eval_solution computes at t = 0
+    sn0, cn0 = mod.sn_cn(u0)
+    z_ref = float(map_xi_to_z(red, sn0[0]))
     alpha = math.asin(min(1.0, max(-1.0, z_ref)))
     x_hat0 = float(_x_hat(mode, alpha, cos_sign, cyc))
     x_offset = x0 - x_hat0
@@ -239,48 +270,17 @@ def build_solution(
         )
     x_offset = TWO_PI * round(n_turns)
 
-    D = C * u_ref
-    x_period = red.period
-
-    # per-period quadrature cache: prefix integrals of z(u) on GL panels
-    u_start = u_ref
-    bounds = u_start + np.linspace(0.0, 4.0 * K, _N_PANELS + 1)
-    half = 0.5 * (bounds[1] - bounds[0])
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    nodes = mids[:, None] + half * _GL_NODES[None, :]
-    zvals = _z_of_u(mod, red, nodes.ravel()).reshape(nodes.shape)
-    panel_ints = half * zvals @ _GL_WEIGHTS
-    prefix = np.concatenate([[0.0], np.cumsum(panel_ints)])
-    z_cycle_integral = C * float(prefix[-1])
+    L = red.xi_square_integral()
+    G0 = float(_sn_integral(red, K, L, u0, sn0, cn0)[0])
 
     return ClosedFormSolution(
         curve=curve, reduction=red, modulus=mod,
         E=float(E), p=float(p), x0=float(x0), y0=float(y0),
         xdot_sign=xdot_sign, mode=mode, C=C, D=D,
-        x_offset=x_offset, x_period=x_period,
-        z_cycle_integral=z_cycle_integral,
-        _panel_bounds=bounds, _panel_prefix=prefix,
+        x_offset=x_offset, x_period=red.period,
+        delta_y_per_cycle=-2.0 * red.oval_moments()[1],
+        _L=L, _G0=G0,
     )
-
-
-def _z_antiderivative(sol: ClosedFormSolution, u):
-    """int_{u_ref}^{u} z(s) ds using the cached panel prefix sums."""
-    u = np.asarray(u, dtype=float)
-    K = sol.modulus.K_complete
-    fourK = 4.0 * K
-    u_start = sol._panel_bounds[0]
-    n_cycles = np.floor((u - u_start) / fourK)
-    u_red = u - fourK * n_cycles  # in [u_start, u_start + 4K)
-    idx = np.clip(
-        np.searchsorted(sol._panel_bounds, u_red, side="right") - 1,
-        0, _N_PANELS - 1,
-    )
-    lo = sol._panel_bounds[idx]
-    half = 0.5 * (u_red - lo)
-    nodes = (lo + half)[..., None] + half[..., None] * _GL_NODES
-    zvals = _z_of_u(sol.modulus, sol.reduction, nodes.reshape(-1)).reshape(nodes.shape)
-    partial = (zvals @ _GL_WEIGHTS) * half
-    return n_cycles * sol._panel_prefix[-1] + sol._panel_prefix[idx] + partial
 
 
 def eval_solution(sol: ClosedFormSolution, t):
@@ -294,17 +294,21 @@ def eval_solution(sol: ClosedFormSolution, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
+    red = sol.reduction
     K = sol.modulus.K_complete
     u = (t_arr + sol.D) / sol.C
-    z = _z_of_u(sol.modulus, sol.reduction, u)
-    alpha = np.arcsin(np.clip(z, -1.0, 1.0))
+    sn, cn = sol.modulus.sn_cn(u)
+    z = map_xi_to_z(red, sn)
+    alpha = np.arcsin(z)  # z lies on the oval [a1, a2], inside [-1, 1]
     cos_sign, zdot_sign, cyc = _branch_arrays(sol.mode, u, K)
     x = _x_hat(sol.mode, alpha, cos_sign, cyc) + sol.x_offset
     ydot = sol.p - z
     xdot = zdot_sign * cos_sign * np.sqrt(
         np.maximum(2.0 * sol.E - ydot * ydot, 0.0)
     )
-    y = sol.y0 + sol.p * t_arr - sol.C * _z_antiderivative(sol, u)
+    # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
+    G = _sn_integral(red, K, sol._L, u, sn, cn)
+    y = sol.y0 + red.q * t_arr - sol.C * red.h * red.one_c * (G - sol._G0)
     if scalar:
         return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))
     return x, y, xdot, ydot

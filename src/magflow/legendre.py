@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import elliprd, elliprj
 
-from .elliptic import complete_K
+from .elliptic import EllipticModulus, complete_K
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the curve is flagged degenerate
@@ -124,14 +124,46 @@ class LegendreReduction:
     curve: QuarticCurve
     k2: float
     k: float
+    kc: float  # k' = sqrt(1 - k^2), from the root gaps
+    K: float   # K(k) with this k'
     C_const: float
     s: float  # 1/(mu - a1), the reciprocal pole measured from a1
     h: float  # nu - a1, the scale of the map
+    # with c = s h, the differences that cancel next to |c| = 1 or |c| = k,
+    # from the root gaps: 1 - c, 1 - c^2 and k^2 - c^2
+    one_c: float
+    one_c2: float
+    k2_c2: float
+
+    @property
+    def modulus(self) -> EllipticModulus:
+        """EllipticModulus(k, k'): the sn and F of this curve, its K_complete is K bit for bit."""
+        return EllipticModulus(self.k, self.kc)
 
     @property
     def period(self) -> float:
         """sin(x) period 4 C K(k): one full sn cycle in time."""
-        return 4.0 * self.C_const * complete_K(self.k)
+        return 4.0 * self.C_const * self.K
+
+    @property
+    def q(self) -> float:
+        """p - nu, the momentum less the centre of the map (xi = 0).
+
+        q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
+        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed exactly, so a nearly
+        symmetric oval, where q is small, keeps its digits.
+        """
+        cv = self.curve
+        g21s = (cv.a2 - cv.a1) * self.s
+        return ((math.fsum((2.0 * cv.p, -cv.a1, -cv.a2)) - (cv.p - cv.a1) * g21s)
+                / (2.0 - g21s))
+
+    def xi_square_integral(self) -> float:
+        """L = int_{-1}^{1} xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2).
+
+        c = s h; the integral over one half of the sn cycle (DLMF 19.25.2).
+        """
+        return (2.0 / 3.0) * float(elliprj(0.0, self.kc * self.kc, 1.0, self.one_c2))
 
     def oval_moments(self) -> tuple[float, float, float]:
         """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
@@ -145,30 +177,26 @@ class LegendreReduction:
 
             L = int xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2)
             M = int xi^2 dxi / ((1 - c^2 xi^2)^2 eta)
-              = [c^2 K - k^2 R_D/3 + (c^4 - k^2) R_J/3] / ((k^2 - c^2)(c^2 - 1))
+              = [c^2 K - k^2 R_D/3 + (c^4 - k^2) L/2] / ((k^2 - c^2)(c^2 - 1))
             n_0 = 2 C K,  n_1 = -C h c (1 - c) L,  n_2 = C h^2 (1 - c)^2 (2M - L)
 
-        with R_D = R_D(0, k'^2, 1).  No term divides by c, and |c| < k < 1,
-        so p = 0 (c = 0) takes the same formulas.  The shift to p uses
-        q = p - nu = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
-        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed exactly, so a nearly
-        symmetric oval, where q and m_1 are small, keeps its digits.
+        with R_D = R_D(0, k'^2, 1), and k', 1 - c, 1 - c^2 and k^2 - c^2
+        from the root gaps.  No term divides by c, and |c| < k < 1, so
+        p = 0 (c = 0) takes the same formulas.  The shift to p uses the
+        accurately summed q = p - nu, so a nearly symmetric oval, where
+        m_1 is small, keeps its digits.
         """
-        cv = self.curve
-        k, k2, c, h = self.k, self.k2, self.s * self.h, self.h
+        k2, c, h = self.k2, self.s * self.h, self.h
         c2 = c * c
-        K = complete_K(k)
-        k2c = (1.0 - k) * (1.0 + k)
-        RD = float(elliprd(0.0, k2c, 1.0))
-        RJ = float(elliprj(0.0, k2c, 1.0, 1.0 - c2))
-        L = (2.0 / 3.0) * RJ
-        M = ((c2 * K - k2 * RD / 3.0 + (c2 * c2 - k2) * RJ / 3.0)
-             / ((k2 - c2) * (c2 - 1.0)))
-        C, hc = self.C_const, h * (1.0 - c)
+        K = self.K
+        RD = float(elliprd(0.0, self.kc * self.kc, 1.0))
+        L = self.xi_square_integral()
+        # c^4 - k^2 = -(k^2 - c^2) - c^2 (1 - c^2): no cancellation
+        M = ((k2 * RD / 3.0 + (self.k2_c2 + c2 * self.one_c2) * L / 2.0 - c2 * K)
+             / (self.k2_c2 * self.one_c2))
+        C, hc = self.C_const, h * self.one_c
         n0, n1, n2 = 2.0 * C * K, -C * hc * c * L, C * hc * hc * (2.0 * M - L)
-        g21s = (cv.a2 - cv.a1) * self.s
-        q = ((math.fsum((2.0 * cv.p, -cv.a1, -cv.a2)) - (cv.p - cv.a1) * g21s)
-             / (2.0 - g21s))
+        q = self.q
         return n0, n1 - q * n0, n2 - 2.0 * q * n1 + q * q * n0
 
 
@@ -182,7 +210,7 @@ def _verify(red: LegendreReduction) -> None:
         (c.a1, -1.0), (c.a2, 1.0), (c.a3, -1.0 / red.k), (c.a4, 1.0 / red.k),
     )
     for z, want in targets:
-        got = float(_xi_of_z(red, z))
+        got = _xi_of_z(red, z)
         if abs(got - want) > _NORMALIZATION_TOL * max(1.0, abs(want)):
             raise ReductionInconsistency(
                 f"map normalization failed: xi({z:.6g}) = {got:.12g}, "
@@ -199,7 +227,15 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
     v_i = (mu - a_i) / (mu - a1) = w_i / w1 keep full relative accuracy
     however close mu comes to a root or to infinity.  h = g21 / (1 + v2)
     fixes xi(a1) = -1 and xi(a2) = +1; then k = h v3 / (g13 + h) and
-    C = 2 k sqrt(v2 / (v3 v4)) / g21.
+    C = 2 k sqrt(v2 / (v3 v4)) / g21.  The complement k' comes from the
+    gaps too, by the Landen relation k'^2 = 4 kappa' / (1 + kappa')^2 with
+    kappa'^2 = g13 g42 / (g41 g23), not from (1 - k)(1 + k): next to a
+    separatrix K(k) would magnify the last bit of k.  So do 1 - c, 1 - c^2
+    and k^2 - c^2 (c = s h, the image -1/c of z = infinity): the cross
+    ratios of (a1, a2, infinity, a4) and (a1, a2, infinity, a3) give
+    T = (1 + c)/(1 - c) = sqrt(g41 g13 / (g42 g23)), so 1 - c = 2/(1 + T),
+    1 - c^2 = 4T/(1 + T)^2 and
+    k^2 - c^2 = (1 - c^2) g21^2 / (g23 g41 (1 + kappa')^2).
     """
     if curve.degenerate:
         raise DegenerateCurve(
@@ -213,8 +249,14 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
     h = g21 / (1.0 + w2 / w1)
     k = h * (w3 / w1) / (g13 + h)
     C_const = 2.0 * k * math.sqrt(w1 * w2 / (w3 * w4)) / g21
+    kappa_c = R / (g41 * g23)  # sqrt(g13 g42 / (g41 g23))
+    T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
+    one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
+    kc = 2.0 * math.sqrt(kappa_c) / (1.0 + kappa_c)
     red = LegendreReduction(
-        curve=curve, k2=k * k, k=k, C_const=C_const,
+        curve=curve, k2=k * k, k=k, kc=kc, K=complete_K(k, kc),
+        C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
+        k2_c2=one_c2 * g21 * g21 / (g23 * g41 * (1.0 + kappa_c) ** 2),
         s=(a1 + a2 - a3 - a4) / w1, h=h,
     )
     _verify(red)

@@ -272,19 +272,22 @@ def _check_closed(orbit, T: float, tol: float = 1e-6) -> None:
 
 
 def _simpson_refine(f, T: float, tol: float = 1e-8, n0: int = 64) -> float:
-    """Composite Simpson on [0, T], doubling n until the value is stable."""
+    """Composite Simpson on [0, T], doubling n until the value is stable.
+
+    A doubling evaluates f only at the n new midpoints: the old nodes are
+    the even nodes of the finer rule, so their sum carries over.
+    """
     n = n0
-    prev = None
-    for _ in range(16):
-        ts = np.linspace(0.0, T, n + 1)
-        vals = f(ts)
-        h = T / n
-        s = (h / 3.0) * (vals[0] + vals[-1]
-                         + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
-        if prev is not None and abs(s - prev) < tol:
-            return s
-        prev = s
+    vals = f(np.linspace(0.0, T, n + 1))
+    ends, odd, even = vals[0] + vals[-1], vals[1:-1:2].sum(), vals[2:-2:2].sum()
+    s = (T / n / 3.0) * (ends + 4.0 * odd + 2.0 * even)
+    for _ in range(15):
         n *= 2
+        even += odd
+        odd = f(np.linspace(0.0, T, n + 1)[1::2]).sum()
+        s, prev = (T / n / 3.0) * (ends + 4.0 * odd + 2.0 * even), s
+        if abs(s - prev) < tol:
+            return s
     raise MagflowError(f"Simpson refinement did not stabilize to {tol}")
 
 

@@ -23,9 +23,11 @@ next power of ten.
 
 import math
 
+import numpy as np
 import pytest
 
-from magflow import build_solution, classify, quartic_from_params, reduce_to_legendre
+from magflow import (build_solution, classify, complete_K, eval_solution, incomplete_F,
+                     quartic_from_params, reduce_to_legendre, sn)
 
 mp = pytest.importorskip("mpmath")
 
@@ -110,30 +112,38 @@ def test_ladder_solutions_round_trip_initial_point(ladder, bound):
     assert worst < bound
 
 
+def _from_end(curve, integrands, left, z):
+    """int of g(z') dz'/w from the oval end a1 (left) or a2 to z, for each g.
+
+    The end's half of the oval is mapped by z' = a1 + (a1 - a3) sinh^2 u
+    (z' = a2 - (a4 - a2) sinh^2 u), so the weight 2 du / sqrt of the far
+    factor is smooth at any gap.  Call inside mp.workdps(40).
+    """
+    a1, a2, a3, a4 = (mp.mpf(v) for v in (curve.a1, curve.a2, curve.a3, curve.a4))
+    r, g, side, f1, f2 = (a1, a1 - a3, 1, a2, a4) if left else (a2, a4 - a2, -1, a1, a3)
+    u_end = mp.asinh(mp.sqrt(abs(z - r) / g))
+    cache = {}
+
+    def z_and_weight(u):
+        if u not in cache:
+            zu = r + side * g * mp.sinh(u) ** 2
+            cache[u] = zu, 2 / mp.sqrt((f1 - zu) * (f2 - zu))
+        return cache[u]
+
+    return [mp.quad(lambda u: g_of_z(z_and_weight(u)[0]) * z_and_weight(u)[1], [0, u_end])
+            for g_of_z in integrands]
+
+
 def cycle_oracle(E, p, curve):
     """(period, Delta_y, action) at 40 digits: 2 int g(z) dz/w over the oval
     for g = 1, p - z and 2E + z (p - z), from the binary64 roots of the curve."""
     with mp.workdps(40):
-        a1, a2, a3, a4 = (mp.mpf(v) for v in (curve.a1, curve.a2, curve.a3, curve.a4))
         Em, pm = mp.mpf(E), mp.mpf(p)
-        mid = (a1 + a2) / 2
+        mid = (mp.mpf(curve.a1) + mp.mpf(curve.a2)) / 2
         integrands = (lambda z: 1, lambda z: pm - z, lambda z: 2 * Em + z * (pm - z))
-        total = [mp.mpf(0)] * 3
-        # (end root, its neighbour outside the oval, direction, the two far roots)
-        for r, g, side, f1, f2 in ((a1, a1 - a3, 1, a2, a4), (a2, a4 - a2, -1, a1, a3)):
-            u_mid = mp.asinh(mp.sqrt(abs(mid - r) / g))
-            cache = {}
-
-            def z_and_weight(u):
-                if u not in cache:
-                    z = r + side * g * mp.sinh(u) ** 2
-                    cache[u] = z, 2 / mp.sqrt((f1 - z) * (f2 - z))
-                return cache[u]
-
-            for i, g_of_z in enumerate(integrands):
-                total[i] += mp.quad(lambda u: g_of_z(z_and_weight(u)[0]) * z_and_weight(u)[1],
-                                    [0, u_mid])
-        return tuple(2 * t for t in total)
+        halves = zip(_from_end(curve, integrands, True, mid),
+                     _from_end(curve, integrands, False, mid))
+        return tuple(2 * (left + right) for left, right in halves)
 
 
 def worst_cycle_errors(levels):
@@ -146,12 +156,132 @@ def worst_cycle_errors(levels):
     return worst
 
 
-# measured worst relative errors of (period, Delta_y, action): 5.4e-13,
-# 4.0e-13 and 5.9e-12 on the gap ladder, where K(k) near k = 1 magnifies the
-# last bit of k, and 1.1e-15, 2.9e-15 and 3.6e-15 on tiny ovals (adaptive
-# quadrature of the same integrals: 1.7e-9, 2.1e-9 and 1.1e-9 on the gaps)
-@pytest.mark.parametrize("ladder, bounds", [(gap_levels, (1e-12, 1e-12, 1e-11)),
-                                            (tiny_levels, (1e-14, 1e-14, 1e-14))])
+# measured worst relative errors of (period, Delta_y, action): 4.4e-16,
+# 1.2e-15 and 1.3e-13 on the gap ladder, and 3.3e-16, 1.1e-15 and 1.6e-15 on
+# tiny ovals.  k' and 1 - c^2, k^2 - c^2 come from the root gaps; built from
+# the rounded k and c they gave 5.4e-13, 4.0e-13 and 5.9e-12 on the gaps,
+# where K(k) near k = 1 magnifies the last bit of k.  The action's 1.3e-13
+# is the cancellation in 2 (2E m0 - p m1 - m2) where the action is small
+# (-0.10 against terms of 15), 1.4e-14 absolute.  Adaptive quadrature of the
+# same integrals: 1.7e-9, 2.1e-9 and 1.1e-9 on the gaps.
+@pytest.mark.parametrize("ladder, bounds", [(gap_levels, (1e-15, 1e-14, 1e-12)),
+                                            (tiny_levels, (1e-15, 1e-14, 1e-14))])
 def test_ladder_cycle_data_match_mpmath(ladder, bounds):
     worst = worst_cycle_errors(ladder())
     assert all(w < b for w, b in zip(worst, bounds)), worst
+
+
+def k2to1_levels():
+    # k^2 = 2E -> 1 on the symmetric line p = 0
+    return [(0.5 - d, 0.0) for d in (1e-8, 1e-6, 1e-4, 1e-2)]
+
+
+def orbit_oracle(E, p, curve, z0, zs):
+    """(T, Delta_y, [(z, t, y) ...]) at 40 digits for the orbit through z0 moving up.
+
+    With tau(z), Y(z) = int_{a1}^{z} (1, p - z') dz'/w along the oval, the
+    orbit meets z at t = tau(z) - tau(z0) on its way up and at
+    t = -tau(z) - tau(z0) on the way down before (z(t) is even about the
+    turning time -tau(z0), y - y(turn) odd); y - y0 follows Y the same way.
+    Each z in zs gives both entries.  Call inside mp.workdps(40).
+    """
+    pm = mp.mpf(p)
+    integrands = (lambda z: 1, lambda z: pm - z)
+    mid = (mp.mpf(curve.a1) + mp.mpf(curve.a2)) / 2
+    half = [a + b for a, b in zip(_from_end(curve, integrands, True, mid),
+                                  _from_end(curve, integrands, False, mid))]
+
+    def tau_Y(z):
+        if z <= mid:
+            return _from_end(curve, integrands, True, z)
+        return [h - v for h, v in zip(half, _from_end(curve, integrands, False, z))]
+
+    t0, y0 = tau_Y(mp.mpf(z0))
+    out = []
+    for z in zs:
+        t, y = tau_Y(z)
+        out += [(z, t - t0, y - y0), (z, -t - t0, -y - y0)]
+    return 2 * half[0], 2 * half[1], out
+
+
+Y_FRACTIONS = (1e-3, 0.3, 0.7, 0.999)   # z = a1 + f (a2 - a1)
+
+
+def worst_y_errors(levels, cycles):
+    """max |y(t) - oracle| at the Y_FRACTIONS points n cycles on, for each n in cycles."""
+    worst = [0.0] * len(cycles)
+    for E, p in levels:
+        curve = quartic_from_params(E, p)
+        x0 = admissible_x0(E, p)
+        sol = build_solution(x0, 0.0, E, p, +1)
+        ts, refs = [], []
+        with mp.workdps(40):
+            a1, g21 = mp.mpf(curve.a1), mp.mpf(curve.a2) - mp.mpf(curve.a1)
+            period, dy, points = orbit_oracle(E, p, curve, math.sin(x0),
+                                              [a1 + f * g21 for f in Y_FRACTIONS])
+            for n in cycles:
+                for z, t, y in points:
+                    t_exact = n * period + t
+                    ts.append(float(t_exact))
+                    # the oracle at the binary64 time the closed form is asked for
+                    refs.append(n * dy + y + (ts[-1] - t_exact) * (p - z))
+            _, y_cf, _, _ = eval_solution(sol, np.array(ts))
+            errs = [float(abs(got - ref)) for got, ref in zip(y_cf, refs)]
+        per_n = len(points)
+        worst = [max(w, *errs[i * per_n:(i + 1) * per_n]) for i, w in enumerate(worst)]
+    return worst
+
+
+def gap_levels_mid_amplitude():
+    return [(E, p) for E, p in gap_levels() if math.isclose(math.sqrt(2.0 * E), 0.8)]
+
+
+# measured worst |y - oracle| in the first cycle and 137 cycles on: gap
+# ladder (amplitude 0.8) 3.8e-13 and 3.3e-12, where the start phase carries
+# the round-trip error of sin x0; tiny ovals 7.2e-16 and 1.3e-13 (t up to
+# 1e5); k^2 -> 1 1.2e-14 and 7.6e-13.  The per-period Gauss-Legendre cache
+# this replaced measured 1.0e-11 and 1.9e-9, 9.7e-13 and 2.1e-10, 1.1e-14
+# and 6.1e-13.
+@pytest.mark.parametrize("ladder, bounds", [(gap_levels_mid_amplitude, (1e-12, 1e-11)),
+                                            (tiny_levels, (1e-15, 1e-12)),
+                                            (k2to1_levels, (1e-13, 1e-12))])
+def test_ladder_y_matches_mpmath(ladder, bounds):
+    first, later = worst_y_errors(ladder(), (0, 137))
+    assert first < bounds[0] and later < bounds[1], (first, later)
+
+
+PIN_MODULI = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+
+def worst_sn_error(moduli):
+    worst = 0.0
+    for k in moduli:
+        with mp.workdps(40):
+            m = mp.mpf(k) ** 2       # the exact square of the binary64 k
+            K = float(mp.ellipk(m))
+            us = np.linspace(-5.3 * K, 7.9 * K, 25)
+            worst = max(worst, max(float(abs(got - mp.ellipfun("sn", mp.mpf(u), m=m)))
+                                   for u, got in zip(us, sn(us, k))))
+    return worst
+
+
+# measured worst |sn - mpmath|: 2.5e-15 for k <= 0.99 and 1.0e-15 at
+# k = 0.999999, over u in [-5.3 K, 7.9 K].  An oracle that takes m = k*k
+# rounded to binary64 reports 1.1e-11 at k = 0.999999: that is the rounding
+# of m, which sn never sees.
+@pytest.mark.parametrize("moduli, bound", [(PIN_MODULI, 1e-14), ((0.999999,), 1e-14)])
+def test_sn_matches_mpmath(moduli, bound):
+    assert worst_sn_error(moduli) < bound
+
+
+# measured worst relative errors: F 2.2e-16 over phi in [-4, 4], K 2.2e-16
+def test_F_and_K_match_mpmath():
+    worst_F = worst_K = 0.0
+    for k in PIN_MODULI + (0.999999, 1.0 - 1e-9):
+        with mp.workdps(40):
+            m = mp.mpf(k) ** 2
+            worst_K = max(worst_K, float(abs(complete_K(k) / mp.ellipk(m) - 1)))
+            for phi in np.linspace(-4.0, 4.0, 16):
+                ref = mp.ellipf(mp.mpf(phi), m)
+                worst_F = max(worst_F, float(abs(incomplete_F(float(phi), k) / ref - 1)))
+    assert worst_F < 1e-15 and worst_K < 1e-15, (worst_F, worst_K)

@@ -223,3 +223,30 @@ def test_sin_x_confined_to_oval(rng):
     z = np.sin(x)
     assert np.all(z >= sol.curve.a1 - 1e-12)
     assert np.all(z <= sol.curve.a2 + 1e-12)
+
+
+@pytest.mark.parametrize("x0, E, p, sgn", [
+    (0.1, 0.125, 0.3, +1),       # trapped
+    (-2.0, 0.3, -0.5, +1),       # crossing
+    (0.7, 1.0, 0.3, -1),         # winding
+])
+def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
+    # elliptic._landen is the one routine that does per-phase elliptic work
+    # (sn and EllipticModulus.sn_cn run through it): a build takes O(1)
+    # phases and an evaluation one batch of exactly its samples, so no
+    # per-sample quadrature can come back unseen
+    import magflow.elliptic
+
+    batches = []
+    landen = magflow.elliptic._landen
+
+    def counted(u, k, ladder):
+        batches.append(np.size(u))
+        return landen(u, k, ladder)
+
+    monkeypatch.setattr(magflow.elliptic, "_landen", counted)
+    sol = build_solution(x0, 0.0, E, p, sgn)
+    assert sum(batches) <= 4
+    batches.clear()
+    eval_solution(sol, np.linspace(0.0, 50.0, 1000))
+    assert batches == [1000]
