@@ -69,6 +69,7 @@ from .orbits import (
     classify,
     contractible_orbit,
     cycle_action,
+    cycle_data,
     delta_y,
     film_action,
     film_strip_grid_search,
@@ -117,6 +118,7 @@ __all__ = [
     "conservation_report",
     "contractible_orbit",
     "cycle_action",
+    "cycle_data",
     "delta_y",
     "energy",
     "eval_solution",

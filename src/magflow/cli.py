@@ -9,6 +9,8 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -21,7 +23,6 @@ from .dynamics import PhaseState, energy, momentum, state_from_integrals
 from .errors import (
     DegenerateCurve,
     DomainError,
-    MagflowError,
     NoReturnFound,
     OpenCurve,
     ReductionInconsistency,
@@ -32,11 +33,13 @@ from .errors import (
 from .integrate import TOL_MAX, TOL_MIN, integrate
 from .orbits import (
     CylinderStrip,
+    OrbitKind,
     action_contractible_formula,
     action_direct,
     action_increment,
     classify,
     contractible_orbit,
+    cycle_data,
     film_action,
 )
 
@@ -55,19 +58,28 @@ def fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _write(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream of --out: the named file, or stdout without one."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _json_dump(payload: dict, out: str | None) -> None:
     _write(json.dumps(payload, indent=2, allow_nan=True) + "\n", out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags override it")
@@ -292,24 +304,50 @@ def cmd_film(cfg) -> None:
     _json_dump(payload, cfg.out)
 
 
-def _sweep_cell(E: float, p: float):
-    try:
-        c = classify(E, p)
-    except MagflowError:
-        return (E, p, "", None, None, None)
-    return (E, p, c.kind.value, c.delta_y, c.period, c.action)
+#: cells of the sweep grid per cycle_data call and per write, so memory
+#: stays flat however fine the grid is
+_SWEEP_BLOCK = 1 << 14
+
+
+def _sweep_row_format(kind: OrbitKind | None) -> str:
+    """One %-format for a whole row: E, p, kind, then delta_y, period, action.
+
+    %.17g writes a value as fmt does; %.0s takes a value the kind does not
+    carry and writes nothing, so every row takes the same five values.
+    kind None is a cell whose reduction failed (classify raises there): its
+    row keeps only E and p.
+    """
+    cycle = kind in (OrbitKind.TRAPPED_OVAL, OrbitKind.CROSSING_LIBRATOR, OrbitKind.WINDING)
+    line = cycle or kind is OrbitKind.VERTICAL_LINE
+    fields = ["%.17g" if has else "%.0s" for has in (cycle, line, line)]
+    return "\t".join(["%.17g", "%.17g", kind.value if kind else "", *fields]) + "\n"
+
+
+# indexed by the kind index of cycle_data, the failed cells' format last
+_SWEEP_ROW_FORMATS = tuple(_sweep_row_format(kind) for kind in (*OrbitKind, None))
+
+
+def _sweep_rows(E: np.ndarray, p: np.ndarray) -> str:
+    """TSV rows of the levels (E[i], p[i]) with the data of cycle_data."""
+    d = cycle_data(E, p)
+    fmt_index = np.where(d.failed, len(_SWEEP_ROW_FORMATS) - 1, d.kind).tolist()
+    values = zip(E.tolist(), p.tolist(), d.delta_y.tolist(), d.period.tolist(),
+                 d.action.tolist())
+    return "".join([_SWEEP_ROW_FORMATS[i] % row for i, row in zip(fmt_index, values)])
 
 
 def cmd_sweep(cfg) -> None:
     if cfg.e_min <= 0.0 or cfg.e_max < cfg.e_min or cfg.p_max < cfg.p_min:
         raise DomainError("sweep ranges require 0 < e-min <= e-max, p-min <= p-max")
-    es = np.linspace(cfg.e_min, cfg.e_max, cfg.grid_n)
-    ps = np.linspace(cfg.p_min, cfg.p_max, cfg.grid_n)
-    rows = [_sweep_cell(float(E), float(p)) for E in es for p in ps]
-    lines = ["E\tp\tkind\tdelta_y\tperiod\taction"]
-    for E, p, kind, dy, period, action in rows:
-        lines.append("\t".join([fmt(E), fmt(p), kind, fmt(dy), fmt(period), fmt(action)]))
-    _write("\n".join(lines) + "\n", cfg.out)
+    n = cfg.grid_n
+    es = np.linspace(cfg.e_min, cfg.e_max, n)
+    ps = np.linspace(cfg.p_min, cfg.p_max, n)
+    with _output(cfg.out) as fh:
+        fh.write("E\tp\tkind\tdelta_y\tperiod\taction\n")
+        # cells in row-major order, E outer and p inner
+        for lo in range(0, n * n, _SWEEP_BLOCK):
+            cell = np.arange(lo, min(lo + _SWEEP_BLOCK, n * n))
+            fh.write(_sweep_rows(es[cell // n], ps[cell % n]))
 
 
 _COMMANDS = {
@@ -324,8 +362,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         _COMMANDS[args.command](cfg)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _xp
 from .errors import DomainError, LossOfPrecisionWarning
 
 _AGM_TOL = 1e-15
@@ -103,19 +104,36 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(phi), cn_sign * np.cos(phi)
 
 
-def complete_K(k: float, kc: float | None = None) -> float:
+def _agm_K(k, kc):
+    """pi/(2 agm(1, k')) on floats or lanes of arrays.
+
+    The recurrence of _agm_ladder, without keeping the rungs.  A lane stops
+    once its own c has converged and stays put while the others run on, so
+    it takes the float call's steps and gives its K bit for bit.
+    """
+    xp = _xp.of(k)
+    a, b, c = 1.0, kc, k
+    run = abs(c) > _AGM_TOL
+    while xp.any(run):
+        a, b, c = xp.where_each(run, (0.5 * (a + b), xp.sqrt(a * b), 0.5 * (a - b)), (a, b, c))
+        run = run & (abs(c) > _AGM_TOL)
+    return math.pi / (2.0 * a)
+
+
+def complete_K(k, kc=None):
     """Complete elliptic integral of the first kind, K = pi/(2 agm(1, k')).
 
     k' = sqrt(1 - k^2) is taken from k unless it is given (see
     EllipticModulus).  The AGM is the ladder that sn runs on, so sn has
-    period 4 K exactly.
+    period 4 K exactly.  k and a given k' may also be float arrays of one
+    shape: each lane equals the float call, and a lane outside the domain
+    gives NaN where the float call raises DomainError.
     """
+    if isinstance(k, np.ndarray):
+        ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
+        return np.where(ok, _agm_K(np.where(ok, k, 0.0), np.where(ok, kc, 1.0)), np.nan)
     k = _check_modulus(k)
-    # the recurrence of _agm_ladder, without keeping the rungs
-    a, b, c = 1.0, _given_or_complement(k, kc), k
-    while abs(c) > _AGM_TOL:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-    return math.pi / (2.0 * a)
+    return _agm_K(k, _given_or_complement(k, kc))
 
 
 def _principal_F(phi: float, k: float, kc: float) -> tuple[int, float]:

@@ -25,6 +25,12 @@ in on a root next to a separatrix; s = 0 exactly when the two root pairs
 share a midpoint (always for p = 0), and the map is then affine.  It is
 normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
 xi(a4) = +1/k; all four values are verified internally.
+
+The root ordering, the map constants, K and the oval moments are written
+once over operands that are Python floats (one level: quartic_from_params,
+reduce_to_legendre) or float arrays of one shape (a grid of levels:
+reduce_lanes, which orbits.cycle_data runs); one lane of an array call
+equals the float call bit for bit (see _xp).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import elliprd, elliprj
 
+from . import _xp
 from .elliptic import EllipticModulus, complete_K
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
@@ -59,7 +66,10 @@ class OvalKind(str, Enum):
 
 @dataclass(frozen=True)
 class QuarticCurve:
-    """The curve w^2 = (1-z^2)(2E-(p-z)^2) with ordered roots a3<a1<a2<a4."""
+    """The curve w^2 = (1-z^2)(2E-(p-z)^2) with ordered roots a3<a1<a2<a4.
+
+    The fields are floats, or arrays of one shape for a batch of levels.
+    """
 
     E: float
     p: float
@@ -101,15 +111,24 @@ class QuarticCurve:
         return OvalKind.TRAPPED
 
 
-def quartic_from_params(E: float, p: float) -> QuarticCurve:
-    """Build the quartic for the level set (E, p); degeneracy is flagged, not raised."""
-    if not E > 0.0:
+def quartic_from_params(E, p) -> QuarticCurve:
+    """Build the quartic for the level set (E, p); degeneracy is flagged, not raised.
+
+    E and p are floats, or float arrays of one shape.  The roots are
+    {-1, 1} merged with z1 <= z2, z = p -+ sqrt(2E).
+    """
+    xp = _xp.of(E)
+    E, p = xp.real(E), xp.real(p)
+    if not xp.all(E > 0.0):
         raise DomainError(f"energy must be positive, got {E}")
-    a = math.sqrt(2.0 * E)
-    a3, a1, a2, a4 = sorted((-1.0, 1.0, float(p) - a, float(p) + a))
-    min_gap = min(a1 - a3, a2 - a1, a4 - a2)
+    a = xp.sqrt(2.0 * E)
+    z1, z2 = p - a, p + a
+    lo, hi = xp.maximum(-1.0, z1), xp.minimum(1.0, z2)
+    a3, a1, a2, a4 = (xp.minimum(-1.0, z1), xp.minimum(lo, hi), xp.maximum(lo, hi),
+                      xp.maximum(1.0, z2))
+    min_gap = xp.minimum(xp.minimum(a1 - a3, a2 - a1), a4 - a2)
     return QuarticCurve(
-        E=float(E), p=float(p), a1=a1, a2=a2, a3=a3, a4=a4,
+        E=E, p=p, a1=a1, a2=a2, a3=a3, a4=a4,
         min_gap=min_gap, degenerate=min_gap < EPS_DEGENERATE,
     )
 
@@ -118,7 +137,8 @@ def quartic_from_params(E: float, p: float) -> QuarticCurve:
 class LegendreReduction:
     """Constants and coordinate map taking the quartic to Legendre form.
 
-    The map is xi = (zeta - h) / (h (1 - s zeta)) with zeta = z - a1.
+    The map is xi = (zeta - h) / (h (1 - s zeta)) with zeta = z - a1.  The
+    fields are floats, or arrays of one shape when the curve's are.
     """
 
     curve: QuarticCurve
@@ -150,20 +170,23 @@ class LegendreReduction:
         """p - nu, the momentum less the centre of the map (xi = 0).
 
         q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
-        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed exactly, so a nearly
-        symmetric oval, where q is small, keeps its digits.
+        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed with error-free
+        TwoSums and rounded at the end, so a nearly symmetric oval, where q
+        is small, keeps its digits.
         """
         cv = self.curve
         g21s = (cv.a2 - cv.a1) * self.s
-        return ((math.fsum((2.0 * cv.p, -cv.a1, -cv.a2)) - (cv.p - cv.a1) * g21s)
-                / (2.0 - g21s))
+        s1, e1 = _xp.two_sum(2.0 * cv.p, -cv.a1)
+        s2, e2 = _xp.two_sum(s1, -cv.a2)
+        return (s2 + (e1 + e2) - (cv.p - cv.a1) * g21s) / (2.0 - g21s)
 
     def xi_square_integral(self) -> float:
         """L = int_{-1}^{1} xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2).
 
         c = s h; the integral over one half of the sn cycle (DLMF 19.25.2).
         """
-        return (2.0 / 3.0) * float(elliprj(0.0, self.kc * self.kc, 1.0, self.one_c2))
+        rj = elliprj(0.0, self.kc * self.kc, 1.0, self.one_c2)
+        return (2.0 / 3.0) * _xp.of(self.k).real(rj)
 
     def oval_moments(self) -> tuple[float, float, float]:
         """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
@@ -189,7 +212,7 @@ class LegendreReduction:
         k2, c, h = self.k2, self.s * self.h, self.h
         c2 = c * c
         K = self.K
-        RD = float(elliprd(0.0, self.kc * self.kc, 1.0))
+        RD = _xp.of(k2).real(elliprd(0.0, self.kc * self.kc, 1.0))
         L = self.xi_square_integral()
         # c^4 - k^2 = -(k^2 - c^2) - c^2 (1 - c^2): no cancellation
         M = ((k2 * RD / 3.0 + (self.k2_c2 + c2 * self.one_c2) * L / 2.0 - c2 * K)
@@ -200,22 +223,53 @@ class LegendreReduction:
         return n0, n1 - q * n0, n2 - 2.0 * q * n1 + q * q * n0
 
 
+def _map_targets(red: LegendreReduction):
+    """(z, xi(z), wanted xi) of the four roots: the map sends a1, a2, a3, a4
+    to -1, 1, -1/k, 1/k.  Floats or array lanes."""
+    cv, k = red.curve, red.k
+    return [(z, _xi_of_z(red, z), want)
+            for z, want in ((cv.a1, -1.0), (cv.a2, 1.0), (cv.a3, -1.0 / k), (cv.a4, 1.0 / k))]
+
+
+def _missed(got, want):
+    # |want| >= 1 for every target once 0 < k^2 < 1
+    return abs(got - want) > _NORMALIZATION_TOL * abs(want)
+
+
 def _verify(red: LegendreReduction) -> None:
-    c = red.curve
     if not 0.0 < red.k2 < 1.0:
         raise ReductionInconsistency(f"k^2 = {red.k2:.6g} not in (0, 1)")
     if not red.C_const > 0.0:
         raise ReductionInconsistency(f"C = {red.C_const:.6g} not positive")
-    targets = (
-        (c.a1, -1.0), (c.a2, 1.0), (c.a3, -1.0 / red.k), (c.a4, 1.0 / red.k),
-    )
-    for z, want in targets:
-        got = _xi_of_z(red, z)
-        if abs(got - want) > _NORMALIZATION_TOL * max(1.0, abs(want)):
+    for z, got, want in _map_targets(red):
+        if _missed(got, want):
             raise ReductionInconsistency(
                 f"map normalization failed: xi({z:.6g}) = {got:.12g}, "
                 f"expected {want:.12g}"
             )
+
+
+def _reduction(curve: QuarticCurve) -> LegendreReduction:
+    """The constants of reduce_to_legendre, unchecked; float or array roots."""
+    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
+    sqrt = _xp.of(a1).sqrt
+    g13, g21, g23, g41, g42 = a1 - a3, a2 - a1, a2 - a3, a4 - a1, a4 - a2
+    R = sqrt(g13 * g41 * g23 * g42)
+    w1, w2, w3, w4 = g13 * g41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
+    h = g21 / (1.0 + w2 / w1)
+    k = h * (w3 / w1) / (g13 + h)
+    C_const = 2.0 * k * sqrt(w1 * w2 / (w3 * w4)) / g21
+    kappa_c = R / (g41 * g23)  # sqrt(g13 g42 / (g41 g23))
+    T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
+    one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
+    kc = 2.0 * sqrt(kappa_c) / (1.0 + kappa_c)
+    return LegendreReduction(
+        curve=curve, k2=k * k, k=k, kc=kc, K=complete_K(k, kc),
+        C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
+        # a product, not ** 2: numpy squares exactly, libm's pow need not
+        k2_c2=one_c2 * g21 * g21 / (g23 * g41 * ((1.0 + kappa_c) * (1.0 + kappa_c))),
+        s=(a1 + a2 - a3 - a4) / w1, h=h,
+    )
 
 
 def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
@@ -242,25 +296,25 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
             f"curve at (E={curve.E}, p={curve.p}) has root gap "
             f"{curve.min_gap:.3g} < {EPS_DEGENERATE}: separatrix"
         )
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
-    g13, g21, g23, g41, g42 = a1 - a3, a2 - a1, a2 - a3, a4 - a1, a4 - a2
-    R = math.sqrt(g13 * g41 * g23 * g42)
-    w1, w2, w3, w4 = g13 * g41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
-    h = g21 / (1.0 + w2 / w1)
-    k = h * (w3 / w1) / (g13 + h)
-    C_const = 2.0 * k * math.sqrt(w1 * w2 / (w3 * w4)) / g21
-    kappa_c = R / (g41 * g23)  # sqrt(g13 g42 / (g41 g23))
-    T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
-    one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
-    kc = 2.0 * math.sqrt(kappa_c) / (1.0 + kappa_c)
-    red = LegendreReduction(
-        curve=curve, k2=k * k, k=k, kc=kc, K=complete_K(k, kc),
-        C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
-        k2_c2=one_c2 * g21 * g21 / (g23 * g41 * (1.0 + kappa_c) ** 2),
-        s=(a1 + a2 - a3 - a4) / w1, h=h,
-    )
+    red = _reduction(curve)
     _verify(red)
     return red
+
+
+def reduce_lanes(curve: QuarticCurve) -> tuple[LegendreReduction, np.ndarray]:
+    """reduce_to_legendre over a curve with array fields, one lane per level.
+
+    Returns the reduction of every lane and the mask of the lanes where
+    reduce_to_legendre raises: a degenerate curve, a modulus outside the
+    domain of K, or a failed self-check.  Those lanes hold garbage, so call
+    it under np.errstate(all="ignore").
+    """
+    red = _reduction(curve)
+    failed = (curve.degenerate | np.isnan(red.K) | ~((0.0 < red.k2) & (red.k2 < 1.0))
+              | ~(red.C_const > 0.0))
+    for _z, got, want in _map_targets(red):
+        failed |= _missed(got, want)
+    return red, failed
 
 
 def _xi_of_z(red: LegendreReduction, z):

@@ -26,6 +26,12 @@ equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
 it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
 a = arcsin sqrt(2E), which is a complete elliptic integral too.
 
+The kind rule, the vertical-line data and the cycle data are written once
+over operands that are Python floats or float arrays of one shape.
+classify runs them on one level; cycle_data runs them on a whole grid,
+with masks for the vertical-line, separatrix and forbidden cells and for
+the cells whose reduction fails, and its lanes equal classify bit for bit.
+
 Films (embedded surfaces with boundary) carry the action
 sqrt(2E) length(boundary) + flux of F; within the cylinder-strip family
 the minimizer is the strip between x = pi/2 and x = 3*pi/2, with value
@@ -39,18 +45,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import elliprd
 
+from . import _xp
 from .closedform import ClosedFormSolution, build_solution, eval_solution
 from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
     EPS_DEGENERATE,
-    OvalKind,
     quartic_from_params,
+    reduce_lanes,
     reduce_to_legendre,
 )
 
@@ -69,6 +77,10 @@ class OrbitKind(str, Enum):
     SEPARATRIX = "Separatrix"
     VERTICAL_LINE = "VerticalLine"
     FORBIDDEN = "Forbidden"
+
+
+_KINDS = tuple(OrbitKind)
+_TRAPPED, _CROSSING, _WINDING, _SEPARATRIX, _VERTICAL, _FORBIDDEN = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -97,13 +109,47 @@ class OrbitClassification:
         }
 
 
-def _line_action(a: float, p: float) -> tuple[float, float]:
+def _kind_index(a, p):
+    """Index into OrbitKind of the level with sqrt(2E) = a, by the turning roots
+    z1,2 = p -+ a; floats or array lanes.
+
+    Off the vertical line and the separatrix band, the oval reaches the wall
+    z = -1 exactly when z1 < -1 and the wall z = +1 when z2 > 1.
+    """
+    xp = _xp.of(a)
+    z1, z2 = p - a, p + a
+    scale = xp.maximum(xp.maximum(1.0, a), abs(p))
+    line_gap = xp.minimum(xp.minimum(abs(z1 - 1.0), abs(z1 + 1.0)),
+                          xp.minimum(abs(z2 - 1.0), abs(z2 + 1.0)))
+    left, right = z1 < -1.0, z2 > 1.0
+    oval = xp.where(left & right, _WINDING, xp.where(left | right, _CROSSING, _TRAPPED))
+    return xp.where(
+        line_gap < EPS_VERTICAL * scale, _VERTICAL,
+        xp.where((line_gap < EPS_DEGENERATE) | (2.0 * a < EPS_DEGENERATE), _SEPARATRIX,
+                 xp.where(abs(p) > 1.0 + a, _FORBIDDEN, oval)))
+
+
+def _line_action(a, p):
     """Action of the vertical line at the wall z = +-1 nearest a turning root
-    p -+ a, with that root's distance to the wall."""
-    d_plus = min(abs(p + a - 1.0), abs(p - a - 1.0))
-    d_minus = min(abs(p + a + 1.0), abs(p - a + 1.0))
-    s = 1.0 if d_plus <= d_minus else -1.0
-    return TWO_PI * (a + s * math.copysign(1.0, p - s)), min(d_plus, d_minus)
+    p -+ a, with that root's distance to the wall; floats or array lanes."""
+    xp = _xp.of(a)
+    d_plus = xp.minimum(abs(p + a - 1.0), abs(p - a - 1.0))
+    d_minus = xp.minimum(abs(p + a + 1.0), abs(p - a + 1.0))
+    s = xp.where(d_plus <= d_minus, 1.0, -1.0)
+    return TWO_PI * (a + s * xp.copysign(1.0, p - s)), xp.minimum(d_plus, d_minus)
+
+
+def _line_data(E, a, p):
+    """(period, action) of one y-circuit of the vertical line; floats or array lanes."""
+    return math.pi * _xp.of(E).sqrt(2.0 / E), _line_action(a, p)[0]
+
+
+def _cycle_values(E, p, red):
+    """(period, Delta_y, action) of one sin-x cycle from the oval moments of
+    the reduction; floats or array lanes."""
+    m0, m1, m2 = red.oval_moments()
+    # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
+    return 2.0 * m0, -2.0 * m1, 2.0 * (2.0 * E * m0 - p * m1 - m2)
 
 
 def vertical_line_action(E: float, p: float) -> float:
@@ -122,41 +168,21 @@ def classify(E: float, p: float) -> OrbitClassification:
     sin-x period 2 m_0 = 4 C K(k), Delta_y = 2 int (p - z) dz/w = -2 m_1
     and the action 2 int (2E + z(p - z)) dz/w of one sin-x cycle.  A
     vertical line reports the time and the action of one y-circuit.
+    cycle_data gives the same numbers for whole arrays of levels.
     """
     if not E > 0.0:
         raise DomainError(f"energy must be positive, got {E}")
     a = math.sqrt(2.0 * E)
-    z1, z2 = p - a, p + a
-    scale = max(1.0, a, abs(p))
-    line_gap = min(abs(z1 - 1.0), abs(z1 + 1.0), abs(z2 - 1.0), abs(z2 + 1.0))
-
-    kind: OrbitKind
+    index = _kind_index(a, p)
+    kind = _KINDS[index]
     delta: float | None = None
     period: float | None = None
     action: float | None = None
-
-    if line_gap < EPS_VERTICAL * scale:
-        kind = OrbitKind.VERTICAL_LINE
-        period = math.pi * math.sqrt(2.0 / E)  # one y-circuit of the line
-        action, _ = _line_action(a, p)
-    elif line_gap < EPS_DEGENERATE or 2.0 * a < EPS_DEGENERATE:
-        kind = OrbitKind.SEPARATRIX
-    elif abs(p) > 1.0 + a:
-        kind = OrbitKind.FORBIDDEN
-    else:
-        curve = quartic_from_params(E, p)
-        oval = curve.oval_kind()
-        if oval is OvalKind.TRAPPED:
-            kind = OrbitKind.TRAPPED_OVAL
-        elif oval is OvalKind.WINDING:
-            kind = OrbitKind.WINDING
-        else:
-            kind = OrbitKind.CROSSING_LIBRATOR
-        m0, m1, m2 = reduce_to_legendre(curve).oval_moments()
-        period = 2.0 * m0
-        delta = -2.0 * m1
-        # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
-        action = 2.0 * (2.0 * E * m0 - p * m1 - m2)
+    if index == _VERTICAL:
+        period, action = _line_data(E, a, p)
+    elif index <= _WINDING:
+        red = reduce_to_legendre(quartic_from_params(E, p))
+        period, delta, action = _cycle_values(E, p, red)
 
     contractible = (
         kind is OrbitKind.TRAPPED_OVAL
@@ -165,9 +191,52 @@ def classify(E: float, p: float) -> OrbitClassification:
         and abs(delta) < EPS_CONTRACTIBLE
     )
     return OrbitClassification(
-        E=float(E), p=float(p), kind=kind, turning_roots=(z1, z2),
+        E=float(E), p=float(p), kind=kind, turning_roots=(p - a, p + a),
         delta_y=delta, period=period, action=action, contractible=contractible,
     )
+
+
+class CycleData(NamedTuple):
+    """classify over arrays of levels, one lane per level.
+
+    kind indexes tuple(OrbitKind).  A value the kind does not carry is NaN,
+    as is every value of a failed lane, where classify raises because the
+    Legendre reduction fails.
+    """
+
+    kind: np.ndarray
+    delta_y: np.ndarray
+    period: np.ndarray
+    action: np.ndarray
+    failed: np.ndarray
+
+
+def cycle_data(E, p) -> CycleData:
+    """Kind, Delta_y, period and action of classify for arrays E > 0 and p.
+
+    The levels run through the formulas classify runs, as array lanes:
+    masks pick the vertical lines and the bounded ovals, and one Legendre
+    reduction of all the ovals gives their moments.  Each lane equals
+    classify(E, p) bit for bit.
+    """
+    E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
+                               np.atleast_1d(np.asarray(p, dtype=float)))
+    if not np.all(E > 0.0):
+        raise DomainError("energies must be positive")
+    a = np.sqrt(2.0 * E)
+    kind = _kind_index(a, p)
+    delta_y, period, action = (np.full(E.shape, np.nan) for _ in range(3))
+    failed = np.zeros(E.shape, dtype=bool)
+    line = kind == _VERTICAL
+    period[line], action[line] = _line_data(E[line], a[line], p[line])
+    oval = kind <= _WINDING
+    E_o, p_o = E[oval], p[oval]
+    with np.errstate(all="ignore"):  # failed lanes hold garbage and are masked
+        red, failed[oval] = reduce_lanes(quartic_from_params(E_o, p_o))
+        values = _cycle_values(E_o, p_o, red)
+    for out, v in zip((period, delta_y, action), values):
+        out[oval] = np.where(failed[oval], np.nan, v)
+    return CycleData(kind, delta_y, period, action, failed)
 
 
 def cycle_action(E: float, p: float) -> float:

@@ -26,8 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from magflow import (build_solution, classify, complete_K, eval_solution, incomplete_F,
-                     quartic_from_params, reduce_to_legendre, sn)
+from magflow import (build_solution, classify, complete_K, cycle_data, eval_solution,
+                     incomplete_F, quartic_from_params, reduce_to_legendre, sn)
 
 mp = pytest.importorskip("mpmath")
 
@@ -169,6 +169,16 @@ def worst_cycle_errors(levels):
 def test_ladder_cycle_data_match_mpmath(ladder, bounds):
     worst = worst_cycle_errors(ladder())
     assert all(w < b for w, b in zip(worst, bounds)), worst
+
+
+def test_delta_y_near_its_sign_change_in_absolute_error():
+    # a crossing level of the README grid where Delta_y = -2 m1, m1 = n1 - q n0,
+    # is 1.5e-3 and cancels: measured 3.3e-16 absolute, 2.2e-13 relative error
+    E, p = 0.294375, 0.4
+    ref = float(cycle_oracle(E, p, quartic_from_params(E, p))[1])
+    assert abs(ref) < 2e-3
+    for got in (classify(E, p).delta_y, cycle_data(E, p).delta_y[0]):
+        assert abs(got - ref) <= 1e-14
 
 
 def k2to1_levels():

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from magflow import classify
-from magflow.cli import main
+from magflow import MagflowError, OrbitKind, classify
+from magflow.cli import _build_parser, fmt, main
 
 GAMMA_P = repr(1.0 + math.sqrt(0.5))  # vertical-line momentum at E = 0.25
 
@@ -83,6 +83,91 @@ def test_deterministic_output(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+SWEEP_HEADER = "E\tp\tkind\tdelta_y\tperiod\taction"
+
+
+def scalar_sweep_rows(es, ps):
+    """The sweep rows built cell by cell from classify and fmt, E outer and
+    p inner; a cell where classify raises keeps only E and p."""
+    rows = []
+    for E in es.tolist():
+        for p in ps.tolist():
+            try:
+                c = classify(E, p)
+            except MagflowError:
+                rows.append(f"{fmt(E)}\t{fmt(p)}\t\t\t\t")
+                continue
+            rows.append("\t".join([fmt(E), fmt(p), c.kind.value, fmt(c.delta_y),
+                                    fmt(c.period), fmt(c.action)]))
+    return rows
+
+
+def sweep_rows(tmp_path, e_min, e_max, p_min, p_max, n):
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep", f"--e-min={e_min!r}", f"--e-max={e_max!r}", f"--p-min={p_min!r}",
+                 f"--p-max={p_max!r}", f"--grid-n={n}", f"--out={out}"]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == SWEEP_HEADER and lines[-1] == ""
+    return lines[1:-1]
+
+
+def mismatched_rows(got, want):
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def test_sweep_readme_grid_matches_classify(tmp_path):
+    # the README example: every row as the per-cell classify loop writes it
+    got = sweep_rows(tmp_path, 0.05, 1.2, -2.0, 2.0, 161)
+    want = scalar_sweep_rows(np.linspace(0.05, 1.2, 161), np.linspace(-2.0, 2.0, 161))
+    assert mismatched_rows(got, want) == []
+
+
+# (e_min, e_max, p_min, p_max) of 2 x 2 grids whose corners are the levels named
+EVERY_KIND_GRIDS = [
+    # vertical lines (0.5, 0) and (2, 1), crossing at E = 1/2, winding at p = 0
+    (0.5, 2.0, 0.0, 1.0),
+    # tiny ovals at E = 1e-6, and the root gap 1e-7 at (0.18, 0.4 - 1e-7)
+    (1e-6, 0.18, 0.0, 0.4 - 1e-7),
+    # the separatrix band at (0.5, 1e-10) and the forbidden level (0.5, 3)
+    (0.5, 0.5, 1e-10, 3.0),
+    # turning roots 2 sqrt(2E) = 1e-9 apart, whose rounded gap falls below the
+    # degeneracy threshold: the reduction fails and the row is blank
+    (1.25e-19, 1.25e-19, 0.3, 0.3),
+]
+
+
+def test_sweep_rows_match_classify_on_every_kind(tmp_path):
+    kinds = set()
+    for e_min, e_max, p_min, p_max in EVERY_KIND_GRIDS:
+        got = sweep_rows(tmp_path, e_min, e_max, p_min, p_max, 2)
+        want = scalar_sweep_rows(np.linspace(e_min, e_max, 2), np.linspace(p_min, p_max, 2))
+        assert mismatched_rows(got, want) == []
+        kinds |= {row.split("\t")[2] for row in got}
+    assert kinds == {kind.value for kind in OrbitKind} | {""}
+
+
+def fresh_run(*argv):
+    proc = subprocess.run([sys.executable, "-m", "magflow.cli", *argv], capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_once_and_reused(capsys):
+    sweep = ("sweep", "--e-min", "0.2", "--e-max", "0.9", "--p-min", "-1.2", "--p-max", "1.2",
+             "--grid-n", "5")
+    bad = ("sweep", "--grid-n", "five")
+    classify_argv = ("classify", "--e", "0.125", "--p", "0.3")
+    for argv in (sweep, bad, classify_argv, sweep):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out.encode(), out.err.encode()) == fresh_run(*argv), argv
+    assert code == 0
+    assert _build_parser() is _build_parser()
 
 
 def test_compare_report(capsys):

@@ -19,6 +19,7 @@ from magflow import (
     classify,
     contractible_orbit,
     cycle_action,
+    cycle_data,
     delta_y,
     eval_solution,
     film_action,
@@ -155,6 +156,29 @@ def test_cycle_data_run_no_quadrature(monkeypatch, capsys):
                  "--p-min", "-2", "--p-max", "2"]) == 0
     kinds = {line.split("\t")[2] for line in capsys.readouterr().out.splitlines()[1:]}
     assert {k.value for k in OrbitKind} - kinds == {OrbitKind.SEPARATRIX.value}
+
+
+def test_cycle_data_lanes_equal_classify(rng):
+    # one array call over levels of every kind: root gaps 1e-12 .. 1 next to
+    # each wall, so the vertical-line and separatrix bands, thin ovals and
+    # K near k = 1 (the AGM's slowest lanes) sit among ordinary levels
+    n = 3000
+    E = 10.0 ** rng.uniform(-8.0, 1.0, n)
+    a = np.sqrt(2.0 * E)
+    gap = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    p = (rng.choice([-1.0, 1.0], n) + rng.choice([-1.0, 1.0], n) * gap
+         + rng.choice([-1.0, 1.0], n) * a)
+    p[::3] = rng.uniform(-3.0, 3.0, n)[::3]
+    d = cycle_data(E, p)
+    assert not d.failed.any()
+    kinds = list(OrbitKind)
+    for i in range(n):
+        c = classify(E[i], p[i])
+        values = [math.nan if v is None else v for v in (c.delta_y, c.period, c.action)]
+        lane = [d.delta_y[i], d.period[i], d.action[i]]
+        assert kinds[d.kind[i]] is c.kind
+        assert np.array_equal(lane, values, equal_nan=True), (E[i], p[i])
+    assert set(d.kind.tolist()) == set(range(len(kinds)))
 
 
 # ---------------------------------------------------------------------------
