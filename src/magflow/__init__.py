@@ -9,14 +9,8 @@ integrator to cross-validate them, orbit classification over (E, p), and
 the action/film machinery, plus a CLI for reproducible exports.
 """
 
-from .closedform import (
-    BranchMode,
-    ClosedFormSolution,
-    build_solution,
-    eval_solution,
-)
+from .closedform import BranchMode, build_solution, eval_solution
 from .dynamics import (
-    FlowIntegrals,
     PhaseState,
     energy,
     integrals,
@@ -25,7 +19,7 @@ from .dynamics import (
     rhs,
     state_from_integrals,
 )
-from .elliptic import EllipticModulus, agm, complete_K, incomplete_F, sn
+from .elliptic import EllipticModulus, complete_K, incomplete_F, sn
 from .errors import (
     DegenerateCurve,
     DomainError,
@@ -38,31 +32,12 @@ from .errors import (
     UnsupportedRegime,
     WrongRegime,
 )
-from .integrate import (
-    ReturnEvents,
-    Trajectory,
-    conservation_report,
-    find_return,
-    integrate,
-    measure_period,
-)
-from .legendre import (
-    EPS_DEGENERATE,
-    LegendreReduction,
-    OvalKind,
-    QuarticCurve,
-    map_xi_to_z,
-    map_z_to_xi,
-    quartic_from_params,
-    reduce_to_legendre,
-)
+from .integrate import conservation_report, find_return, integrate, measure_period
+from .legendre import map_xi_to_z, map_z_to_xi, quartic_from_params, reduce_to_legendre
 from .orbits import (
     CylinderStrip,
-    OrbitClassification,
     OrbitDisc,
     OrbitKind,
-    SignScanResult,
-    StripSearchResult,
     action_contractible_formula,
     action_direct,
     action_increment,
@@ -82,36 +57,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchMode",
-    "ClosedFormSolution",
     "CylinderStrip",
     "DegenerateCurve",
     "DomainError",
     "EllipticModulus",
-    "EPS_DEGENERATE",
-    "FlowIntegrals",
-    "LegendreReduction",
     "LossOfPrecisionWarning",
     "MagflowError",
     "NoReturnFound",
     "OpenCurve",
-    "OrbitClassification",
     "OrbitDisc",
     "OrbitKind",
-    "OvalKind",
     "PhaseState",
-    "QuarticCurve",
     "ReductionInconsistency",
-    "ReturnEvents",
-    "SignScanResult",
     "StepFailure",
-    "StripSearchResult",
-    "Trajectory",
     "UnsupportedRegime",
     "WrongRegime",
     "action_contractible_formula",
     "action_direct",
     "action_increment",
-    "agm",
     "build_solution",
     "classify",
     "complete_K",

@@ -37,7 +37,7 @@ c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
        = (sn^3/3) R_J(cn^2, dn^2, 1, 1 - c^2 sn^2)   on |u| <= K,
 
 where J1 is 4K-periodic and J2(u + 2K) = J2(u) + L, with L the complete
-integral of LegendreReduction.xi_square_integral (DLMF 19.25.14, 22.14).
+integral LegendreReduction.L (DLMF 19.25.14, 22.14).
 So one evaluation costs one sn/cn call and one R_J call for any t, and
 the y-advance per sin(x) period is -2 m_1 of LegendreReduction.oval_moments,
 the same number classify reports as Delta_y.
@@ -57,7 +57,6 @@ from .elliptic import EllipticModulus
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     LegendreReduction,
-    OvalKind,
     QuarticCurve,
     map_xi_to_z,
     map_z_to_xi,
@@ -93,9 +92,8 @@ class ClosedFormSolution:
     C: float
     D: float
     x_offset: float           # constant 2*pi*n placing the orbit at x0
-    x_period: float           # sin(x) period 4*C*K
+    x_period: float           # sin(x) period 2 m_0 = 4*C*K
     delta_y_per_cycle: float  # y-increment over one sin(x) period, -2 m_1
-    _L: float                 # advance of J2 over half an sn period
     _G0: float                # G at the phase of t = 0
 
     @property
@@ -117,7 +115,7 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _sn_integral(red: LegendreReduction, K: float, L: float, u, sn, cn):
+def _sn_integral(red: LegendreReduction, K: float, u, sn, cn):
     """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn and cn at u.
 
     Every factor is a sum or product of positive terms: next to k = 1
@@ -140,7 +138,7 @@ def _sn_integral(red: LegendreReduction, K: float, L: float, u, sn, cn):
     # J2 on the half period [-K, K) that holds u - 2K m, continued by m L
     m = np.floor((u + K) / (2.0 * K))
     flip = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
-    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + m * L
+    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + m * red.L
     return J1 - c * J2
 
 
@@ -185,14 +183,22 @@ def _x_hat(mode: BranchMode, alpha, cos_sign, cyc):
     return -TWO_PI * cyc + np.where(cos_sign < 0, -math.pi - alpha, alpha - TWO_PI)
 
 
-def _pick_mode(kind: OvalKind, cos_x0: float, xdot_sign: int) -> BranchMode:
-    if kind is OvalKind.TRAPPED:
-        return BranchMode.TRAPPED_POS if cos_x0 > 0 else BranchMode.TRAPPED_NEG
-    if kind is OvalKind.CROSS_LEFT:
+def _pick_mode(curve: QuarticCurve, cos_x0: float, xdot_sign: int) -> BranchMode:
+    """The branch of x from the walls the oval touches.
+
+    quartic_from_params places the walls -1 and +1 unrounded, and a turning
+    root within EPS_DEGENERATE of a wall makes the curve degenerate, so on a
+    curve that reduces the oval reaches z = -1 exactly when a1 == -1 and
+    z = +1 exactly when a2 == 1.
+    """
+    left, right = curve.a1 == -1.0, curve.a2 == 1.0
+    if left and right:
+        return BranchMode.WIND_UP if xdot_sign > 0 else BranchMode.WIND_DOWN
+    if left:
         return BranchMode.CROSS_LEFT
-    if kind is OvalKind.CROSS_RIGHT:
+    if right:
         return BranchMode.CROSS_RIGHT
-    return BranchMode.WIND_UP if xdot_sign > 0 else BranchMode.WIND_DOWN
+    return BranchMode.TRAPPED_POS if cos_x0 > 0 else BranchMode.TRAPPED_NEG
 
 
 def build_solution(
@@ -211,7 +217,6 @@ def build_solution(
         raise UnsupportedRegime("E = 0 is a fixed point; no closed form needed")
     curve = quartic_from_params(E, p)
     red = reduce_to_legendre(curve)  # raises DegenerateCurve on separatrices
-    kind = curve.oval_kind()
     mod = red.modulus
     K = mod.K_complete
     C = red.C_const
@@ -223,13 +228,13 @@ def build_solution(
             f"> 2E = {2 * E:.6g}"
         )
     cos_x0 = math.cos(x0)
-    mode = _pick_mode(kind, cos_x0, xdot_sign)
+    mode = _pick_mode(curve, cos_x0, xdot_sign)
 
     xi0 = map_z_to_xi(red, min(max(z0, curve.a1), curve.a2))
     F0 = mod.F(math.asin(xi0))
     # phases with sn(u) = xi0 over one recurrence cycle of the orbit
     candidates = [F0, 2.0 * K - F0]
-    if kind in (OvalKind.CROSS_LEFT, OvalKind.CROSS_RIGHT):
+    if mode in (BranchMode.CROSS_LEFT, BranchMode.CROSS_RIGHT):
         candidates += [F0 + 4.0 * K, 2.0 * K - F0 + 4.0 * K]
 
     # |xi0| = 1 at an interior turning point makes xdot(0) = 0; the
@@ -270,16 +275,14 @@ def build_solution(
         )
     x_offset = TWO_PI * round(n_turns)
 
-    L = red.xi_square_integral()
-    G0 = float(_sn_integral(red, K, L, u0, sn0, cn0)[0])
+    G0 = float(_sn_integral(red, K, u0, sn0, cn0)[0])
+    m0, m1, _m2 = red.oval_moments()
 
     return ClosedFormSolution(
         curve=curve, reduction=red, modulus=mod,
         E=float(E), p=float(p), x0=float(x0), y0=float(y0),
         xdot_sign=xdot_sign, mode=mode, C=C, D=D,
-        x_offset=x_offset, x_period=red.period,
-        delta_y_per_cycle=-2.0 * red.oval_moments()[1],
-        _L=L, _G0=G0,
+        x_offset=x_offset, x_period=2.0 * m0, delta_y_per_cycle=-2.0 * m1, _G0=G0,
     )
 
 
@@ -307,7 +310,7 @@ def eval_solution(sol: ClosedFormSolution, t):
         np.maximum(2.0 * sol.E - ydot * ydot, 0.0)
     )
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
-    G = _sn_integral(red, K, sol._L, u, sn, cn)
+    G = _sn_integral(red, K, u, sn, cn)
     y = sol.y0 + red.q * t_arr - sol.C * red.h * red.one_c * (G - sol._G0)
     if scalar:
         return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))

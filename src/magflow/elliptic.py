@@ -1,13 +1,14 @@
 """Elliptic integrals and the Jacobi sn and cn functions.
 
 Everything is parameterized by the modulus k (never by m = k^2) and its
-complement k'.  The complete integral K comes from the arithmetic-geometric
-mean, sn and cn from the descending Landen ladder attached to the same AGM
-scale sequence, and the incomplete integral F from Carlson's symmetric R_F
-(scipy's elliprf).  The integrals of the second and third kind enter the
-cycle data, y(t) and the contractible action directly as Carlson's R_D and
-R_J (scipy's elliprd and elliprj), in legendre.LegendreReduction,
-closedform and orbits.action_contractible_formula.
+complement k'.  One arithmetic-geometric-mean ladder, run on a float or on
+array lanes, gives the complete integral K, and sn and cn come from the
+descending Landen recursion on the same rungs; the incomplete integral F
+comes from Carlson's symmetric R_F (scipy's elliprf).  The integrals of the
+second and third kind enter the cycle data, y(t) and the contractible
+action directly as Carlson's R_D and R_J (scipy's elliprd and elliprj), in
+legendre.LegendreReduction, closedform and
+orbits.action_contractible_formula.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("agm requires positive arguments")
-    while abs(a - b) > _AGM_TOL * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
 def _complement(k: float) -> float:
     """k' = sqrt(1 - k^2) from k alone; next to k = 1 it keeps only the digits of 1 - k."""
     return math.sqrt((1.0 - k) * (1.0 + k))
@@ -67,15 +59,31 @@ def _given_or_complement(k: float, kc: float | None) -> float:
     return kc
 
 
-def _agm_ladder(k: float, kc: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """AGM scale sequence (a_n, c_n) descending from (a, b, c) = (1, k', k)."""
+def _agm_ladder(k, kc) -> tuple[list, list]:
+    """AGM scale sequence (a_n, c_n) descending from (a, b, c) = (1, k', k).
+
+    k and k' are floats, or float arrays of one shape.  A lane stops once
+    its own c has converged and stays put while the others run on, so it
+    takes the float call's steps and its last a_n, hence its K, equals the
+    float call's bit for bit.
+    """
+    xp = _xp.of(k)
+    # looked up once: on a float the lookups cost a third of a step
+    sqrt, where_each, running = xp.sqrt, xp.where_each, xp.any
     a, b, c = 1.0, kc, k
     avals, cvals = [a], [c]
-    while abs(c) > _AGM_TOL:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+    run = abs(c) > _AGM_TOL
+    while running(run):
+        a, b, c = where_each(run, (0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)), (a, b, c))
         avals.append(a)
         cvals.append(c)
-    return tuple(avals), tuple(cvals)
+        run = run & (abs(c) > _AGM_TOL)
+    return avals, cvals
+
+
+def _quarter_period(ladder):
+    """K = pi/(2 agm(1, k')) from the last rung of the ladder."""
+    return math.pi / (2.0 * ladder[0][-1])
 
 
 def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +101,7 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
         return np.sin(u), np.cos(u)
     avals, cvals = ladder
     n_steps = len(avals) - 1
-    K = math.pi / (2.0 * avals[-1])
+    K = _quarter_period(ladder)
     v = np.mod(u + 2.0 * K, 4.0 * K) - 2.0 * K
     cn_sign = np.where(np.abs(v) > K, -1.0, 1.0)
     v = np.where(v > K, 2.0 * K - v, v)
@@ -102,22 +110,6 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
     for n in range(n_steps, 0, -1):
         phi = 0.5 * (phi + np.arcsin((cvals[n] / avals[n]) * np.sin(phi)))
     return np.sin(phi), cn_sign * np.cos(phi)
-
-
-def _agm_K(k, kc):
-    """pi/(2 agm(1, k')) on floats or lanes of arrays.
-
-    The recurrence of _agm_ladder, without keeping the rungs.  A lane stops
-    once its own c has converged and stays put while the others run on, so
-    it takes the float call's steps and gives its K bit for bit.
-    """
-    xp = _xp.of(k)
-    a, b, c = 1.0, kc, k
-    run = abs(c) > _AGM_TOL
-    while xp.any(run):
-        a, b, c = xp.where_each(run, (0.5 * (a + b), xp.sqrt(a * b), 0.5 * (a - b)), (a, b, c))
-        run = run & (abs(c) > _AGM_TOL)
-    return math.pi / (2.0 * a)
 
 
 def complete_K(k, kc=None):
@@ -131,9 +123,10 @@ def complete_K(k, kc=None):
     """
     if isinstance(k, np.ndarray):
         ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
-        return np.where(ok, _agm_K(np.where(ok, k, 0.0), np.where(ok, kc, 1.0)), np.nan)
+        ladder = _agm_ladder(np.where(ok, k, 0.0), np.where(ok, kc, 1.0))
+        return np.where(ok, _quarter_period(ladder), np.nan)
     k = _check_modulus(k)
-    return _agm_K(k, _given_or_complement(k, kc))
+    return _quarter_period(_agm_ladder(k, _given_or_complement(k, kc)))
 
 
 def _principal_F(phi: float, k: float, kc: float) -> tuple[int, float]:
@@ -197,7 +190,7 @@ class EllipticModulus:
         ladder = _agm_ladder(k, kc)
         object.__setattr__(self, "kc", kc)
         object.__setattr__(self, "k2", k * k)
-        object.__setattr__(self, "K_complete", math.pi / (2.0 * ladder[0][-1]))
+        object.__setattr__(self, "K_complete", _quarter_period(ladder))
         object.__setattr__(self, "_ladder", ladder)
 
     def sn(self, u):

@@ -24,7 +24,9 @@ root gaps, so they keep full accuracy as mu escapes to infinity or closes
 in on a root next to a separatrix; s = 0 exactly when the two root pairs
 share a midpoint (always for p = 0), and the map is then affine.  It is
 normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
-xi(a4) = +1/k; all four values are verified internally.
+xi(a4) = +1/k.  One self-check, _passes, tests a reduction: 0 < k^2 < 1,
+K not NaN, C > 0 and the four map targets; reduce_to_legendre raises
+ReductionInconsistency when it fails, and reduce_lanes masks those lanes.
 
 The root ordering, the map constants, K and the oval moments are written
 once over operands that are Python floats (one level: quartic_from_params,
@@ -35,9 +37,8 @@ equals the float call bit for bit (see _xp).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import elliprd, elliprj
@@ -53,15 +54,6 @@ EPS_DEGENERATE = 1e-9
 
 #: accuracy demanded of the internal map-normalization checks
 _NORMALIZATION_TOL = 1e-10
-
-
-class OvalKind(str, Enum):
-    """Position of the bounded oval relative to the unit interval in z."""
-
-    TRAPPED = "trapped"          # both middle roots strictly inside (-1, 1)
-    CROSS_LEFT = "cross_left"    # oval [-1, z2]: orbit crosses x = -pi/2
-    CROSS_RIGHT = "cross_right"  # oval [z1, +1]: orbit crosses x = +pi/2
-    WINDING = "winding"          # oval [-1, +1]: xdot never vanishes
 
 
 @dataclass(frozen=True)
@@ -80,35 +72,9 @@ class QuarticCurve:
     min_gap: float
     degenerate: bool
 
-    @property
-    def turning_roots(self) -> tuple[float, float]:
-        """Zeros (z1, z2) of 2E - (p-z)^2, the sin(x) values where xdot = 0."""
-        a = math.sqrt(2.0 * self.E)
-        return self.p - a, self.p + a
-
     def P(self, z):
         z = np.asarray(z, dtype=float)
         return (z - self.a1) * (z - self.a2) * (z - self.a3) * (z - self.a4)
-
-    def w(self, z):
-        """Positive branch sqrt(P(z)) on the bounded oval."""
-        return np.sqrt(np.maximum(self.P(z), 0.0))
-
-    def oval_kind(self) -> OvalKind:
-        if self.degenerate:
-            raise DegenerateCurve(
-                f"curve at (E={self.E}, p={self.p}) has root gap "
-                f"{self.min_gap:.3g} < {EPS_DEGENERATE}"
-            )
-        left = abs(self.a1 + 1.0) < EPS_DEGENERATE
-        right = abs(self.a2 - 1.0) < EPS_DEGENERATE
-        if left and right:
-            return OvalKind.WINDING
-        if left:
-            return OvalKind.CROSS_LEFT
-        if right:
-            return OvalKind.CROSS_RIGHT
-        return OvalKind.TRAPPED
 
 
 def quartic_from_params(E, p) -> QuarticCurve:
@@ -161,11 +127,6 @@ class LegendreReduction:
         return EllipticModulus(self.k, self.kc)
 
     @property
-    def period(self) -> float:
-        """sin(x) period 4 C K(k): one full sn cycle in time."""
-        return 4.0 * self.C_const * self.K
-
-    @property
     def q(self) -> float:
         """p - nu, the momentum less the centre of the map (xi = 0).
 
@@ -180,10 +141,12 @@ class LegendreReduction:
         s2, e2 = _xp.two_sum(s1, -cv.a2)
         return (s2 + (e1 + e2) - (cv.p - cv.a1) * g21s) / (2.0 - g21s)
 
-    def xi_square_integral(self) -> float:
+    @cached_property
+    def L(self) -> float:
         """L = int_{-1}^{1} xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2).
 
         c = s h; the integral over one half of the sn cycle (DLMF 19.25.2).
+        Computed on first use and kept: the moments and y(t) both read it.
         """
         rj = elliprj(0.0, self.kc * self.kc, 1.0, self.one_c2)
         return (2.0 / 3.0) * _xp.of(self.k).real(rj)
@@ -213,7 +176,7 @@ class LegendreReduction:
         c2 = c * c
         K = self.K
         RD = _xp.of(k2).real(elliprd(0.0, self.kc * self.kc, 1.0))
-        L = self.xi_square_integral()
+        L = self.L
         # c^4 - k^2 = -(k^2 - c^2) - c^2 (1 - c^2): no cancellation
         M = ((k2 * RD / 3.0 + (self.k2_c2 + c2 * self.one_c2) * L / 2.0 - c2 * K)
              / (self.k2_c2 * self.one_c2))
@@ -231,22 +194,18 @@ def _map_targets(red: LegendreReduction):
             for z, want in ((cv.a1, -1.0), (cv.a2, 1.0), (cv.a3, -1.0 / k), (cv.a4, 1.0 / k))]
 
 
-def _missed(got, want):
-    # |want| >= 1 for every target once 0 < k^2 < 1
-    return abs(got - want) > _NORMALIZATION_TOL * abs(want)
+def _passes(red: LegendreReduction):
+    """The one self-check of a reduction: 0 < k^2 < 1, K not NaN, C > 0, and
+    the map sends each root to its target within _NORMALIZATION_TOL.
 
-
-def _verify(red: LegendreReduction) -> None:
-    if not 0.0 < red.k2 < 1.0:
-        raise ReductionInconsistency(f"k^2 = {red.k2:.6g} not in (0, 1)")
-    if not red.C_const > 0.0:
-        raise ReductionInconsistency(f"C = {red.C_const:.6g} not positive")
-    for z, got, want in _map_targets(red):
-        if _missed(got, want):
-            raise ReductionInconsistency(
-                f"map normalization failed: xi({z:.6g}) = {got:.12g}, "
-                f"expected {want:.12g}"
-            )
+    A float, or a mask over array lanes.  Every test is a comparison that
+    is false on NaN, so a NaN anywhere fails the check.
+    """
+    ok = (0.0 < red.k2) & (red.k2 < 1.0) & (red.K == red.K) & (red.C_const > 0.0)
+    for _z, got, want in _map_targets(red):
+        # |want| >= 1 for every target once 0 < k^2 < 1
+        ok = ok & (abs(got - want) <= _NORMALIZATION_TOL * abs(want))
+    return ok
 
 
 def _reduction(curve: QuarticCurve) -> LegendreReduction:
@@ -297,7 +256,13 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
             f"{curve.min_gap:.3g} < {EPS_DEGENERATE}: separatrix"
         )
     red = _reduction(curve)
-    _verify(red)
+    if not _passes(red):
+        targets = ", ".join(f"xi({z:.6g}) = {got:.17g} (want {want:.17g})"
+                            for z, got, want in _map_targets(red))
+        raise ReductionInconsistency(
+            f"Legendre reduction failed its self-check: k^2 = {red.k2:.6g}, "
+            f"C = {red.C_const:.6g}, {targets}"
+        )
     return red
 
 
@@ -305,16 +270,12 @@ def reduce_lanes(curve: QuarticCurve) -> tuple[LegendreReduction, np.ndarray]:
     """reduce_to_legendre over a curve with array fields, one lane per level.
 
     Returns the reduction of every lane and the mask of the lanes where
-    reduce_to_legendre raises: a degenerate curve, a modulus outside the
-    domain of K, or a failed self-check.  Those lanes hold garbage, so call
-    it under np.errstate(all="ignore").
+    reduce_to_legendre raises: a degenerate curve, or a reduction that fails
+    _passes (a modulus outside the domain of K gives K = NaN there).  Those
+    lanes hold garbage, so call it under np.errstate(all="ignore").
     """
     red = _reduction(curve)
-    failed = (curve.degenerate | np.isnan(red.K) | ~((0.0 < red.k2) & (red.k2 < 1.0))
-              | ~(red.C_const > 0.0))
-    for _z, got, want in _map_targets(red):
-        failed |= _missed(got, want)
-    return red, failed
+    return red, curve.degenerate | ~_passes(red)
 
 
 def _xi_of_z(red: LegendreReduction, z):

@@ -30,6 +30,24 @@ def numeric_reference(sol, ts, tol=1e-11):
     return traj.eval(ts)
 
 
+@pytest.mark.parametrize("x0, E, p, sign, mode", [
+    (0.1, 0.125, 0.3, 1, BranchMode.TRAPPED_POS),
+    (math.pi - 0.1, 0.125, 0.3, 1, BranchMode.TRAPPED_NEG),
+    (0.1, 0.3, 0.6, 1, BranchMode.CROSS_RIGHT),
+    (0.1, 0.3, -0.5, 1, BranchMode.CROSS_LEFT),
+    (0.1, 0.5, 0.3, 1, BranchMode.CROSS_RIGHT),            # E = 1/2: affine map
+    (0.1, 1.0, 0.0, 1, BranchMode.WIND_UP),
+    (0.1, 1.0, 0.0, -1, BranchMode.WIND_DOWN),
+    (0.1, 0.125, 0.5 + 2e-9, 1, BranchMode.CROSS_RIGHT),   # root 2e-9 past the wall
+])
+def test_branch_mode_follows_the_walls_the_oval_touches(x0, E, p, sign, mode):
+    sol = build_solution(x0, 0.0, E, p, sign)
+    assert sol.mode is mode
+    s = sol.eval(0.0)
+    assert (s.x, s.y) == pytest.approx((x0, 0.0), abs=1e-12)
+    assert math.copysign(1.0, s.xdot) == sign
+
+
 def test_worked_example_amplitude_and_phase():
     sol = build_solution(0.0, 0.0, 0.125, 0.0, +1)
     assert sol.D == 0.0

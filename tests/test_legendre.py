@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from magflow import (
+    BranchMode,
     DegenerateCurve,
     DomainError,
-    OvalKind,
+    build_solution,
+    classify,
     map_xi_to_z,
     map_z_to_xi,
     quartic_from_params,
@@ -34,8 +36,8 @@ def test_symmetric_root_labels():
     c = quartic_from_params(0.125, 0.0)
     assert (c.a3, c.a1, c.a2, c.a4) == (-1.0, -0.5, 0.5, 1.0)
     assert not c.degenerate
-    assert c.turning_roots == (-0.5, 0.5)
-    assert c.oval_kind() is OvalKind.TRAPPED
+    assert classify(0.125, 0.0).turning_roots == (-0.5, 0.5)
+    assert build_solution(0.0, 0.0, 0.125, 0.0, 1).mode is BranchMode.TRAPPED_POS
 
 
 def test_roots_satisfy_quartic():
@@ -74,7 +76,7 @@ def test_reduction_rejects_degenerate():
     with pytest.raises(DegenerateCurve):
         reduce_to_legendre(quartic_from_params(0.5, 0.0))
     with pytest.raises(DegenerateCurve):
-        quartic_from_params(0.5, 0.0).oval_kind()
+        build_solution(0.0, 0.0, 0.5, 0.0, 1)
 
 
 def test_general_reduction_normalization():

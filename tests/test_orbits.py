@@ -11,6 +11,7 @@ from magflow import (
     OrbitDisc,
     OrbitKind,
     PhaseState,
+    ReductionInconsistency,
     WrongRegime,
     action_contractible_formula,
     action_direct,
@@ -28,7 +29,6 @@ from magflow import (
     lagrangian_sign_scan,
     mane_level_scan,
     quartic_from_params,
-    reduce_to_legendre,
     vertical_line_action,
 )
 from magflow.cli import main
@@ -111,7 +111,6 @@ def test_cycle_data_match_oval_quadrature(E, p, kind):
     def oval(g):
         return 2.0 * oval_quad(g, cv.a1, cv.a2, cv.a3, cv.a4, tol=1e-12)
 
-    assert c.period == reduce_to_legendre(cv).period       # the same 4 C K, bit for bit
     assert c.period == pytest.approx(oval(np.ones_like), rel=1e-10)
     assert c.delta_y == pytest.approx(oval(lambda z: p - z), rel=1e-10, abs=1e-12)
     assert c.action == pytest.approx(oval(lambda z: 2.0 * E + z * (p - z)), rel=1e-10)
@@ -125,7 +124,9 @@ def test_closed_form_y_advance_equals_classified_delta_y(E, p, kind):
     a = math.sqrt(2.0 * E)
     x0 = math.asin(0.5 * (max(-1.0, p - a) + min(1.0, p + a)))
     sol = build_solution(x0, 0.0, E, p, +1)
-    assert sol.delta_y_per_cycle == classify(E, p).delta_y
+    c = classify(E, p)
+    assert sol.x_period == c.period                        # the same 2 m_0 = 4 C K, bit for bit
+    assert sol.delta_y_per_cycle == c.delta_y
 
 
 @pytest.mark.parametrize("E, p, error", [
@@ -179,6 +180,38 @@ def test_cycle_data_lanes_equal_classify(rng):
         assert kinds[d.kind[i]] is c.kind
         assert np.array_equal(lane, values, equal_nan=True), (E[i], p[i])
     assert set(d.kind.tolist()) == set(range(len(kinds)))
+
+
+def test_failed_lanes_are_the_levels_classify_rejects(monkeypatch, capsys):
+    # no level fails the self-check at its tolerance of 1e-10; at 4e-16 some
+    # levels over the README sweep ranges do, which reaches the failed-lane
+    # path by tightening the check, never by loosening it
+    import magflow.legendre
+
+    monkeypatch.setattr(magflow.legendre, "_NORMALIZATION_TOL", 4e-16)
+    n = 41
+    es, ps = np.linspace(0.05, 1.2, n), np.linspace(-2.0, 2.0, n)
+    E, p = (g.ravel() for g in np.meshgrid(es, ps, indexing="ij"))
+    rejected = []
+    for e, q in zip(E.tolist(), p.tolist()):
+        try:
+            classify(e, q)
+        except ReductionInconsistency:
+            rejected.append(True)
+        else:
+            rejected.append(False)
+    d = cycle_data(E, p)
+    assert d.failed.tolist() == rejected
+    assert 0 < sum(rejected) < len(rejected)
+    # cli sweep writes a rejected level's E and p and leaves the rest blank
+    assert main(["sweep", "--e-min", "0.05", "--e-max", "1.2", "--p-min", "-2",
+                 "--p-max", "2", "--grid-n", str(n)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(rejected)
+    for row, e, q, failed in zip(rows, E.tolist(), p.tolist(), rejected):
+        fields = row.split("\t")
+        assert (float(fields[0]), float(fields[1])) == (e, q)
+        assert (fields[2:] == ["", "", "", ""]) is failed, row
 
 
 # ---------------------------------------------------------------------------

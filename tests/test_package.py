@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -43,6 +44,36 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _magflow_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) of each magflow import in a file; name None for `import module`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "magflow":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "magflow"]
+    return found
+
+
+def test_bench_imports_resolve():
+    # the benchmark harness imports names from the package: a trimmed API
+    # must not silently break it
+    unresolved = []
+    imports = [(path, module, name) for path in sorted((ROOT / "bench").glob("*.py"))
+               for module, name in _magflow_imports(path)]
+    assert imports
+    for path, module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                unresolved.append(f"{path.relative_to(ROOT)}: from {module} import {name}")
+    assert unresolved == []
 
 
 def test_import_leaves_scipy_integrate_unloaded():
