@@ -215,8 +215,7 @@ def cmd_simulate(cfg) -> None:
         rows = [_csv_row(0.0, state.as_array())]
     else:
         state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
-        traj = integrate(state, cfg.t_end, cfg.tol, grid=cfg.grid_n,
-                         with_events=False)
+        traj = integrate(state, cfg.t_end, cfg.tol, with_events=False)
         grid = np.linspace(0.0, cfg.t_end, cfg.grid_n)
         x, y, xd, yd = traj.eval(grid)
         rows = [_csv_row(t, (xi, yi, xdi, ydi))
@@ -245,6 +244,7 @@ def cmd_compare(cfg) -> None:
         "sup_err_sinx": float(np.abs(np.sin(xc) - np.sin(xn)).max()),
         "sup_err_y": float(np.abs(yc - yn).max()),
         "samples": int(cfg.grid_n),
+        "nfev": traj.nfev,
     }
     _json_dump(payload, cfg.out)
 

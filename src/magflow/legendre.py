@@ -72,10 +72,6 @@ class QuarticCurve:
     min_gap: float
     degenerate: bool
 
-    def P(self, z):
-        z = np.asarray(z, dtype=float)
-        return (z - self.a1) * (z - self.a2) * (z - self.a3) * (z - self.a4)
-
 
 def quartic_from_params(E, p) -> QuarticCurve:
     """Build the quartic for the level set (E, p); degeneracy is flagged, not raised.

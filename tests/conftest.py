@@ -11,6 +11,12 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def quartic(E, p, z):
+    """The oval quartic (1 - z^2)(2E - (p - z)^2), monic in z, with roots
+    +-1 and p -+ sqrt(2E); the radicand of the quadrature oracles."""
+    return (1.0 - z * z) * (2.0 * E - (p - z) ** 2)
+
+
 def sample_level(rng, e_lo=0.02, e_hi=0.48, margin=0.02):
     """Random non-degenerate (E, p) with E below the critical level.
 

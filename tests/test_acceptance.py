@@ -37,7 +37,7 @@ from magflow import (
     sn,
     state_from_integrals,
 )
-from tests.conftest import sample_level, sample_trapped
+from tests.conftest import quartic, sample_level, sample_trapped
 
 SEED = 424242
 
@@ -108,7 +108,7 @@ def test_04_pullback_identity():
         for _ in range(5):
             pad = 0.05 * (c.a2 - c.a1)
             za, zb = np.sort(rng.uniform(c.a1 + pad, c.a2 - pad, 2))
-            lhs = quad(lambda z: 1.0 / np.sqrt(c.P(z)), za, zb,
+            lhs = quad(lambda z: 1.0 / np.sqrt(quartic(c.E, c.p, z)), za, zb,
                        epsabs=1e-12, epsrel=1e-12)[0]
             xa, xb = map_z_to_xi(red, za), map_z_to_xi(red, zb)
             rhs = quad(lambda x: 1.0 / np.sqrt((1 - x * x) * (1 - red.k2 * x * x)),

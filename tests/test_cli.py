@@ -178,6 +178,7 @@ def test_compare_report(capsys):
     assert 0.0 < rep["k2"] < 1.0
     assert rep["sup_err_sinx"] < 1e-6
     assert rep["samples"] == 201
+    assert isinstance(rep["nfev"], int) and rep["nfev"] > 0
     assert set(rep) >= {"k2", "C", "D", "x_period", "sup_err_sinx", "sup_err_y"}
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from magflow import (
     DomainError,
@@ -10,6 +11,7 @@ from magflow import (
     build_solution,
     complete_K,
     conservation_report,
+    eval_solution,
     find_return,
     integrate,
     measure_period,
@@ -21,7 +23,7 @@ HALF_PI = 0.5 * math.pi
 
 def test_vertical_line_is_exact():
     # x = pi/2, ydot = sqrt(2E): both accelerations vanish identically
-    traj = integrate(PhaseState(HALF_PI, 0.0, 0.0, 1.0), 10.0, 1e-11, grid=101)
+    traj = integrate(PhaseState(HALF_PI, 0.0, 0.0, 1.0), 10.0, 1e-11)
     ts = np.linspace(0.0, 10.0, 101)
     x, y, xd, yd = traj.eval(ts)
     assert np.max(np.abs(x - HALF_PI)) < 1e-12
@@ -32,9 +34,11 @@ def test_vertical_line_is_exact():
 
 
 def test_fixed_point_is_constant():
-    traj = integrate(PhaseState(0.7, -0.3, 0.0, 0.0), 5.0, 1e-11, grid=11)
+    traj = integrate(PhaseState(0.7, -0.3, 0.0, 0.0), 5.0, 1e-11)
     assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
     assert conservation_report(traj) == (0.0, 0.0)
+    on_grid = np.array(traj.eval(np.linspace(0.0, 5.0, 11))).T
+    assert np.max(np.abs(on_grid - traj.states[0])) == 0.0
 
 
 def test_returns_to_start_after_one_period():
@@ -127,7 +131,45 @@ def test_drift_scales_with_tolerance():
 
 
 def test_samples_accessors():
-    traj = integrate(PhaseState(0.0, 0.0, 0.5, 0.0), 3.0, 1e-9, grid=7)
+    traj = integrate(PhaseState(0.0, 0.0, 0.5, 0.0), 3.0, 1e-9)
     assert np.all(np.diff(traj.t) > 0.0)
     assert traj.initial_state.xdot == 0.5
     assert traj.duration == pytest.approx(3.0)
+    assert traj.n_steps == len(traj.t) - 1 > 0
+    assert traj.nfev > traj.n_steps
+    x, _, _, _ = traj.eval(np.linspace(0.0, 3.0, 7))
+    assert x[0] == 0.0 and x[-1] == pytest.approx(traj.final_state.x, abs=1e-15)
+
+
+# a trapped, asymmetric oval: turning roots 0.3 -+ 0.5
+OVAL = state_from_integrals(0.0, 0.0, 0.125, 0.3, 1)
+
+
+def test_oracle_work_over_twenty_time_units():
+    # DOP853 takes about 1770 right-hand-side calls here; RK45 took about 4680
+    assert integrate(OVAL, 20.0, 1e-11, with_events=False).nfev < 2500
+
+
+def test_oracle_matches_closed_form_on_an_oval():
+    ts = np.linspace(0.0, 20.0, 201)
+    xc, yc, _, _ = eval_solution(build_solution(0.0, 0.0, 0.125, 0.3, 1), ts)
+    xn, yn, _, _ = integrate(OVAL, 20.0, 1e-11, with_events=False).eval(ts)
+    assert np.max(np.abs(np.sin(xc) - np.sin(xn))) < 2e-11
+    assert np.max(np.abs(yc - yn)) < 3e-11
+
+
+def test_samples_are_the_solver_step_values(monkeypatch):
+    # the states come from the solver's steps; the interpolant is not re-run
+    calls = []
+    dense_call = OdeSolution.__call__
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return dense_call(self, t)
+
+    monkeypatch.setattr(OdeSolution, "__call__", counted)
+    traj = integrate(OVAL, 5.0, 1e-11, with_events=False)
+    assert calls == []
+    assert traj.states.shape == (traj.n_steps + 1, 4)
+    traj.eval(1.0)
+    assert calls == [1]
