@@ -101,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strip", type=int, choices=(1, 2), default=None)
     common.add_argument("--phase", type=float, default=None)
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", dest="format", type=str,
-                        choices=("csv", "json", "tsv-plot"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="magflow",
@@ -133,7 +131,7 @@ _DEFAULTS = dict(
     e=0.125, p=0.0, x0=0.0, y0=0.0, sign=1, t_end=50.0, tol=1e-11,
     e_min=0.05, e_max=0.45, p_min=-0.5, p_max=0.5, grid_n=1001,
     xa=0.5 * math.pi, xb=1.5 * math.pi, strip=1, phase=0.0,
-    out=None, format=None,
+    out=None,
 )
 
 
@@ -172,20 +170,8 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if flag_val is not None:
             cfg[key] = flag_val
     ns = argparse.Namespace(**cfg)
-    ns.command = args.command
     _validate(ns)
     return ns
-
-
-_COMMAND_FORMATS = {
-    "simulate": "csv",
-    "compare": "json",
-    "classify": "json",
-    "orbit": "json",
-    "action": "json",
-    "film": "json",
-    "sweep": "tsv-plot",
-}
 
 
 def _validate(cfg: argparse.Namespace) -> None:
@@ -201,11 +187,6 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise DomainError("grid-n must be at least 2")
     if cfg.sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    native = _COMMAND_FORMATS[cfg.command]
-    if cfg.format is not None and cfg.format != native:
-        raise DomainError(
-            f"command '{cfg.command}' writes {native} output, not {cfg.format}"
-        )
 
 
 def cmd_simulate(cfg) -> None:

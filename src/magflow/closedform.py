@@ -52,10 +52,12 @@ from enum import Enum
 import numpy as np
 from scipy.special import elliprj
 
-from .dynamics import TWO_PI, PhaseState
+from .dynamics import TWO_PI, PhaseState, state_from_integrals
 from .elliptic import EllipticModulus
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
+    CROSSING,
+    WINDING,
     LegendreReduction,
     QuarticCurve,
     map_xi_to_z,
@@ -184,20 +186,16 @@ def _x_hat(mode: BranchMode, alpha, cos_sign, cyc):
 
 
 def _pick_mode(curve: QuarticCurve, cos_x0: float, xdot_sign: int) -> BranchMode:
-    """The branch of x from the walls the oval touches.
+    """The branch of x from the kind of the level.
 
-    quartic_from_params places the walls -1 and +1 unrounded, and a turning
-    root within EPS_DEGENERATE of a wall makes the curve degenerate, so on a
-    curve that reduces the oval reaches z = -1 exactly when a1 == -1 and
-    z = +1 exactly when a2 == 1.
+    A winding oval reaches both walls; a crossing oval reaches the wall on
+    the side of p, since its turning roots p -+ sqrt(2E) straddle that wall
+    only.
     """
-    left, right = curve.a1 == -1.0, curve.a2 == 1.0
-    if left and right:
+    if curve.kind == WINDING:
         return BranchMode.WIND_UP if xdot_sign > 0 else BranchMode.WIND_DOWN
-    if left:
-        return BranchMode.CROSS_LEFT
-    if right:
-        return BranchMode.CROSS_RIGHT
+    if curve.kind == CROSSING:
+        return BranchMode.CROSS_LEFT if curve.p < 0.0 else BranchMode.CROSS_RIGHT
     return BranchMode.TRAPPED_POS if cos_x0 > 0 else BranchMode.TRAPPED_NEG
 
 
@@ -208,8 +206,9 @@ def build_solution(
 
     The curve must be non-degenerate (DegenerateCurve otherwise: the orbit
     is a separatrix or one of the vertical lines x = +-pi/2) and the point
-    admissible, (p - sin x0)^2 <= 2E.  All non-degenerate regimes are
-    supported: trapped ovals, crossing librators and winding orbits.
+    admissible, (p - sin x0)^2 <= 2E as state_from_integrals tests it.  All
+    non-degenerate regimes are supported: trapped ovals, crossing librators
+    and winding orbits.
     """
     if xdot_sign not in (-1, 1):
         raise DomainError(f"xdot_sign must be +1 or -1, got {xdot_sign}")
@@ -221,12 +220,8 @@ def build_solution(
     K = mod.K_complete
     C = red.C_const
 
+    state_from_integrals(x0, y0, E, p, xdot_sign)  # DomainError unless admissible
     z0 = math.sin(x0)
-    if (p - z0) ** 2 > 2.0 * E + 1e-12 * max(1.0, 2.0 * E):
-        raise DomainError(
-            f"initial point inadmissible: (p - sin x0)^2 = {(p - z0) ** 2:.6g} "
-            f"> 2E = {2 * E:.6g}"
-        )
     cos_x0 = math.cos(x0)
     mode = _pick_mode(curve, cos_x0, xdot_sign)
 

@@ -28,16 +28,25 @@ xi(a4) = +1/k.  One self-check, _passes, tests a reduction: 0 < k^2 < 1,
 K not NaN, C > 0 and the four map targets; reduce_to_legendre raises
 ReductionInconsistency when it fails, and reduce_lanes masks those lanes.
 
-The root ordering, the map constants, K and the oval moments are written
-once over operands that are Python floats (one level: quartic_from_params,
-reduce_to_legendre) or float arrays of one shape (a grid of levels:
-reduce_lanes, which orbits.cycle_data runs); one lane of an array call
-equals the float call bit for bit (see _xp).
+quartic_from_params is the one home of the root picture: it forms the
+turning roots p -+ sqrt(2E), the ordered roots, the five root gaps the
+reduction reads, the wall nearest a turning root, and the kind of the level
+(OrbitKind: trapped, crossing, winding, separatrix, vertical line or
+forbidden).  A curve is degenerate exactly when its kind is a separatrix or
+a vertical line; orbits.classify, orbits.cycle_data and
+closedform.build_solution read the kind rather than testing the roots again.
+
+The root ordering, the kind, the map constants, K and the oval moments are
+written once over operands that are Python floats (one level:
+quartic_from_params, reduce_to_legendre) or float arrays of one shape (a
+grid of levels: reduce_lanes, which orbits.cycle_data runs); one lane of an
+array call equals the float call bit for bit (see _xp).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -47,37 +56,80 @@ from . import _xp
 from .elliptic import EllipticModulus, complete_K
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
-#: absolute root-gap threshold below which the curve is flagged degenerate
-#: (beyond it the period integral diverges and the orbit is a separatrix,
-#: which belongs to the classifier rather than to the reducer)
+#: absolute root-gap threshold below which the level is a separatrix (beyond
+#: it the period integral diverges and there is no oval to reduce)
 EPS_DEGENERATE = 1e-9
+
+#: tolerance, relative to max(1, sqrt(2E), |p|), under which a turning root
+#: on a wall is the exact vertical line x = +-pi/2
+EPS_VERTICAL = 1e-12
 
 #: accuracy demanded of the internal map-normalization checks
 _NORMALIZATION_TOL = 1e-10
+
+
+class OrbitKind(str, Enum):
+    """Orbit type of a level (E, p); QuarticCurve.kind indexes tuple(OrbitKind)."""
+
+    TRAPPED_OVAL = "TrappedOval"
+    CROSSING_LIBRATOR = "CrossingLibrator"
+    WINDING = "Winding"
+    SEPARATRIX = "Separatrix"
+    VERTICAL_LINE = "VerticalLine"
+    FORBIDDEN = "Forbidden"
+
+
+KINDS = tuple(OrbitKind)
+TRAPPED, CROSSING, WINDING, SEPARATRIX, VERTICAL, FORBIDDEN = range(len(KINDS))
 
 
 @dataclass(frozen=True)
 class QuarticCurve:
     """The curve w^2 = (1-z^2)(2E-(p-z)^2) with ordered roots a3<a1<a2<a4.
 
-    The fields are floats, or arrays of one shape for a batch of levels.
+    z1 <= z2 are the turning roots p -+ sqrt(2E), g_ij = a_i - a_j the
+    positive root gaps, wall the wall z = +-1 nearest a turning root and
+    wall_gap that root's distance to it, kind the index into OrbitKind.
+    The fields are floats (kind an int), or arrays of one shape for a
+    batch of levels.
     """
 
     E: float
     p: float
+    z1: float
+    z2: float
     a1: float
     a2: float
     a3: float
     a4: float
-    min_gap: float
-    degenerate: bool
+    g13: float
+    g21: float
+    g23: float
+    g41: float
+    g42: float
+    wall: float
+    wall_gap: float
+    kind: int
+
+    @property
+    def degenerate(self):
+        """The level has no oval to reduce: a separatrix or a vertical line."""
+        return (self.kind == SEPARATRIX) | (self.kind == VERTICAL)
 
 
 def quartic_from_params(E, p) -> QuarticCurve:
-    """Build the quartic for the level set (E, p); degeneracy is flagged, not raised.
+    """Build the quartic for the level set (E, p) and decide its kind.
 
     E and p are floats, or float arrays of one shape.  The roots are
-    {-1, 1} merged with z1 <= z2, z = p -+ sqrt(2E).
+    {-1, 1} merged with z1 <= z2.  The kind follows the turning roots:
+
+    * vertical line  - a turning root within EPS_VERTICAL (relative) of a wall;
+    * separatrix     - else a gap the reduction divides by, g13, g21 or
+                       g42, below EPS_DEGENERATE;
+    * forbidden      - else |p| > 1 + sqrt(2E), no real motion;
+    * winding        - else z1 < -1 and z2 > 1, the oval is [-1, 1];
+    * crossing       - else one of them, the oval reaches one wall;
+    * trapped oval   - else the oval [z1, z2] lies inside (-1, 1).
     """
     xp = _xp.of(E)
     E, p = xp.real(E), xp.real(p)
@@ -88,10 +140,21 @@ def quartic_from_params(E, p) -> QuarticCurve:
     lo, hi = xp.maximum(-1.0, z1), xp.minimum(1.0, z2)
     a3, a1, a2, a4 = (xp.minimum(-1.0, z1), xp.minimum(lo, hi), xp.maximum(lo, hi),
                       xp.maximum(1.0, z2))
-    min_gap = xp.minimum(xp.minimum(a1 - a3, a2 - a1), a4 - a2)
+    g13, g21, g42 = a1 - a3, a2 - a1, a4 - a2
+    d_plus = xp.minimum(abs(z2 - 1.0), abs(z1 - 1.0))
+    d_minus = xp.minimum(abs(z2 + 1.0), abs(z1 + 1.0))
+    wall_gap = xp.minimum(d_plus, d_minus)
+    left, right = z1 < -1.0, z2 > 1.0
+    oval = xp.where(left & right, WINDING, xp.where(left | right, CROSSING, TRAPPED))
+    scale = xp.maximum(xp.maximum(1.0, a), abs(p))
+    kind = xp.where(
+        wall_gap < EPS_VERTICAL * scale, VERTICAL,
+        xp.where(xp.minimum(xp.minimum(g13, g21), g42) < EPS_DEGENERATE, SEPARATRIX,
+                 xp.where(abs(p) > 1.0 + a, FORBIDDEN, oval)))
     return QuarticCurve(
-        E=E, p=p, a1=a1, a2=a2, a3=a3, a4=a4,
-        min_gap=min_gap, degenerate=min_gap < EPS_DEGENERATE,
+        E=E, p=p, z1=z1, z2=z2, a1=a1, a2=a2, a3=a3, a4=a4,
+        g13=g13, g21=g21, g23=a2 - a3, g41=a4 - a1, g42=g42,
+        wall=xp.where(d_plus <= d_minus, 1.0, -1.0), wall_gap=wall_gap, kind=kind,
     )
 
 
@@ -132,7 +195,7 @@ class LegendreReduction:
         is small, keeps its digits.
         """
         cv = self.curve
-        g21s = (cv.a2 - cv.a1) * self.s
+        g21s = cv.g21 * self.s
         s1, e1 = _xp.two_sum(2.0 * cv.p, -cv.a1)
         s2, e2 = _xp.two_sum(s1, -cv.a2)
         return (s2 + (e1 + e2) - (cv.p - cv.a1) * g21s) / (2.0 - g21s)
@@ -206,9 +269,8 @@ def _passes(red: LegendreReduction):
 
 def _reduction(curve: QuarticCurve) -> LegendreReduction:
     """The constants of reduce_to_legendre, unchecked; float or array roots."""
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
-    sqrt = _xp.of(a1).sqrt
-    g13, g21, g23, g41, g42 = a1 - a3, a2 - a1, a2 - a3, a4 - a1, a4 - a2
+    g13, g21, g23, g41, g42 = curve.g13, curve.g21, curve.g23, curve.g41, curve.g42
+    sqrt = _xp.of(g13).sqrt
     R = sqrt(g13 * g41 * g23 * g42)
     w1, w2, w3, w4 = g13 * g41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
     h = g21 / (1.0 + w2 / w1)
@@ -223,7 +285,7 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
         C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
         # a product, not ** 2: numpy squares exactly, libm's pow need not
         k2_c2=one_c2 * g21 * g21 / (g23 * g41 * ((1.0 + kappa_c) * (1.0 + kappa_c))),
-        s=(a1 + a2 - a3 - a4) / w1, h=h,
+        s=(curve.a1 + curve.a2 - curve.a3 - curve.a4) / w1, h=h,
     )
 
 
@@ -247,9 +309,10 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
     k^2 - c^2 = (1 - c^2) g21^2 / (g23 g41 (1 + kappa')^2).
     """
     if curve.degenerate:
+        gap = min(curve.g13, curve.g21, curve.g42)
         raise DegenerateCurve(
-            f"curve at (E={curve.E}, p={curve.p}) has root gap "
-            f"{curve.min_gap:.3g} < {EPS_DEGENERATE}: separatrix"
+            f"curve at (E={curve.E}, p={curve.p}) is a {KINDS[curve.kind].value}: "
+            f"smallest root gap {gap!r}, separatrix threshold {EPS_DEGENERATE}"
         )
     red = _reduction(curve)
     if not _passes(red):
@@ -268,7 +331,8 @@ def reduce_lanes(curve: QuarticCurve) -> tuple[LegendreReduction, np.ndarray]:
     Returns the reduction of every lane and the mask of the lanes where
     reduce_to_legendre raises: a degenerate curve, or a reduction that fails
     _passes (a modulus outside the domain of K gives K = NaN there).  Those
-    lanes hold garbage, so call it under np.errstate(all="ignore").
+    lanes hold garbage, as do forbidden ones, whose roots bound no motion, so
+    call it under np.errstate(all="ignore").
     """
     red = _reduction(curve)
     return red, curve.degenerate | ~_passes(red)

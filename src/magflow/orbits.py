@@ -26,11 +26,13 @@ equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
 it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
 a = arcsin sqrt(2E), which is a complete elliptic integral too.
 
-The kind rule, the vertical-line data and the cycle data are written once
+The kind rule lives in legendre.quartic_from_params, with the roots and
+gaps it reads; this module reads QuarticCurve.kind and never tests the
+roots itself.  The vertical-line data and the cycle data are written once
 over operands that are Python floats or float arrays of one shape.
 classify runs them on one level; cycle_data runs them on a whole grid,
-with masks for the vertical-line, separatrix and forbidden cells and for
-the cells whose reduction fails, and its lanes equal classify bit for bit.
+masked by the kind and by the cells whose reduction fails, and its lanes
+equal classify bit for bit.
 
 Films (embedded surfaces with boundary) carry the action
 sqrt(2E) length(boundary) + flux of F; within the cylinder-strip family
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -57,30 +58,18 @@ from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, Wrong
 from .integrate import Trajectory
 from .legendre import (
     EPS_DEGENERATE,
+    KINDS,
+    VERTICAL,
+    WINDING,
+    OrbitKind,
     quartic_from_params,
     reduce_lanes,
     reduce_to_legendre,
 )
 
-#: absolute tolerance under which a near-double root is the exact line orbit
-EPS_VERTICAL = 1e-12
-
 #: joint tolerance of the contractibility test (|p| and |Delta_y| together,
 #: so rounding noise cannot flip the verdict)
 EPS_CONTRACTIBLE = 1e-10
-
-
-class OrbitKind(str, Enum):
-    TRAPPED_OVAL = "TrappedOval"
-    CROSSING_LIBRATOR = "CrossingLibrator"
-    WINDING = "Winding"
-    SEPARATRIX = "Separatrix"
-    VERTICAL_LINE = "VerticalLine"
-    FORBIDDEN = "Forbidden"
-
-
-_KINDS = tuple(OrbitKind)
-_TRAPPED, _CROSSING, _WINDING, _SEPARATRIX, _VERTICAL, _FORBIDDEN = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -109,44 +98,19 @@ class OrbitClassification:
         }
 
 
-def _kind_index(a, p):
-    """Index into OrbitKind of the level with sqrt(2E) = a, by the turning roots
-    z1,2 = p -+ a; floats or array lanes.
-
-    Off the vertical line and the separatrix band, the oval reaches the wall
-    z = -1 exactly when z1 < -1 and the wall z = +1 when z2 > 1.
-    """
-    xp = _xp.of(a)
-    z1, z2 = p - a, p + a
-    scale = xp.maximum(xp.maximum(1.0, a), abs(p))
-    line_gap = xp.minimum(xp.minimum(abs(z1 - 1.0), abs(z1 + 1.0)),
-                          xp.minimum(abs(z2 - 1.0), abs(z2 + 1.0)))
-    left, right = z1 < -1.0, z2 > 1.0
-    oval = xp.where(left & right, _WINDING, xp.where(left | right, _CROSSING, _TRAPPED))
-    return xp.where(
-        line_gap < EPS_VERTICAL * scale, _VERTICAL,
-        xp.where((line_gap < EPS_DEGENERATE) | (2.0 * a < EPS_DEGENERATE), _SEPARATRIX,
-                 xp.where(abs(p) > 1.0 + a, _FORBIDDEN, oval)))
+def _line_data(curve):
+    """(period, action) of one y-circuit of the vertical line at curve.wall;
+    floats or array lanes."""
+    E, wall = curve.E, curve.wall
+    xp = _xp.of(E)
+    return (math.pi * xp.sqrt(2.0 / E),
+            TWO_PI * (xp.sqrt(2.0 * E) + wall * xp.copysign(1.0, curve.p - wall)))
 
 
-def _line_action(a, p):
-    """Action of the vertical line at the wall z = +-1 nearest a turning root
-    p -+ a, with that root's distance to the wall; floats or array lanes."""
-    xp = _xp.of(a)
-    d_plus = xp.minimum(abs(p + a - 1.0), abs(p - a - 1.0))
-    d_minus = xp.minimum(abs(p + a + 1.0), abs(p - a + 1.0))
-    s = xp.where(d_plus <= d_minus, 1.0, -1.0)
-    return TWO_PI * (a + s * xp.copysign(1.0, p - s)), xp.minimum(d_plus, d_minus)
-
-
-def _line_data(E, a, p):
-    """(period, action) of one y-circuit of the vertical line; floats or array lanes."""
-    return math.pi * _xp.of(E).sqrt(2.0 / E), _line_action(a, p)[0]
-
-
-def _cycle_values(E, p, red):
+def _cycle_values(red):
     """(period, Delta_y, action) of one sin-x cycle from the oval moments of
     the reduction; floats or array lanes."""
+    E, p = red.curve.E, red.curve.p
     m0, m1, m2 = red.oval_moments()
     # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
     return 2.0 * m0, -2.0 * m1, 2.0 * (2.0 * E * m0 - p * m1 - m2)
@@ -154,10 +118,10 @@ def _cycle_values(E, p, red):
 
 def vertical_line_action(E: float, p: float) -> float:
     """Action of the vertical-line orbit at a level with a double root at z = +-1."""
-    action, gap = _line_action(math.sqrt(2.0 * E), p)
-    if gap > EPS_DEGENERATE:
+    curve = quartic_from_params(E, p)
+    if curve.wall_gap > EPS_DEGENERATE:
         raise WrongRegime(f"(E={E}, p={p}) carries no vertical-line orbit")
-    return action
+    return _line_data(curve)[1]
 
 
 def classify(E: float, p: float) -> OrbitClassification:
@@ -170,19 +134,15 @@ def classify(E: float, p: float) -> OrbitClassification:
     vertical line reports the time and the action of one y-circuit.
     cycle_data gives the same numbers for whole arrays of levels.
     """
-    if not E > 0.0:
-        raise DomainError(f"energy must be positive, got {E}")
-    a = math.sqrt(2.0 * E)
-    index = _kind_index(a, p)
-    kind = _KINDS[index]
+    curve = quartic_from_params(E, p)
+    kind = KINDS[curve.kind]
     delta: float | None = None
     period: float | None = None
     action: float | None = None
-    if index == _VERTICAL:
-        period, action = _line_data(E, a, p)
-    elif index <= _WINDING:
-        red = reduce_to_legendre(quartic_from_params(E, p))
-        period, delta, action = _cycle_values(E, p, red)
+    if curve.kind == VERTICAL:
+        period, action = _line_data(curve)
+    elif curve.kind <= WINDING:
+        period, delta, action = _cycle_values(reduce_to_legendre(curve))
 
     contractible = (
         kind is OrbitKind.TRAPPED_OVAL
@@ -191,7 +151,7 @@ def classify(E: float, p: float) -> OrbitClassification:
         and abs(delta) < EPS_CONTRACTIBLE
     )
     return OrbitClassification(
-        E=float(E), p=float(p), kind=kind, turning_roots=(p - a, p + a),
+        E=curve.E, p=curve.p, kind=kind, turning_roots=(curve.z1, curve.z2),
         delta_y=delta, period=period, action=action, contractible=contractible,
     )
 
@@ -214,29 +174,25 @@ class CycleData(NamedTuple):
 def cycle_data(E, p) -> CycleData:
     """Kind, Delta_y, period and action of classify for arrays E > 0 and p.
 
-    The levels run through the formulas classify runs, as array lanes:
-    masks pick the vertical lines and the bounded ovals, and one Legendre
-    reduction of all the ovals gives their moments.  Each lane equals
-    classify(E, p) bit for bit.
+    The levels run through the formulas classify runs, as array lanes: one
+    curve of the whole grid decides the kinds, and the kind masks the
+    vertical-line data and the moments of one Legendre reduction of every
+    lane.  Each lane equals classify(E, p) bit for bit.
     """
     E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
                                np.atleast_1d(np.asarray(p, dtype=float)))
-    if not np.all(E > 0.0):
-        raise DomainError("energies must be positive")
-    a = np.sqrt(2.0 * E)
-    kind = _kind_index(a, p)
-    delta_y, period, action = (np.full(E.shape, np.nan) for _ in range(3))
-    failed = np.zeros(E.shape, dtype=bool)
-    line = kind == _VERTICAL
-    period[line], action[line] = _line_data(E[line], a[line], p[line])
-    oval = kind <= _WINDING
-    E_o, p_o = E[oval], p[oval]
-    with np.errstate(all="ignore"):  # failed lanes hold garbage and are masked
-        red, failed[oval] = reduce_lanes(quartic_from_params(E_o, p_o))
-        values = _cycle_values(E_o, p_o, red)
-    for out, v in zip((period, delta_y, action), values):
-        out[oval] = np.where(failed[oval], np.nan, v)
-    return CycleData(kind, delta_y, period, action, failed)
+    curve = quartic_from_params(E, p)  # DomainError unless E > 0
+    oval, line = curve.kind <= WINDING, curve.kind == VERTICAL
+    with np.errstate(all="ignore"):  # lanes of another kind, or failed, hold garbage
+        red, bad = reduce_lanes(curve)
+        cycle = _cycle_values(red)
+        line_period, line_action = _line_data(curve)
+    failed = oval & bad
+    ok = oval & ~bad
+    delta_y = np.where(ok, cycle[1], np.nan)
+    period = np.where(ok, cycle[0], np.where(line, line_period, np.nan))
+    action = np.where(ok, cycle[2], np.where(line, line_action, np.nan))
+    return CycleData(curve.kind, delta_y, period, action, failed)
 
 
 def cycle_action(E: float, p: float) -> float:
@@ -280,7 +236,8 @@ def contractible_orbit(
     cos x > 0 (strip=1, centered at x=0) and cos x < 0 (strip=2, centered
     at x=pi, the mirror image under x -> pi - x).  phase_x0 fixes the
     family parameter: the orbit passes through x0 = phase_x0 (strip 1)
-    or pi - phase_x0 (strip 2), requiring |sin phase_x0| <= sqrt(2E).
+    or pi - phase_x0 (strip 2), requiring |sin phase_x0| <= sqrt(2E), the
+    admissibility test of build_solution.
     """
     if not 0.0 < E < 0.5:
         raise DomainError(
@@ -289,12 +246,6 @@ def contractible_orbit(
         )
     if strip not in (1, 2):
         raise DomainError(f"strip must be 1 or 2, got {strip}")
-    amp = math.sqrt(2.0 * E)
-    if abs(math.sin(phase_x0)) > amp + 1e-12:
-        raise DomainError(
-            f"|sin phase_x0| = {abs(math.sin(phase_x0)):.6g} exceeds the "
-            f"orbit amplitude sqrt(2E) = {amp:.6g}"
-        )
     if not math.cos(phase_x0) > 0.0:
         raise DomainError("phase_x0 must lie in the strip |x| < pi/2 mod 2*pi")
     if strip == 1:

@@ -134,7 +134,9 @@ EVERY_KIND_GRIDS = [
     # the separatrix band at (0.5, 1e-10) and the forbidden level (0.5, 3)
     (0.5, 0.5, 1e-10, 3.0),
     # turning roots 2 sqrt(2E) = 1e-9 apart, whose rounded gap falls below the
-    # degeneracy threshold: the reduction fails and the row is blank
+    # separatrix threshold: the kind is decided on that same gap, so the row
+    # is a separatrix (test_failed_lanes_are_the_levels_classify_rejects
+    # covers the blank row of a failed reduction)
     (1.25e-19, 1.25e-19, 0.3, 0.3),
 ]
 
@@ -146,7 +148,7 @@ def test_sweep_rows_match_classify_on_every_kind(tmp_path):
         want = scalar_sweep_rows(np.linspace(e_min, e_max, 2), np.linspace(p_min, p_max, 2))
         assert mismatched_rows(got, want) == []
         kinds |= {row.split("\t")[2] for row in got}
-    assert kinds == {kind.value for kind in OrbitKind} | {""}
+    assert kinds == {kind.value for kind in OrbitKind}
 
 
 def fresh_run(*argv):
@@ -305,9 +307,16 @@ def test_invalid_tolerance_exits_2(capsys):
     assert code == 2
 
 
-def test_format_mismatch_exits_2(capsys):
-    code, _, err = run(capsys, "simulate", "--e", "0.125", "--format", "json")
-    assert code == 2 and "csv" in err
+def test_format_mismatch_exits_2(capsys, tmp_path):
+    # every command writes one format: --format is no flag and "format" no
+    # config key
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--e", "0.125", "--format", "json"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"format": "json"}')
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == "" and "unknown config keys: ['format']" in err
 
 
 def test_console_invocation():

@@ -12,6 +12,7 @@ from magflow import (
     build_solution,
     classify,
     complete_K,
+    contractible_orbit,
     energy,
     eval_solution,
     integrate,
@@ -86,6 +87,20 @@ def test_separatrix_rejected():
         build_solution(0.0, 0.0, 0.0, 0.0, +1)
     with pytest.raises(DomainError):
         build_solution(0.0, 0.0, 0.1, 1.0, +1)  # forbidden region
+
+
+def test_one_admissibility_rule():
+    # (p - sin x0)^2 exceeds 2E by 5e-13, within rounding of no input here:
+    # state_from_integrals, build_solution and contractible_orbit reject the
+    # point alike
+    E, p = 0.125, 0.3
+    x0 = math.asin(p - math.sqrt(2.0 * E) - 5e-13)
+    with pytest.raises(DomainError):
+        state_from_integrals(x0, 0.0, E, p, +1)
+    with pytest.raises(DomainError):
+        build_solution(x0, 0.0, E, p, +1)
+    with pytest.raises(DomainError):
+        contractible_orbit(E, 1, math.asin(0.5 + 5e-13))
 
 
 def test_period_value_and_half_cycle():

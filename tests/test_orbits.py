@@ -66,8 +66,13 @@ def test_classify_vertical_line():
     assert c.action == vertical_line_action(0.25, p)
 
 
-def test_classify_separatrix_band_and_crossing():
+def test_classify_separatrix_band_and_crossing(capsys):
     assert classify(0.125, 0.5 + 1e-10).kind is OrbitKind.SEPARATRIX
+    # 2 sqrt(2E) is 1e-9 to the last bit and the rounded root gap just
+    # below it: one rule calls the level a separatrix, and the CLI agrees
+    assert classify(1.25e-19, 0.3).kind is OrbitKind.SEPARATRIX
+    assert main(["classify", "--e", "1.25e-19", "--p", "0.3"]) == 0
+    assert '"kind": "Separatrix"' in capsys.readouterr().out
     assert classify(0.3, -0.5).kind is OrbitKind.CROSSING_LIBRATOR
     assert classify(0.3, -0.5).delta_y is not None
 
@@ -170,15 +175,22 @@ def test_cycle_data_lanes_equal_classify(rng):
     p = (rng.choice([-1.0, 1.0], n) + rng.choice([-1.0, 1.0], n) * gap
          + rng.choice([-1.0, 1.0], n) * a)
     p[::3] = rng.uniform(-3.0, 3.0, n)[::3]
+    # tiny ovals at p = 0.3 whose 2 sqrt(2E) runs through 1e-9, the
+    # separatrix threshold, with the rounded root gap on either side of it
+    ladder = 1.25e-19 * (1.0 + np.linspace(-1e-6, 1e-6, 41))
+    E = np.concatenate([E, ladder])
+    p = np.concatenate([p, np.full(ladder.shape, 0.3)])
     d = cycle_data(E, p)
     assert not d.failed.any()
     kinds = list(OrbitKind)
-    for i in range(n):
+    no_oval = {OrbitKind.SEPARATRIX, OrbitKind.VERTICAL_LINE}
+    for i in range(len(E)):
         c = classify(E[i], p[i])
         values = [math.nan if v is None else v for v in (c.delta_y, c.period, c.action)]
         lane = [d.delta_y[i], d.period[i], d.action[i]]
         assert kinds[d.kind[i]] is c.kind
         assert np.array_equal(lane, values, equal_nan=True), (E[i], p[i])
+        assert quartic_from_params(E[i], p[i]).degenerate == (c.kind in no_oval)
     assert set(d.kind.tolist()) == set(range(len(kinds)))
 
 
