@@ -9,7 +9,7 @@ integrator to cross-validate them, orbit classification over (E, p), and
 the action/film machinery, plus a CLI for reproducible exports.
 """
 
-from .closedform import BranchMode, build_solution, eval_solution
+from .closedform import build_solution, eval_solution
 from .dynamics import (
     PhaseState,
     energy,
@@ -56,7 +56,6 @@ from .orbits import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchMode",
     "CylinderStrip",
     "DegenerateCurve",
     "DomainError",

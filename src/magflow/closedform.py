@@ -11,19 +11,20 @@ initial condition.  Note the coordinate map is part of the solution: in
 the p = 0 trapped case it reduces to the amplitude factor,
 sin x(t) = sqrt(2E) sn((t+D)/C, sqrt(2E)).
 
-Recovering x itself needs glue logic, because sn is not monotone where the
-orbit crosses cos(x) = 0: the sign of cos(x) flips exactly when z reaches
-an oval endpoint equal to -1 or +1 (phases u = -K resp. +K mod 4K), while
+Recovering x itself needs the sheet x = pi m + (-1)^m asin z the orbit is
+on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
+(mod 4K); m changes there exactly when the oval reaches that wall, while
 interior endpoints are xdot-turning points where the sign of zdot flips
-instead.  Three regimes result:
+instead.  The walls the oval reaches are fixed by the kind of the level:
 
-* trapped oval    - x oscillates inside one strip of fixed cos(x) sign;
-  the tangent-bundle recurrence time equals the sin(x) period 4CK.
-* crossing orbit  - x librates through +-pi/2; one full x oscillation
-  spans two sin(x) cycles, so the recurrence time is 8CK (after 4CK the
-  position repeats with xdot reversed).
-* winding orbit   - xdot never vanishes and x advances by 2 pi per sin(x)
-  cycle.
+* trapped oval    - no wall: m = 0 or 1 from the strip of x0, and the
+  tangent-bundle recurrence time equals the sin(x) period 4CK.
+* crossing orbit  - the wall on the side of p: m alternates between 0
+  and +-1 there, so one full x oscillation spans two sin(x) cycles and
+  the recurrence time is 8CK (after 4CK the position repeats with xdot
+  reversed).
+* winding orbit   - both walls: m steps by the sign of xdot at each, and
+  x advances by 2 pi per sin(x) cycle.
 
 y(t) = y0 + p t - int_0^t sin x(tau) dtau is in closed form too.  With
 c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
@@ -39,15 +40,14 @@ c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
 where J1 is 4K-periodic and J2(u + 2K) = J2(u) + L, with L the complete
 integral LegendreReduction.L (DLMF 19.25.14, 22.14).
 So one evaluation costs one sn/cn call and one R_J call for any t, and
-the y-advance per sin(x) period is -2 m_1 of LegendreReduction.oval_moments,
-the same number classify reports as Delta_y.
+the sin(x) period and the y-advance per period are those of
+LegendreReduction.cycle_values, the numbers classify reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import elliprj
@@ -57,6 +57,7 @@ from .elliptic import EllipticModulus
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
+    KINDS,
     WINDING,
     LegendreReduction,
     QuarticCurve,
@@ -65,17 +66,6 @@ from .legendre import (
     quartic_from_params,
     reduce_to_legendre,
 )
-
-
-class BranchMode(Enum):
-    """How x is rebuilt from sin(x) along the phase u."""
-
-    TRAPPED_POS = "trapped, cos x > 0"
-    TRAPPED_NEG = "trapped, cos x < 0"
-    CROSS_LEFT = "crossing through x = -pi/2"
-    CROSS_RIGHT = "crossing through x = +pi/2"
-    WIND_UP = "winding, xdot > 0"
-    WIND_DOWN = "winding, xdot < 0"
 
 
 @dataclass(frozen=True)
@@ -90,12 +80,11 @@ class ClosedFormSolution:
     x0: float
     y0: float
     xdot_sign: int
-    mode: BranchMode
     C: float
     D: float
     x_offset: float           # constant 2*pi*n placing the orbit at x0
-    x_period: float           # sin(x) period 2 m_0 = 4*C*K
-    delta_y_per_cycle: float  # y-increment over one sin(x) period, -2 m_1
+    x_period: float           # sin(x) period 4*C*K
+    delta_y_per_cycle: float  # y-increment over one sin(x) period
     _G0: float                # G at the phase of t = 0
 
     @property
@@ -109,7 +98,7 @@ class ClosedFormSolution:
     @property
     def recurrence_time(self) -> float:
         """Time after which the full tangent-bundle state repeats."""
-        if self.mode in (BranchMode.CROSS_LEFT, BranchMode.CROSS_RIGHT):
+        if self.curve.kind == CROSSING:
             return 2.0 * self.x_period
         return self.x_period
 
@@ -144,59 +133,30 @@ def _sn_integral(red: LegendreReduction, K: float, u, sn, cn):
     return J1 - c * J2
 
 
-def _branch_arrays(mode: BranchMode, u, K: float):
-    """Branch index data at phase u: (cos sign, zdot sign, cycle index).
+def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, u, K: float):
+    """Sheet index m at phase u, with cos x = (-1)^m and the sign of zdot.
 
-    zdot >= 0 exactly on the sn-increasing half [-K, K) mod 4K.  The cycle
-    index counts 4K periods for the winding drift.
+    x = pi m + (-1)^m asin z.  zdot >= 0 exactly on the sn-increasing half
+    [-K, K) mod 4K.  A trapped oval stays on the sheet of x0; a crossing
+    oval reaches the wall on the side of p, since its turning roots
+    p -+ sqrt(2E) straddle that wall only, and m alternates between 0 and
+    +-1 there; a winding orbit steps one sheet at each wall, in the
+    direction of xdot.
     """
     u = np.asarray(u, dtype=float)
     fourK = 4.0 * K
     zdot_sign = np.where(np.mod(u + K, fourK) < 2.0 * K, 1.0, -1.0)
-    if mode is BranchMode.TRAPPED_POS:
-        return np.ones_like(u), zdot_sign, np.zeros_like(u)
-    if mode is BranchMode.TRAPPED_NEG:
-        return -np.ones_like(u), zdot_sign, np.zeros_like(u)
-    if mode is BranchMode.CROSS_LEFT:
-        b = np.mod(np.floor((u + K) / fourK), 2.0)
-        return np.where(b == 0.0, 1.0, -1.0), zdot_sign, np.zeros_like(u)
-    if mode is BranchMode.CROSS_RIGHT:
-        b = np.mod(np.floor((u + 3.0 * K) / fourK), 2.0)
-        return np.where(b == 0.0, 1.0, -1.0), zdot_sign, np.zeros_like(u)
-    cyc = np.floor((u + K) / fourK)
-    first_half = np.mod(u + K, fourK) < 2.0 * K
-    if mode is BranchMode.WIND_UP:
-        return np.where(first_half, 1.0, -1.0), zdot_sign, cyc
-    return np.where(first_half, -1.0, 1.0), zdot_sign, cyc
-
-
-def _x_hat(mode: BranchMode, alpha, cos_sign, cyc):
-    """Continuous lift of x (up to a constant 2*pi*n offset)."""
-    if mode is BranchMode.TRAPPED_POS:
-        return alpha
-    if mode is BranchMode.TRAPPED_NEG:
-        return math.pi - alpha
-    if mode is BranchMode.CROSS_LEFT:
-        return np.where(cos_sign > 0, alpha, -math.pi - alpha)
-    if mode is BranchMode.CROSS_RIGHT:
-        return np.where(cos_sign > 0, alpha, math.pi - alpha)
-    if mode is BranchMode.WIND_UP:
-        return TWO_PI * cyc + np.where(cos_sign > 0, alpha, math.pi - alpha)
-    return -TWO_PI * cyc + np.where(cos_sign < 0, -math.pi - alpha, alpha - TWO_PI)
-
-
-def _pick_mode(curve: QuarticCurve, cos_x0: float, xdot_sign: int) -> BranchMode:
-    """The branch of x from the kind of the level.
-
-    A winding oval reaches both walls; a crossing oval reaches the wall on
-    the side of p, since its turning roots p -+ sqrt(2E) straddle that wall
-    only.
-    """
     if curve.kind == WINDING:
-        return BranchMode.WIND_UP if xdot_sign > 0 else BranchMode.WIND_DOWN
+        m = 2.0 * np.floor((u + K) / fourK) + 0.5 * (1.0 - zdot_sign)
+        if xdot_sign > 0:
+            return m, zdot_sign, zdot_sign
+        return -m - 1.0, -zdot_sign, zdot_sign
     if curve.kind == CROSSING:
-        return BranchMode.CROSS_LEFT if curve.p < 0.0 else BranchMode.CROSS_RIGHT
-    return BranchMode.TRAPPED_POS if cos_x0 > 0 else BranchMode.TRAPPED_NEG
+        wall = -1.0 if curve.p < 0.0 else 1.0
+        b = np.mod(np.floor((u + (2.0 + wall) * K) / fourK), 2.0)
+        return wall * b, 1.0 - 2.0 * b, zdot_sign
+    m = 0.0 if cos_x0 > 0 else 1.0
+    return m, 1.0 - 2.0 * m, zdot_sign
 
 
 def build_solution(
@@ -223,13 +183,12 @@ def build_solution(
     state_from_integrals(x0, y0, E, p, xdot_sign)  # DomainError unless admissible
     z0 = math.sin(x0)
     cos_x0 = math.cos(x0)
-    mode = _pick_mode(curve, cos_x0, xdot_sign)
 
     xi0 = map_z_to_xi(red, min(max(z0, curve.a1), curve.a2))
     F0 = mod.F(math.asin(xi0))
     # phases with sn(u) = xi0 over one recurrence cycle of the orbit
     candidates = [F0, 2.0 * K - F0]
-    if mode in (BranchMode.CROSS_LEFT, BranchMode.CROSS_RIGHT):
+    if curve.kind == CROSSING:
         candidates += [F0 + 4.0 * K, 2.0 * K - F0 + 4.0 * K]
 
     # |xi0| = 1 at an interior turning point makes xdot(0) = 0; the
@@ -242,7 +201,7 @@ def build_solution(
         # probe a hair inside the phase interval so half-open boundary
         # conventions do not misread exact turning/crossing starts
         probe = uc + 1e-12 * max(1.0, K)
-        cos_sign, zdot_sign, _ = _branch_arrays(mode, probe, K)
+        m, cos_sign, zdot_sign = _sheet(curve, xdot_sign, cos_x0, probe, K)
         cs = float(cos_sign)
         xd = float(zdot_sign) * cs
         cos_ok = abs(cos_x0) < 1e-9 or math.copysign(1.0, cos_x0) == cs
@@ -252,16 +211,15 @@ def build_solution(
             break
     if u_ref is None:
         raise ReductionInconsistency(
-            f"no phase matches the initial data (mode={mode}, xi0={xi0:.6g})"
+            f"no phase matches the initial data ({KINDS[curve.kind].value}, xi0={xi0:.6g})"
         )
 
-    cos_sign, _, cyc = _branch_arrays(mode, u_ref + 1e-12 * max(1.0, K), K)
     D = C * u_ref
     u0 = D / C  # the phase eval_solution computes at t = 0
     sn0, cn0 = mod.sn_cn(u0)
     z_ref = float(map_xi_to_z(red, sn0[0]))
     alpha = math.asin(min(1.0, max(-1.0, z_ref)))
-    x_hat0 = float(_x_hat(mode, alpha, cos_sign, cyc))
+    x_hat0 = float(math.pi * m + cos_sign * alpha)  # on the sheet of the matched probe
     x_offset = x0 - x_hat0
     n_turns = x_offset / TWO_PI
     if abs(n_turns - round(n_turns)) > 1e-8:
@@ -271,13 +229,13 @@ def build_solution(
     x_offset = TWO_PI * round(n_turns)
 
     G0 = float(_sn_integral(red, K, u0, sn0, cn0)[0])
-    m0, m1, _m2 = red.oval_moments()
+    x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
         curve=curve, reduction=red, modulus=mod,
         E=float(E), p=float(p), x0=float(x0), y0=float(y0),
-        xdot_sign=xdot_sign, mode=mode, C=C, D=D,
-        x_offset=x_offset, x_period=2.0 * m0, delta_y_per_cycle=-2.0 * m1, _G0=G0,
+        xdot_sign=xdot_sign, C=C, D=D, x_offset=x_offset,
+        x_period=x_period, delta_y_per_cycle=delta_y, _G0=G0,
     )
 
 
@@ -286,8 +244,8 @@ def eval_solution(sol: ClosedFormSolution, t):
 
     Scalar t returns a PhaseState; an array returns four arrays.  The
     velocities come from the first integrals: ydot = p - sin x exactly, and
-    xdot = +-sqrt(2E - (p - sin x)^2) with the sign tracked through the
-    branch structure of the phase.
+    xdot = +-sqrt(2E - (p - sin x)^2) with the sign of zdot cos x, both
+    read from the sheet of the phase.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -298,8 +256,8 @@ def eval_solution(sol: ClosedFormSolution, t):
     sn, cn = sol.modulus.sn_cn(u)
     z = map_xi_to_z(red, sn)
     alpha = np.arcsin(z)  # z lies on the oval [a1, a2], inside [-1, 1]
-    cos_sign, zdot_sign, cyc = _branch_arrays(sol.mode, u, K)
-    x = _x_hat(sol.mode, alpha, cos_sign, cyc) + sol.x_offset
+    m, cos_sign, zdot_sign = _sheet(sol.curve, sol.xdot_sign, math.cos(sol.x0), u, K)
+    x = np.pi * m + cos_sign * alpha + sol.x_offset
     ydot = sol.p - z
     xdot = zdot_sign * cos_sign * np.sqrt(
         np.maximum(2.0 * sol.E - ydot * ydot, 0.0)

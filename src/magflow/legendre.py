@@ -244,6 +244,14 @@ class LegendreReduction:
         q = self.q
         return n0, n1 - q * n0, n2 - 2.0 * q * n1 + q * q * n0
 
+    def cycle_values(self):
+        """(period, Delta_y, action) of one sin-x cycle from the oval moments:
+        2 m_0, -2 m_1 and 2 int (2E + z(p - z)) dz/w; floats or array lanes."""
+        E, p = self.curve.E, self.curve.p
+        m0, m1, m2 = self.oval_moments()
+        # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
+        return 2.0 * m0, -2.0 * m1, 2.0 * (2.0 * E * m0 - p * m1 - m2)
+
 
 def _map_targets(red: LegendreReduction):
     """(z, xi(z), wanted xi) of the four roots: the map sends a1, a2, a3, a4

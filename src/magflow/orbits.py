@@ -14,13 +14,14 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 All cycle data of a level come from one Legendre reduction of the quartic
 (legendre.LegendreReduction.oval_moments: the moments int (z-p)^j dz/w,
 j = 0, 1, 2, over the bounded oval, as complete elliptic integrals in
-Carlson form).  The sin-x period of a cycle is 4 C K(k), the same value
-the closed-form orbit runs on.  The y-increment per cycle is
-Delta_y = 2 int (p-z) dz / w, which is 0 for p = 0 and, on a trapped oval,
-has sign opposite to p.  The action of a closed curve on the level E is
-S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and ydot = p - z, so the
-integrand is L_E = 2E + z(p - z) with z = sin x, and the action over one
-sin-x cycle is 2 int (2E + z(p - z)) dz / w over the bounded oval of z.
+Carlson form; LegendreReduction.cycle_values forms the period, Delta_y and
+the action from them).  The sin-x period of a cycle is 4 C K(k), the same
+value the closed-form orbit reads from cycle_values.  The y-increment per
+cycle is Delta_y = 2 int (p-z) dz / w, which is 0 for p = 0 and, on a
+trapped oval, has sign opposite to p.  The action of a closed curve on the
+level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and ydot = p - z,
+so the integrand is L_E = 2E + z(p - z) with z = sin x, and the action over
+one sin-x cycle is 2 int (2E + z(p - z)) dz / w over the bounded oval of z.
 No quadrature runs in any of them.  For closed curves the action also
 equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
 it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
@@ -52,7 +53,7 @@ import numpy as np
 from scipy.special import elliprd
 
 from . import _xp
-from .closedform import ClosedFormSolution, build_solution, eval_solution
+from .closedform import ClosedFormSolution, build_solution
 from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
@@ -107,15 +108,6 @@ def _line_data(curve):
             TWO_PI * (xp.sqrt(2.0 * E) + wall * xp.copysign(1.0, curve.p - wall)))
 
 
-def _cycle_values(red):
-    """(period, Delta_y, action) of one sin-x cycle from the oval moments of
-    the reduction; floats or array lanes."""
-    E, p = red.curve.E, red.curve.p
-    m0, m1, m2 = red.oval_moments()
-    # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
-    return 2.0 * m0, -2.0 * m1, 2.0 * (2.0 * E * m0 - p * m1 - m2)
-
-
 def vertical_line_action(E: float, p: float) -> float:
     """Action of the vertical-line orbit at a level with a double root at z = +-1."""
     curve = quartic_from_params(E, p)
@@ -142,7 +134,7 @@ def classify(E: float, p: float) -> OrbitClassification:
     if curve.kind == VERTICAL:
         period, action = _line_data(curve)
     elif curve.kind <= WINDING:
-        period, delta, action = _cycle_values(reduce_to_legendre(curve))
+        period, delta, action = reduce_to_legendre(curve).cycle_values()
 
     contractible = (
         kind is OrbitKind.TRAPPED_OVAL
@@ -185,7 +177,7 @@ def cycle_data(E, p) -> CycleData:
     oval, line = curve.kind <= WINDING, curve.kind == VERTICAL
     with np.errstate(all="ignore"):  # lanes of another kind, or failed, hold garbage
         red, bad = reduce_lanes(curve)
-        cycle = _cycle_values(red)
+        cycle = red.cycle_values()
         line_period, line_action = _line_data(curve)
     failed = oval & bad
     ok = oval & ~bad
@@ -261,14 +253,6 @@ def _circ_dist(a: float, b: float) -> float:
     return abs(math.remainder(a - b, TWO_PI))
 
 
-def _orbit_eval(orbit, ts: np.ndarray):
-    if isinstance(orbit, ClosedFormSolution):
-        return eval_solution(orbit, ts)
-    if isinstance(orbit, Trajectory):
-        return orbit.eval(ts)
-    raise DomainError(f"unsupported orbit type {type(orbit).__name__}")
-
-
 def _orbit_period(orbit, T: float | None) -> float:
     if T is not None:
         return float(T)
@@ -280,7 +264,7 @@ def _orbit_period(orbit, T: float | None) -> float:
 
 
 def _check_closed(orbit, T: float, tol: float = 1e-6) -> None:
-    x, y, xd, yd = _orbit_eval(orbit, np.array([0.0, T]))
+    x, y, xd, yd = orbit.eval(np.array([0.0, T]))
     gap = max(
         _circ_dist(x[1], x[0]), _circ_dist(y[1], y[0]),
         abs(xd[1] - xd[0]), abs(yd[1] - yd[0]),
@@ -323,11 +307,11 @@ def action_direct(orbit, E: float | None = None, T: float | None = None) -> floa
         return 0.0
     _check_closed(orbit, T)
     if E is None:
-        x, y, xd, yd = _orbit_eval(orbit, np.array([0.0]))
+        x, y, xd, yd = orbit.eval(np.array([0.0]))
         E = 0.5 * float(xd[0] ** 2 + yd[0] ** 2)
 
     def integrand(ts):
-        x, _, xd, yd = _orbit_eval(orbit, ts)
+        x, _, xd, yd = orbit.eval(ts)
         return math.sqrt(2.0 * E) * np.hypot(xd, yd) + np.sin(x) * yd
 
     return _simpson_refine(integrand, T)
@@ -339,13 +323,13 @@ def action_increment(orbit, p: float | None = None, T: float | None = None) -> f
     if T == 0.0:
         return 0.0
     _check_closed(orbit, T)
-    x, y, xd, yd = _orbit_eval(orbit, np.array([0.0, T]))
+    x, y, xd, yd = orbit.eval(np.array([0.0, T]))
     if p is None:
         p = float(yd[0] + np.sin(x[0]))
     dy = float(y[1] - y[0])  # lifted increment, not reduced mod 2*pi
 
     def integrand(ts):
-        _, _, xd, _ = _orbit_eval(orbit, ts)
+        _, _, xd, _ = orbit.eval(ts)
         return xd * xd
 
     return _simpson_refine(integrand, T) + p * dy

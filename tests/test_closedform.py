@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from magflow import (
-    BranchMode,
     DegenerateCurve,
     DomainError,
     UnsupportedRegime,
@@ -31,22 +30,35 @@ def numeric_reference(sol, ts, tol=1e-11):
     return traj.eval(ts)
 
 
-@pytest.mark.parametrize("x0, E, p, sign, mode", [
-    (0.1, 0.125, 0.3, 1, BranchMode.TRAPPED_POS),
-    (math.pi - 0.1, 0.125, 0.3, 1, BranchMode.TRAPPED_NEG),
-    (0.1, 0.3, 0.6, 1, BranchMode.CROSS_RIGHT),
-    (0.1, 0.3, -0.5, 1, BranchMode.CROSS_LEFT),
-    (0.1, 0.5, 0.3, 1, BranchMode.CROSS_RIGHT),            # E = 1/2: affine map
-    (0.1, 1.0, 0.0, 1, BranchMode.WIND_UP),
-    (0.1, 1.0, 0.0, -1, BranchMode.WIND_DOWN),
-    (0.1, 0.125, 0.5 + 2e-9, 1, BranchMode.CROSS_RIGHT),   # root 2e-9 past the wall
+@pytest.mark.parametrize("x0, E, p, sign, walls", [
+    (0.1, 0.125, 0.3, 1, ()),                         # trapped, cos x > 0
+    (math.pi - 0.1, 0.125, 0.3, 1, ()),               # trapped, cos x < 0
+    (0.1, 0.3, 0.6, 1, (1.0,)),                       # crossing through x = pi/2
+    (0.1, 0.3, -0.5, 1, (-1.0,)),                     # crossing through x = -pi/2
+    (0.1, 0.5, 0.3, 1, (1.0,)),                       # E = 1/2: affine map
+    (0.1, 1.0, 0.0, 1, (-1.0, 1.0)),                  # winding, xdot > 0
+    (0.1, 1.0, 0.0, -1, (-1.0, 1.0)),                 # winding, xdot < 0
+    (0.1, 0.125, 0.5 + 2e-9, 1, (1.0,)),              # root 2e-9 past the wall
 ])
-def test_branch_mode_follows_the_walls_the_oval_touches(x0, E, p, sign, mode):
+def test_sheet_follows_the_walls_the_oval_touches(x0, E, p, sign, walls):
     sol = build_solution(x0, 0.0, E, p, sign)
-    assert sol.mode is mode
     s = sol.eval(0.0)
     assert (s.x, s.y) == pytest.approx((x0, 0.0), abs=1e-12)
     assert math.copysign(1.0, s.xdot) == sign
+    # sin x reaches the wall z = +-1 at the phase u = +-K exactly when the
+    # oval touches it; otherwise that phase is a turning root inside (-1, 1)
+    K = sol.modulus.K_complete
+    for wall in (-1.0, 1.0):
+        z = math.sin(sol.eval(sol.C * wall * K - sol.D).x)
+        assert (abs(z - wall) < 1e-9) == (wall in walls)
+    # a trapped orbit keeps the sign of cos x0 over a recurrence; an orbit
+    # reaching a wall passes into the other strip
+    x, _, _, _ = sol.eval(np.linspace(0.0, sol.recurrence_time, 400))
+    assert bool(np.all(np.cos(x) * math.cos(x0) > 0.0)) == (not walls)
+    # over a recurrence x returns, or advances by 2 pi xdot_sign when winding
+    a, b = sol.eval(0.7), sol.eval(0.7 + sol.recurrence_time)
+    drift = 2.0 * math.pi * sign if len(walls) == 2 else 0.0
+    assert b.x - a.x == pytest.approx(drift, abs=1e-9)
 
 
 def test_worked_example_amplitude_and_phase():
@@ -54,10 +66,10 @@ def test_worked_example_amplitude_and_phase():
     assert sol.D == 0.0
     assert sol.k == 0.5
     assert sol.C == 1.0
-    assert sol.mode is BranchMode.TRAPPED_POS
     ts = np.linspace(0.0, 30.0, 400)
     x, _, _, _ = eval_solution(sol, ts)
     assert np.max(np.abs(np.sin(x) - 0.5 * sn(ts, 0.5))) < 1e-14
+    assert np.all(np.cos(x) > 0.0)  # trapped in the strip of x0 = 0
 
 
 def test_initial_state_contract():

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from magflow import (
-    BranchMode,
     DegenerateCurve,
     DomainError,
     build_solution,
@@ -37,7 +36,9 @@ def test_symmetric_root_labels():
     assert (c.a3, c.a1, c.a2, c.a4) == (-1.0, -0.5, 0.5, 1.0)
     assert not c.degenerate
     assert classify(0.125, 0.0).turning_roots == (-0.5, 0.5)
-    assert build_solution(0.0, 0.0, 0.125, 0.0, 1).mode is BranchMode.TRAPPED_POS
+    sol = build_solution(0.0, 0.0, 0.125, 0.0, 1)
+    x, _, _, _ = sol.eval(np.linspace(0.0, sol.recurrence_time, 200))
+    assert np.all(np.cos(x) > 0.0)  # trapped in the strip of x0 = 0
 
 
 def test_roots_satisfy_quartic():

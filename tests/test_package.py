@@ -46,6 +46,49 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _defined_names(path: Path) -> dict[str, int]:
+    """Module-level functions and classes of a file, and the methods of its classes."""
+    defs = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            defs.update((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+    return defs
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names a file reads: loaded names, attributes, imported names and __all__."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_unread_definitions():
+    # a function, class or method of the package that no code or test reads
+    # is dead; dunder methods are read by the interpreter
+    read = set()
+    for top in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= _read_names(path)
+    unread = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in sorted((ROOT / "src" / "magflow").rglob("*.py"))
+              for name, line in _defined_names(path).items()
+              if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
+
+
 def _magflow_imports(path: Path) -> list[tuple[str, str | None]]:
     """(module, name) of each magflow import in a file; name None for `import module`."""
     tree = ast.parse(path.read_text(), filename=str(path))
