@@ -38,7 +38,7 @@ FLOAT = SimpleNamespace(
     copysign=math.copysign,
     any=bool,
     all=bool,
-    real=float,  # a scipy.special result on float arguments is a numpy scalar
+    real=float,  # a numpy scalar argument becomes a Python float
 )
 
 ARRAY = SimpleNamespace(

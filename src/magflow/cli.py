@@ -246,7 +246,7 @@ def cmd_orbit(cfg) -> None:
         "D": sol.D,
         "period": sol.x_period,
         "delta_y": sol.delta_y_per_cycle,
-        "action": action_direct(sol),
+        "action": sol.reduction.cycle_values()[2],
     }
     _json_dump(payload, cfg.out)
 
@@ -293,28 +293,36 @@ _SWEEP_BLOCK = 1 << 14
 def _sweep_row_format(kind: OrbitKind | None) -> str:
     """One %-format for a whole row: E, p, kind, then delta_y, period, action.
 
-    %.17g writes a value as fmt does; %.0s takes a value the kind does not
-    carry and writes nothing, so every row takes the same five values.
-    kind None is a cell whose reduction failed (classify raises there): its
-    row keeps only E and p.
+    E and p come already written by fmt, once per grid value.  %.17g writes
+    a value as fmt does; %.0s takes a value the kind does not carry and
+    writes nothing, so every row takes the same five values.  kind None is
+    a cell whose reduction failed (classify raises there): its row keeps
+    only E and p.
     """
     cycle = kind in (OrbitKind.TRAPPED_OVAL, OrbitKind.CROSSING_LIBRATOR, OrbitKind.WINDING)
     line = cycle or kind is OrbitKind.VERTICAL_LINE
     fields = ["%.17g" if has else "%.0s" for has in (cycle, line, line)]
-    return "\t".join(["%.17g", "%.17g", kind.value if kind else "", *fields]) + "\n"
+    return "\t".join(["%s", "%s", kind.value if kind else "", *fields]) + "\n"
 
 
 # indexed by the kind index of cycle_data, the failed cells' format last
 _SWEEP_ROW_FORMATS = tuple(_sweep_row_format(kind) for kind in (*OrbitKind, None))
 
 
-def _sweep_rows(E: np.ndarray, p: np.ndarray) -> str:
-    """TSV rows of the levels (E[i], p[i]) with the data of cycle_data."""
-    d = cycle_data(E, p)
+def _sweep_rows(es: np.ndarray, ps: np.ndarray, cell: np.ndarray,
+                es_text: list[str], ps_text: list[str]) -> str:
+    """TSV rows of the grid cells `cell` with the data of cycle_data.
+
+    Cell i is the level (es[i // n], ps[i % n]); es_text and ps_text are
+    the grid values written by fmt.
+    """
+    i, j = np.divmod(cell, len(ps))
+    d = cycle_data(es[i], ps[j])
     fmt_index = np.where(d.failed, len(_SWEEP_ROW_FORMATS) - 1, d.kind).tolist()
-    values = zip(E.tolist(), p.tolist(), d.delta_y.tolist(), d.period.tolist(),
+    values = zip(i.tolist(), j.tolist(), d.delta_y.tolist(), d.period.tolist(),
                  d.action.tolist())
-    return "".join([_SWEEP_ROW_FORMATS[i] % row for i, row in zip(fmt_index, values)])
+    return "".join([_SWEEP_ROW_FORMATS[f] % (es_text[a], ps_text[b], dy, per, act)
+                    for f, (a, b, dy, per, act) in zip(fmt_index, values)])
 
 
 def cmd_sweep(cfg) -> None:
@@ -323,12 +331,13 @@ def cmd_sweep(cfg) -> None:
     n = cfg.grid_n
     es = np.linspace(cfg.e_min, cfg.e_max, n)
     ps = np.linspace(cfg.p_min, cfg.p_max, n)
+    es_text, ps_text = [fmt(v) for v in es.tolist()], [fmt(v) for v in ps.tolist()]
     with _output(cfg.out) as fh:
         fh.write("E\tp\tkind\tdelta_y\tperiod\taction\n")
         # cells in row-major order, E outer and p inner
         for lo in range(0, n * n, _SWEEP_BLOCK):
             cell = np.arange(lo, min(lo + _SWEEP_BLOCK, n * n))
-            fh.write(_sweep_rows(es[cell // n], ps[cell % n]))
+            fh.write(_sweep_rows(es, ps, cell, es_text, ps_text))
 
 
 _COMMANDS = {

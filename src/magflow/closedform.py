@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprj
 
 from .dynamics import TWO_PI, PhaseState, state_from_integrals
 from .elliptic import EllipticModulus
@@ -112,8 +111,11 @@ def _sn_integral(red: LegendreReduction, K: float, u, sn, cn):
     Every factor is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
     from k', and where cn < 0 the denominator dn + rho cn is rewritten as
-    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).
+    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).  scipy.special is imported on
+    first use, so that building the cycle data does not load it.
     """
+    from scipy.special import elliprj
+
     c, kc2, one_c2 = red.s * red.h, red.kc * red.kc, red.one_c2
     rho = math.sqrt(red.k2_c2 / one_c2)
     rhoc4 = (kc2 / one_c2) ** 2

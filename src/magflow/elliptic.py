@@ -2,12 +2,14 @@
 
 Everything is parameterized by the modulus k (never by m = k^2) and its
 complement k'.  One arithmetic-geometric-mean ladder, run on a float or on
-array lanes, gives the complete integral K, and sn and cn come from the
-descending Landen recursion on the same rungs; the incomplete integral F
-comes from Carlson's symmetric R_F (scipy's elliprf).  The integrals of the
-second and third kind enter the cycle data, y(t) and the contractible
-action directly as Carlson's R_D and R_J (scipy's elliprd and elliprj), in
-legendre.LegendreReduction, closedform and
+array lanes, gives every complete integral the package reads: K from its
+last rung, and from its rungs R_D(0, k'^2, 1) by DLMF 19.8.5 and
+L = (2/3) R_J(0, k'^2, 1, 1 - c^2) by the sequence of DLMF 19.8.6
+(complete_RD, complete_L; legendre.LegendreReduction reads them).  sn and
+cn come from the descending Landen recursion on the same rungs.  scipy
+enters in three places only, each importing scipy.special on first use:
+the incomplete integral F by Carlson's R_F (elliprf, here), the
+per-sample R_J of y(t) (closedform) and the R_D of
 orbits.action_contractible_formula.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +57,30 @@ def _given_or_complement(k: float, kc: float | None) -> float:
             f"K(k) with 1-k^2 = {kc * kc:.3g}: value is near the logarithmic "
             "divergence at k=1 and carries reduced precision",
             LossOfPrecisionWarning,
-            stacklevel=3,
+            # past complete_K_ladder and complete_K, or __post_init__ and
+            # __init__ of EllipticModulus, to their caller
+            stacklevel=4,
         )
     return kc
 
 
-def _agm_ladder(k, kc) -> tuple[list, list]:
-    """AGM scale sequence (a_n, c_n) descending from (a, b, c) = (1, k', k).
+class Ladder(NamedTuple):
+    """The rungs a_n, b_n, c_n of an AGM ladder, and ran[n], where step n + 1 ran.
+
+    On array lanes a lane that has stopped repeats its last rung, so a sum
+    over rungs adds rung n + 1 times ran[n], a bool that is 1 where the
+    step ran and 0 where it did not; a float ladder's ran is True
+    throughout.
+    """
+
+    a: list
+    b: list
+    c: list
+    ran: list
+
+
+def _agm_ladder(k, kc) -> Ladder:
+    """AGM rungs (a_n, b_n, c_n) descending from (a, b, c) = (1, k', k).
 
     k and k' are floats, or float arrays of one shape.  A lane stops once
     its own c has converged and stays put while the others run on, so it
@@ -71,19 +91,62 @@ def _agm_ladder(k, kc) -> tuple[list, list]:
     # looked up once: on a float the lookups cost a third of a step
     sqrt, where_each, running = xp.sqrt, xp.where_each, xp.any
     a, b, c = 1.0, kc, k
-    avals, cvals = [a], [c]
+    ladder = Ladder([a], [b], [c], [])
     run = abs(c) > _AGM_TOL
     while running(run):
         a, b, c = where_each(run, (0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)), (a, b, c))
-        avals.append(a)
-        cvals.append(c)
+        ladder.a.append(a)
+        ladder.b.append(b)
+        ladder.c.append(c)
+        ladder.ran.append(run)
         run = run & (abs(c) > _AGM_TOL)
-    return avals, cvals
+    return ladder
 
 
-def _quarter_period(ladder):
+def _quarter_period(ladder: Ladder):
     """K = pi/(2 agm(1, k')) from the last rung of the ladder."""
-    return math.pi / (2.0 * ladder[0][-1])
+    return math.pi / (2.0 * ladder.a[-1])
+
+
+def complete_RD(ladder: Ladder, k2):
+    """R_D(0, k'^2, 1) = 3 (K - E)/k^2 from the rungs of the AGM ladder of k.
+
+    K - E = K sum_{n >= 0} 2^(n-1) c_n^2 (DLMF 19.8.5), and c_0 = k: every
+    term is positive, so no digit cancels, and the n = 0 term gives the
+    1/2 below exactly.  0 < k < 1; k2 = k^2 and the ladder are floats or
+    array lanes, and a lane sums its own rungs only, so it equals the
+    float call bit for bit.
+    """
+    s = 0.0
+    for n, (c, ran) in enumerate(zip(ladder.c[1:], ladder.ran)):
+        s = s + 2.0 ** n * c * c * ran
+    return 3.0 * _quarter_period(ladder) * (0.5 + s / k2)
+
+
+def complete_L(ladder: Ladder, one_c2):
+    """L = (2/3) R_J(0, k'^2, 1, 1 - c^2) from the rungs of the AGM ladder of k.
+
+    With Pi(c^2, k) - K = (c^2/3) R_J(0, k'^2, 1, 1 - c^2) (DLMF 19.25.2)
+    factored out of DLMF 19.8.6,
+
+        L = K sum_{n >= 0} Q_n / (1 - c^2),    p_0^2 = 1 - c^2,  Q_0 = 1,
+        e_n = (p_n^2 - a_n b_n)/(p_n^2 + a_n b_n),  Q_{n+1} = Q_n e_n / 2,
+        p_{n+1} = (p_n^2 + a_n b_n)/(2 p_n),
+
+    which never divides by c^2, so c = 0 takes the same formula.  one_c2
+    = 1 - c^2 in (k'^2, 1] and the ladder are floats or array lanes; a lane
+    sums its own rungs only, so it equals the float call bit for bit.
+    """
+    p2, p = one_c2, _xp.of(one_c2).sqrt(one_c2)
+    Q = s = 1.0
+    for a, b, ran in zip(ladder.a, ladder.b, [True, *ladder.ran]):
+        ab = a * b
+        d = p2 + ab
+        Q = 0.5 * Q * (p2 - ab) / d
+        s = s + Q * ran
+        p = d / (2.0 * p)
+        p2 = p * p
+    return _quarter_period(ladder) * s / one_c2
 
 
 def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +162,7 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
     """
     if k == 0.0:
         return np.sin(u), np.cos(u)
-    avals, cvals = ladder
+    avals, _, cvals, _ = ladder
     n_steps = len(avals) - 1
     K = _quarter_period(ladder)
     v = np.mod(u + 2.0 * K, 4.0 * K) - 2.0 * K
@@ -112,6 +175,23 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(phi), cn_sign * np.cos(phi)
 
 
+def complete_K_ladder(k, kc=None):
+    """(K, ladder): complete_K and the AGM ladder it reads K from.
+
+    complete_RD and complete_L read the same ladder, so one run of the AGM
+    gives every complete integral of a modulus.  The arguments are those
+    of complete_K; on an array, a lane outside the domain has K = NaN and
+    rungs of no meaning.
+    """
+    if isinstance(k, np.ndarray):
+        ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
+        ladder = _agm_ladder(np.where(ok, k, 0.0), np.where(ok, kc, 1.0))
+        return np.where(ok, _quarter_period(ladder), np.nan), ladder
+    k = _check_modulus(k)
+    ladder = _agm_ladder(k, _given_or_complement(k, kc))
+    return _quarter_period(ladder), ladder
+
+
 def complete_K(k, kc=None):
     """Complete elliptic integral of the first kind, K = pi/(2 agm(1, k')).
 
@@ -121,12 +201,7 @@ def complete_K(k, kc=None):
     shape: each lane equals the float call, and a lane outside the domain
     gives NaN where the float call raises DomainError.
     """
-    if isinstance(k, np.ndarray):
-        ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
-        ladder = _agm_ladder(np.where(ok, k, 0.0), np.where(ok, kc, 1.0))
-        return np.where(ok, _quarter_period(ladder), np.nan)
-    k = _check_modulus(k)
-    return _quarter_period(_agm_ladder(k, _given_or_complement(k, kc)))
+    return complete_K_ladder(k, kc)[0]
 
 
 def _principal_F(phi: float, k: float, kc: float) -> tuple[int, float]:
@@ -182,7 +257,7 @@ class EllipticModulus:
     kc: float | None = None
     k2: float = field(init=False)
     K_complete: float = field(init=False)
-    _ladder: tuple = field(init=False, repr=False, compare=False)
+    _ladder: Ladder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _check_modulus(self.k)

@@ -45,15 +45,14 @@ array call equals the float call bit for bit (see _xp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.special import elliprd, elliprj
 
 from . import _xp
-from .elliptic import EllipticModulus, complete_K
+from .elliptic import EllipticModulus, Ladder, complete_K_ladder, complete_L, complete_RD
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the level is a separatrix (beyond
@@ -171,6 +170,7 @@ class LegendreReduction:
     k: float
     kc: float  # k' = sqrt(1 - k^2), from the root gaps
     K: float   # K(k) with this k'
+    ladder: Ladder = field(repr=False, compare=False)  # the AGM rungs K is read from
     C_const: float
     s: float  # 1/(mu - a1), the reciprocal pole measured from a1
     h: float  # nu - a1, the scale of the map
@@ -204,11 +204,12 @@ class LegendreReduction:
     def L(self) -> float:
         """L = int_{-1}^{1} xi^2 dxi / ((1 - c^2 xi^2) eta) = (2/3) R_J(0, k'^2, 1, 1 - c^2).
 
-        c = s h; the integral over one half of the sn cycle (DLMF 19.25.2).
-        Computed on first use and kept: the moments and y(t) both read it.
+        c = s h; the integral over one half of the sn cycle (DLMF 19.25.2),
+        read from the rungs of the AGM ladder of K by the sequence of DLMF
+        19.8.6 (elliptic.complete_L).  Computed on first use and kept: the
+        moments and y(t) both read it.
         """
-        rj = elliprj(0.0, self.kc * self.kc, 1.0, self.one_c2)
-        return (2.0 / 3.0) * _xp.of(self.k).real(rj)
+        return complete_L(self.ladder, self.one_c2)
 
     def oval_moments(self) -> tuple[float, float, float]:
         """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
@@ -225,8 +226,10 @@ class LegendreReduction:
               = [c^2 K - k^2 R_D/3 + (c^4 - k^2) L/2] / ((k^2 - c^2)(c^2 - 1))
             n_0 = 2 C K,  n_1 = -C h c (1 - c) L,  n_2 = C h^2 (1 - c)^2 (2M - L)
 
-        with R_D = R_D(0, k'^2, 1), and k', 1 - c, 1 - c^2 and k^2 - c^2
-        from the root gaps.  No term divides by c, and |c| < k < 1, so
+        with R_D = R_D(0, k'^2, 1) = 3 (K - E)/k^2, which DLMF 19.8.5 gives
+        from the rungs of the AGM ladder of K (elliptic.complete_RD), as
+        DLMF 19.8.6 gives L, and k', 1 - c, 1 - c^2 and k^2 - c^2 from the
+        root gaps.  No term divides by c, and |c| < k < 1, so
         p = 0 (c = 0) takes the same formulas.  The shift to p uses the
         accurately summed q = p - nu, so a nearly symmetric oval, where
         m_1 is small, keeps its digits.
@@ -234,7 +237,7 @@ class LegendreReduction:
         k2, c, h = self.k2, self.s * self.h, self.h
         c2 = c * c
         K = self.K
-        RD = _xp.of(k2).real(elliprd(0.0, self.kc * self.kc, 1.0))
+        RD = complete_RD(self.ladder, k2)
         L = self.L
         # c^4 - k^2 = -(k^2 - c^2) - c^2 (1 - c^2): no cancellation
         M = ((k2 * RD / 3.0 + (self.k2_c2 + c2 * self.one_c2) * L / 2.0 - c2 * K)
@@ -288,8 +291,9 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
     T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
     one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
     kc = 2.0 * sqrt(kappa_c) / (1.0 + kappa_c)
+    K, ladder = complete_K_ladder(k, kc)
     return LegendreReduction(
-        curve=curve, k2=k * k, k=k, kc=kc, K=complete_K(k, kc),
+        curve=curve, k2=k * k, k=k, kc=kc, K=K, ladder=ladder,
         C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
         # a product, not ** 2: numpy squares exactly, libm's pow need not
         k2_c2=one_c2 * g21 * g21 / (g23 * g41 * ((1.0 + kappa_c) * (1.0 + kappa_c))),

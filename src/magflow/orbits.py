@@ -13,10 +13,11 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 
 All cycle data of a level come from one Legendre reduction of the quartic
 (legendre.LegendreReduction.oval_moments: the moments int (z-p)^j dz/w,
-j = 0, 1, 2, over the bounded oval, as complete elliptic integrals in
-Carlson form; LegendreReduction.cycle_values forms the period, Delta_y and
-the action from them).  The sin-x period of a cycle is 4 C K(k), the same
-value the closed-form orbit reads from cycle_values.  The y-increment per
+j = 0, 1, 2, over the bounded oval, as complete elliptic integrals read
+from the rungs of one AGM ladder; LegendreReduction.cycle_values forms
+the period, Delta_y and the action from them).  The sin-x period of a
+cycle is 4 C K(k), the same value the closed-form orbit reads from
+cycle_values.  The y-increment per
 cycle is Delta_y = 2 int (p-z) dz / w, which is 0 for p = 0 and, on a
 trapped oval, has sign opposite to p.  The action of a closed curve on the
 level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and ydot = p - z,
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import elliprd
 
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
@@ -341,12 +341,16 @@ def action_contractible_formula(E: float) -> float:
     After sin x = sqrt(2E) sin(theta) this is 8E int_0^{pi/2} cos^2(theta)
     / sqrt(1 - k^2 sin^2 theta) dtheta with k^2 = 2E, and that integral is
     (E(k) - k'^2 K(k))/k^2 = (k'^2/3) R_D(0, 1, k'^2) (DLMF 19.25.1), one
-    Carlson integral with no cancellation, even as E -> 1/2.
+    Carlson integral with no cancellation, even as E -> 1/2.  scipy.special
+    is imported on first use, so that classify, cycle_data and films do
+    not load it.
     """
     if not 0.0 < E < 0.5:
         raise DomainError(
             f"the contractible-orbit action requires 0 < E < 1/2, got E = {E}"
         )
+    from scipy.special import elliprd
+
     k2c = 1.0 - 2.0 * E
     return 8.0 * E * k2c * float(elliprd(0.0, 1.0, k2c)) / 3.0
 
@@ -394,13 +398,15 @@ def film_action(film) -> float:
     For a cylinder strip the boundary is two y-circles (length 4*pi) and
     the flux is 2*pi (sin x_b - sin x_a).  For an orbit disc, exactness of
     F reduces the film action to the boundary orbit's action (times the
-    multiplicity for iterated orbits).
+    multiplicity for iterated orbits), in closed form: p = 0 on the
+    boundary, so it recurs after one sin-x cycle and its action is the
+    cycle action of its reduction.
     """
     if isinstance(film, CylinderStrip):
         return (math.sqrt(2.0 * film.E) * 2.0 * TWO_PI
                 + TWO_PI * (math.sin(film.x_b) - math.sin(film.x_a)))
     if isinstance(film, OrbitDisc):
-        return film.multiplicity * action_direct(film.orbit)
+        return film.multiplicity * film.orbit.reduction.cycle_values()[2]
     raise DomainError(f"unsupported film type {type(film).__name__}")
 
 

@@ -13,6 +13,7 @@ from magflow import (
     incomplete_F,
     sn,
 )
+from magflow.elliptic import complete_K_ladder, complete_L, complete_RD
 
 # frozen from the AGM oracle: K(0.5) = pi / (2 agm(1, sqrt(0.75)))
 K_HALF = 1.6857503548125961
@@ -188,3 +189,50 @@ def test_sn_cn_keeps_cn_at_turning_points(rng):
             ref = [mp.ellipfun("cn", mp.mpf(v), m=mp.mpf(k) ** 2) for v in u]
         assert max(float(abs(ci - r)) for ci, r in zip(c, ref)) < 1e-15
         assert np.array_equal(s, m.sn(u))
+
+
+def ladder_draws(rng, n):
+    """(k, k', 1 - c^2): 1 - k^2 log-uniform in 1e-14 ... 1 and c^2 uniform
+    in [0, k^2), with c = 0 at every tenth draw."""
+    kc2 = 10.0 ** rng.uniform(-14.0, 0.0, n)
+    k = np.sqrt(1.0 - kc2)
+    c2 = rng.uniform(0.0, 1.0, n) * k * k
+    c2[::10] = 0.0
+    return k, np.sqrt(kc2), 1.0 - c2
+
+
+def test_ladder_RD_and_L_match_mpmath():
+    # R_D(0, k'^2, 1) = 3 (K - E)/k^2 and L = (2/3) R_J(0, k'^2, 1, 1 - c^2)
+    # from the rungs of the ladder that K runs (DLMF 19.8.5, 19.8.6), on 1000
+    # seeded draws; measured worst 5.4e-16 and 5.6e-16 (scipy's elliprd and
+    # elliprj: 4.5e-16 and 2.3e-15 on these draws)
+    mp = pytest.importorskip("mpmath")
+    worst_rd = worst_l = 0.0
+    draws = ladder_draws(np.random.default_rng(19), 1000)
+    for k, kc, one_c2 in zip(*(d.tolist() for d in draws)):
+        _, ladder = complete_K_ladder(k, kc)
+        rd, L = complete_RD(ladder, k * k), complete_L(ladder, one_c2)
+        with mp.workdps(40):
+            m = 1 - mp.mpf(kc) ** 2
+            rd_ref = 3 * (mp.ellipk(m) - mp.ellipe(m)) / m
+            L_ref = 2 * mp.elliprj(0, mp.mpf(kc) ** 2, 1, one_c2) / 3
+            worst_rd = max(worst_rd, float(abs(rd - rd_ref) / rd_ref))
+            worst_l = max(worst_l, float(abs(L - L_ref) / L_ref))
+    assert worst_rd < 6e-16
+    assert worst_l < 6e-16
+
+
+def test_ladder_integral_lanes_equal_float_calls():
+    # one array call over lanes whose ladders stop at different rungs
+    k = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999999, math.sqrt(1.0 - 1e-14), 0.5])
+    kc = np.sqrt((1.0 - k) * (1.0 + k))
+    one_c2 = 1.0 - np.array([0.0, 0.3, 0.9, 0.5, 0.999, 0.2, 0.7, 0.0]) * k * k
+    K, ladder = complete_K_ladder(k, kc)
+    rd, L = complete_RD(ladder, k * k), complete_L(ladder, one_c2)
+    rungs = set()
+    for i in range(len(k)):
+        Ki, lad = complete_K_ladder(float(k[i]), float(kc[i]))
+        rungs.add(len(lad.a))
+        assert (K[i], rd[i], L[i]) == (Ki, complete_RD(lad, float(k[i] * k[i])),
+                                       complete_L(lad, float(one_c2[i])))
+    assert len(rungs) >= 4

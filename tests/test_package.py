@@ -126,3 +126,29 @@ def test_import_leaves_scipy_integrate_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert res.stdout.strip() == "False"
+
+
+SCIPY_SPECIAL_PROBE = """
+import sys
+import magflow
+from magflow import cli
+magflow.classify(0.125, 0.3)
+magflow.cycle_data([0.125, 0.7, 0.5], [0.3, 0.0, 1.5])
+assert cli.main(["sweep", "--grid-n=5", "--out=" + sys.argv[1]]) == 0
+print('scipy.special' in sys.modules)
+sol = magflow.build_solution(0.1, 0.0, 0.125, 0.3, 1)
+magflow.eval_solution(sol, 3.0)
+print('scipy.special' in sys.modules)
+"""
+
+
+def test_cycle_data_and_sweep_leave_scipy_special_unloaded(tmp_path):
+    # the complete integrals come from the AGM ladder of K; F, the R_J of y(t)
+    # and the contractible-orbit formula import scipy.special on first use
+    out = tmp_path / "sweep.tsv"
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(out)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.split() == ["False", "True"]
+    assert len(out.read_text().splitlines()) == 1 + 5 * 5
