@@ -19,7 +19,7 @@ from .dynamics import (
     rhs,
     state_from_integrals,
 )
-from .elliptic import EllipticModulus, complete_K, incomplete_F, sn
+from .elliptic import complete_K, incomplete_F, sn
 from .errors import (
     DegenerateCurve,
     DomainError,
@@ -59,7 +59,6 @@ __all__ = [
     "CylinderStrip",
     "DegenerateCurve",
     "DomainError",
-    "EllipticModulus",
     "LossOfPrecisionWarning",
     "MagflowError",
     "NoReturnFound",

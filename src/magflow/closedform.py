@@ -7,9 +7,11 @@ coordinate the motion is exactly
     xi(t) = sn((t + D)/C, k),     sin x(t) = map_xi_to_z(xi(t)),
 
 where (k, C) come from the reduction and the phase constant D matches the
-initial condition.  Note the coordinate map is part of the solution: in
-the p = 0 trapped case it reduces to the amplitude factor,
-sin x(t) = sqrt(2E) sn((t+D)/C, sqrt(2E)).
+initial condition.  The reduction is the orbit's one modulus record: sn,
+cn, F and K all run on the AGM ladder it keeps (LegendreReduction.ladder),
+so a build runs the AGM once and an evaluation not at all.  Note the
+coordinate map is part of the solution: in the p = 0 trapped case it
+reduces to the amplitude factor, sin x(t) = sqrt(2E) sn((t+D)/C, sqrt(2E)).
 
 Recovering x itself needs the sheet x = pi m + (-1)^m asin z the orbit is
 on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TWO_PI, PhaseState, state_from_integrals
-from .elliptic import EllipticModulus
+from .elliptic import F, sn_cn
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
@@ -73,7 +75,6 @@ class ClosedFormSolution:
 
     curve: QuarticCurve
     reduction: LegendreReduction
-    modulus: EllipticModulus
     E: float
     p: float
     x0: float
@@ -88,11 +89,11 @@ class ClosedFormSolution:
 
     @property
     def k(self) -> float:
-        return self.modulus.k
+        return self.reduction.k
 
     @property
     def k2(self) -> float:
-        return self.modulus.k2
+        return self.reduction.k2
 
     @property
     def recurrence_time(self) -> float:
@@ -178,16 +179,14 @@ def build_solution(
         raise UnsupportedRegime("E = 0 is a fixed point; no closed form needed")
     curve = quartic_from_params(E, p)
     red = reduce_to_legendre(curve)  # raises DegenerateCurve on separatrices
-    mod = red.modulus
-    K = mod.K_complete
-    C = red.C_const
+    K, C = red.K, red.C_const
 
     state_from_integrals(x0, y0, E, p, xdot_sign)  # DomainError unless admissible
     z0 = math.sin(x0)
     cos_x0 = math.cos(x0)
 
     xi0 = map_z_to_xi(red, min(max(z0, curve.a1), curve.a2))
-    F0 = mod.F(math.asin(xi0))
+    F0 = F(math.asin(xi0), red.ladder)
     # phases with sn(u) = xi0 over one recurrence cycle of the orbit
     candidates = [F0, 2.0 * K - F0]
     if curve.kind == CROSSING:
@@ -218,7 +217,7 @@ def build_solution(
 
     D = C * u_ref
     u0 = D / C  # the phase eval_solution computes at t = 0
-    sn0, cn0 = mod.sn_cn(u0)
+    sn0, cn0 = sn_cn(u0, red.ladder)
     z_ref = float(map_xi_to_z(red, sn0[0]))
     alpha = math.asin(min(1.0, max(-1.0, z_ref)))
     x_hat0 = float(math.pi * m + cos_sign * alpha)  # on the sheet of the matched probe
@@ -234,7 +233,7 @@ def build_solution(
     x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
-        curve=curve, reduction=red, modulus=mod,
+        curve=curve, reduction=red,
         E=float(E), p=float(p), x0=float(x0), y0=float(y0),
         xdot_sign=xdot_sign, C=C, D=D, x_offset=x_offset,
         x_period=x_period, delta_y_per_cycle=delta_y, _G0=G0,
@@ -253,9 +252,9 @@ def eval_solution(sol: ClosedFormSolution, t):
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     red = sol.reduction
-    K = sol.modulus.K_complete
+    K = red.K
     u = (t_arr + sol.D) / sol.C
-    sn, cn = sol.modulus.sn_cn(u)
+    sn, cn = sn_cn(u, red.ladder)
     z = map_xi_to_z(red, sn)
     alpha = np.arcsin(z)  # z lies on the oval [a1, a2], inside [-1, 1]
     m, cos_sign, zdot_sign = _sheet(sol.curve, sol.xdot_sign, math.cos(sol.x0), u, K)

@@ -1,14 +1,18 @@
 """Elliptic integrals and the Jacobi sn and cn functions.
 
 Everything is parameterized by the modulus k (never by m = k^2) and its
-complement k'.  One arithmetic-geometric-mean ladder, run on a float or on
-array lanes, gives every complete integral the package reads: K from its
-last rung, and from its rungs R_D(0, k'^2, 1) by DLMF 19.8.5 and
-L = (2/3) R_J(0, k'^2, 1, 1 - c^2) by the sequence of DLMF 19.8.6
-(complete_RD, complete_L; legendre.LegendreReduction reads them).  sn and
-cn come from the descending Landen recursion on the same rungs.  scipy
-enters in three places only, each importing scipy.special on first use:
-the incomplete integral F by Carlson's R_F (elliprf, here), the
+complement k'.  The arithmetic-geometric-mean ladder of (k, k'), run on a
+float or on array lanes, is the one record of a modulus: it starts at
+(a, b, c) = (1, k', k), K is read from its last rung, R_D(0, k'^2, 1) by
+DLMF 19.8.5 and L = (2/3) R_J(0, k'^2, 1, 1 - c^2) by the sequence of
+DLMF 19.8.6 from its rungs (complete_RD, complete_L), sn and cn by the
+descending Landen recursion on the same rungs (sn_cn), and the
+incomplete F takes k' and K from it (F).  legendre.LegendreReduction
+keeps the ladder of its (k, k') in its field ladder, so one run of the
+AGM serves a level's cycle data and its closed-form orbit.  The public
+sn(u, k), incomplete_F(phi, k) and complete_K(k, k') run a ladder of
+their own.  scipy enters in three places only, each importing
+scipy.special on first use: F by Carlson's R_F (elliprf, here), the
 per-sample R_J of y(t) (closedform) and the R_D of
 orbits.action_contractible_formula.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +60,8 @@ def _given_or_complement(k: float, kc: float | None) -> float:
             f"K(k) with 1-k^2 = {kc * kc:.3g}: value is near the logarithmic "
             "divergence at k=1 and carries reduced precision",
             LossOfPrecisionWarning,
-            # past complete_K_ladder and complete_K, or __post_init__ and
-            # __init__ of EllipticModulus, to their caller
+            # past complete_K_ladder and complete_K to the caller of
+            # complete_K; the package's own calls of complete_K_ladder pass k'
             stacklevel=4,
         )
     return kc
@@ -149,20 +152,22 @@ def complete_L(ladder: Ladder, one_c2):
     return _quarter_period(ladder) * s / one_c2
 
 
-def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
-    """(sn, cn) at the phases u by the descending Landen phase recursion.
+def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray]:
+    """(sn, cn) at the phases u, on the float ladder of (k, k'), by the
+    descending Landen phase recursion; arrays of at least one dimension.
 
-    The argument is reduced modulo the 4K period and folded into [-K, K]
-    (sn is odd and symmetric about u = K) so the principal arcsin branch
-    applies at every rung; |c_n/a_n sin phi| < 1 there, so no clip is
-    needed.  The recursion yields the amplitude phi, so cn = +-cos(phi)
-    keeps full absolute accuracy at the turning points sn = +-1, where
-    sqrt(1 - sn^2) would lose half the digits.  This is the only routine
-    that does per-phase elliptic work.
+    k = c_0 is read from the ladder.  The argument is reduced modulo the 4K
+    period and folded into [-K, K] (sn is odd and symmetric about u = K) so
+    the principal arcsin branch applies at every rung; |c_n/a_n sin phi| < 1
+    there, so no clip is needed.  The recursion yields the amplitude phi,
+    so cn = +-cos(phi) keeps full absolute accuracy at the turning points
+    sn = +-1, where sqrt(1 - sn^2) would lose half the digits.  This is the
+    only routine that does per-phase elliptic work.
     """
-    if k == 0.0:
-        return np.sin(u), np.cos(u)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     avals, _, cvals, _ = ladder
+    if cvals[0] == 0.0:
+        return np.sin(u), np.cos(u)
     n_steps = len(avals) - 1
     K = _quarter_period(ladder)
     v = np.mod(u + 2.0 * K, 4.0 * K) - 2.0 * K
@@ -178,9 +183,9 @@ def _landen(u: np.ndarray, k: float, ladder) -> tuple[np.ndarray, np.ndarray]:
 def complete_K_ladder(k, kc=None):
     """(K, ladder): complete_K and the AGM ladder it reads K from.
 
-    complete_RD and complete_L read the same ladder, so one run of the AGM
-    gives every complete integral of a modulus.  The arguments are those
-    of complete_K; on an array, a lane outside the domain has K = NaN and
+    complete_RD, complete_L, sn_cn and F read the same ladder, so one run
+    of the AGM serves everything of a modulus.  The arguments are those of
+    complete_K; on an array, a lane outside the domain has K = NaN and
     rungs of no meaning.
     """
     if isinstance(k, np.ndarray):
@@ -195,16 +200,19 @@ def complete_K_ladder(k, kc=None):
 def complete_K(k, kc=None):
     """Complete elliptic integral of the first kind, K = pi/(2 agm(1, k')).
 
-    k' = sqrt(1 - k^2) is taken from k unless it is given (see
-    EllipticModulus).  The AGM is the ladder that sn runs on, so sn has
-    period 4 K exactly.  k and a given k' may also be float arrays of one
-    shape: each lane equals the float call, and a lane outside the domain
-    gives NaN where the float call raises DomainError.
+    k' = sqrt(1 - k^2) is taken from k unless it is given: next to k = 1,
+    (1 - k)(1 + k) keeps only the digits of 1 - k, and K, which grows like
+    log(4/k'), magnifies the last bit of k, so a k' built from the data k
+    came from (the root gaps of a quartic, see legendre) keeps K accurate
+    there.  The AGM is the ladder that sn runs on, so sn has period 4 K
+    exactly.  k and a given k' may also be float arrays of one shape: each
+    lane equals the float call, and a lane outside the domain gives NaN
+    where the float call raises DomainError.
     """
     return complete_K_ladder(k, kc)[0]
 
 
-def _principal_F(phi: float, k: float, kc: float) -> tuple[int, float]:
+def _principal_F(phi: float, kc: float) -> tuple[int, float]:
     """(n, F(phi - n pi)) with phi - n pi in [-pi/2, pi/2)."""
     from scipy.special import elliprf
 
@@ -215,6 +223,13 @@ def _principal_F(phi: float, k: float, kc: float) -> tuple[int, float]:
     return n, s * float(elliprf(c * c, c * c + kc * kc * s * s, 1.0))
 
 
+def F(phi: float, ladder: Ladder) -> float:
+    """incomplete_F on the float ladder of (k, k'): k' = b_0, and K for the
+    quasi-period, both read from the ladder."""
+    n, val = _principal_F(float(phi), ladder.b[0])
+    return val + 2.0 * n * _quarter_period(ladder) if n != 0 else val
+
+
 def incomplete_F(phi: float, k: float) -> float:
     """Incomplete elliptic integral F(phi, k) for any real amplitude phi.
 
@@ -223,7 +238,7 @@ def incomplete_F(phi: float, k: float) -> float:
     elsewhere.  Strictly increasing in phi with F(pi/2, k) = K.
     """
     k = _check_modulus(k)
-    n, val = _principal_F(float(phi), k, _complement(k))
+    n, val = _principal_F(float(phi), _complement(k))
     if n != 0:
         val += 2.0 * n * complete_K(k)
     return val
@@ -232,51 +247,10 @@ def incomplete_F(phi: float, k: float) -> float:
 def sn(u, k: float):
     """Jacobi sn(u, k) for real u, scalar or array.
 
-    Descending Landen phase recursion on the AGM ladder (see _landen):
+    Descending Landen phase recursion on the AGM ladder (see sn_cn):
     quadratic convergence, no series truncation.
     """
     k = _check_modulus(k)
     u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    out = _landen(np.atleast_1d(u_arr), k, _agm_ladder(k, _complement(k)))[0]
-    return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """A modulus k with its complement k', its AGM ladder and quarter period K.
-
-    k' = sqrt(1 - k^2) is taken from k unless it is given.  Next to k = 1,
-    (1 - k)(1 + k) keeps only the digits of 1 - k, and K, which grows like
-    log(4/k'), magnifies the last bit of k; a k' built from the data k
-    came from (the root gaps of a quartic) keeps K and sn accurate there.
-    K, sn and F all run on this one k'.
-    """
-
-    k: float
-    kc: float | None = None
-    k2: float = field(init=False)
-    K_complete: float = field(init=False)
-    _ladder: Ladder = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = _check_modulus(self.k)
-        kc = _given_or_complement(k, self.kc)
-        ladder = _agm_ladder(k, kc)
-        object.__setattr__(self, "kc", kc)
-        object.__setattr__(self, "k2", k * k)
-        object.__setattr__(self, "K_complete", _quarter_period(ladder))
-        object.__setattr__(self, "_ladder", ladder)
-
-    def sn(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = _landen(np.atleast_1d(u_arr), self.k, self._ladder)[0]
-        return float(out[0]) if u_arr.ndim == 0 else out
-
-    def sn_cn(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(sn, cn) at an array of phases, from one Landen recursion."""
-        return _landen(np.atleast_1d(np.asarray(u, dtype=float)), self.k, self._ladder)
-
-    def F(self, phi: float) -> float:
-        n, val = _principal_F(float(phi), self.k, self.kc)
-        return val + 2.0 * n * self.K_complete if n != 0 else val
+    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[0]
+    return float(out[0]) if u_arr.ndim == 0 else out

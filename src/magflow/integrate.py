@@ -130,7 +130,14 @@ def integrate(
 
 
 def conservation_report(traj: Trajectory) -> tuple[float, float]:
-    """Maximal drifts (max|dE|, max|dp|) over all samples."""
+    """Maximal drifts (max|dE|, max|dp|) from the first sample, over traj's samples.
+
+    The samples of integrate are the solver's accepted steps, so this is
+    the drift at the steps.  Trajectory.eval answers between them from the
+    dense interpolant, which drifts up to about 7 times more: at tol 1e-11
+    over t = 20 from x0 = 0.1 on (E, p) = (0.3, 0.2), the drift in E is
+    2.5e-12 at the steps against 1.0e-11 on a 20001-point eval grid.
+    """
     if len(traj.t) == 0:
         raise DomainError("empty trajectory")
     E = energy(traj.states)

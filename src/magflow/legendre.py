@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _xp
-from .elliptic import EllipticModulus, Ladder, complete_K_ladder, complete_L, complete_RD
+from .elliptic import Ladder, complete_K_ladder, complete_L, complete_RD
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the level is a separatrix (beyond
@@ -170,7 +170,7 @@ class LegendreReduction:
     k: float
     kc: float  # k' = sqrt(1 - k^2), from the root gaps
     K: float   # K(k) with this k'
-    ladder: Ladder = field(repr=False, compare=False)  # the AGM rungs K is read from
+    ladder: Ladder = field(repr=False, compare=False)  # the AGM rungs: K, R_D, L, sn, cn and F
     C_const: float
     s: float  # 1/(mu - a1), the reciprocal pole measured from a1
     h: float  # nu - a1, the scale of the map
@@ -179,11 +179,6 @@ class LegendreReduction:
     one_c: float
     one_c2: float
     k2_c2: float
-
-    @property
-    def modulus(self) -> EllipticModulus:
-        """EllipticModulus(k, k'): the sn and F of this curve, its K_complete is K bit for bit."""
-        return EllipticModulus(self.k, self.kc)
 
     @property
     def q(self) -> float:

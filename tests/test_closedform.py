@@ -47,7 +47,7 @@ def test_sheet_follows_the_walls_the_oval_touches(x0, E, p, sign, walls):
     assert math.copysign(1.0, s.xdot) == sign
     # sin x reaches the wall z = +-1 at the phase u = +-K exactly when the
     # oval touches it; otherwise that phase is a turning root inside (-1, 1)
-    K = sol.modulus.K_complete
+    K = sol.reduction.K
     for wall in (-1.0, 1.0):
         z = math.sin(sol.eval(sol.C * wall * K - sol.D).x)
         assert (abs(z - wall) < 1e-9) == (wall in walls)
@@ -276,22 +276,34 @@ def test_sin_x_confined_to_oval(rng):
     (0.7, 1.0, 0.3, -1),         # winding
 ])
 def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
-    # elliptic._landen is the one routine that does per-phase elliptic work
-    # (sn and EllipticModulus.sn_cn run through it): a build takes O(1)
-    # phases and an evaluation one batch of exactly its samples, so no
-    # per-sample quadrature can come back unseen
+    # elliptic.sn_cn is the one routine that does per-phase elliptic work
+    # (sn runs through it too), and elliptic._agm_ladder the one that runs
+    # the AGM: a build runs one ladder, the reduction's, and takes O(1)
+    # phases on it, and an evaluation runs no ladder and one batch of
+    # exactly its samples, so neither per-sample quadrature nor a second
+    # ladder of the same modulus can come back unseen
+    import magflow.closedform
     import magflow.elliptic
 
-    batches = []
-    landen = magflow.elliptic._landen
+    batches, ladders = [], []
+    sn_cn, agm_ladder = magflow.closedform.sn_cn, magflow.elliptic._agm_ladder
 
-    def counted(u, k, ladder):
+    def counted(u, ladder):
         batches.append(np.size(u))
-        return landen(u, k, ladder)
+        return sn_cn(u, ladder)
 
-    monkeypatch.setattr(magflow.elliptic, "_landen", counted)
+    def counted_ladder(k, kc):
+        ladders.append((k, kc))
+        return agm_ladder(k, kc)
+
+    # patched where closedform and complete_K_ladder look them up
+    monkeypatch.setattr(magflow.closedform, "sn_cn", counted)
+    monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
     sol = build_solution(x0, 0.0, E, p, sgn)
     assert sum(batches) <= 4
+    assert len(ladders) == 1
     batches.clear()
+    ladders.clear()
     eval_solution(sol, np.linspace(0.0, 50.0, 1000))
     assert batches == [1000]
+    assert ladders == []

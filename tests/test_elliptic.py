@@ -7,13 +7,12 @@ from scipy.integrate import quad
 
 from magflow import (
     DomainError,
-    EllipticModulus,
     LossOfPrecisionWarning,
     complete_K,
     incomplete_F,
     sn,
 )
-from magflow.elliptic import complete_K_ladder, complete_L, complete_RD
+from magflow.elliptic import F, complete_K_ladder, complete_L, complete_RD, sn_cn
 
 # frozen from the AGM oracle: K(0.5) = pi / (2 agm(1, sqrt(0.75)))
 K_HALF = 1.6857503548125961
@@ -44,17 +43,23 @@ def test_complete_K_domain_and_lower_bound():
 
 
 def test_complete_K_near_one_is_finite_but_flagged():
-    with pytest.warns(LossOfPrecisionWarning):
+    with pytest.warns(LossOfPrecisionWarning) as record:
         val = complete_K(1.0 - 1e-12)
+    # the warning names the line that called complete_K
+    assert record[0].filename == __file__
     assert math.isfinite(val)
     assert val > 10.0
 
 
 def test_modulus_caches_consistent_K(rng):
+    # the ladder is the record of a modulus: it starts at (1, k', k) and K
+    # is read from it
     for k in rng.uniform(0.0, 0.98, 20):
-        m = EllipticModulus(float(k))
-        assert m.K_complete == pytest.approx(F_quadrature(math.pi / 2, k), abs=1e-13)
-        assert m.k2 == pytest.approx(k * k, abs=1e-16)
+        K, ladder = complete_K_ladder(float(k))
+        assert K == pytest.approx(F_quadrature(math.pi / 2, k), abs=1e-13)
+        kc = math.sqrt((1.0 - k) * (1.0 + k))
+        assert (ladder.a[0], ladder.b[0], ladder.c[0]) == (1.0, kc, k)
+        assert ladder.c[0] ** 2 == pytest.approx(k * k, abs=1e-16)
 
 
 def test_incomplete_F_basic():
@@ -158,20 +163,21 @@ def test_sn_pinned_bit_for_bit():
 
 
 def test_modulus_with_complement_runs_one_ladder():
-    # K, sn and F of a modulus all take the given k'; sn has period 4 K
+    # K, sn, cn and F of a modulus all take the given k' from its one
+    # ladder; sn has period 4 K
     k = 0.9999
     kc = math.sqrt((1.0 - k) * (1.0 + k)) * (1.0 + 1e-9)
-    m = EllipticModulus(k, kc)
-    assert m.kc == kc
-    assert m.K_complete == complete_K(k, kc) != complete_K(k)
-    s, c = m.sn_cn(np.array([m.K_complete, 2.0 * m.K_complete]))
+    K, ladder = complete_K_ladder(k, kc)
+    assert ladder.b[0] == kc
+    assert K == complete_K(k, kc) != complete_K(k)
+    s, c = sn_cn(np.array([K, 2.0 * K]), ladder)
     assert s[0] == 1.0 and c[0] == pytest.approx(0.0, abs=1e-15)
     assert c[1] == -1.0
-    assert m.F(math.pi / 2) == pytest.approx(m.K_complete, rel=1e-15)
-    assert m.F(math.pi) == pytest.approx(2.0 * m.K_complete, rel=1e-15)
+    assert F(math.pi / 2, ladder) == pytest.approx(K, rel=1e-15)
+    assert F(math.pi, ladder) == pytest.approx(2.0 * K, rel=1e-15)
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
-            EllipticModulus(k, bad)
+            complete_K_ladder(k, bad)
         with pytest.raises(DomainError):
             complete_K(k, bad)
 
@@ -182,13 +188,13 @@ def test_sn_cn_keeps_cn_at_turning_points(rng):
     # 1.0e-8 for sqrt(1 - sn^2) on these phases)
     mp = pytest.importorskip("mpmath")
     for k in (0.5, 0.99, 0.999999):
-        m = EllipticModulus(k)
-        u = m.K_complete * (1.0 + 2.0 * rng.integers(-3, 4, 20)) + rng.uniform(-1e-6, 1e-6, 20)
-        s, c = m.sn_cn(u)
+        K, ladder = complete_K_ladder(k)
+        u = K * (1.0 + 2.0 * rng.integers(-3, 4, 20)) + rng.uniform(-1e-6, 1e-6, 20)
+        s, c = sn_cn(u, ladder)
         with mp.workdps(40):
             ref = [mp.ellipfun("cn", mp.mpf(v), m=mp.mpf(k) ** 2) for v in u]
         assert max(float(abs(ci - r)) for ci, r in zip(c, ref)) < 1e-15
-        assert np.array_equal(s, m.sn(u))
+        assert np.array_equal(s, sn(u, k))
 
 
 def ladder_draws(rng, n):

@@ -278,7 +278,7 @@ def test_contractible_orbit_worked_example():
 
 def turning_time(sol, j=0):
     """Time at which the orbit sits on top of its oval (phase u = K)."""
-    K = sol.modulus.K_complete
+    K = sol.reduction.K
     return sol.C * (K + 4.0 * K * j) - sol.D
 
 

@@ -1,0 +1,230 @@
+"""Compare the outputs of magflow at a commit with those of the working tree.
+
+    python3 tools/parity.py --against <commit>
+
+Run from anywhere inside a checkout.  The ``src/`` of the commit is
+extracted with ``git archive`` into a temporary directory, which is removed
+afterwards; the working tree's ``src/``, uncommitted edits included, is the
+other side.  Each side runs the same fixed, seeded sets in a fresh
+interpreter that imports magflow from that ``src/``:
+
+* ``cycle_data`` on 200,000 levels, in blocks of 16,384 like ``cli sweep``:
+  kind, delta_y, period, action and the failed mask;
+* ``classify`` on 3,000 levels: kind, turning roots, delta_y, period,
+  action and contractible;
+* ``build_solution`` on 20,000 orbits: D, x_offset, x_period,
+  delta_y_per_cycle, k and k2, and ``eval_solution`` at 50 times each:
+  x, y, xdot and ydot.
+
+The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
+a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
+to a separatrix or a vertical line), and E = (1 +- d)/2 next to the
+critical level with d in 1e-12 ... 1e-2 and |p| in 1e-12 ... 1, each
+spread log-uniformly.  For every output the report gives the number of
+values that differ in any bit and the largest absolute difference among
+them, where NaN equals NaN and a NaN on one side only counts as an infinite
+difference; for every set, the count of each exception type on each
+side.  The exit status is 0 when nothing differs, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20241013
+N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES = 200_000, 3_000, 20_000, 50
+BLOCK = 16384
+
+
+def levels(rng, n):
+    """(E, p): half uniform, a quarter next to a wall, a quarter next to E = 1/2."""
+    n_uni, n_wall = n // 2, n // 4
+    n_crit = n - n_uni - n_wall
+    E_uni, p_uni = rng.uniform(0.01, 2.0, n_uni), rng.uniform(-2.5, 2.5, n_uni)
+    E_wall = rng.uniform(0.01, 2.0, n_wall)
+    wall, side = rng.choice([-1.0, 1.0], n_wall), rng.choice([-1.0, 1.0], n_wall)
+    miss = rng.choice([-1.0, 1.0], n_wall) * 10.0 ** rng.uniform(-13.0, -2.0, n_wall)
+    p_wall = wall - side * np.sqrt(2.0 * E_wall) + miss
+    E_crit = 0.5 + rng.choice([-0.5, 0.5], n_crit) * 10.0 ** rng.uniform(-12.0, -2.0, n_crit)
+    p_crit = rng.choice([-1.0, 1.0], n_crit) * 10.0 ** rng.uniform(-12.0, 0.0, n_crit)
+    return (np.concatenate([E_uni, E_wall, E_crit]),
+            np.concatenate([p_uni, p_wall, p_crit]))
+
+
+def inputs() -> dict:
+    rng = np.random.default_rng(SEED)
+    E_cyc, p_cyc = levels(rng, N_CYCLE)
+    E_cls, p_cls = levels(rng, N_CLASSIFY)
+    E_orb, p_orb = levels(rng, N_ORBITS)
+    # a start on the oval [max(-1, z1), min(1, z2)] when there is one, on
+    # either strip of x, shifted by 2 pi n
+    a = np.sqrt(2.0 * E_orb)
+    lo, hi = np.maximum(-1.0, p_orb - a), np.minimum(1.0, p_orb + a)
+    z0 = np.where(lo <= hi, lo + rng.uniform(0.0, 1.0, N_ORBITS) * (hi - lo),
+                  np.clip(p_orb, -1.0, 1.0))
+    x0 = np.where(rng.uniform(size=N_ORBITS) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
+    x0 = x0 + 2.0 * np.pi * rng.integers(-1, 2, N_ORBITS)
+    return {
+        "cycle_E": E_cyc, "cycle_p": p_cyc,
+        "classify_E": E_cls, "classify_p": p_cls,
+        "orbit_E": E_orb, "orbit_p": p_orb, "orbit_x0": x0,
+        "orbit_y0": rng.uniform(-1.0, 1.0, N_ORBITS),
+        "orbit_sign": rng.choice([-1, 1], N_ORBITS),
+        "orbit_t": rng.uniform(-40.0, 40.0, (N_ORBITS, N_TIMES)),
+    }
+
+
+def worker(in_path: str, out_path: str) -> None:
+    """Run every set on the magflow that PYTHONPATH names; write the outputs."""
+    import magflow
+    from magflow import build_solution, classify, cycle_data, eval_solution
+
+    with np.load(in_path) as f:
+        inp = dict(f)
+    out, errors = {"magflow_file": np.array(magflow.__file__)}, {}
+    nan = math.nan
+
+    E, p = inp["cycle_E"], inp["cycle_p"]
+    blocks = [cycle_data(E[i:i + BLOCK], p[i:i + BLOCK]) for i in range(0, len(E), BLOCK)]
+    for name in ("kind", "delta_y", "period", "action", "failed"):
+        out[f"cycle_data.{name}"] = np.concatenate([getattr(b, name) for b in blocks])
+
+    rows, err = [], []
+    for e, q in zip(inp["classify_E"].tolist(), inp["classify_p"].tolist()):
+        try:
+            c = classify(e, q)
+        except Exception as exc:  # counted by type in the report
+            rows.append(("", nan, nan, nan, nan, nan, False))
+            err.append(type(exc).__name__)
+            continue
+        none = lambda v: nan if v is None else v  # noqa: E731
+        rows.append((c.kind.value, *c.turning_roots, none(c.delta_y), none(c.period),
+                     none(c.action), c.contractible))
+        err.append("")
+    cols = list(zip(*rows))
+    out["classify.kind"] = np.array(cols[0])
+    for j, name in enumerate(("z1", "z2", "delta_y", "period", "action"), start=1):
+        out[f"classify.{name}"] = np.array(cols[j], dtype=float)
+    out["classify.contractible"] = np.array(cols[6], dtype=bool)
+    errors["classify"] = err
+
+    fields = ("D", "x_offset", "x_period", "delta_y_per_cycle", "k", "k2")
+    built = np.full((N_ORBITS, len(fields)), nan)
+    evals = np.full((N_ORBITS, 4, N_TIMES), nan)
+    b_err, e_err = [], []
+    for i in range(N_ORBITS):
+        try:
+            sol = build_solution(float(inp["orbit_x0"][i]), float(inp["orbit_y0"][i]),
+                                 float(inp["orbit_E"][i]), float(inp["orbit_p"][i]),
+                                 int(inp["orbit_sign"][i]))
+        except Exception as exc:
+            b_err.append(type(exc).__name__)
+            continue
+        b_err.append("")
+        built[i] = [getattr(sol, f) for f in fields]
+        try:
+            evals[i] = eval_solution(sol, inp["orbit_t"][i])
+        except Exception as exc:
+            e_err.append(type(exc).__name__)
+            continue
+        e_err.append("")
+    for j, f in enumerate(fields):
+        out[f"build_solution.{f}"] = built[:, j]
+    for j, f in enumerate(("x", "y", "xdot", "ydot")):
+        out[f"eval_solution.{f}"] = evals[:, j]
+    errors["build_solution"], errors["eval_solution"] = b_err, e_err
+    out["errors"] = np.array(json.dumps(errors))
+    np.savez(out_path, **out)
+
+
+def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, __file__, "--worker", str(in_path), str(out_path)],
+                   env=env, check=True)
+    with np.load(out_path) as f:
+        res = dict(f)
+    if not res.pop("magflow_file").item().startswith(str(src)):
+        raise SystemExit(f"parity: the worker did not import magflow from {src}")
+    return res
+
+
+def differ(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
+    """(values that differ in any bit, largest absolute difference among them)."""
+    if a.dtype.kind != "f":
+        return int(np.count_nonzero(a != b)), None
+    a, b = a.astype(float).ravel(), b.astype(float).ravel()
+    both_nan = np.isnan(a) & np.isnan(b)
+    bad = (a.view(np.uint64) != b.view(np.uint64)) & ~both_nan
+    if not bad.any():
+        return 0, 0.0
+    with np.errstate(invalid="ignore"):
+        d = np.abs(a[bad] - b[bad])
+    return int(bad.sum()), float(np.max(np.where(np.isnan(d), math.inf, d)))
+
+
+def checkout_src(commit: str, dest: Path) -> str:
+    """Extract src/ of the commit into dest; return the commit's short id and subject."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit, "src"],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return subprocess.run(["git", "-C", str(ROOT), "log", "-1", "--format=%h %s", commit],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", help="commit to compare the working tree with")
+    ap.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        worker(*args.worker)
+        return 0
+    if not args.against:
+        ap.error("--against is required")
+    with tempfile.TemporaryDirectory(prefix="magflow-parity-") as tmp:
+        tmp = Path(tmp)
+        title = checkout_src(args.against, tmp / "against")
+        in_path = tmp / "inputs.npz"
+        np.savez(in_path, **inputs())
+        old = run_side(tmp / "against" / "src", in_path, tmp / "against.npz")
+        new = run_side(ROOT / "src", in_path, tmp / "working.npz")
+    print(f"parity: working tree against {title}")
+    print(f"{'output':34s} {'n':>9s} {'differ':>8s} {'max |diff|':>11s}")
+    n_bad = 0
+    for name in sorted(k for k in old if k != "errors"):
+        if name not in new:
+            print(f"{name:34s} missing in the working tree")
+            n_bad += 1
+            continue
+        count, worst = differ(old[name], new[name])
+        n_bad += count
+        worst = "-" if worst is None else f"{worst:.3g}"
+        print(f"{name:34s} {old[name].size:9d} {count:8d} {worst:>11s}")
+    print(f"\n{'exceptions':48s} {'against':>8s} {'working':>8s}")
+    errs_old, errs_new = (json.loads(r["errors"].item()) for r in (old, new))
+    for step in errs_old:
+        a, b = (collections.Counter(e for e in errs[step] if e) for errs in (errs_old, errs_new))
+        for kind in sorted(set(a) | set(b)):
+            n_bad += a[kind] != b[kind]
+            print(f"{step + ' ' + kind:48s} {a[kind]:8d} {b[kind]:8d}")
+        if not a and not b:
+            print(f"{step + ' (none)':48s} {0:8d} {0:8d}")
+    return 1 if n_bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
