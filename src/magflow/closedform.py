@@ -17,7 +17,11 @@ Recovering x itself needs the sheet x = pi m + (-1)^m asin z the orbit is
 on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
 (mod 4K); m changes there exactly when the oval reaches that wall, while
 interior endpoints are xdot-turning points where the sign of zdot flips
-instead.  The walls the oval reaches are fixed by the kind of the level:
+instead.  One integer per phase, the half-period index
+j = floor((u + K)/2K), decides all of it: the sheet m, cos x = (-1)^m,
+the sign (-1)^j of zdot and the continuation of J2 below, so none of them
+can disagree with another at a boundary.  The walls the oval reaches are
+fixed by the kind of the level:
 
 * trapped oval    - no wall: m = 0 or 1 from the strip of x0, and the
   tangent-bundle recurrence time equals the sin(x) period 4CK.
@@ -58,7 +62,6 @@ from .elliptic import F, sn_cn
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
-    KINDS,
     WINDING,
     LegendreReduction,
     QuarticCurve,
@@ -106,8 +109,17 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _sn_integral(red: LegendreReduction, K: float, u, sn, cn):
-    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn and cn at u.
+def _half_period(u, K: float):
+    """The half-period index j = floor((u + K)/2K) of the phase u.
+
+    sn increases on the even half periods and decreases on the odd ones;
+    j is the one decision about a phase that _sheet and _sn_integral read.
+    """
+    return np.floor((u + K) / (2.0 * K))
+
+
+def _sn_integral(red: LegendreReduction, sn, cn, j):
+    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn, cn and j at u.
 
     Every factor is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
@@ -129,34 +141,29 @@ def _sn_integral(red: LegendreReduction, K: float, u, sn, cn):
     Y = 2.0 * (1.0 + rho) * np.where(
         cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
     J1 = np.log1p(rho * Y) / (2.0 * rho * one_c2)
-    # J2 on the half period [-K, K) that holds u - 2K m, continued by m L
-    m = np.floor((u + K) / (2.0 * K))
-    flip = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
-    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + m * red.L
+    # J2 on the half period [-K, K) that holds u - 2K j, continued by j L
+    flip = 1.0 - 2.0 * np.mod(j, 2.0)
+    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + j * red.L
     return J1 - c * J2
 
 
-def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, u, K: float):
-    """Sheet index m at phase u, with cos x = (-1)^m and the sign of zdot.
+def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j):
+    """Sheet index m at half period j, with cos x = (-1)^m and zdot's sign (-1)^j.
 
-    x = pi m + (-1)^m asin z.  zdot >= 0 exactly on the sn-increasing half
-    [-K, K) mod 4K.  A trapped oval stays on the sheet of x0; a crossing
-    oval reaches the wall on the side of p, since its turning roots
-    p -+ sqrt(2E) straddle that wall only, and m alternates between 0 and
-    +-1 there; a winding orbit steps one sheet at each wall, in the
+    x = pi m + (-1)^m asin z.  A trapped oval stays on the sheet of x0; a
+    crossing oval reaches the wall on the side of p, since its turning
+    roots p -+ sqrt(2E) straddle that wall only, and m alternates between 0
+    and +-1 there; a winding orbit steps one sheet at each wall, in the
     direction of xdot.
     """
-    u = np.asarray(u, dtype=float)
-    fourK = 4.0 * K
-    zdot_sign = np.where(np.mod(u + K, fourK) < 2.0 * K, 1.0, -1.0)
+    zdot_sign = 1.0 - 2.0 * np.mod(j, 2.0)
     if curve.kind == WINDING:
-        m = 2.0 * np.floor((u + K) / fourK) + 0.5 * (1.0 - zdot_sign)
         if xdot_sign > 0:
-            return m, zdot_sign, zdot_sign
-        return -m - 1.0, -zdot_sign, zdot_sign
+            return j, zdot_sign, zdot_sign
+        return -j - 1.0, -zdot_sign, zdot_sign
     if curve.kind == CROSSING:
         wall = -1.0 if curve.p < 0.0 else 1.0
-        b = np.mod(np.floor((u + (2.0 + wall) * K) / fourK), 2.0)
+        b = np.mod(np.floor((j + 0.5 * (1.0 + wall)) / 2.0), 2.0)
         return wall * b, 1.0 - 2.0 * b, zdot_sign
     m = 0.0 if cos_x0 > 0 else 1.0
     return m, 1.0 - 2.0 * m, zdot_sign
@@ -187,40 +194,30 @@ def build_solution(
 
     xi0 = map_z_to_xi(red, min(max(z0, curve.a1), curve.a2))
     F0 = F(math.asin(xi0), red.ladder)
-    # phases with sn(u) = xi0 over one recurrence cycle of the orbit
-    candidates = [F0, 2.0 * K - F0]
-    if curve.kind == CROSSING:
-        candidates += [F0 + 4.0 * K, 2.0 * K - F0 + 4.0 * K]
-
-    # |xi0| = 1 at an interior turning point makes xdot(0) = 0; the
-    # requested sign then refers to the motion just after t = 0 and the
-    # two sn-phases coincide, so skip the velocity match there.
-    at_turning = abs(abs(xi0) - 1.0) < 1e-12 and abs(abs(z0) - 1.0) > 1e-9
-
-    u_ref = None
-    for uc in candidates:
-        # probe a hair inside the phase interval so half-open boundary
-        # conventions do not misread exact turning/crossing starts
-        probe = uc + 1e-12 * max(1.0, K)
-        m, cos_sign, zdot_sign = _sheet(curve, xdot_sign, cos_x0, probe, K)
-        cs = float(cos_sign)
-        xd = float(zdot_sign) * cs
-        cos_ok = abs(cos_x0) < 1e-9 or math.copysign(1.0, cos_x0) == cs
-        xd_ok = at_turning or xd == xdot_sign
-        if cos_ok and xd_ok:
-            u_ref = uc
-            break
-    if u_ref is None:
-        raise ReductionInconsistency(
-            f"no phase matches the initial data ({KINDS[curve.kind].value}, xi0={xi0:.6g})"
-        )
+    # the half period j of the motion just after t = 0, where
+    # zdot = xdot cos x: on a wall z turns back, and cos x follows from
+    # zdot and xdot; at an interior turning point xdot(0) = 0 and z turns
+    # back from the root
+    cos_sign = math.copysign(1.0, cos_x0)
+    zdot_sign = xdot_sign * cos_sign
+    if abs(cos_x0) < 1e-9:
+        zdot_sign = -math.copysign(1.0, z0)
+        cos_sign = zdot_sign * xdot_sign
+    elif abs(abs(xi0) - 1.0) < 1e-12 and abs(abs(z0) - 1.0) > 1e-9:
+        zdot_sign = -math.copysign(1.0, xi0)
+    j = 0 if zdot_sign > 0 else 1
+    if curve.kind == CROSSING and _sheet(curve, xdot_sign, cos_x0, j)[1] != cos_sign:
+        j += 2  # the same half period on the other sheet, a sin(x) cycle on
+    u_ref = (F0 if j % 2 == 0 else 2.0 * K - F0) + 4.0 * K * (j // 2)
 
     D = C * u_ref
     u0 = D / C  # the phase eval_solution computes at t = 0
+    j0 = _half_period(u0, K)
     sn0, cn0 = sn_cn(u0, red.ladder)
     z_ref = float(map_xi_to_z(red, sn0[0]))
     alpha = math.asin(min(1.0, max(-1.0, z_ref)))
-    x_hat0 = float(math.pi * m + cos_sign * alpha)  # on the sheet of the matched probe
+    m0, cos0, _ = _sheet(curve, xdot_sign, cos_x0, j0)
+    x_hat0 = float(math.pi * m0 + cos0 * alpha)
     x_offset = x0 - x_hat0
     n_turns = x_offset / TWO_PI
     if abs(n_turns - round(n_turns)) > 1e-8:
@@ -229,7 +226,7 @@ def build_solution(
         )
     x_offset = TWO_PI * round(n_turns)
 
-    G0 = float(_sn_integral(red, K, u0, sn0, cn0)[0])
+    G0 = float(_sn_integral(red, sn0, cn0, j0)[0])
     x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
@@ -252,19 +249,19 @@ def eval_solution(sol: ClosedFormSolution, t):
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     red = sol.reduction
-    K = red.K
     u = (t_arr + sol.D) / sol.C
+    j = _half_period(u, red.K)
     sn, cn = sn_cn(u, red.ladder)
     z = map_xi_to_z(red, sn)
     alpha = np.arcsin(z)  # z lies on the oval [a1, a2], inside [-1, 1]
-    m, cos_sign, zdot_sign = _sheet(sol.curve, sol.xdot_sign, math.cos(sol.x0), u, K)
+    m, cos_sign, zdot_sign = _sheet(sol.curve, sol.xdot_sign, math.cos(sol.x0), j)
     x = np.pi * m + cos_sign * alpha + sol.x_offset
     ydot = sol.p - z
     xdot = zdot_sign * cos_sign * np.sqrt(
         np.maximum(2.0 * sol.E - ydot * ydot, 0.0)
     )
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
-    G = _sn_integral(red, K, u, sn, cn)
+    G = _sn_integral(red, sn, cn, j)
     y = sol.y0 + red.q * t_arr - sol.C * red.h * red.one_c * (G - sol._G0)
     if scalar:
         return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))

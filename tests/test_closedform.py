@@ -30,7 +30,7 @@ def numeric_reference(sol, ts, tol=1e-11):
     return traj.eval(ts)
 
 
-@pytest.mark.parametrize("x0, E, p, sign, walls", [
+SHEET_CASES = [
     (0.1, 0.125, 0.3, 1, ()),                         # trapped, cos x > 0
     (math.pi - 0.1, 0.125, 0.3, 1, ()),               # trapped, cos x < 0
     (0.1, 0.3, 0.6, 1, (1.0,)),                       # crossing through x = pi/2
@@ -39,7 +39,10 @@ def numeric_reference(sol, ts, tol=1e-11):
     (0.1, 1.0, 0.0, 1, (-1.0, 1.0)),                  # winding, xdot > 0
     (0.1, 1.0, 0.0, -1, (-1.0, 1.0)),                 # winding, xdot < 0
     (0.1, 0.125, 0.5 + 2e-9, 1, (1.0,)),              # root 2e-9 past the wall
-])
+]
+
+
+@pytest.mark.parametrize("x0, E, p, sign, walls", SHEET_CASES)
 def test_sheet_follows_the_walls_the_oval_touches(x0, E, p, sign, walls):
     sol = build_solution(x0, 0.0, E, p, sign)
     s = sol.eval(0.0)
@@ -60,6 +63,22 @@ def test_sheet_follows_the_walls_the_oval_touches(x0, E, p, sign, walls):
     drift = 2.0 * math.pi * sign if len(walls) == 2 else 0.0
     assert b.x - a.x == pytest.approx(drift, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("x0, E, p, sign, walls", SHEET_CASES)
+def test_xdot_keeps_its_sign_across_the_walls(x0, E, p, sign, walls):
+    # at a wall phase u = +-K + 4Kn both the sheet and the sign of zdot
+    # change, so xdot = zdot cos x keeps its sign through it; read from
+    # one half-period index they change together even within ulps of it
+    sol = build_solution(x0, 0.0, E, p, sign)
+    K = sol.reduction.K
+    for wall in walls:
+        for n in range(-4, 6):
+            t = sol.C * (wall * K + 4.0 * K * n) - sol.D
+            before, after = (math.copysign(1.0, sol.eval(t + d).xdot) for d in (-1e-6, 1e-6))
+            assert before == after
+            xdot = sol.eval(t + np.arange(-64, 65) * np.spacing(t))[2]
+            assert np.all(np.sign(xdot) == before)
 
 def test_worked_example_amplitude_and_phase():
     sol = build_solution(0.0, 0.0, 0.125, 0.0, +1)
@@ -278,9 +297,9 @@ def test_sin_x_confined_to_oval(rng):
 def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # elliptic.sn_cn is the one routine that does per-phase elliptic work
     # (sn runs through it too), and elliptic._agm_ladder the one that runs
-    # the AGM: a build runs one ladder, the reduction's, and takes O(1)
-    # phases on it, and an evaluation runs no ladder and one batch of
-    # exactly its samples, so neither per-sample quadrature nor a second
+    # the AGM: a build runs one ladder, the reduction's, and takes the one
+    # phase of t = 0 on it, and an evaluation runs no ladder and one batch
+    # of exactly its samples, so neither per-sample quadrature nor a second
     # ladder of the same modulus can come back unseen
     import magflow.closedform
     import magflow.elliptic
@@ -300,7 +319,7 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     monkeypatch.setattr(magflow.closedform, "sn_cn", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
     sol = build_solution(x0, 0.0, E, p, sgn)
-    assert sum(batches) <= 4
+    assert batches == [1]
     assert len(ladders) == 1
     batches.clear()
     ladders.clear()

@@ -14,13 +14,19 @@ interpreter that imports magflow from that ``src/``:
   action and contractible;
 * ``build_solution`` on 20,000 orbits: D, x_offset, x_period,
   delta_y_per_cycle, k and k2, and ``eval_solution`` at 50 times each:
-  x, y, xdot and ydot.
+  x, y, xdot and ydot;
+* the same on 4,000 wall starts (outputs prefixed ``wall_``), with t = 0
+  among the times.
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
 to a separatrix or a vertical line), and E = (1 +- d)/2 next to the
 critical level with d in 1e-12 ... 1e-2 and |p| in 1e-12 ... 1, each
-spread log-uniformly.  For every output the report gives the number of
+spread log-uniformly.  The wall starts, drawn from a generator of their
+own so that the sets above keep their inputs, lie on crossing and winding
+levels with every turning root 1e-3 or more from a wall, on either wall,
+strip and sign of xdot, a quarter of them exactly on the wall and the rest
+1e-16 ... 1e-6 off it.  For every output the report gives the number of
 values that differ in any bit and the largest absolute difference among
 them, where NaN equals NaN and a NaN on one side only counts as an infinite
 difference; for every set, the count of each exception type on each
@@ -45,7 +51,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
-N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES = 200_000, 3_000, 20_000, 50
+N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
 BLOCK = 16384
 
 
@@ -64,6 +70,20 @@ def levels(rng, n):
             np.concatenate([p_uni, p_wall, p_crit]))
 
 
+def wall_starts(rng, n):
+    """(E, p, x0, xdot sign) on or next to a wall of crossing and winding levels."""
+    wall, strip, sign = (rng.choice([-1.0, 1.0], n) for _ in range(3))
+    crossing = rng.uniform(size=n) < 0.5
+    a_cross = rng.uniform(0.05, 2.4, n)  # one root past the wall, one inside
+    r = rng.uniform(np.maximum(-1.0, 1.0 - 2.0 * a_cross) + 1e-3, 1.0 - 1e-3)
+    p_wind = rng.uniform(-1.5, 1.5, n)  # both roots past the walls
+    a_wind = 1.0 + np.abs(p_wind) + rng.uniform(1e-3, 1.5, n)
+    a = np.where(crossing, a_cross, a_wind)
+    p = np.where(crossing, wall * (r + a_cross), p_wind)
+    off = np.where(rng.uniform(size=n) < 0.25, 0.0, 10.0 ** rng.uniform(-16.0, -6.0, n))
+    return 0.5 * a * a, p, wall * 0.5 * np.pi + strip * off, sign.astype(int)
+
+
 def inputs() -> dict:
     rng = np.random.default_rng(SEED)
     E_cyc, p_cyc = levels(rng, N_CYCLE)
@@ -77,7 +97,7 @@ def inputs() -> dict:
                   np.clip(p_orb, -1.0, 1.0))
     x0 = np.where(rng.uniform(size=N_ORBITS) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
     x0 = x0 + 2.0 * np.pi * rng.integers(-1, 2, N_ORBITS)
-    return {
+    sets = {
         "cycle_E": E_cyc, "cycle_p": p_cyc,
         "classify_E": E_cls, "classify_p": p_cls,
         "orbit_E": E_orb, "orbit_p": p_orb, "orbit_x0": x0,
@@ -85,12 +105,19 @@ def inputs() -> dict:
         "orbit_sign": rng.choice([-1, 1], N_ORBITS),
         "orbit_t": rng.uniform(-40.0, 40.0, (N_ORBITS, N_TIMES)),
     }
+    wall_rng = np.random.default_rng(SEED + 1)
+    E_wall, p_wall, x0_wall, sign_wall = wall_starts(wall_rng, N_WALL)
+    t_wall = wall_rng.uniform(-40.0, 40.0, (N_WALL, N_TIMES))
+    t_wall[:, 0] = 0.0
+    sets.update({"wall_E": E_wall, "wall_p": p_wall, "wall_x0": x0_wall,
+                 "wall_y0": np.zeros(N_WALL), "wall_sign": sign_wall, "wall_t": t_wall})
+    return sets
 
 
 def worker(in_path: str, out_path: str) -> None:
     """Run every set on the magflow that PYTHONPATH names; write the outputs."""
     import magflow
-    from magflow import build_solution, classify, cycle_data, eval_solution
+    from magflow import classify, cycle_data
 
     with np.load(in_path) as f:
         inp = dict(f)
@@ -121,33 +148,42 @@ def worker(in_path: str, out_path: str) -> None:
     out["classify.contractible"] = np.array(cols[6], dtype=bool)
     errors["classify"] = err
 
+    run_orbits(inp, "orbit", "", out, errors)
+    run_orbits(inp, "wall", "wall_", out, errors)
+    out["errors"] = np.array(json.dumps(errors))
+    np.savez(out_path, **out)
+
+
+def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> None:
+    """build_solution and eval_solution on the orbit set named key."""
+    from magflow import build_solution, eval_solution
+
     fields = ("D", "x_offset", "x_period", "delta_y_per_cycle", "k", "k2")
-    built = np.full((N_ORBITS, len(fields)), nan)
-    evals = np.full((N_ORBITS, 4, N_TIMES), nan)
+    n, n_times = inp[f"{key}_t"].shape
+    built = np.full((n, len(fields)), math.nan)
+    evals = np.full((n, 4, n_times), math.nan)
     b_err, e_err = [], []
-    for i in range(N_ORBITS):
+    for i in range(n):
         try:
-            sol = build_solution(float(inp["orbit_x0"][i]), float(inp["orbit_y0"][i]),
-                                 float(inp["orbit_E"][i]), float(inp["orbit_p"][i]),
-                                 int(inp["orbit_sign"][i]))
+            sol = build_solution(float(inp[f"{key}_x0"][i]), float(inp[f"{key}_y0"][i]),
+                                 float(inp[f"{key}_E"][i]), float(inp[f"{key}_p"][i]),
+                                 int(inp[f"{key}_sign"][i]))
         except Exception as exc:
             b_err.append(type(exc).__name__)
             continue
         b_err.append("")
         built[i] = [getattr(sol, f) for f in fields]
         try:
-            evals[i] = eval_solution(sol, inp["orbit_t"][i])
+            evals[i] = eval_solution(sol, inp[f"{key}_t"][i])
         except Exception as exc:
             e_err.append(type(exc).__name__)
             continue
         e_err.append("")
     for j, f in enumerate(fields):
-        out[f"build_solution.{f}"] = built[:, j]
+        out[f"{prefix}build_solution.{f}"] = built[:, j]
     for j, f in enumerate(("x", "y", "xdot", "ydot")):
-        out[f"eval_solution.{f}"] = evals[:, j]
-    errors["build_solution"], errors["eval_solution"] = b_err, e_err
-    out["errors"] = np.array(json.dumps(errors))
-    np.savez(out_path, **out)
+        out[f"{prefix}eval_solution.{f}"] = evals[:, j]
+    errors[f"{prefix}build_solution"], errors[f"{prefix}eval_solution"] = b_err, e_err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
@@ -203,26 +239,26 @@ def main(argv=None) -> int:
         old = run_side(tmp / "against" / "src", in_path, tmp / "against.npz")
         new = run_side(ROOT / "src", in_path, tmp / "working.npz")
     print(f"parity: working tree against {title}")
-    print(f"{'output':34s} {'n':>9s} {'differ':>8s} {'max |diff|':>11s}")
+    print(f"{'output':38s} {'n':>9s} {'differ':>8s} {'max |diff|':>11s}")
     n_bad = 0
     for name in sorted(k for k in old if k != "errors"):
         if name not in new:
-            print(f"{name:34s} missing in the working tree")
+            print(f"{name:38s} missing in the working tree")
             n_bad += 1
             continue
         count, worst = differ(old[name], new[name])
         n_bad += count
         worst = "-" if worst is None else f"{worst:.3g}"
-        print(f"{name:34s} {old[name].size:9d} {count:8d} {worst:>11s}")
-    print(f"\n{'exceptions':48s} {'against':>8s} {'working':>8s}")
+        print(f"{name:38s} {old[name].size:9d} {count:8d} {worst:>11s}")
+    print(f"\n{'exceptions':52s} {'against':>8s} {'working':>8s}")
     errs_old, errs_new = (json.loads(r["errors"].item()) for r in (old, new))
     for step in errs_old:
         a, b = (collections.Counter(e for e in errs[step] if e) for errs in (errs_old, errs_new))
         for kind in sorted(set(a) | set(b)):
             n_bad += a[kind] != b[kind]
-            print(f"{step + ' ' + kind:48s} {a[kind]:8d} {b[kind]:8d}")
+            print(f"{step + ' ' + kind:52s} {a[kind]:8d} {b[kind]:8d}")
         if not a and not b:
-            print(f"{step + ' (none)':48s} {0:8d} {0:8d}")
+            print(f"{step + ' (none)':52s} {0:8d} {0:8d}")
     return 1 if n_bad else 0
 
 
