@@ -192,7 +192,8 @@ def build_solution(
     z0 = math.sin(x0)
     cos_x0 = math.cos(x0)
 
-    xi0 = map_z_to_xi(red, min(max(z0, curve.a1), curve.a2))
+    zc = min(max(z0, curve.a1), curve.a2)  # at an oval end xi0 = -+1 by construction
+    xi0 = -1.0 if zc == curve.a1 else 1.0 if zc == curve.a2 else map_z_to_xi(red, zc)
     F0 = F(math.asin(xi0), red.ladder)
     # the half period j of the motion just after t = 0, where
     # zdot = xdot cos x: on a wall z turns back, and cos x follows from

@@ -355,22 +355,22 @@ def map_z_to_xi(red: LegendreReduction, z):
     z_arr = np.asarray(z, dtype=float)
     c = red.curve
     slack = 1e-12 * max(1.0, abs(c.a1), abs(c.a2))
-    if np.any(z_arr < c.a1 - slack) or np.any(z_arr > c.a2 + slack):
+    if z_arr.size and (z_arr.min() < c.a1 - slack or z_arr.max() > c.a2 + slack):
         raise DomainError(
             f"z outside the bounded oval [{c.a1:.6g}, {c.a2:.6g}]"
         )
-    z_arr = np.clip(z_arr, c.a1, c.a2)
-    out = np.clip(_xi_of_z(red, z_arr), -1.0, 1.0)
+    z_arr = np.minimum(np.maximum(z_arr, c.a1), c.a2)
+    out = np.minimum(np.maximum(_xi_of_z(red, z_arr), -1.0), 1.0)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def map_xi_to_z(red: LegendreReduction, xi):
     """Inverse coordinate map from [-1, 1] back to the oval."""
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < -1.0 - 1e-12) or np.any(xi_arr > 1.0 + 1e-12):
+    if xi_arr.size and (xi_arr.min() < -1.0 - 1e-12 or xi_arr.max() > 1.0 + 1e-12):
         raise DomainError("xi outside [-1, 1]")
-    xi_arr = np.clip(xi_arr, -1.0, 1.0)
+    xi_arr = np.minimum(np.maximum(xi_arr, -1.0), 1.0)
     c = red.curve
     out = c.a1 + red.h * (1.0 + xi_arr) / (1.0 + red.s * red.h * xi_arr)
-    out = np.clip(out, c.a1, c.a2)
+    out = np.minimum(np.maximum(out, c.a1), c.a2)
     return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out

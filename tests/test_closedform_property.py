@@ -8,8 +8,10 @@ import pytest
 
 from magflow import (
     DegenerateCurve,
+    PhaseState,
     ReductionInconsistency,
     build_solution,
+    integrate,
     map_xi_to_z,
     quartic_from_params,
     reduce_to_legendre,
@@ -140,6 +142,27 @@ def test_start_on_a_wall(E, p, x0, sign):
     got = build_solution(x0, 0.0, E, p, sign).eval(0.0)
     assert math.copysign(1.0, got.xdot) == sign
     assert math.sin(got.x) == pytest.approx(math.sin(x0), abs=1e-11)
+
+
+@pytest.mark.parametrize("E, p", [
+    (0.49766262222561114, 0.007001713799390075),
+    (0.18230050950239163, 0.39649109610635813),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_start_on_a_wall_keeps_the_phase(E, p, sign):
+    # z0 = sin(pi/2) = 1 is the oval's end a2, so xi0 = 1 exactly; the map
+    # sends z = 1 to 1 - O(1e-14), and asin would turn that into a phase
+    # error of about 1e-7 that shifts the whole orbit in time: sin x was
+    # 1.23e-6 and 4.5e-7 off DOP853, y 2.45e-6 and 9.6e-7
+    sol = build_solution(0.5 * math.pi, 0.0, E, p, sign)
+    s0 = sol.eval(0.0)
+    traj = integrate(PhaseState(0.5 * math.pi, 0.0, s0.xdot, s0.ydot), 20.0, 1e-12,
+                     with_events=False)
+    ts = np.linspace(0.0, 20.0, 2001)
+    x, y, _, _ = sol.eval(ts)
+    x_rk, y_rk, _, _ = traj.eval(ts)
+    assert np.max(np.abs(np.sin(x) - np.sin(x_rk))) < 1e-9
+    assert np.max(np.abs(y - y_rk)) < 1e-9
 
 
 def wall_starts(n, seed):

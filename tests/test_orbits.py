@@ -369,6 +369,31 @@ def test_action_positive_for_contractible_orbits():
         assert abs(direct - formula) < 1e-6
 
 
+class CountingOrbit:
+    """A solution that counts its .eval calls; the actions need T given."""
+
+    def __init__(self, sol):
+        self.sol, self.calls = sol, 0
+
+    def eval(self, t):
+        self.calls += 1
+        return self.sol.eval(t)
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_each_action_is_one_orbit_evaluation(d):
+    # the closed-circuit trapezoid rule's one batch of 257 nodes serves the
+    # closure test, the start state and the quadrature to 1e-8 together
+    E = 0.5 * (1.0 - d)
+    sol = contractible_orbit(E)
+    formula = action_contractible_formula(E)
+    for action in (action_direct, action_increment):
+        orbit = CountingOrbit(sol)
+        value = action(orbit, T=sol.recurrence_time)
+        assert orbit.calls == 1
+        assert abs(value - formula) < 1e-13
+
+
 def test_action_increment_equals_xdot_square_integral_at_p_zero():
     sol = contractible_orbit(0.125)
     # p = 0 exactly: increment form reduces to the xdot^2 integral

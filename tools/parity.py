@@ -16,7 +16,9 @@ interpreter that imports magflow from that ``src/``:
   delta_y_per_cycle, k and k2, and ``eval_solution`` at 50 times each:
   x, y, xdot and ydot;
 * the same on 4,000 wall starts (outputs prefixed ``wall_``), with t = 0
-  among the times.
+  among the times;
+* ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
+  (``contractible_orbit``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -26,11 +28,14 @@ spread log-uniformly.  The wall starts, drawn from a generator of their
 own so that the sets above keep their inputs, lie on crossing and winding
 levels with every turning root 1e-3 or more from a wall, on either wall,
 strip and sign of xdot, a quarter of them exactly on the wall and the rest
-1e-16 ... 1e-6 off it.  For every output the report gives the number of
-values that differ in any bit and the largest absolute difference among
-them, where NaN equals NaN and a NaN on one side only counts as an infinite
-difference; for every set, the count of each exception type on each
-side.  The exit status is 0 when nothing differs, 1 otherwise.
+1e-16 ... 1e-6 off it.  The contractible orbits, from a third generator,
+have 1 - 2E log-uniform over 1e-8 ... 1, either strip, and a start
+sin x0 uniform over the oval [-sqrt(2E), sqrt(2E)].  For every output the
+report gives the number of values that differ in any bit and the largest
+absolute difference among them, where NaN equals NaN and a NaN on one
+side only counts as an infinite difference; for every set, the count of
+each exception type on each side.  The exit status is 0 when nothing
+differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
+N_ACTION = 2_000
 BLOCK = 16384
 
 
@@ -111,6 +117,13 @@ def inputs() -> dict:
     t_wall[:, 0] = 0.0
     sets.update({"wall_E": E_wall, "wall_p": p_wall, "wall_x0": x0_wall,
                  "wall_y0": np.zeros(N_WALL), "wall_sign": sign_wall, "wall_t": t_wall})
+    action_rng = np.random.default_rng(SEED + 2)
+    E_action = 0.5 * (1.0 - 10.0 ** action_rng.uniform(-8.0, 0.0, N_ACTION))
+    sets.update({
+        "action_E": E_action, "action_strip": action_rng.choice([1, 2], N_ACTION),
+        "action_phase": np.arcsin(action_rng.uniform(-1.0, 1.0, N_ACTION)
+                                  * np.sqrt(2.0 * E_action)),
+    })
     return sets
 
 
@@ -150,6 +163,7 @@ def worker(in_path: str, out_path: str) -> None:
 
     run_orbits(inp, "orbit", "", out, errors)
     run_orbits(inp, "wall", "wall_", out, errors)
+    run_actions(inp, out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -184,6 +198,34 @@ def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> Non
     for j, f in enumerate(("x", "y", "xdot", "ydot")):
         out[f"{prefix}eval_solution.{f}"] = evals[:, j]
     errors[f"{prefix}build_solution"], errors[f"{prefix}eval_solution"] = b_err, e_err
+
+
+def run_actions(inp: dict, out: dict, errors: dict) -> None:
+    """action_direct and action_increment on the contractible orbit set."""
+    from magflow import action_direct, action_increment, contractible_orbit
+
+    actions = (action_direct, action_increment)
+    values = np.full((len(actions), len(inp["action_E"])), math.nan)
+    err = {name: [] for name in ("contractible_orbit", *(f.__name__ for f in actions))}
+    for i, (E, strip, phase) in enumerate(zip(inp["action_E"].tolist(),
+                                              inp["action_strip"].tolist(),
+                                              inp["action_phase"].tolist())):
+        try:
+            sol = contractible_orbit(E, strip, phase)
+        except Exception as exc:
+            err["contractible_orbit"].append(type(exc).__name__)
+            continue
+        err["contractible_orbit"].append("")
+        for j, action in enumerate(actions):
+            try:
+                values[j, i] = action(sol)
+            except Exception as exc:
+                err[action.__name__].append(type(exc).__name__)
+            else:
+                err[action.__name__].append("")
+    for j, action in enumerate(actions):
+        out[action.__name__] = values[j]
+    errors.update(err)
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
