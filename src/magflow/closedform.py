@@ -17,11 +17,12 @@ Recovering x itself needs the sheet x = pi m + (-1)^m asin z the orbit is
 on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
 (mod 4K); m changes there exactly when the oval reaches that wall, while
 interior endpoints are xdot-turning points where the sign of zdot flips
-instead.  One integer per phase, the half-period index
-j = floor((u + K)/2K), decides all of it: the sheet m, cos x = (-1)^m,
-the sign (-1)^j of zdot and the continuation of J2 below, so none of them
-can disagree with another at a boundary.  The walls the oval reaches are
-fixed by the kind of the level:
+instead.  One integer per phase, the half-period index j, decides all
+of it.  elliptic.sn_cn decides it, folding u to v = u - 2K j in [-K, K]
+and sn, cn by (-1)^j; the sheet m, cos x = (-1)^m, the sign (-1)^j of
+zdot and the continuation of J2 below read that j (_orbit_phase), so
+none of them can disagree with sn or another at a boundary.  The walls
+the oval reaches are fixed by the kind of the level:
 
 * trapped oval    - no wall: m = 0 or 1 from the strip of x0, and the
   tangent-bundle recurrence time equals the sin(x) period 4CK.
@@ -109,15 +110,6 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _half_period(u, K: float):
-    """The half-period index j = floor((u + K)/2K) of the phase u.
-
-    sn increases on the even half periods and decreases on the odd ones;
-    j is the one decision about a phase that _sheet and _sn_integral read.
-    """
-    return np.floor((u + K) / (2.0 * K))
-
-
 def _sn_integral(red: LegendreReduction, sn, cn, j):
     """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn, cn and j at u.
 
@@ -141,7 +133,7 @@ def _sn_integral(red: LegendreReduction, sn, cn, j):
     Y = 2.0 * (1.0 + rho) * np.where(
         cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
     J1 = np.log1p(rho * Y) / (2.0 * rho * one_c2)
-    # J2 on the half period [-K, K) that holds u - 2K j, continued by j L
+    # J2 on the half period [-K, K] that holds u - 2K j, continued by j L
     flip = 1.0 - 2.0 * np.mod(j, 2.0)
     J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + j * red.L
     return J1 - c * J2
@@ -167,6 +159,22 @@ def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j):
         return wall * b, 1.0 - 2.0 * b, zdot_sign
     m = 0.0 if cos_x0 > 0 else 1.0
     return m, 1.0 - 2.0 * m, zdot_sign
+
+
+def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
+    """(x - x_offset, z, the sign of xdot, G) at the phases u.
+
+    sn_cn decides the half period j of each phase, and the sheet of x,
+    cos x, the sign of zdot and G's continuation all read that one j.
+    build_solution takes its start here at D/C and eval_solution every
+    sample at (t + D)/C.
+    """
+    j, sn, cn = sn_cn(u, red.ladder)
+    z = map_xi_to_z(red, sn)
+    m, cos_sign, zdot_sign = _sheet(red.curve, xdot_sign, cos_x0, j)
+    # z lies on the oval [a1, a2], inside [-1, 1]
+    x = np.pi * m + cos_sign * np.arcsin(z)
+    return x, z, zdot_sign * cos_sign, _sn_integral(red, sn, cn, j)
 
 
 def build_solution(
@@ -212,22 +220,17 @@ def build_solution(
     u_ref = (F0 if j % 2 == 0 else 2.0 * K - F0) + 4.0 * K * (j // 2)
 
     D = C * u_ref
-    u0 = D / C  # the phase eval_solution computes at t = 0
-    j0 = _half_period(u0, K)
-    sn0, cn0 = sn_cn(u0, red.ladder)
-    z_ref = float(map_xi_to_z(red, sn0[0]))
-    alpha = math.asin(min(1.0, max(-1.0, z_ref)))
-    m0, cos0, _ = _sheet(curve, xdot_sign, cos_x0, j0)
-    x_hat0 = float(math.pi * m0 + cos0 * alpha)
-    x_offset = x0 - x_hat0
+    # the start through eval_solution's path at its phase of t = 0, so that
+    # y(0) = y0 holds by construction
+    x_hat0, _, _, G0 = _orbit_phase(red, xdot_sign, cos_x0, D / C)
+    x_offset = x0 - float(x_hat0[0])
     n_turns = x_offset / TWO_PI
     if abs(n_turns - round(n_turns)) > 1e-8:
         raise ReductionInconsistency(
             f"x reconstruction offset {x_offset:.6g} is not a multiple of 2*pi"
         )
     x_offset = TWO_PI * round(n_turns)
-
-    G0 = float(_sn_integral(red, sn0, cn0, j0)[0])
+    G0 = float(G0[0])
     x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
@@ -250,19 +253,12 @@ def eval_solution(sol: ClosedFormSolution, t):
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     red = sol.reduction
-    u = (t_arr + sol.D) / sol.C
-    j = _half_period(u, red.K)
-    sn, cn = sn_cn(u, red.ladder)
-    z = map_xi_to_z(red, sn)
-    alpha = np.arcsin(z)  # z lies on the oval [a1, a2], inside [-1, 1]
-    m, cos_sign, zdot_sign = _sheet(sol.curve, sol.xdot_sign, math.cos(sol.x0), j)
-    x = np.pi * m + cos_sign * alpha + sol.x_offset
+    x, z, xdot_sign, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0),
+                                      (t_arr + sol.D) / sol.C)
+    x = x + sol.x_offset
     ydot = sol.p - z
-    xdot = zdot_sign * cos_sign * np.sqrt(
-        np.maximum(2.0 * sol.E - ydot * ydot, 0.0)
-    )
+    xdot = xdot_sign * np.sqrt(np.maximum(2.0 * sol.E - ydot * ydot, 0.0))
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
-    G = _sn_integral(red, sn, cn, j)
     y = sol.y0 + red.q * t_arr - sol.C * red.h * red.one_c * (G - sol._G0)
     if scalar:
         return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))

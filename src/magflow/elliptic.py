@@ -152,32 +152,31 @@ def complete_L(ladder: Ladder, one_c2):
     return _quarter_period(ladder) * s / one_c2
 
 
-def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray]:
-    """(sn, cn) at the phases u, on the float ladder of (k, k'), by the
+def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, sn, cn) at the phases u, on the float ladder of (k, k'), by the
     descending Landen phase recursion; arrays of at least one dimension.
 
-    k = c_0 is read from the ladder.  The argument is reduced modulo the 4K
-    period and folded into [-K, K] (sn is odd and symmetric about u = K) so
-    the principal arcsin branch applies at every rung; |c_n/a_n sin phi| < 1
-    there, so no clip is needed.  The recursion yields the amplitude phi,
-    so cn = +-cos(phi) keeps full absolute accuracy at the turning points
-    sn = +-1, where sqrt(1 - sn^2) would lose half the digits.  This is the
-    only routine that does per-phase elliptic work.
+    j is the half period of u, the one decision about a phase: u folds to
+    v = mod(u + K, 2K) - K in [-K, K] and j = rint((u - v)/2K), so j agrees
+    with v by construction, and sn, cn = (-1)^j (sin phi, cos phi) at the
+    amplitude phi of v.  closedform reads the same j.  On [-K, K] the
+    principal arcsin branch applies at every rung, |c_n/a_n sin phi| < 1,
+    so no clip is needed; k = 0 runs no rung.  cn from the amplitude keeps
+    full absolute accuracy at the turning points sn = +-1, where
+    sqrt(1 - sn^2) would lose half the digits.
+    This is the only routine that does per-phase elliptic work.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     avals, _, cvals, _ = ladder
-    if cvals[0] == 0.0:
-        return np.sin(u), np.cos(u)
     n_steps = len(avals) - 1
     K = _quarter_period(ladder)
-    v = np.mod(u + 2.0 * K, 4.0 * K) - 2.0 * K
-    cn_sign = np.where(np.abs(v) > K, -1.0, 1.0)
-    v = np.where(v > K, 2.0 * K - v, v)
-    v = np.where(v < -K, -2.0 * K - v, v)
+    v = np.mod(u + K, 2.0 * K) - K
+    j = np.rint((u - v) / (2.0 * K))
     phi = (2.0**n_steps) * avals[-1] * v
     for n in range(n_steps, 0, -1):
         phi = 0.5 * (phi + np.arcsin((cvals[n] / avals[n]) * np.sin(phi)))
-    return np.sin(phi), cn_sign * np.cos(phi)
+    sign = 1.0 - 2.0 * np.mod(j, 2.0)
+    return j, sign * np.sin(phi), sign * np.cos(phi)
 
 
 def complete_K_ladder(k, kc=None):
@@ -252,5 +251,5 @@ def sn(u, k: float):
     """
     k = _check_modulus(k)
     u_arr = np.asarray(u, dtype=float)
-    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[0]
+    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[1]
     return float(out[0]) if u_arr.ndim == 0 else out

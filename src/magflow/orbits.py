@@ -60,7 +60,6 @@ from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
-    EPS_DEGENERATE,
     KINDS,
     VERTICAL,
     WINDING,
@@ -114,9 +113,9 @@ def _line_data(curve):
 
 
 def vertical_line_action(E: float, p: float) -> float:
-    """Action of the vertical-line orbit at a level with a double root at z = +-1."""
+    """Action of the vertical-line orbit of a level that classify calls VerticalLine."""
     curve = quartic_from_params(E, p)
-    if curve.wall_gap > EPS_DEGENERATE:
+    if curve.kind != VERTICAL:
         raise WrongRegime(f"(E={E}, p={p}) carries no vertical-line orbit")
     return _line_data(curve)[1]
 
@@ -376,7 +375,7 @@ class CylinderStrip:
 
 @dataclass(frozen=True)
 class OrbitDisc:
-    """Disc bounded by a contractible closed orbit, with integer multiplicity."""
+    """Disc bounded by a closed orbit classify calls contractible, with integer multiplicity."""
 
     orbit: ClosedFormSolution
     multiplicity: int = 1
@@ -384,9 +383,7 @@ class OrbitDisc:
     def __post_init__(self):
         if self.multiplicity < 1:
             raise DomainError("multiplicity must be a positive integer")
-        if abs(self.orbit.p) > EPS_CONTRACTIBLE or (
-            abs(self.orbit.delta_y_per_cycle) > 1e-8
-        ):
+        if not classify(self.orbit.E, self.orbit.p).contractible:
             raise DomainError("the boundary orbit is not contractible")
 
 

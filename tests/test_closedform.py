@@ -326,3 +326,24 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     eval_solution(sol, np.linspace(0.0, 50.0, 1000))
     assert batches == [1000]
     assert ladders == []
+
+
+@pytest.mark.parametrize("x0, E, p, sgn", [
+    (0.1, 0.125, 0.3, +1),       # trapped
+    (-2.0, 0.3, -0.5, +1),       # crossing
+    (0.7, 1.0, 0.3, -1),         # winding
+    (0.4, 0.3, 0.0, +1),         # p = 0
+])
+def test_half_period_boundaries_are_continuous(x0, E, p, sgn):
+    # elliptic.sn_cn folds the phase u to v and takes the half period j
+    # from v, and sn, cn, the sheet of x, the sign of xdot and y's
+    # continuation all read that j: within 64 ulp on either side of each
+    # boundary u = (2i + 1) K no output may jump (measured at most 3.6e-14;
+    # a j taken as floor((u + K)/2K) apart from the fold jumps by up to pi)
+    sol = build_solution(x0, 0.0, E, p, sgn)
+    K = sol.reduction.K
+    tb = sol.C * (2.0 * np.arange(-30, 30) + 1.0) * K - sol.D
+    t = tb[:, None] + np.arange(-64, 65)[None, :] * np.spacing(np.abs(tb))[:, None]
+    x, y, xdot, _ = eval_solution(sol, t.ravel())
+    for v in (x, y, xdot):
+        assert np.max(np.abs(np.diff(v.reshape(t.shape), axis=1))) < 1e-13

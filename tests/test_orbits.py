@@ -66,6 +66,16 @@ def test_classify_vertical_line():
     assert c.action == vertical_line_action(0.25, p)
 
 
+@pytest.mark.parametrize("E, p", [(0.5, 1e-10), (0.125, 1.5 + 5e-10)])
+def test_vertical_line_action_reads_the_kind(E, p):
+    # a turning root within 1e-9 of a wall: classify calls the level a
+    # separatrix, so it carries no vertical line (a test of the wall gap
+    # alone answered 0.0 and 9.42 here)
+    assert classify(E, p).kind is OrbitKind.SEPARATRIX
+    with pytest.raises(WrongRegime):
+        vertical_line_action(E, p)
+
+
 def test_classify_separatrix_band_and_crossing(capsys):
     assert classify(0.125, 0.5 + 1e-10).kind is OrbitKind.SEPARATRIX
     # 2 sqrt(2E) is 1e-9 to the last bit and the rounded root gap just
@@ -520,6 +530,16 @@ def test_film_disc_action_equals_boundary_action():
     assert film_action(OrbitDisc(sol)) == pytest.approx(
         action_direct(sol), abs=1e-12)
     assert film_action(OrbitDisc(sol)) > 0.0
+
+
+def test_orbit_disc_reads_classify_contractible():
+    # Delta_y = -5.19e-10 at (0.3, 1e-10), past classify's joint 1e-10
+    # tolerance: not contractible, so it bounds no disc
+    assert not classify(0.3, 1e-10).contractible
+    with pytest.raises(DomainError):
+        OrbitDisc(build_solution(0.0, 0.0, 0.3, 1e-10, 1))
+    for E in (0.05, 0.2, 0.4999):
+        assert film_action(OrbitDisc(contractible_orbit(E))) == classify(E, 0.0).action
 
 
 def test_film_strip_validation():

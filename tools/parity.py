@@ -18,7 +18,9 @@ interpreter that imports magflow from that ``src/``:
 * the same on 4,000 wall starts (outputs prefixed ``wall_``), with t = 0
   among the times;
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
-  (``contractible_orbit``).
+  (``contractible_orbit``);
+* ``elliptic.sn`` on 20,000 (k, u), so that a change of the phase
+  reduction shows its own move and not only through ``eval_solution``.
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -30,12 +32,13 @@ levels with every turning root 1e-3 or more from a wall, on either wall,
 strip and sign of xdot, a quarter of them exactly on the wall and the rest
 1e-16 ... 1e-6 off it.  The contractible orbits, from a third generator,
 have 1 - 2E log-uniform over 1e-8 ... 1, either strip, and a start
-sin x0 uniform over the oval [-sqrt(2E), sqrt(2E)].  For every output the
-report gives the number of values that differ in any bit and the largest
-absolute difference among them, where NaN equals NaN and a NaN on one
-side only counts as an infinite difference; for every set, the count of
-each exception type on each side.  The exit status is 0 when nothing
-differs, 1 otherwise.
+sin x0 uniform over the oval [-sqrt(2E), sqrt(2E)].  The sn set, from a
+fourth generator, has 1 - k^2 log-uniform over 1e-12 ... 1 and u uniform
+over [-1000, 1000].  For every output the report gives the number of
+values that differ in any bit and the largest absolute difference among
+them, where NaN equals NaN and a NaN on one side only counts as an
+infinite difference; for every set, the count of each exception type on
+each side.  The exit status is 0 when nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
-N_ACTION = 2_000
+N_ACTION, N_SN = 2_000, 20_000
 BLOCK = 16384
 
 
@@ -124,6 +127,9 @@ def inputs() -> dict:
         "action_phase": np.arcsin(action_rng.uniform(-1.0, 1.0, N_ACTION)
                                   * np.sqrt(2.0 * E_action)),
     })
+    sn_rng = np.random.default_rng(SEED + 3)
+    sets.update({"sn_k": np.sqrt(1.0 - 10.0 ** sn_rng.uniform(-12.0, 0.0, N_SN)),
+                 "sn_u": sn_rng.uniform(-1000.0, 1000.0, N_SN)})
     return sets
 
 
@@ -164,6 +170,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "orbit", "", out, errors)
     run_orbits(inp, "wall", "wall_", out, errors)
     run_actions(inp, out, errors)
+    run_sn(inp, out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -226,6 +233,21 @@ def run_actions(inp: dict, out: dict, errors: dict) -> None:
     for j, action in enumerate(actions):
         out[action.__name__] = values[j]
     errors.update(err)
+
+
+def run_sn(inp: dict, out: dict, errors: dict) -> None:
+    """elliptic.sn on the (k, u) set, one call per pair."""
+    from magflow.elliptic import sn
+
+    values, err = np.full(N_SN, math.nan), []
+    for i, (k, u) in enumerate(zip(inp["sn_k"].tolist(), inp["sn_u"].tolist())):
+        try:
+            values[i] = sn(u, k)
+        except Exception as exc:
+            err.append(type(exc).__name__)
+            continue
+        err.append("")
+    out["elliptic.sn"], errors["elliptic.sn"] = values, err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
