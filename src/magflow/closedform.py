@@ -66,7 +66,7 @@ from .legendre import (
     WINDING,
     LegendreReduction,
     QuarticCurve,
-    map_xi_to_z,
+    _z_of_xi,
     map_z_to_xi,
     quartic_from_params,
     reduce_to_legendre,
@@ -121,7 +121,7 @@ def _sn_integral(red: LegendreReduction, sn, cn, j):
     """
     from scipy.special import elliprj
 
-    c, kc2, one_c2 = red.s * red.h, red.kc * red.kc, red.one_c2
+    c, kc2, one_c2 = red.c, red.kc * red.kc, red.one_c2
     rho = math.sqrt(red.k2_c2 / one_c2)
     rhoc4 = (kc2 / one_c2) ** 2
     s2, cn2, acn = sn * sn, cn * cn, np.abs(cn)
@@ -170,7 +170,7 @@ def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     sample at (t + D)/C.
     """
     j, sn, cn = sn_cn(u, red.ladder)
-    z = map_xi_to_z(red, sn)
+    z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign, zdot_sign = _sheet(red.curve, xdot_sign, cos_x0, j)
     # z lies on the oval [a1, a2], inside [-1, 1]
     x = np.pi * m + cos_sign * np.arcsin(z)

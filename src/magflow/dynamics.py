@@ -108,8 +108,8 @@ def integrals(state: PhaseState) -> FlowIntegrals:
     return FlowIntegrals(energy(state), momentum(state))
 
 
-def reduced_lagrangian(state: PhaseState, E: float) -> float:
-    """Level-E reduced Lagrangian L_E = sqrt(2E)|qdot| + sin(x) ydot.
+def reduced_lagrangian(state, E: float):
+    """Level-E reduced Lagrangian L_E = sqrt(2E)|qdot| + sin(x) ydot, per state.
 
     L_E is homogeneous of first order in the velocities; its extremals on
     the level set {energy = E} coincide with flow trajectories up to
@@ -119,8 +119,8 @@ def reduced_lagrangian(state: PhaseState, E: float) -> float:
     """
     if E < 0.0:
         raise DomainError(f"energy level must be nonnegative, got {E}")
-    speed = math.hypot(state.xdot, state.ydot)
-    return math.sqrt(2.0 * E) * speed + math.sin(state.x) * state.ydot
+    x, xd, yd = _unpack(state)
+    return math.sqrt(2.0 * E) * np.hypot(xd, yd) + np.sin(x) * yd
 
 
 def state_from_integrals(

@@ -20,7 +20,7 @@ from .errors import DomainError, NoReturnFound, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
-_EVENT_KINDS = ("x-turning", "x-return", "y-wrap")
+_EVENT_KINDS = ("x-turning", "x-return")
 
 
 @dataclass
@@ -84,7 +84,6 @@ def integrate(
         raise DomainError("t_end must be nonzero")
     y0 = state0.as_array()
     x0_sin = math.sin(state0.x)
-    y0_val = state0.y
 
     def ev_turning(t, y):
         return y[2]
@@ -92,24 +91,11 @@ def integrate(
     def ev_return(t, y):
         return math.sin(y[0]) - x0_sin
 
-    def ev_ywrap(t, y):
-        return math.sin(0.5 * (y[1] - y0_val))
-
-    events = None
-    kinds: tuple[str, ...] = ()
-    if with_events:
-        # on vertical-line orbits x is frozen and the x-event functions are
-        # identically zero; registering them would fire on every step
-        x_frozen = (abs(state0.xdot) < 1e-13
-                    and abs(np.cos(state0.x) * state0.ydot) < 1e-13)
-        fixed_point = x_frozen and abs(state0.ydot) < 1e-13
-        if fixed_point:
-            events, kinds = [], ()
-        elif x_frozen:
-            events, kinds = [ev_ywrap], ("y-wrap",)
-        else:
-            events = [ev_turning, ev_return, ev_ywrap]
-            kinds = _EVENT_KINDS
+    # on vertical-line orbits and fixed points x is frozen and the event
+    # functions are identically zero; registering them would fire on every step
+    x_frozen = (abs(state0.xdot) < 1e-13
+                and abs(np.cos(state0.x) * state0.ydot) < 1e-13)
+    events = [ev_turning, ev_return] if with_events and not x_frozen else None
     sol = solve_ivp(
         rhs, (0.0, t_end), y0, method="DOP853",
         rtol=tol, atol=tol * 1e-2,
@@ -119,8 +105,8 @@ def integrate(
         raise StepFailure(sol.message, t=float(sol.t[-1]) if len(sol.t) else 0.0)
 
     ev_list: list[tuple[float, str]] = []
-    if with_events and sol.t_events is not None:
-        for kind, times in zip(kinds, sol.t_events):
+    if events is not None:
+        for kind, times in zip(_EVENT_KINDS, sol.t_events):
             for te in times:
                 if abs(te) > 1e-9:  # drop the trivial event at t = 0
                     ev_list.append((float(te), kind))

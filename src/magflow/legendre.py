@@ -22,8 +22,9 @@ xi = infinity:
 It is anchored at a1 and its constants are built only from the positive
 root gaps, so they keep full accuracy as mu escapes to infinity or closes
 in on a root next to a separatrix; s = 0 exactly when the two root pairs
-share a midpoint (always for p = 0), and the map is then affine.  It is
-normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
+share a midpoint (always for p = 0), and the map is then affine.  The
+reduction forms c = s h (the inverse map is z = a1 + h (1 + xi)/(1 + c xi))
+and q = p - nu once, as fields of LegendreReduction.  It is normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
 xi(a4) = +1/k.  One self-check, _passes, tests a reduction: 0 < k^2 < 1,
 K not NaN, C > 0 and the four map targets; reduce_to_legendre raises
 ReductionInconsistency when it fails, and reduce_lanes masks those lanes.
@@ -88,7 +89,7 @@ class QuarticCurve:
 
     z1 <= z2 are the turning roots p -+ sqrt(2E), g_ij = a_i - a_j the
     positive root gaps, wall the wall z = +-1 nearest a turning root and
-    wall_gap that root's distance to it, kind the index into OrbitKind.
+    kind the index into OrbitKind.
     The fields are floats (kind an int), or arrays of one shape for a
     batch of levels.
     """
@@ -107,7 +108,6 @@ class QuarticCurve:
     g41: float
     g42: float
     wall: float
-    wall_gap: float
     kind: int
 
     @property
@@ -153,7 +153,7 @@ def quartic_from_params(E, p) -> QuarticCurve:
     return QuarticCurve(
         E=E, p=p, z1=z1, z2=z2, a1=a1, a2=a2, a3=a3, a4=a4,
         g13=g13, g21=g21, g23=a2 - a3, g41=a4 - a1, g42=g42,
-        wall=xp.where(d_plus <= d_minus, 1.0, -1.0), wall_gap=wall_gap, kind=kind,
+        wall=xp.where(d_plus <= d_minus, 1.0, -1.0), kind=kind,
     )
 
 
@@ -161,8 +161,11 @@ def quartic_from_params(E, p) -> QuarticCurve:
 class LegendreReduction:
     """Constants and coordinate map taking the quartic to Legendre form.
 
-    The map is xi = (zeta - h) / (h (1 - s zeta)) with zeta = z - a1.  The
-    fields are floats, or arrays of one shape when the curve's are.
+    The map is xi = (zeta - h) / (h (1 - s zeta)) with zeta = z - a1, and
+    its inverse z - a1 = h (1 + xi) / (1 + c xi) with c = s h.  c and
+    q = p - nu, the momentum less the centre of the map (xi = 0), are
+    fields, formed once by the reduction.  The fields are floats, or
+    arrays of one shape when the curve's are.
     """
 
     curve: QuarticCurve
@@ -174,26 +177,13 @@ class LegendreReduction:
     C_const: float
     s: float  # 1/(mu - a1), the reciprocal pole measured from a1
     h: float  # nu - a1, the scale of the map
-    # with c = s h, the differences that cancel next to |c| = 1 or |c| = k,
+    c: float  # s h, the image -1/c of z = infinity
+    q: float  # p - nu
+    # the differences that cancel next to |c| = 1 or |c| = k,
     # from the root gaps: 1 - c, 1 - c^2 and k^2 - c^2
     one_c: float
     one_c2: float
     k2_c2: float
-
-    @property
-    def q(self) -> float:
-        """p - nu, the momentum less the centre of the map (xi = 0).
-
-        q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
-        h = g21 / (2 - g21 s); 2p - a1 - a2 is summed with error-free
-        TwoSums and rounded at the end, so a nearly symmetric oval, where q
-        is small, keeps its digits.
-        """
-        cv = self.curve
-        g21s = cv.g21 * self.s
-        s1, e1 = _xp.two_sum(2.0 * cv.p, -cv.a1)
-        s2, e2 = _xp.two_sum(s1, -cv.a2)
-        return (s2 + (e1 + e2) - (cv.p - cv.a1) * g21s) / (2.0 - g21s)
 
     @cached_property
     def L(self) -> float:
@@ -226,10 +216,10 @@ class LegendreReduction:
         DLMF 19.8.6 gives L, and k', 1 - c, 1 - c^2 and k^2 - c^2 from the
         root gaps.  No term divides by c, and |c| < k < 1, so
         p = 0 (c = 0) takes the same formulas.  The shift to p uses the
-        accurately summed q = p - nu, so a nearly symmetric oval, where
-        m_1 is small, keeps its digits.
+        accurately summed field q = p - nu, so a nearly symmetric oval,
+        where m_1 is small, keeps its digits.
         """
-        k2, c, h = self.k2, self.s * self.h, self.h
+        k2, c, h = self.k2, self.c, self.h
         c2 = c * c
         K = self.K
         RD = complete_RD(self.ladder, k2)
@@ -287,12 +277,21 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
     one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
     kc = 2.0 * sqrt(kappa_c) / (1.0 + kappa_c)
     K, ladder = complete_K_ladder(k, kc)
+    s = (curve.a1 + curve.a2 - curve.a3 - curve.a4) / w1
+    # q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
+    # h = g21 / (2 - g21 s); 2p - a1 - a2 is summed by error-free TwoSums and
+    # rounded at the end, so a nearly symmetric oval, where q is small, keeps
+    # its digits
+    g21s = g21 * s
+    s1, e1 = _xp.two_sum(2.0 * curve.p, -curve.a1)
+    s2, e2 = _xp.two_sum(s1, -curve.a2)
     return LegendreReduction(
         curve=curve, k2=k * k, k=k, kc=kc, K=K, ladder=ladder,
-        C_const=C_const, one_c=2.0 / (1.0 + T), one_c2=one_c2,
+        C_const=C_const, s=s, h=h, c=s * h,
+        q=(s2 + (e1 + e2) - (curve.p - curve.a1) * g21s) / (2.0 - g21s),
+        one_c=2.0 / (1.0 + T), one_c2=one_c2,
         # a product, not ** 2: numpy squares exactly, libm's pow need not
         k2_c2=one_c2 * g21 * g21 / (g23 * g41 * ((1.0 + kappa_c) * (1.0 + kappa_c))),
-        s=(curve.a1 + curve.a2 - curve.a3 - curve.a4) / w1, h=h,
     )
 
 
@@ -350,6 +349,14 @@ def _xi_of_z(red: LegendreReduction, z):
     return (zeta - red.h) / (red.h * (1.0 - red.s * zeta))
 
 
+def _z_of_xi(red: LegendreReduction, xi):
+    """z of an array xi in [-1, 1], clamped to the oval [a1, a2] that
+    rounding may leave by an ulp."""
+    cv = red.curve
+    z = cv.a1 + red.h * (1.0 + xi) / (1.0 + red.c * xi)
+    return np.minimum(np.maximum(z, cv.a1), cv.a2)
+
+
 def map_z_to_xi(red: LegendreReduction, z):
     """Forward coordinate map, defined on the bounded oval [a1, a2]."""
     z_arr = np.asarray(z, dtype=float)
@@ -369,8 +376,5 @@ def map_xi_to_z(red: LegendreReduction, xi):
     xi_arr = np.asarray(xi, dtype=float)
     if xi_arr.size and (xi_arr.min() < -1.0 - 1e-12 or xi_arr.max() > 1.0 + 1e-12):
         raise DomainError("xi outside [-1, 1]")
-    xi_arr = np.minimum(np.maximum(xi_arr, -1.0), 1.0)
-    c = red.curve
-    out = c.a1 + red.h * (1.0 + xi_arr) / (1.0 + red.s * red.h * xi_arr)
-    out = np.minimum(np.maximum(out, c.a1), c.a2)
+    out = _z_of_xi(red, np.minimum(np.maximum(xi_arr, -1.0), 1.0))
     return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out

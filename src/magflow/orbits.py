@@ -56,7 +56,7 @@ import numpy as np
 
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
-from .dynamics import PhaseState, TWO_PI, reduced_lagrangian
+from .dynamics import PhaseState, TWO_PI, energy, momentum, reduced_lagrangian
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
@@ -121,14 +121,17 @@ def vertical_line_action(E: float, p: float) -> float:
 
 
 def classify(E: float, p: float) -> OrbitClassification:
-    """Classify the level set (E, p); total on E > 0, never raises.
+    """Classify the level set (E, p) for E > 0.
 
     A bounded oval gets its cycle data in closed form from the moments of
     the Legendre reduction, m_j = int (z - p)^j dz/w over the oval: the
     sin-x period 2 m_0 = 4 C K(k), Delta_y = 2 int (p - z) dz/w = -2 m_1
     and the action 2 int (2E + z(p - z)) dz/w of one sin-x cycle.  A
     vertical line reports the time and the action of one y-circuit.
-    cycle_data gives the same numbers for whole arrays of levels.
+    cycle_data gives the same numbers for whole arrays of levels.  Where
+    the reduction of an oval fails its self-check, as at the crossing
+    levels (0.5, +-1e-7) next to the critical energy, classify raises
+    ReductionInconsistency.
     """
     curve = quartic_from_params(E, p)
     kind = KINDS[curve.kind]
@@ -268,29 +271,31 @@ def _circuit_trapezoid(orbit, T: float, integrand, tol: float = 1e-8):
 
     One evaluation at CIRCUIT_NODES equispaced times over [0, T] serves the
     closure test (endpoints equal on the torus to 1e-6, else OpenCurve), the
-    start state integrand(start, x, xd, yd) may read, and the sums T_n and
+    start state integrand(start, states) may read, with the states
+    (x, y, xdot, ydot) stacked along the last axis, and the sums T_n and
     T_{n/2}, whose end weights (f_0 + f_n)/2 suit a curve closed only to 1e-6.
     On a smooth T-periodic integrand they converge geometrically (Trefethen &
     Weideman, SIAM Rev. 56, 2014).  Until |T_n - T_{n/2}| < tol, the n
     midpoints are evaluated in one call and n doubles, at most 12 times.
     """
     n = CIRCUIT_NODES - 1
-    x, y, xd, yd = orbit.eval(np.linspace(0.0, T, n + 1))
-    start, end = (x[0], y[0], xd[0], yd[0]), (x[-1], y[-1], xd[-1], yd[-1])
-    d = np.subtract(end, start)  # x and y on the torus, the velocities as they are
+    # rows x, y, xdot, ydot, transposed: each column reads contiguous memory
+    q = np.array(orbit.eval(np.linspace(0.0, T, n + 1))).T
+    start, end = q[0], q[-1]
+    d = end - start  # x and y on the torus, the velocities as they are
     gap = max(abs(math.remainder(d[0], TWO_PI)), abs(math.remainder(d[1], TWO_PI)),
               abs(d[2]), abs(d[3]))
     if gap > 1e-6:
         raise OpenCurve(f"endpoints differ by {gap:.3g} on the torus (tolerance 1e-06)")
-    f = integrand(start, x, xd, yd)
+    f = integrand(start, q)
     ends = 0.5 * (f[0] + f[-1])
     total = ends + f[1:-1].sum()
     s, prev = total * (T / n), (ends + f[2:-1:2].sum()) * (2.0 * T / n)
     while abs(s - prev) >= tol:
         if n >= (CIRCUIT_NODES - 1) << 12:
             raise MagflowError(f"trapezoid refinement did not stabilize to {tol}")
-        x, _, xd, yd = orbit.eval(np.linspace(0.0, T, 2 * n + 1)[1::2])
-        total += integrand(start, x, xd, yd).sum()
+        q = np.array(orbit.eval(np.linspace(0.0, T, 2 * n + 1)[1::2])).T
+        total += integrand(start, q).sum()
         n *= 2
         s, prev = total * (T / n), s
     return s, start, end
@@ -309,9 +314,8 @@ def action_direct(orbit, E: float | None = None, T: float | None = None) -> floa
     if T == 0.0:
         return 0.0
 
-    def integrand(s0, x, xd, yd):
-        e = 0.5 * float(s0[2] ** 2 + s0[3] ** 2) if E is None else E
-        return math.sqrt(2.0 * e) * np.hypot(xd, yd) + np.sin(x) * yd
+    def integrand(s0, q):
+        return reduced_lagrangian(q, energy(s0) if E is None else E)
 
     return _circuit_trapezoid(orbit, T, integrand)[0]
 
@@ -326,10 +330,10 @@ def action_increment(orbit, p: float | None = None, T: float | None = None) -> f
     T = _orbit_period(orbit, T)
     if T == 0.0:
         return 0.0
-    s, start, end = _circuit_trapezoid(orbit, T, lambda s0, x, xd, yd: xd * xd)
+    s, start, end = _circuit_trapezoid(orbit, T, lambda s0, q: q[:, 2] * q[:, 2])
     if p is None:
-        p = float(start[3] + np.sin(start[0]))
-    return s + p * float(end[1] - start[1])
+        p = momentum(start)
+    return s + p * (end[1] - start[1])
 
 
 def action_contractible_formula(E: float) -> float:
@@ -425,7 +429,6 @@ def film_strip_grid_search(E: float, n: int = 200) -> StripSearchResult:
     base = math.sqrt(2.0 * E) * 2.0 * TWO_PI
     xa = np.linspace(0.0, TWO_PI, n, endpoint=False)
     width = np.arange(1, n + 1) * (TWO_PI / (n + 1))
-    sin_xa = np.sin(xa)
     best_val = math.inf
     best = (0.0, 0.0)
     # row-chunked scan keeps memory flat for fine grids
@@ -489,14 +492,13 @@ def lagrangian_sign_scan(
     speed = math.sqrt(2.0 * E)
     xs = rng.uniform(-math.pi, math.pi, n_samples)
     psi = rng.uniform(0.0, TWO_PI, n_samples)
-    states = [PhaseState(float(x), 0.0, speed * math.cos(a), speed * math.sin(a))
-              for x, a in zip(xs, psi)]
-    states.append(PhaseState(-0.5 * math.pi, 0.0, 0.0, speed))
-    states.append(PhaseState(0.5 * math.pi, 0.0, 0.0, -speed))
-    values = np.array([reduced_lagrangian(s, E) for s in states])
+    x = np.append(xs, (-0.5 * math.pi, 0.5 * math.pi))
+    states = np.array([x, np.zeros_like(x), np.append(speed * np.cos(psi), (0.0, 0.0)),
+                       np.append(speed * np.sin(psi), (speed, -speed))]).T
+    values = reduced_lagrangian(states, E)
     i_min = int(np.argmin(values))
     return SignScanResult(
         E=float(E), n_samples=len(states),
         n_negative=int(np.sum(values < 0.0)),
-        min_value=float(values[i_min]), min_state=states[i_min],
+        min_value=float(values[i_min]), min_state=PhaseState.from_array(states[i_min]),
     )

@@ -47,6 +47,12 @@ def test_reduced_lagrangian_vanishes_at_critical_configuration():
     assert reduced_lagrangian(s, 0.5) == pytest.approx(0.0, abs=1e-15)
     assert reduced_lagrangian(s, 0.125) == pytest.approx(-0.5, abs=1e-15)
     assert reduced_lagrangian(PhaseState(1.0, 2.0, 0.0, 0.0), 0.37) == 0.0
+    # states stacked along the last axis give the values one state at a time
+    stack = np.array([[[-HALF_PI, 0.0, 0.0, 1.0], [1.0, 2.0, 0.0, 0.0]],
+                      [[0.3, -1.0, 0.6, -0.8], [2.5, 0.4, -0.2, 0.9]]])
+    one_by_one = [[reduced_lagrangian(PhaseState.from_array(r), 0.37) for r in row]
+                  for row in stack]
+    assert np.array_equal(reduced_lagrangian(stack, 0.37), one_by_one)
     with pytest.raises(DomainError):
         reduced_lagrangian(s, -0.1)
 

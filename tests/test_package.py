@@ -58,6 +58,34 @@ def _defined_names(path: Path) -> dict[str, int]:
     return defs
 
 
+def _decorator_or_base_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _defined_fields(path: Path) -> dict[str, int]:
+    """Annotated fields of the dataclasses and NamedTuples of a file."""
+    fields = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and (
+            "dataclass" in map(_decorator_or_base_name, node.decorator_list)
+            or "NamedTuple" in map(_decorator_or_base_name, node.bases)
+        ):
+            fields.update((item.target.id, item.lineno) for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name))
+    return fields
+
+
+def _read_attributes(path: Path) -> set[str]:
+    """Attribute names a file reads (loads)."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _read_names(path: Path) -> set[str]:
     """Names a file reads: loaded names, attributes, imported names and __all__."""
     read = set()
@@ -77,15 +105,22 @@ def _read_names(path: Path) -> set[str]:
 
 def test_no_unread_definitions():
     # a function, class or method of the package that no code or test reads
-    # is dead; dunder methods are read by the interpreter
-    read = set()
+    # is dead, and so is a field of a dataclass or NamedTuple that none reads
+    # as an attribute; dunder methods are read by the interpreter
+    read, attributes = set(), set()
     for top in ("src", "tests", "bench", "demos"):
         for path in sorted((ROOT / top).rglob("*.py")):
             read |= _read_names(path)
+            attributes |= _read_attributes(path)
+    package = sorted((ROOT / "src" / "magflow").rglob("*.py"))
     unread = [f"{path.relative_to(ROOT)}:{line} {name}"
-              for path in sorted((ROOT / "src" / "magflow").rglob("*.py"))
+              for path in package
               for name, line in _defined_names(path).items()
               if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    unread += [f"{path.relative_to(ROOT)}:{line} field {name}"
+               for path in package
+               for name, line in _defined_fields(path).items()
+               if name not in attributes]
     assert unread == []
 
 
