@@ -46,8 +46,9 @@ c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
 
 where J1 is 4K-periodic and J2(u + 2K) = J2(u) + L, with L the complete
 integral LegendreReduction.L (DLMF 19.25.14, 22.14).
-So one evaluation costs one sn/cn call and one R_J call for any t, and
-the sin(x) period and the y-advance per period are those of
+So one evaluation costs one sn/cn call for any t, plus one R_J call where
+c != 0, that is p != 0 (on p = 0 the map is affine and G = J1); the sin(x)
+period and the y-advance per period are those of
 LegendreReduction.cycle_values, the numbers classify reports.
 """
 
@@ -116,11 +117,10 @@ def _sn_integral(red: LegendreReduction, sn, cn, j):
     Every factor is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
     from k', and where cn < 0 the denominator dn + rho cn is rewritten as
-    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).  scipy.special is imported on
-    first use, so that building the cycle data does not load it.
+    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).  On p = 0, c = 0 and G = J1: J2
+    and its R_J run only where c != 0, and import scipy.special on first
+    use, so that building the cycle data does not load it.
     """
-    from scipy.special import elliprj
-
     c, kc2, one_c2 = red.c, red.kc * red.kc, red.one_c2
     rho = math.sqrt(red.k2_c2 / one_c2)
     rhoc4 = (kc2 / one_c2) ** 2
@@ -133,6 +133,9 @@ def _sn_integral(red: LegendreReduction, sn, cn, j):
     Y = 2.0 * (1.0 + rho) * np.where(
         cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
     J1 = np.log1p(rho * Y) / (2.0 * rho * one_c2)
+    if c == 0.0:
+        return J1
+    from scipy.special import elliprj
     # J2 on the half period [-K, K] that holds u - 2K j, continued by j L
     flip = 1.0 - 2.0 * np.mod(j, 2.0)
     J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + j * red.L

@@ -13,7 +13,7 @@ AGM serves a level's cycle data and its closed-form orbit.  The public
 sn(u, k), incomplete_F(phi, k) and complete_K(k, k') run a ladder of
 their own.  scipy enters in three places only, each importing
 scipy.special on first use: F by Carlson's R_F (elliprf, here), the
-per-sample R_J of y(t) (closedform) and the R_D of
+per-sample R_J of y(t) where p != 0 (closedform) and the R_D of
 orbits.action_contractible_formula.
 """
 

@@ -293,6 +293,8 @@ def test_sin_x_confined_to_oval(rng):
     (0.1, 0.125, 0.3, +1),       # trapped
     (-2.0, 0.3, -0.5, +1),       # crossing
     (0.7, 1.0, 0.3, -1),         # winding
+    (0.4, 0.3, 0.0, +1),         # p = 0, trapped
+    (0.7, 1.0, 0.0, -1),         # p = 0, winding
 ])
 def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # elliptic.sn_cn is the one routine that does per-phase elliptic work
@@ -300,12 +302,17 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # the AGM: a build runs one ladder, the reduction's, and takes the one
     # phase of t = 0 on it, and an evaluation runs no ladder and one batch
     # of exactly its samples, so neither per-sample quadrature nor a second
-    # ladder of the same modulus can come back unseen
+    # ladder of the same modulus can come back unseen.  y's R_J runs in
+    # the same batches where p != 0 and not at all on p = 0, where c = 0
+    # multiplies it away
+    import scipy.special
+
     import magflow.closedform
     import magflow.elliptic
 
-    batches, ladders = [], []
+    batches, ladders, rj_batches = [], [], []
     sn_cn, agm_ladder = magflow.closedform.sn_cn, magflow.elliptic._agm_ladder
+    elliprj = scipy.special.elliprj
 
     def counted(u, ladder):
         batches.append(np.size(u))
@@ -315,17 +322,27 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
         ladders.append((k, kc))
         return agm_ladder(k, kc)
 
-    # patched where closedform and complete_K_ladder look them up
+    def counted_rj(x, y, z, w):
+        rj_batches.append(np.size(w))
+        return elliprj(x, y, z, w)
+
+    # patched where closedform and complete_K_ladder look them up;
+    # _sn_integral imports elliprj from scipy.special at call time
     monkeypatch.setattr(magflow.closedform, "sn_cn", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
+    monkeypatch.setattr(scipy.special, "elliprj", counted_rj)
+    n_rj = 0 if p == 0.0 else 1
     sol = build_solution(x0, 0.0, E, p, sgn)
     assert batches == [1]
     assert len(ladders) == 1
+    assert rj_batches == [1] * n_rj
     batches.clear()
     ladders.clear()
+    rj_batches.clear()
     eval_solution(sol, np.linspace(0.0, 50.0, 1000))
     assert batches == [1000]
     assert ladders == []
+    assert rj_batches == [1000] * n_rj
 
 
 @pytest.mark.parametrize("x0, E, p, sgn", [

@@ -17,6 +17,8 @@ interpreter that imports magflow from that ``src/``:
   x, y, xdot and ydot;
 * the same on 4,000 wall starts (outputs prefixed ``wall_``), with t = 0
   among the times;
+* the same on 2,000 orbits at p = 0 exactly (outputs prefixed ``p0_``),
+  the levels where the Legendre map is affine, with t = 0 among the times;
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
   (``contractible_orbit``);
 * ``elliptic.sn`` on 20,000 (k, u), so that a change of the phase
@@ -34,11 +36,15 @@ strip and sign of xdot, a quarter of them exactly on the wall and the rest
 have 1 - 2E log-uniform over 1e-8 ... 1, either strip, and a start
 sin x0 uniform over the oval [-sqrt(2E), sqrt(2E)].  The sn set, from a
 fourth generator, has 1 - k^2 log-uniform over 1e-12 ... 1 and u uniform
-over [-1000, 1000].  For every output the report gives the number of
-values that differ in any bit and the largest absolute difference among
-them, where NaN equals NaN and a NaN on one side only counts as an
-infinite difference; for every set, the count of each exception type on
-each side.  The exit status is 0 when nothing differs, 1 otherwise.
+over [-1000, 1000].  The p = 0 orbits, from a fifth generator, are half
+trapped, with 1 - 2E log-uniform over 1e-8 ... 1, and half winding, with
+E uniform over (0.5, 3); each starts on the oval, on either strip and
+with either sign of xdot, and t is uniform over [-40, 40].  For every
+output the report gives the number of values that differ in any bit and
+the largest absolute difference among them, where NaN equals NaN and a
+NaN on one side only counts as an infinite difference; for every set, the
+count of each exception type on each side.  The exit status is 0 when
+nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
-N_ACTION, N_SN = 2_000, 20_000
+N_ACTION, N_SN, N_P0 = 2_000, 20_000, 2_000
 BLOCK = 16384
 
 
@@ -130,6 +136,19 @@ def inputs() -> dict:
     sn_rng = np.random.default_rng(SEED + 3)
     sets.update({"sn_k": np.sqrt(1.0 - 10.0 ** sn_rng.uniform(-12.0, 0.0, N_SN)),
                  "sn_u": sn_rng.uniform(-1000.0, 1000.0, N_SN)})
+    p0_rng = np.random.default_rng(SEED + 4)
+    n_trapped = N_P0 // 2
+    E_p0 = np.concatenate([
+        0.5 * (1.0 - 10.0 ** p0_rng.uniform(-8.0, 0.0, n_trapped)),
+        p0_rng.uniform(0.5, 3.0, N_P0 - n_trapped)])
+    z_max = np.minimum(1.0, np.sqrt(2.0 * E_p0))  # the oval is [-z_max, z_max]
+    z0 = p0_rng.uniform(-1.0, 1.0, N_P0) * z_max
+    x0_p0 = np.where(p0_rng.uniform(size=N_P0) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
+    t_p0 = p0_rng.uniform(-40.0, 40.0, (N_P0, N_TIMES))
+    t_p0[:, 0] = 0.0
+    sets.update({"p0_E": E_p0, "p0_p": np.zeros(N_P0), "p0_x0": x0_p0,
+                 "p0_y0": np.zeros(N_P0), "p0_sign": p0_rng.choice([-1, 1], N_P0),
+                 "p0_t": t_p0})
     return sets
 
 
@@ -169,6 +188,7 @@ def worker(in_path: str, out_path: str) -> None:
 
     run_orbits(inp, "orbit", "", out, errors)
     run_orbits(inp, "wall", "wall_", out, errors)
+    run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
     run_sn(inp, out, errors)
     out["errors"] = np.array(json.dumps(errors))
