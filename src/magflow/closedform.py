@@ -18,11 +18,11 @@ on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
 (mod 4K); m changes there exactly when the oval reaches that wall, while
 interior endpoints are xdot-turning points where the sign of zdot flips
 instead.  One integer per phase, the half-period index j, decides all
-of it.  elliptic.sn_cn decides it, folding u to v = u - 2K j in [-K, K]
-and sn, cn by (-1)^j; the sheet m, cos x = (-1)^m, the sign (-1)^j of
-zdot and the continuation of J2 below read that j (_orbit_phase), so
-none of them can disagree with sn or another at a boundary.  The walls
-the oval reaches are fixed by the kind of the level:
+of it.  elliptic.sn_cn decides it and its parity (-1)^j, folding u to
+v = u - 2K j in [-K, K] and sn, cn by (-1)^j; the sheet m, cos x = (-1)^m,
+the sign (-1)^j of zdot and the continuation of J2 below read them
+(_orbit_phase), so none can disagree with sn or another at a boundary.
+The walls the oval reaches are fixed by the kind of the level:
 
 * trapped oval    - no wall: m = 0 or 1 from the strip of x0, and the
   tangent-bundle recurrence time equals the sin(x) period 4CK.
@@ -67,8 +67,8 @@ from .legendre import (
     WINDING,
     LegendreReduction,
     QuarticCurve,
+    _xi_of_z,
     _z_of_xi,
-    map_z_to_xi,
     quartic_from_params,
     reduce_to_legendre,
 )
@@ -111,8 +111,8 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _sn_integral(red: LegendreReduction, sn, cn, j):
-    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn, cn and j at u.
+def _sn_integral(red: LegendreReduction, sn, cn, j, flip):
+    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn, cn, j, flip = (-1)^j at u.
 
     Every factor is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
@@ -137,13 +137,12 @@ def _sn_integral(red: LegendreReduction, sn, cn, j):
         return J1
     from scipy.special import elliprj
     # J2 on the half period [-K, K] that holds u - 2K j, continued by j L
-    flip = 1.0 - 2.0 * np.mod(j, 2.0)
     J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + j * red.L
     return J1 - c * J2
 
 
-def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j):
-    """Sheet index m at half period j, with cos x = (-1)^m and zdot's sign (-1)^j.
+def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
+    """Sheet index m at half period j, and cos x = (-1)^m; flip = (-1)^j.
 
     x = pi m + (-1)^m asin z.  A trapped oval stays on the sheet of x0; a
     crossing oval reaches the wall on the side of p, since its turning
@@ -151,33 +150,32 @@ def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j):
     and +-1 there; a winding orbit steps one sheet at each wall, in the
     direction of xdot.
     """
-    zdot_sign = 1.0 - 2.0 * np.mod(j, 2.0)
     if curve.kind == WINDING:
         if xdot_sign > 0:
-            return j, zdot_sign, zdot_sign
-        return -j - 1.0, -zdot_sign, zdot_sign
+            return j, flip
+        return -j - 1.0, -flip
     if curve.kind == CROSSING:
         wall = -1.0 if curve.p < 0.0 else 1.0
         b = np.mod(np.floor((j + 0.5 * (1.0 + wall)) / 2.0), 2.0)
-        return wall * b, 1.0 - 2.0 * b, zdot_sign
+        return wall * b, 1.0 - 2.0 * b
     m = 0.0 if cos_x0 > 0 else 1.0
-    return m, 1.0 - 2.0 * m, zdot_sign
+    return m, 1.0 - 2.0 * m
 
 
 def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     """(x - x_offset, z, the sign of xdot, G) at the phases u.
 
-    sn_cn decides the half period j of each phase, and the sheet of x,
-    cos x, the sign of zdot and G's continuation all read that one j.
+    sn_cn decides the half period j of each phase and its parity, the sign
+    of zdot; the sheet of x, cos x and G's continuation read that one j.
     build_solution takes its start here at D/C and eval_solution every
     sample at (t + D)/C.
     """
-    j, sn, cn = sn_cn(u, red.ladder)
+    j, flip, sn, cn = sn_cn(u, red.ladder)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
-    m, cos_sign, zdot_sign = _sheet(red.curve, xdot_sign, cos_x0, j)
+    m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
     # z lies on the oval [a1, a2], inside [-1, 1]
     x = np.pi * m + cos_sign * np.arcsin(z)
-    return x, z, zdot_sign * cos_sign, _sn_integral(red, sn, cn, j)
+    return x, z, flip * cos_sign, _sn_integral(red, sn, cn, j, flip)
 
 
 def build_solution(
@@ -193,9 +191,9 @@ def build_solution(
     """
     if xdot_sign not in (-1, 1):
         raise DomainError(f"xdot_sign must be +1 or -1, got {xdot_sign}")
-    if not E > 0.0:
+    if E == 0.0:
         raise UnsupportedRegime("E = 0 is a fixed point; no closed form needed")
-    curve = quartic_from_params(E, p)
+    curve = quartic_from_params(E, p)  # DomainError for E < 0 or NaN
     red = reduce_to_legendre(curve)  # raises DegenerateCurve on separatrices
     K, C = red.K, red.C_const
 
@@ -203,8 +201,9 @@ def build_solution(
     z0 = math.sin(x0)
     cos_x0 = math.cos(x0)
 
-    zc = min(max(z0, curve.a1), curve.a2)  # at an oval end xi0 = -+1 by construction
-    xi0 = -1.0 if zc == curve.a1 else 1.0 if zc == curve.a2 else map_z_to_xi(red, zc)
+    # at an oval end xi0 = -+1: the map sends a1 to -1 exactly (zeta = 0), a2 up to rounding
+    zc = min(max(z0, curve.a1), curve.a2)
+    xi0 = 1.0 if zc == curve.a2 else min(max(_xi_of_z(red, zc), -1.0), 1.0)
     F0 = F(math.asin(xi0), red.ladder)
     # the half period j of the motion just after t = 0, where
     # zdot = xdot cos x: on a wall z turns back, and cos x follows from
@@ -218,7 +217,8 @@ def build_solution(
     elif abs(abs(xi0) - 1.0) < 1e-12 and abs(abs(z0) - 1.0) > 1e-9:
         zdot_sign = -math.copysign(1.0, xi0)
     j = 0 if zdot_sign > 0 else 1
-    if curve.kind == CROSSING and _sheet(curve, xdot_sign, cos_x0, j)[1] != cos_sign:
+    if (curve.kind == CROSSING
+            and _sheet(curve, xdot_sign, cos_x0, j, zdot_sign)[1] != cos_sign):
         j += 2  # the same half period on the other sheet, a sin(x) cycle on
     u_ref = (F0 if j % 2 == 0 else 2.0 * K - F0) + 4.0 * K * (j // 2)
 

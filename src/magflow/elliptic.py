@@ -7,14 +7,15 @@ float or on array lanes, is the one record of a modulus: it starts at
 DLMF 19.8.5 and L = (2/3) R_J(0, k'^2, 1, 1 - c^2) by the sequence of
 DLMF 19.8.6 from its rungs (complete_RD, complete_L), sn and cn by the
 descending Landen recursion on the same rungs (sn_cn), and the
-incomplete F takes k' and K from it (F).  legendre.LegendreReduction
-keeps the ladder of its (k, k') in its field ladder, so one run of the
-AGM serves a level's cycle data and its closed-form orbit.  The public
-sn(u, k), incomplete_F(phi, k) and complete_K(k, k') run a ladder of
-their own.  scipy enters in three places only, each importing
-scipy.special on first use: F by Carlson's R_F (elliprf, here), the
-per-sample R_J of y(t) where p != 0 (closedform) and the R_D of
-orbits.action_contractible_formula.
+incomplete F takes k' and K from it (F) on the strip n = round(phi/pi),
+so |phi| <= fl(pi/2) is n = 0.  legendre.LegendreReduction keeps the
+ladder of its (k, k') in its field ladder, so one run of the AGM serves a
+level's cycle data and its closed-form orbit.  The public complete_K(k, k')
+and incomplete_F(phi, k) run a ladder of their own and warn alike next to
+k = 1 (LossOfPrecisionWarning); sn(u, k) runs a silent one.  scipy enters
+in three places only, each importing scipy.special on first use: F by
+Carlson's R_F (elliprf, here), the per-sample R_J of y(t) where p != 0
+(closedform) and the R_D of orbits.action_contractible_formula.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _given_or_complement(k: float, kc: float | None) -> float:
             f"K(k) with 1-k^2 = {kc * kc:.3g}: value is near the logarithmic "
             "divergence at k=1 and carries reduced precision",
             LossOfPrecisionWarning,
-            # past complete_K_ladder and complete_K to the caller of
-            # complete_K; the package's own calls of complete_K_ladder pass k'
+            # past complete_K_ladder and complete_K (or incomplete_F) to
+            # their caller; the package's own calls of complete_K_ladder pass k'
             stacklevel=4,
         )
     return kc
@@ -152,14 +153,14 @@ def complete_L(ladder: Ladder, one_c2):
     return _quarter_period(ladder) * s / one_c2
 
 
-def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j, sn, cn) at the phases u, on the float ladder of (k, k'), by the
-    descending Landen phase recursion; arrays of at least one dimension.
+def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(j, (-1)^j, sn, cn) at the phases u, on the float ladder of (k, k'),
+    by the descending Landen phase recursion; arrays of at least one dimension.
 
     j is the half period of u, the one decision about a phase: u folds to
     v = mod(u + K, 2K) - K in [-K, K] and j = rint((u - v)/2K), so j agrees
     with v by construction, and sn, cn = (-1)^j (sin phi, cos phi) at the
-    amplitude phi of v.  closedform reads the same j.  On [-K, K] the
+    amplitude phi of v.  closedform reads the same j and (-1)^j.  On [-K, K] the
     principal arcsin branch applies at every rung, |c_n/a_n sin phi| < 1,
     so no clip is needed; k = 0 runs no rung.  cn from the amplitude keeps
     full absolute accuracy at the turning points sn = +-1, where
@@ -175,8 +176,8 @@ def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi = (2.0**n_steps) * avals[-1] * v
     for n in range(n_steps, 0, -1):
         phi = 0.5 * (phi + np.arcsin((cvals[n] / avals[n]) * np.sin(phi)))
-    sign = 1.0 - 2.0 * np.mod(j, 2.0)
-    return j, sign * np.sin(phi), sign * np.cos(phi)
+    flip = 1.0 - 2.0 * np.mod(j, 2.0)
+    return j, flip, flip * np.sin(phi), flip * np.cos(phi)
 
 
 def complete_K_ladder(k, kc=None):
@@ -211,21 +212,19 @@ def complete_K(k, kc=None):
     return complete_K_ladder(k, kc)[0]
 
 
-def _principal_F(phi: float, kc: float) -> tuple[int, float]:
-    """(n, F(phi - n pi)) with phi - n pi in [-pi/2, pi/2)."""
-    from scipy.special import elliprf
-
-    n = math.floor((phi + 0.5 * math.pi) / math.pi)
-    r = phi - n * math.pi
-    s, c = math.sin(r), math.cos(r)
-    # 1 - k^2 s^2 = c^2 + k'^2 s^2, a sum of two positive terms
-    return n, s * float(elliprf(c * c, c * c + kc * kc * s * s, 1.0))
-
-
 def F(phi: float, ladder: Ladder) -> float:
     """incomplete_F on the float ladder of (k, k'): k' = b_0, and K for the
-    quasi-period, both read from the ladder."""
-    n, val = _principal_F(float(phi), ladder.b[0])
+    quasi-period, both read from the ladder.  The strip n = round(phi/pi)
+    rounds the ties phi/pi = +-1/2 to even, so |phi| <= fl(pi/2) is n = 0."""
+    from scipy.special import elliprf
+
+    phi = float(phi)
+    n = round(phi / math.pi)
+    r = phi - n * math.pi
+    s, c = math.sin(r), math.cos(r)
+    kc = ladder.b[0]
+    # 1 - k^2 s^2 = c^2 + k'^2 s^2, a sum of two positive terms
+    val = s * float(elliprf(c * c, c * c + kc * kc * s * s, 1.0))
     return val + 2.0 * n * _quarter_period(ladder) if n != 0 else val
 
 
@@ -234,13 +233,10 @@ def incomplete_F(phi: float, k: float) -> float:
 
     Uses F(phi, k) = sin(phi) R_F(cos^2 phi, 1 - k^2 sin^2 phi, 1) on the
     principal strip and the quasi-periodicity F(phi + n pi) = F(phi) + 2nK
-    elsewhere.  Strictly increasing in phi with F(pi/2, k) = K.
+    elsewhere, on the one AGM ladder of k (F).  Strictly increasing in phi
+    with F(pi/2, k) = K.  Next to k = 1 it warns as complete_K does.
     """
-    k = _check_modulus(k)
-    n, val = _principal_F(float(phi), _complement(k))
-    if n != 0:
-        val += 2.0 * n * complete_K(k)
-    return val
+    return F(phi, complete_K_ladder(k)[1])
 
 
 def sn(u, k: float):
@@ -251,5 +247,5 @@ def sn(u, k: float):
     """
     k = _check_modulus(k)
     u_arr = np.asarray(u, dtype=float)
-    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[1]
+    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[2]
     return float(out[0]) if u_arr.ndim == 0 else out

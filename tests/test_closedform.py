@@ -116,6 +116,9 @@ def test_separatrix_rejected():
         build_solution(0.0, 0.0, 0.5, 0.0, +1)
     with pytest.raises(UnsupportedRegime):
         build_solution(0.0, 0.0, 0.0, 0.0, +1)
+    for bad_E in (-0.1, math.nan):  # no level at all, not a fixed point
+        with pytest.raises(DomainError):
+            build_solution(0.0, 0.0, bad_E, 0.0, +1)
     with pytest.raises(DomainError):
         build_solution(0.0, 0.0, 0.1, 1.0, +1)  # forbidden region
 

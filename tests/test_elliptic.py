@@ -43,12 +43,14 @@ def test_complete_K_domain_and_lower_bound():
 
 
 def test_complete_K_near_one_is_finite_but_flagged():
-    with pytest.warns(LossOfPrecisionWarning) as record:
-        val = complete_K(1.0 - 1e-12)
-    # the warning names the line that called complete_K
-    assert record[0].filename == __file__
-    assert math.isfinite(val)
-    assert val > 10.0
+    # incomplete_F runs complete_K's ladder, so it warns as complete_K does
+    for call in (lambda: complete_K(1.0 - 1e-12), lambda: incomplete_F(4.0, 1.0 - 1e-12)):
+        with pytest.warns(LossOfPrecisionWarning) as record:
+            val = call()
+        # the warning names the line that called complete_K or incomplete_F
+        assert record[0].filename == __file__
+        assert math.isfinite(val)
+        assert val > 10.0
 
 
 def test_modulus_caches_consistent_K(rng):
@@ -187,7 +189,8 @@ def test_modulus_with_complement_runs_one_ladder():
     K, ladder = complete_K_ladder(k, kc)
     assert ladder.b[0] == kc
     assert K == complete_K(k, kc) != complete_K(k)
-    _, s, c = sn_cn(np.array([K, 2.0 * K]), ladder)
+    j, flip, s, c = sn_cn(np.array([K, 2.0 * K]), ladder)
+    assert np.array_equal(flip, (-1.0) ** j)
     assert s[0] == 1.0 and c[0] == pytest.approx(0.0, abs=1e-15)
     assert c[1] == -1.0
     assert F(math.pi / 2, ladder) == pytest.approx(K, rel=1e-15)
@@ -207,7 +210,7 @@ def test_sn_cn_keeps_cn_at_turning_points(rng):
     for k in (0.5, 0.99, 0.999999):
         K, ladder = complete_K_ladder(k)
         u = K * (1.0 + 2.0 * rng.integers(-3, 4, 20)) + rng.uniform(-1e-6, 1e-6, 20)
-        _, s, c = sn_cn(u, ladder)
+        _, _, s, c = sn_cn(u, ladder)
         with mp.workdps(40):
             ref = [mp.ellipfun("cn", mp.mpf(v), m=mp.mpf(k) ** 2) for v in u]
         assert max(float(abs(ci - r)) for ci, r in zip(c, ref)) < 1e-15

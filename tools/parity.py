@@ -22,7 +22,10 @@ interpreter that imports magflow from that ``src/``:
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
   (``contractible_orbit``);
 * ``elliptic.sn`` on 20,000 (k, u), so that a change of the phase
-  reduction shows its own move and not only through ``eval_solution``.
+  reduction shows its own move and not only through ``eval_solution``;
+* ``elliptic.incomplete_F`` on 20,000 (k, phi) (output ``elliptic.F``),
+  so that a change of F's strip reduction shows its own move and not only
+  through ``build_solution``'s ``D``.
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -39,12 +42,15 @@ fourth generator, has 1 - k^2 log-uniform over 1e-12 ... 1 and u uniform
 over [-1000, 1000].  The p = 0 orbits, from a fifth generator, are half
 trapped, with 1 - 2E log-uniform over 1e-8 ... 1, and half winding, with
 E uniform over (0.5, 3); each starts on the oval, on either strip and
-with either sign of xdot, and t is uniform over [-40, 40].  For every
-output the report gives the number of values that differ in any bit and
-the largest absolute difference among them, where NaN equals NaN and a
-NaN on one side only counts as an infinite difference; for every set, the
-count of each exception type on each side.  The exit status is 0 when
-nothing differs, 1 otherwise.
+with either sign of xdot, and t is uniform over [-40, 40].  The F set,
+from a sixth generator, has 1 - k^2 log-uniform over 1e-12 ... 1 and phi
+uniform over [-4 pi, 4 pi], with every tenth phi exactly at +-pi/2, the
+edges of the principal strip; its LossOfPrecisionWarning next to k = 1 is
+silenced.  For every output the report gives the number of values that
+differ in any bit and the largest absolute difference among them, where
+NaN equals NaN and a NaN on one side only counts as an infinite
+difference; for every set, the count of each exception type on each side.
+The exit status is 0 when nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +73,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
-N_ACTION, N_SN, N_P0 = 2_000, 20_000, 2_000
+N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
 BLOCK = 16384
 
 
@@ -149,6 +156,11 @@ def inputs() -> dict:
     sets.update({"p0_E": E_p0, "p0_p": np.zeros(N_P0), "p0_x0": x0_p0,
                  "p0_y0": np.zeros(N_P0), "p0_sign": p0_rng.choice([-1, 1], N_P0),
                  "p0_t": t_p0})
+    F_rng = np.random.default_rng(SEED + 5)
+    F_phi = F_rng.uniform(-4.0 * np.pi, 4.0 * np.pi, N_F)
+    F_phi[::10] = F_rng.choice([-0.5 * math.pi, 0.5 * math.pi], len(F_phi[::10]))
+    sets.update({"F_k": np.sqrt(1.0 - 10.0 ** F_rng.uniform(-12.0, 0.0, N_F)),
+                 "F_phi": F_phi})
     return sets
 
 
@@ -190,7 +202,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "wall", "wall_", out, errors)
     run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
-    run_sn(inp, out, errors)
+    run_elliptic(inp, out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -255,19 +267,25 @@ def run_actions(inp: dict, out: dict, errors: dict) -> None:
     errors.update(err)
 
 
-def run_sn(inp: dict, out: dict, errors: dict) -> None:
-    """elliptic.sn on the (k, u) set, one call per pair."""
-    from magflow.elliptic import sn
+def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
+    """elliptic.sn on the (k, u) set and incomplete_F on the (k, phi) set,
+    one call per pair, with incomplete_F's LossOfPrecisionWarning silenced."""
+    from magflow.elliptic import incomplete_F, sn
+    from magflow.errors import LossOfPrecisionWarning
 
-    values, err = np.full(N_SN, math.nan), []
-    for i, (k, u) in enumerate(zip(inp["sn_k"].tolist(), inp["sn_u"].tolist())):
-        try:
-            values[i] = sn(u, k)
-        except Exception as exc:
-            err.append(type(exc).__name__)
-            continue
-        err.append("")
-    out["elliptic.sn"], errors["elliptic.sn"] = values, err
+    for name, fn, key_k, key_arg in (("elliptic.sn", sn, "sn_k", "sn_u"),
+                                     ("elliptic.F", incomplete_F, "F_k", "F_phi")):
+        values, err = np.full(len(inp[key_k]), math.nan), []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LossOfPrecisionWarning)
+            for i, (k, arg) in enumerate(zip(inp[key_k].tolist(), inp[key_arg].tolist())):
+                try:
+                    values[i] = fn(arg, k)
+                except Exception as exc:
+                    err.append(type(exc).__name__)
+                    continue
+                err.append("")
+        out[name], errors[name] = values, err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
