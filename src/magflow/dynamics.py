@@ -73,11 +73,11 @@ class FlowIntegrals:
 def rhs(t, y):
     """Vector field (xdot, ydot, xddot, yddot) at y = (x, y, xdot, ydot).
 
-    Signature and tuple result follow scipy's solve_ivp; t is unused.  y is
-    a float array, unpacked to Python floats: cheaper per call than numpy
-    scalar arithmetic on four elements.
+    The (t, y) signature of an ODE right-hand side; t is unused.  y is any
+    sequence of four floats.  The integrator passes a tuple of Python
+    floats, cheaper per call than numpy scalar arithmetic on four elements.
     """
-    x, _, xd, yd = y.tolist()
+    x, _, xd, yd = y
     c = math.cos(x)
     return (xd, yd, c * yd, -c * xd)
 

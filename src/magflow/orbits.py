@@ -180,12 +180,14 @@ def cycle_data(E, p) -> CycleData:
     """
     E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
                                np.atleast_1d(np.asarray(p, dtype=float)))
-    curve = quartic_from_params(E, p)  # DomainError unless E > 0
-    oval, line = curve.kind <= WINDING, curve.kind == VERTICAL
-    with np.errstate(all="ignore"):  # lanes of another kind, or failed, hold garbage
+    # lanes of another kind, or failed, hold garbage, and 2E overflows
+    # next to E = 1e308
+    with np.errstate(all="ignore"):
+        curve = quartic_from_params(E, p)  # DomainError unless E > 0
         red, bad = reduce_lanes(curve)
         cycle = red.cycle_values()
         line_period, line_action = _line_data(curve)
+    oval, line = curve.kind <= WINDING, curve.kind == VERTICAL
     failed = oval & bad
     ok = oval & ~bad
     delta_y = np.where(ok, cycle[1], np.nan)

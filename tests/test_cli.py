@@ -156,6 +156,17 @@ def fresh_run(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_sweep_at_overflowing_energies_is_silent():
+    # 2E overflows to inf near E = 1e308: every cell fails and its row keeps
+    # only E and p, with no numpy warning on stderr
+    code, out, err = fresh_run("sweep", "--e-min", "1e300", "--e-max", "1e308",
+                               "--grid-n", "3")
+    assert code == 0 and err == b""
+    es = ("1.0000000000000001e+300", "5.0000000500000001e+307", "1e+308")
+    assert out.decode().splitlines() == ["E\tp\tkind\tdelta_y\tperiod\taction"] + [
+        f"{e}\t{p}\t\t\t\t" for e in es for p in ("-0.5", "0", "0.5")]
+
+
 def test_parser_built_once_and_reused(capsys):
     sweep = ("sweep", "--e-min", "0.2", "--e-max", "0.9", "--p-min", "-1.2", "--p-max", "1.2",
              "--grid-n", "5")
@@ -295,6 +306,7 @@ def test_bad_config_exits_2(tmp_path, capsys, name, content):
     ("simulate", "--e", "nan", "--t-end", "1"),
     ("classify", "--e", "inf"),
     ("compare", "--p", "nan", "--t-end", "1"),
+    ("simulate", "--e", "1e308", "--t-end", "1"),  # xdot = sqrt(2E) = inf
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -155,10 +155,30 @@ def test_bench_imports_resolve():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # only the RK oracle needs scipy.integrate, and it imports it on first use
+    # scipy.integrate is imported only by the quadrature test oracle, which
+    # the package itself never imports
     code = "import sys, magflow; print('scipy.integrate' in sys.modules)"
     src = str(ROOT / "src")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
+
+
+CLI_INTEGRATE_PROBE = """
+import sys
+from magflow import cli
+out = sys.argv[1]
+assert cli.main(["compare", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
+assert cli.main(["simulate", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
+print('scipy.integrate' in sys.modules)
+"""
+
+
+def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
+    # the RK oracle carries its own tableau; only the tests run solve_ivp
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", CLI_INTEGRATE_PROBE, str(tmp_path / "out")],
+                         capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert res.stdout.strip() == "False"
 

@@ -25,7 +25,10 @@ interpreter that imports magflow from that ``src/``:
   reduction shows its own move and not only through ``eval_solution``;
 * ``elliptic.incomplete_F`` on 20,000 (k, phi) (output ``elliptic.F``),
   so that a change of F's strip reduction shows its own move and not only
-  through ``build_solution``'s ``D``.
+  through ``build_solution``'s ``D``;
+* ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
+  call counts, the final state and ``Trajectory.eval`` at 50 times, and
+  the event times of 100 of them.
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -46,10 +49,16 @@ with either sign of xdot, and t is uniform over [-40, 40].  The F set,
 from a sixth generator, has 1 - k^2 log-uniform over 1e-12 ... 1 and phi
 uniform over [-4 pi, 4 pi], with every tenth phi exactly at +-pi/2, the
 edges of the principal strip; its LossOfPrecisionWarning next to k = 1 is
-silenced.  For every output the report gives the number of values that
-differ in any bit and the largest absolute difference among them, where
-NaN equals NaN and a NaN on one side only counts as an infinite
-difference; for every set, the count of each exception type on each side.
+silenced.  The integrate set, from a seventh generator, has 500 levels of
+the three strata, each with a start on its oval as for build_solution,
+t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
+and 50 times uniform between 0 and t_end; integrate at tol 1e-11 gives
+n_steps, nfev, the final state and eval at the times, and on the first
+100 levels, with events, the event times (outputs ``integrate_events``).
+For every output the report gives the number of values that differ in any
+bit and the largest absolute difference among them, where NaN equals NaN
+and a NaN on one side only counts as an infinite difference; for every
+set, the count of each exception type on each side.
 The exit status is 0 when nothing differs, 1 otherwise.
 """
 
@@ -74,6 +83,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
 N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
+N_INTEGRATE, N_EVENTS, MAX_EVENTS = 500, 100, 64
 BLOCK = 16384
 
 
@@ -106,19 +116,23 @@ def wall_starts(rng, n):
     return 0.5 * a * a, p, wall * 0.5 * np.pi + strip * off, sign.astype(int)
 
 
+def oval_starts(rng, E, p):
+    """x0 on the oval [max(-1, z1), min(1, z2)] of each level when there is
+    one, on either strip of x, shifted by 2 pi n."""
+    n = len(E)
+    a = np.sqrt(2.0 * E)
+    lo, hi = np.maximum(-1.0, p - a), np.minimum(1.0, p + a)
+    z0 = np.where(lo <= hi, lo + rng.uniform(0.0, 1.0, n) * (hi - lo), np.clip(p, -1.0, 1.0))
+    x0 = np.where(rng.uniform(size=n) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
+    return x0 + 2.0 * np.pi * rng.integers(-1, 2, n)
+
+
 def inputs() -> dict:
     rng = np.random.default_rng(SEED)
     E_cyc, p_cyc = levels(rng, N_CYCLE)
     E_cls, p_cls = levels(rng, N_CLASSIFY)
     E_orb, p_orb = levels(rng, N_ORBITS)
-    # a start on the oval [max(-1, z1), min(1, z2)] when there is one, on
-    # either strip of x, shifted by 2 pi n
-    a = np.sqrt(2.0 * E_orb)
-    lo, hi = np.maximum(-1.0, p_orb - a), np.minimum(1.0, p_orb + a)
-    z0 = np.where(lo <= hi, lo + rng.uniform(0.0, 1.0, N_ORBITS) * (hi - lo),
-                  np.clip(p_orb, -1.0, 1.0))
-    x0 = np.where(rng.uniform(size=N_ORBITS) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
-    x0 = x0 + 2.0 * np.pi * rng.integers(-1, 2, N_ORBITS)
+    x0 = oval_starts(rng, E_orb, p_orb)
     sets = {
         "cycle_E": E_cyc, "cycle_p": p_cyc,
         "classify_E": E_cls, "classify_p": p_cls,
@@ -161,6 +175,15 @@ def inputs() -> dict:
     F_phi[::10] = F_rng.choice([-0.5 * math.pi, 0.5 * math.pi], len(F_phi[::10]))
     sets.update({"F_k": np.sqrt(1.0 - 10.0 ** F_rng.uniform(-12.0, 0.0, N_F)),
                  "F_phi": F_phi})
+    int_rng = np.random.default_rng(SEED + 6)
+    E_int, p_int = levels(int_rng, N_INTEGRATE)
+    t_end = np.where(np.arange(N_INTEGRATE) % 10 == 0, -20.0, 20.0)
+    sets.update({"integrate_E": E_int, "integrate_p": p_int,
+                 "integrate_x0": oval_starts(int_rng, E_int, p_int),
+                 "integrate_sign": int_rng.choice([-1, 1], N_INTEGRATE),
+                 "integrate_t_end": t_end,
+                 "integrate_t": int_rng.uniform(0.0, 1.0, (N_INTEGRATE, N_TIMES))
+                 * t_end[:, None]})
     return sets
 
 
@@ -203,6 +226,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
     run_elliptic(inp, out, errors)
+    run_integrate(inp, out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -286,6 +310,51 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
                     continue
                 err.append("")
         out[name], errors[name] = values, err
+
+
+def run_integrate(inp: dict, out: dict, errors: dict) -> None:
+    """integrate at tol 1e-11 on the integrate set: step and call counts, the
+    final state and eval at 50 times; with events on its first N_EVENTS
+    levels, the event times (NaN past the last) and their count."""
+    from magflow import integrate, state_from_integrals
+
+    n, n_times = inp["integrate_t"].shape
+    counts = np.full((n, 2), -1)
+    final = np.full((n, 4), math.nan)
+    evals = np.full((n, 4, n_times), math.nan)
+    ev_count = np.full(N_EVENTS, -1)
+    ev_times = np.full((N_EVENTS, MAX_EVENTS), math.nan)
+    err, ev_err = [], []
+    for i in range(n):
+        args = (float(inp["integrate_x0"][i]), 0.0, float(inp["integrate_E"][i]),
+                float(inp["integrate_p"][i]), int(inp["integrate_sign"][i]))
+        t_end = float(inp["integrate_t_end"][i])
+        try:
+            traj = integrate(state_from_integrals(*args), t_end, 1e-11, with_events=False)
+            counts[i] = traj.n_steps, traj.nfev
+            final[i] = traj.states[-1]
+            evals[i] = traj.eval(inp["integrate_t"][i])
+        except Exception as exc:
+            err.append(type(exc).__name__)
+        else:
+            err.append("")
+        if i >= N_EVENTS:
+            continue
+        try:
+            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end).events]
+        except Exception as exc:
+            ev_err.append(type(exc).__name__)
+            continue
+        ev_err.append("")
+        ev_count[i] = len(times)
+        times = times[:MAX_EVENTS]
+        ev_times[i, :len(times)] = times
+    out["integrate.n_steps"], out["integrate.nfev"] = counts[:, 0], counts[:, 1]
+    for j, f in enumerate(("x", "y", "xdot", "ydot")):
+        out[f"integrate.final_{f}"] = final[:, j]
+        out[f"integrate.eval_{f}"] = evals[:, j]
+    out["integrate_events.count"], out["integrate_events.t"] = ev_count, ev_times
+    errors["integrate"], errors["integrate_events"] = err, ev_err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
