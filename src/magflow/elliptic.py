@@ -185,16 +185,23 @@ def complete_K_ladder(k, kc=None):
 
     complete_RD, complete_L, sn_cn and F read the same ladder, so one run
     of the AGM serves everything of a modulus.  The arguments are those of
-    complete_K; on an array, a lane outside the domain has K = NaN and
-    rungs of no meaning.
+    complete_K; an array goes to masked_K_ladder.
     """
     if isinstance(k, np.ndarray):
-        ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
-        ladder = _agm_ladder(np.where(ok, k, 0.0), np.where(ok, kc, 1.0))
-        return np.where(ok, _quarter_period(ladder), np.nan), ladder
+        return masked_K_ladder(k, kc)
     k = _check_modulus(k)
     ladder = _agm_ladder(k, _given_or_complement(k, kc))
     return _quarter_period(ladder), ladder
+
+
+def masked_K_ladder(k, kc):
+    """complete_K_ladder of floats or arrays k and k', where a k or k'
+    outside its domain gives K = NaN and rungs of no meaning, not
+    DomainError: the Legendre reduction's self-check then fails the level."""
+    where = _xp.of(k).where
+    ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
+    ladder = _agm_ladder(where(ok, k, 0.0), where(ok, kc, 1.0))
+    return where(ok, _quarter_period(ladder), math.nan), ladder
 
 
 def complete_K(k, kc=None):

@@ -11,8 +11,9 @@ of its sums differs from scipy's BLAS, and a step's error estimate, a sum
 that cancels, carries that rounding into the step size: the step ends move
 slightly, the step counts mostly stay.  The tests keep solve_ivp as the
 reference that step counts, states and events are checked against.
-Conservation of (E, p) is monitored, never enforced.  Events are localized
-on the dense-output polynomial by root bracketing, which is what makes
+Conservation of (E, p) is monitored, never enforced.  Events are found
+after the step loop: a sign change between step ends, then root
+bracketing on that step's dense-output polynomial, which is what makes
 period and y-increment measurements good to ~1e-10 in t.
 """
 
@@ -38,30 +39,6 @@ _EPS = float(np.finfo(float).eps)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-@dataclass(frozen=True)
-class _DenseSteps:
-    """The 7th-order interpolant of every accepted step, as scipy's
-    Dop853DenseOutput holds one step's."""
-
-    t: np.ndarray       # step ends, n + 1 of them, monotone
-    y_old: np.ndarray   # state at the start of each step, shape (n, 4)
-    h: np.ndarray       # signed step lengths t[i + 1] - t[i]
-    F: np.ndarray       # interpolant rows of each step, shape (n, 7, 4)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """States at the times of the 1-d array t, shape (4, len(t)).
-
-        A time takes the step that scipy's OdeSolution gives it: the one it
-        lies in, the earlier one at a step end, the first or the last one
-        outside the span.
-        """
-        sign = 1.0 if self.h[0] > 0.0 else -1.0
-        i = np.searchsorted(sign * self.t, sign * t, side="left") - 1
-        np.clip(i, 0, len(self.h) - 1, out=i)
-        x = (t - self.t[i]) / self.h[i]
-        return _interpolate(self.F[i], x[:, None], self.y_old[i]).T
-
-
 def _interpolate(F, x, y_old):
     """The interpolant of rows F (along the second-to-last axis) at the step
     fraction x: Dop853DenseOutput's Horner form, which multiplies by x and
@@ -75,15 +52,20 @@ def _interpolate(F, x, y_old):
 
 @dataclass
 class Trajectory:
-    """The accepted steps of one integrated orbit plus its dense interpolant."""
+    """One integrated orbit: the solver's accepted steps, the 7th-order
+    interpolant of each, as scipy's Dop853DenseOutput holds one step's, and
+    the events found on them."""
 
-    t: np.ndarray                  # step times, monotone in the direction of t_end
-    states: np.ndarray             # shape (n, 4): x, y, xdot, ydot
-    tol: float
+    t: np.ndarray       # step ends, n + 1 of them, monotone in the direction of t_end
+    states: np.ndarray  # shape (n + 1, 4): x, y, xdot, ydot at the step ends
+    F: np.ndarray       # interpolant rows of each step, shape (n, 7, 4)
+    nfev: int           # right-hand-side evaluations
     events: list[tuple[float, str]] = field(default_factory=list)
-    dense: _DenseSteps | None = None  # the interpolant of each step
-    nfev: int = 0                  # right-hand-side evaluations
-    n_steps: int = 0               # accepted steps
+
+    @property
+    def n_steps(self) -> int:
+        """Accepted steps."""
+        return len(self.t) - 1
 
     @property
     def initial_state(self) -> PhaseState:
@@ -98,11 +80,19 @@ class Trajectory:
         return float(self.t[-1] - self.t[0])
 
     def eval(self, t):
-        """Dense-output evaluation; scalar t gives a PhaseState."""
-        if self.dense is None:
-            raise DomainError("trajectory carries no dense output")
+        """The interpolant at t; scalar t gives a PhaseState, an array the
+        rows x, y, xdot, ydot.
+
+        A time takes the step that scipy's OdeSolution gives it: the one it
+        lies in, the earlier one at a step end, the first or the last one
+        outside the span.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self.dense(t_arr)
+        sign = 1.0 if self.t[1] > self.t[0] else -1.0
+        i = np.searchsorted(sign * self.t, sign * t_arr, side="left") - 1
+        np.clip(i, 0, self.n_steps - 1, out=i)
+        x = (t_arr - self.t[i]) / (self.t[i + 1] - self.t[i])
+        vals = _interpolate(self.F[i], x[:, None], self.states[i]).T
         if np.ndim(t) == 0:
             return PhaseState.from_array(vals[:, 0])
         return vals[0], vals[1], vals[2], vals[3]
@@ -186,32 +176,19 @@ def _error_norm(K, h: float, y, y_new, rtol: float, atol: float) -> float:
     return _div(abs(h) * n5, math.sqrt((n5 + 0.01 * n3) * 4))
 
 
-def _event_root(event, t_old: float, t_new: float, F: list, y_old) -> float:
-    """The root of event on one step's interpolant, as scipy's
-    solve_event_equation finds it."""
-    # imported here so that integrating without events never loads it
-    from scipy.optimize import brentq
-
-    F, y_old, h = np.array(F).reshape(7, 4), np.array(y_old), t_new - t_old
-    return brentq(lambda s: event(s, _interpolate(F, (s - t_old) / h, y_old)),
-                  t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
-
-
-def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float, events):
+def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     """solve_ivp(rhs, (0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
-    dense_output=True, events=events) with events of direction 0.
+    dense_output=True).
 
     Returns the step times, the states at them, the interpolant rows of
-    each step (shape (n, 7, 4)), the count of right-hand-side calls and
-    (time, event index) of each event root.
+    each step (shape (n, 7, 4)) and the count of right-hand-side calls.
     """
     direction = 1.0 if t_bound > 0.0 else -1.0
     t, y = 0.0, y0
     f = rhs(t, y)
     h_abs = _initial_step(y, f, t_bound, direction, rtol, atol)
     nfev = 2
-    ts, ys, Fs, roots = [t], [y], [], []
-    g = [ev(t, y) for ev in events]
+    ts, ys, Fs = [t], [y], []
     while direction * (t - t_bound) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -253,20 +230,32 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float, events):
         for row in D:
             F.extend(h * s for s in _combine(row, K))
         Fs.append(F)
-
-        if events:
-            # a sign change between the step ends, as find_active_events
-            # sees it for direction 0
-            g_new = [ev(t_new, y_new) for ev in events]
-            for k, (a, b) in enumerate(zip(g, g_new)):
-                if (a <= 0.0 and b >= 0.0) or (a >= 0.0 and b <= 0.0):
-                    roots.append((_event_root(events[k], t, t_new, F, y), k))
-            g = g_new
-
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return np.array(ts), np.array(ys), np.array(Fs).reshape(-1, 7, 4), nfev, roots
+    return np.array(ts), np.array(ys), np.array(Fs).reshape(-1, 7, 4), nfev
+
+
+def _event_roots(events, ts, states, F) -> list[tuple[float, int]]:
+    """(time, event index) of each root of events over the finished steps.
+
+    An event has a root on a step where its values at the step ends change
+    sign, as solve_ivp's find_active_events sees it for direction 0, and
+    brentq finds it on that step's interpolant, as solve_event_equation does.
+    """
+    # imported here so that integrating without events never loads it
+    from scipy.optimize import brentq
+
+    t = ts.tolist()
+    g = np.array([[ev(tj, yj) for ev in events] for tj, yj in zip(t, states.tolist())])
+    a, b = g[:-1], g[1:]
+    roots = []
+    for i, k in zip(*np.nonzero(((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0)))):
+        t_old, h, event = t[i], t[i + 1] - t[i], events[k]
+        root = brentq(lambda s: event(s, _interpolate(F[i], (s - t_old) / h, states[i])),
+                      t_old, t[i + 1], xtol=4 * _EPS, rtol=4 * _EPS)
+        roots.append((root, k))
+    return roots
 
 
 def integrate(
@@ -279,8 +268,11 @@ def integrate(
 
     tol maps to (rtol=tol, atol=tol/100).  The samples are the solver's own
     values at its accepted steps; Trajectory.eval gives any other time.
-    t_end < 0 integrates backwards.  A step that fails, in floating point
-    or for a step size below the spacing of t, raises StepFailure.
+    With with_events, the x-turning (xdot = 0) and x-return (sin x back to
+    sin x0) events are found after the step loop, in one pass over the
+    finished steps.  t_end < 0 integrates backwards.  A step that fails, in
+    floating point or for a step size below the spacing of t, raises
+    StepFailure.
     """
     tol = _check_tol(tol)
     if t_end == 0.0 or not math.isfinite(t_end):
@@ -302,7 +294,8 @@ def integrate(
                 and abs(math.cos(state0.x) * state0.ydot) < 1e-13)
     events = (ev_turning, ev_return) if with_events and not x_frozen else ()
     try:
-        ts, states, F, nfev, roots = _dop853(y0, float(t_end), tol, tol * 1e-2, events)
+        ts, states, F, nfev = _dop853(y0, float(t_end), tol, tol * 1e-2)
+        roots = _event_roots(events, ts, states, F) if events else []
     except (ArithmeticError, ValueError) as exc:
         # math's domain and range errors where a state stops being finite,
         # and an event that brentq finds unbracketed on its step
@@ -310,9 +303,7 @@ def integrate(
 
     # drop the trivial event at t = 0
     ev_list = sorted((float(te), _EVENT_KINDS[k]) for te, k in roots if abs(te) > 1e-9)
-    dense = _DenseSteps(ts, states[:-1], np.diff(ts), F)
-    return Trajectory(t=ts, states=states, tol=tol, events=ev_list, dense=dense,
-                      nfev=nfev, n_steps=len(ts) - 1)
+    return Trajectory(t=ts, states=states, F=F, nfev=nfev, events=ev_list)
 
 
 def conservation_report(traj: Trajectory) -> tuple[float, float]:
@@ -324,8 +315,6 @@ def conservation_report(traj: Trajectory) -> tuple[float, float]:
     over t = 20 from x0 = 0.1 on (E, p) = (0.3, 0.2), the drift in E is
     2.5e-12 at the steps against 1.0e-11 on a 20001-point eval grid.
     """
-    if len(traj.t) == 0:
-        raise DomainError("empty trajectory")
     E = energy(traj.states)
     p = momentum(traj.states)
     return float(np.abs(E - E[0]).max()), float(np.abs(p - p[0]).max())

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _xp
-from .elliptic import Ladder, complete_K_ladder, complete_L, complete_RD
+from .elliptic import Ladder, complete_L, complete_RD, masked_K_ladder
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the level is a separatrix (beyond
@@ -276,7 +276,7 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
     T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
     one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
     kc = 2.0 * sqrt(kappa_c) / (1.0 + kappa_c)
-    K, ladder = complete_K_ladder(k, kc)
+    K, ladder = masked_K_ladder(k, kc)
     s = (curve.a1 + curve.a2 - curve.a3 - curve.a4) / w1
     # q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
     # h = g21 / (2 - g21 s); 2p - a1 - a2 is summed by error-free TwoSums and

@@ -130,8 +130,9 @@ def classify(E: float, p: float) -> OrbitClassification:
     vertical line reports the time and the action of one y-circuit.
     cycle_data gives the same numbers for whole arrays of levels.  Where
     the reduction of an oval fails its self-check, as at the crossing
-    levels (0.5, +-1e-7) next to the critical energy, classify raises
-    ReductionInconsistency.
+    levels (0.5, +-1e-7) next to the critical energy or past E = 6.7e153,
+    where the product of the root gaps overflows, classify raises
+    ReductionInconsistency and cycle_data fails the lane.
     """
     curve = quartic_from_params(E, p)
     kind = KINDS[curve.kind]

@@ -169,13 +169,13 @@ def test_oracle_matches_closed_form_on_an_oval():
 def test_samples_are_the_solver_step_values(monkeypatch):
     # the states come from the solver's steps; the interpolant is not re-run
     calls = []
-    dense_call = integrate_module._DenseSteps.__call__
+    interpolate = integrate_module._interpolate
 
-    def counted(self, t):
-        calls.append(np.size(t))
-        return dense_call(self, t)
+    def counted(F, x, y_old):
+        calls.append(np.size(x))
+        return interpolate(F, x, y_old)
 
-    monkeypatch.setattr(integrate_module._DenseSteps, "__call__", counted)
+    monkeypatch.setattr(integrate_module, "_interpolate", counted)
     traj = integrate(OVAL, 5.0, 1e-11, with_events=False)
     assert calls == []
     assert traj.states.shape == (traj.n_steps + 1, 4)

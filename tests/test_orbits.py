@@ -216,6 +216,38 @@ def test_cycle_data_lanes_equal_classify(rng):
     assert set(d.kind.tolist()) == set(range(len(kinds)))
 
 
+def wide_levels(rng, n):
+    """(E, p) over the whole float range: E log-uniform over [5e-324, 1.7e308];
+    p uniform over [-3, 3], log-uniform in |p| up to 1e300, or exactly 0."""
+    E = np.clip(np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), n)), 5e-324, 1.7e308)
+    p = rng.uniform(-3.0, 3.0, n)
+    p[1::3] = rng.choice([-1.0, 1.0], len(p[1::3])) * 10.0 ** rng.uniform(-300.0, 300.0,
+                                                                          len(p[1::3]))
+    p[2::6] = 0.0
+    return E, p
+
+
+def test_classify_and_cycle_data_give_one_verdict_over_the_float_range(rng):
+    # a level gets one verdict: classify equals its cycle_data lane bit for
+    # bit, or raises ReductionInconsistency exactly where the lane is failed;
+    # past E = 6.7e153 the product of the four root gaps in the reduction
+    # overflows and the modulus is NaN
+    E, p = wide_levels(rng, 2000)
+    d = cycle_data(E, p)
+    kinds = list(OrbitKind)
+    bits = lambda vals: [float.hex(float(v)) if v == v else "nan" for v in vals]  # noqa: E731
+    for i, (e, q) in enumerate(zip(E.tolist(), p.tolist())):
+        if d.failed[i]:
+            with pytest.raises(ReductionInconsistency):
+                classify(e, q)
+            continue
+        c = classify(e, q)
+        values = [math.nan if v is None else v for v in (c.delta_y, c.period, c.action)]
+        assert kinds[d.kind[i]] is c.kind, (e, q)
+        assert bits([d.delta_y[i], d.period[i], d.action[i]]) == bits(values), (e, q)
+    assert 0 < d.failed.sum() < len(E)
+
+
 def test_failed_lanes_are_the_levels_classify_rejects(monkeypatch, capsys):
     # no level fails the self-check at its tolerance of 1e-10; at 4e-16 some
     # levels over the README sweep ranges do, which reaches the failed-lane

@@ -155,8 +155,8 @@ def test_bench_imports_resolve():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported only by the quadrature test oracle, which
-    # the package itself never imports
+    # the package never imports scipy.integrate: only the tests (solve_ivp,
+    # quad) and magflow.quadrature, which one test and the bench trace use
     code = "import sys, magflow; print('scipy.integrate' in sys.modules)"
     src = str(ROOT / "src")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -11,7 +11,8 @@ interpreter that imports magflow from that ``src/``:
 * ``cycle_data`` on 200,000 levels, in blocks of 16,384 like ``cli sweep``:
   kind, delta_y, period, action and the failed mask;
 * ``classify`` on 3,000 levels: kind, turning roots, delta_y, period,
-  action and contractible;
+  action and contractible, and the same on 2,000 levels over the whole
+  float range (outputs prefixed ``classify_wide``);
 * ``build_solution`` on 20,000 orbits: D, x_offset, x_period,
   delta_y_per_cycle, k and k2, and ``eval_solution`` at 50 times each:
   x, y, xdot and ydot;
@@ -55,6 +56,11 @@ t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
 and 50 times uniform between 0 and t_end; integrate at tol 1e-11 gives
 n_steps, nfev, the final state and eval at the times, and on the first
 100 levels, with events, the event times (outputs ``integrate_events``).
+The classify_wide levels, from an eighth generator, have E log-uniform over
+[5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
+log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
+sixth; past E = 6.7e153 the product of the four root gaps in the reduction
+overflows.
 For every output the report gives the number of values that differ in any
 bit and the largest absolute difference among them, where NaN equals NaN
 and a NaN on one side only counts as an infinite difference; for every
@@ -83,7 +89,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
 N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
-N_INTEGRATE, N_EVENTS, MAX_EVENTS = 500, 100, 64
+N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE = 500, 100, 64, 2_000
 BLOCK = 16384
 
 
@@ -100,6 +106,17 @@ def levels(rng, n):
     p_crit = rng.choice([-1.0, 1.0], n_crit) * 10.0 ** rng.uniform(-12.0, 0.0, n_crit)
     return (np.concatenate([E_uni, E_wall, E_crit]),
             np.concatenate([p_uni, p_wall, p_crit]))
+
+
+def wide_levels(rng, n):
+    """(E, p) over the whole float range: E log-uniform over [5e-324, 1.7e308];
+    p uniform over [-3, 3], log-uniform in |p| up to 1e300, or exactly 0."""
+    E = np.clip(np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), n)), 5e-324, 1.7e308)
+    p = rng.uniform(-3.0, 3.0, n)
+    p[1::3] = rng.choice([-1.0, 1.0], len(p[1::3])) * 10.0 ** rng.uniform(-300.0, 300.0,
+                                                                          len(p[1::3]))
+    p[2::6] = 0.0
+    return E, p
 
 
 def wall_starts(rng, n):
@@ -184,26 +201,44 @@ def inputs() -> dict:
                  "integrate_t_end": t_end,
                  "integrate_t": int_rng.uniform(0.0, 1.0, (N_INTEGRATE, N_TIMES))
                  * t_end[:, None]})
+    wide_rng = np.random.default_rng(SEED + 7)
+    sets["classify_wide_E"], sets["classify_wide_p"] = wide_levels(wide_rng, N_WIDE)
     return sets
 
 
 def worker(in_path: str, out_path: str) -> None:
     """Run every set on the magflow that PYTHONPATH names; write the outputs."""
     import magflow
-    from magflow import classify, cycle_data
+    from magflow import cycle_data
 
     with np.load(in_path) as f:
         inp = dict(f)
     out, errors = {"magflow_file": np.array(magflow.__file__)}, {}
-    nan = math.nan
 
     E, p = inp["cycle_E"], inp["cycle_p"]
     blocks = [cycle_data(E[i:i + BLOCK], p[i:i + BLOCK]) for i in range(0, len(E), BLOCK)]
     for name in ("kind", "delta_y", "period", "action", "failed"):
         out[f"cycle_data.{name}"] = np.concatenate([getattr(b, name) for b in blocks])
 
+    run_classify(inp, "classify", out, errors)
+    run_classify(inp, "classify_wide", out, errors)
+    run_orbits(inp, "orbit", "", out, errors)
+    run_orbits(inp, "wall", "wall_", out, errors)
+    run_orbits(inp, "p0", "p0_", out, errors)
+    run_actions(inp, out, errors)
+    run_elliptic(inp, out, errors)
+    run_integrate(inp, out, errors)
+    out["errors"] = np.array(json.dumps(errors))
+    np.savez(out_path, **out)
+
+
+def run_classify(inp: dict, key: str, out: dict, errors: dict) -> None:
+    """classify on the level set named key."""
+    from magflow import classify
+
+    nan = math.nan
     rows, err = [], []
-    for e, q in zip(inp["classify_E"].tolist(), inp["classify_p"].tolist()):
+    for e, q in zip(inp[f"{key}_E"].tolist(), inp[f"{key}_p"].tolist()):
         try:
             c = classify(e, q)
         except Exception as exc:  # counted by type in the report
@@ -215,20 +250,11 @@ def worker(in_path: str, out_path: str) -> None:
                      none(c.action), c.contractible))
         err.append("")
     cols = list(zip(*rows))
-    out["classify.kind"] = np.array(cols[0])
+    out[f"{key}.kind"] = np.array(cols[0])
     for j, name in enumerate(("z1", "z2", "delta_y", "period", "action"), start=1):
-        out[f"classify.{name}"] = np.array(cols[j], dtype=float)
-    out["classify.contractible"] = np.array(cols[6], dtype=bool)
-    errors["classify"] = err
-
-    run_orbits(inp, "orbit", "", out, errors)
-    run_orbits(inp, "wall", "wall_", out, errors)
-    run_orbits(inp, "p0", "p0_", out, errors)
-    run_actions(inp, out, errors)
-    run_elliptic(inp, out, errors)
-    run_integrate(inp, out, errors)
-    out["errors"] = np.array(json.dumps(errors))
-    np.savez(out_path, **out)
+        out[f"{key}.{name}"] = np.array(cols[j], dtype=float)
+    out[f"{key}.contractible"] = np.array(cols[6], dtype=bool)
+    errors[key] = err
 
 
 def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> None:
