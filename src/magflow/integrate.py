@@ -4,13 +4,16 @@ The integrator is scipy's DOP853 algorithm, the Dormand-Prince 8(5,3) pair
 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
 section II.10) with its 7th-order dense output, run step by step on Python
 floats: scipy's initial-step rule, error norm, step controller and
-interpolant, with scipy's tableau kept in ._dop853.  So it runs
+interpolant, with scipy's tableau kept in ._dop853.  The stages of a step
+are straight-line code written out from that tableau on the first
+integration, each sum in its row's order.  So it runs
 solve_ivp(method="DOP853", dense_output=True) without numpy's per-call
 cost, which on four components exceeds the arithmetic.  Only the rounding
 of its sums differs from scipy's BLAS, and a step's error estimate, a sum
 that cancels, carries that rounding into the step size: the step ends move
 slightly, the step counts mostly stay.  The tests keep solve_ivp as the
 reference that step counts, states and events are checked against.
+A run takes at most MAX_STEPS accepted steps.
 Conservation of (E, p) is monitored, never enforced.  Events are found
 after the step loop: a sign change between step ends, then root
 bracketing on that step's dense-output polynomial, which is what makes
@@ -19,6 +22,7 @@ period and y-increment measurements good to ~1e-10 in t.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +33,10 @@ from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, NoReturnFound, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
+# accepted steps a run may take: about 1.6 s of stepping on a 2-CPU Xeon
+# host, and 67 times the 749 of the longest run of any test, demo, parity
+# set or benchmark level
+MAX_STEPS = 50_000
 
 _EVENT_KINDS = ("x-turning", "x-return")
 
@@ -122,22 +130,65 @@ def _rms(v) -> float:
     return math.sqrt(a * a + b * b + c * c + d * d) / 2.0
 
 
-def _combine(row, K) -> tuple[float, float, float, float]:
-    """sum_j a_j K[j] over the (j, a_j) pairs of one tableau row, per component."""
-    s0 = s1 = s2 = s3 = 0.0
-    for j, a in row:
-        k0, k1, k2, k3 = K[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-    return s0, s1, s2, s3
+def _row_sum(row, i: int) -> str:
+    """Source of component i of sum_j a_j k_j over one tableau row's (j, a_j)
+    pairs, added in the row's order from 0.0, as a loop of += adds them."""
+    return " + ".join(["0.0", *(f"{a!r} * k{j}_{i}" for j, a in row)])
 
 
-def _stage(row, K, t: float, y, h: float):
-    """The right-hand side at t, at y plus h times one row's combination of K."""
-    s0, s1, s2, s3 = _combine(row, K)
-    return rhs(t, (y[0] + s0 * h, y[1] + s1 * h, y[2] + s2 * h, y[3] + s3 * h))
+def _components(j: int) -> str:
+    """Source of the names of stage j's four components."""
+    return ", ".join(f"k{j}_{i}" for i in range(4))
+
+
+def _stage_source(j: int, row, c: float) -> list[str]:
+    """Source of stage j: the right-hand side at t + c h, at y plus h times
+    the row's sum, then its components unpacked."""
+    args = ", ".join(f"y{i} + ({_row_sum(row, i)}) * h" for i in range(4))
+    return [f"    k{j} = rhs(t + {c!r} * h, ({args}))",
+            f"    {_components(j)} = k{j}"]
+
+
+def _build_kernel(f):
+    """DOP853's step and dense-output stages as two straight-line functions
+    with right-hand side f, written out from the tableau of ._dop853.
+
+    step(t, y, k0, h), with k0 = f(t, y), returns y_new, f_new, the E5 and
+    E3 sums and the 13 stages k0 ... k11, f_new; dense(t, y, h, K) takes
+    those 13, computes the 3 extra stages and returns the 4 D rows times h,
+    16 values in a row.  Each sum adds its terms in the row's order from
+    0.0, with each coefficient as its repr, so it rounds as the loop over
+    the row would.
+    """
+    lines = ["def step(t, y, k0, h):",
+             "    y0, y1, y2, y3 = y",
+             f"    {_components(0)} = k0"]
+    for j in range(1, 12):
+        lines += _stage_source(j, A[j], C[j])
+    lines += [
+        f"    y_new = ({', '.join(f'y{i} + h * ({_row_sum(B, i)})' for i in range(4))})",
+        "    k12 = rhs(t + h, y_new)",
+        f"    e5 = ({', '.join(_row_sum(E5, i) for i in range(4))})",
+        f"    e3 = ({', '.join(_row_sum(E3, i) for i in range(4))})",
+        f"    return y_new, k12, e5, e3, ({', '.join(f'k{j}' for j in range(13))})",
+        "",
+        "def dense(t, y, h, K):",
+        "    y0, y1, y2, y3 = y",
+        f"    {', '.join(f'({_components(j)})' for j in range(13))} = K",
+    ]
+    for j, (row, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=13):
+        lines += _stage_source(j, row, c)
+    rows = ", ".join(f"h * ({_row_sum(row, i)})" for row in D for i in range(4))
+    lines.append(f"    return ({rows})")
+    namespace = {"rhs": f}
+    exec(compile("\n".join(lines) + "\n", "<dop853 kernel>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
+
+@functools.cache
+def _kernel():
+    """The kernel on dynamics.rhs, built on the first integration."""
+    return _build_kernel(rhs)
 
 
 def _initial_step(y, f, t_bound: float, direction: float, rtol: float, atol: float) -> float:
@@ -157,10 +208,11 @@ def _initial_step(y, f, t_bound: float, direction: float, rtol: float, atol: flo
     return min(100 * h0, h1, interval)
 
 
-def _error_norm(K, h: float, y, y_new, rtol: float, atol: float) -> float:
-    """DOP853's error norm: the 5th-order estimate's, damped by the 3rd's."""
+def _error_norm(err5, err3, h: float, y, y_new, rtol: float, atol: float) -> float:
+    """DOP853's error norm from the E5 and E3 sums of a step: the 5th-order
+    estimate's, damped by the 3rd's."""
     ss5 = ss3 = 0.0
-    for e5, e3, a, b in zip(_combine(E5, K), _combine(E3, K), y, y_new):
+    for e5, e3, a, b in zip(err5, err3, y, y_new):
         a, b = abs(a), abs(b)
         big = a if a >= b else b if b > a else math.nan  # np.maximum: nan wins
         scale = atol + big * rtol
@@ -180,9 +232,12 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     """solve_ivp(rhs, (0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
     dense_output=True).
 
-    Returns the step times, the states at them, the interpolant rows of
-    each step (shape (n, 7, 4)) and the count of right-hand-side calls.
+    Each step runs the straight-line stages of _kernel, built on the first
+    call.  Returns the step times, the states at them, the interpolant rows
+    of each step (shape (n, 7, 4)) and the count of right-hand-side calls.
+    Past MAX_STEPS accepted steps short of t_bound it raises StepFailure.
     """
+    step, dense = _kernel()
     direction = 1.0 if t_bound > 0.0 else -1.0
     t, y = 0.0, y0
     f = rhs(t, y)
@@ -190,6 +245,9 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     nfev = 2
     ts, ys, Fs = [t], [y], []
     while direction * (t - t_bound) < 0.0:
+        if len(ts) > MAX_STEPS:
+            raise StepFailure(f"step budget exhausted: {MAX_STEPS} accepted steps reached "
+                              f"t = {t:.17g} of t_end = {t_bound:.17g}", t=t)
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -202,15 +260,9 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for row, c in zip(A[1:], C[1:]):
-                K.append(_stage(row, K, t + c * h, y, h))
-            w = _combine(B, K)
-            y_new = (y[0] + h * w[0], y[1] + h * w[1], y[2] + h * w[2], y[3] + h * w[3])
-            f_new = rhs(t + h, y_new)
-            K.append(f_new)
+            y_new, f_new, err5, err3, K = step(t, y, f, h)
             nfev += 12
-            error_norm = _error_norm(K, h, y, y_new, rtol, atol)
+            error_norm = _error_norm(err5, err3, h, y, y_new, rtol, atol)
             if error_norm < 1.0:
                 factor = (_MAX_FACTOR if error_norm == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -219,17 +271,13 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        # the dense output: 3 more stages, then Dop853DenseOutput's rows
-        for row, c in zip(A_EXTRA, C_EXTRA):
-            K.append(_stage(row, K, t + c * h, y, h))
+        # the dense output: Dop853DenseOutput's rows, the last 4 from 3 more stages
         nfev += 3
         dy = [b - a for a, b in zip(y, y_new)]
-        F = [*dy,
-             *(h * fo - d for fo, d in zip(f, dy)),
-             *(2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f))]
-        for row in D:
-            F.extend(h * s for s in _combine(row, K))
-        Fs.append(F)
+        Fs.append([*dy,
+                   *(h * fo - d for fo, d in zip(f, dy)),
+                   *(2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)),
+                   *dense(t, y, h, K)])
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
@@ -242,15 +290,21 @@ def _event_roots(events, ts, states, F) -> list[tuple[float, int]]:
     An event has a root on a step where its values at the step ends change
     sign, as solve_ivp's find_active_events sees it for direction 0, and
     brentq finds it on that step's interpolant, as solve_event_equation does.
+    A value exactly 0 at t = 0 is no bracket: brentq would return that end,
+    which integrate drops as the trivial event.
     """
-    # imported here so that integrating without events never loads it
-    from scipy.optimize import brentq
-
     t = ts.tolist()
     g = np.array([[ev(tj, yj) for ev in events] for tj, yj in zip(t, states.tolist())])
     a, b = g[:-1], g[1:]
+    bracket = ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
+    bracket[0] &= a[0] != 0.0
+    if not bracket.any():
+        return []
+    # imported here, so that a run without a bracket never loads it
+    from scipy.optimize import brentq
+
     roots = []
-    for i, k in zip(*np.nonzero(((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0)))):
+    for i, k in zip(*np.nonzero(bracket)):
         t_old, h, event = t[i], t[i + 1] - t[i], events[k]
         root = brentq(lambda s: event(s, _interpolate(F[i], (s - t_old) / h, states[i])),
                       t_old, t[i + 1], xtol=4 * _EPS, rtol=4 * _EPS)
@@ -270,9 +324,10 @@ def integrate(
     values at its accepted steps; Trajectory.eval gives any other time.
     With with_events, the x-turning (xdot = 0) and x-return (sin x back to
     sin x0) events are found after the step loop, in one pass over the
-    finished steps.  t_end < 0 integrates backwards.  A step that fails, in
-    floating point or for a step size below the spacing of t, raises
-    StepFailure.
+    finished steps; scipy.optimize's brentq, imported on the first
+    bracket, finds each root.  t_end < 0 integrates backwards.  A step that
+    fails, in floating point or for a step size below the spacing of t, and
+    a run that needs more than MAX_STEPS accepted steps raise StepFailure.
     """
     tol = _check_tol(tol)
     if t_end == 0.0 or not math.isfinite(t_end):

@@ -167,6 +167,16 @@ def test_sweep_at_overflowing_energies_is_silent():
         f"{e}\t{p}\t\t\t\t" for e in es for p in ("-0.5", "0", "0.5")]
 
 
+def test_unbounded_orbit_exits_3_on_the_step_budget():
+    # xdot = 1.4e150 sweeps x through about 1e150 rad before t = 1: the run
+    # stops at integrate.MAX_STEPS, a couple of seconds, not ~1e150 steps
+    proc = subprocess.run([sys.executable, "-m", "magflow.cli", "simulate", "--e", "1e300",
+                           "--t-end", "1"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("magflow: numeric failure: step budget exhausted: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_parser_built_once_and_reused(capsys):
     sweep = ("sweep", "--e-min", "0.2", "--e-max", "0.9", "--p-min", "-1.2", "--p-max", "1.2",
              "--grid-n", "5")

@@ -1,6 +1,11 @@
 import math
+import os
+import random
+import struct
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from magflow.dynamics import rhs
 integrate_module = sys.modules["magflow.integrate"]
 
 HALF_PI = 0.5 * math.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_vertical_line_is_exact():
@@ -300,3 +306,105 @@ def test_non_finite_start_is_a_domain_error():
         integrate(PhaseState(0.0, 0.0, math.inf, 0.0), 1.0)
     with pytest.raises(DomainError):
         integrate(PhaseState(0.0, 0.0, 1.0, 0.0), math.nan)
+
+
+def test_step_budget_ends_the_run(monkeypatch):
+    n = integrate(OVAL, 20.0, with_events=False).n_steps
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", n)
+    assert integrate(OVAL, 20.0, with_events=False).n_steps == n
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 10)
+    with pytest.raises(StepFailure) as exc:
+        integrate(OVAL, 20.0, with_events=False)
+    assert 0.0 < exc.value.t < 20.0
+    assert str(exc.value) == f"step budget exhausted: 10 accepted steps reached t = " \
+                             f"{exc.value.t:.17g} of t_end = 20"
+
+
+# ---------------------------------------------------------------------------
+# the generated step kernel against the loop over the tableau rows it unrolls
+
+
+def _row_sum(row, K):
+    """sum_j a_j K[j] over one row's (j, a_j) pairs, per component, added in
+    the row's order from 0.0: the loop the kernel writes out."""
+    s0 = s1 = s2 = s3 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3 = K[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+    return s0, s1, s2, s3
+
+
+def _stage_arg(row, c, K, t, y, h):
+    """(t, y) at which the loop evaluates a stage."""
+    s = _row_sum(row, K)
+    return t + c * h, tuple(yi + si * h for yi, si in zip(y, s))
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308, math.inf, -math.inf,
+                  math.nan)
+
+
+def _draw(rng, p_special):
+    if rng.random() < p_special:
+        return rng.choice(SPECIAL_FLOATS)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.0)
+
+
+def test_kernel_sums_are_the_row_sums_bit_for_bit():
+    # a stand-in right-hand side hands out random stages and records where
+    # it is evaluated; every stage argument, y_new, the E5 and E3 sums and
+    # the D rows must equal the in-order row sums in every bit, also with
+    # signed zeros, subnormals, infinities and NaN among the stages
+    rng = random.Random(20261019)
+    calls = []
+
+    def stand_in(t, y):
+        calls.append((t, y))
+        return K[len(calls)]
+
+    step, dense = integrate_module._build_kernel(stand_in)
+    for trial in range(300):
+        p_special = (0.0, 0.02, 0.2)[trial % 3]
+        K = [tuple(_draw(rng, p_special) for _ in range(4)) for _ in range(16)]
+        y = tuple(_draw(rng, p_special) for _ in range(4))
+        t, h = rng.uniform(-50.0, 50.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 0)
+        calls.clear()
+        y_new, f_new, e5, e3, stages = step(t, y, K[0], h)
+        rows = dense(t, y, h, stages)
+        assert len(calls) == 15
+        assert stages == tuple(K[:13]) and f_new == K[12]
+        want = [_stage_arg(_dop853.A[j], _dop853.C[j], K, t, y, h) for j in range(1, 12)]
+        want.append((t + h, tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))))
+        want += [_stage_arg(row, c, K, t, y, h)
+                 for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA)]
+        for (t_got, y_got), (t_want, y_want) in zip(calls, want):
+            assert _bits((t_got, *y_got)) == _bits((t_want, *y_want)), trial
+        assert _bits(y_new) == _bits(want[11][1])
+        assert _bits(e5) == _bits(_row_sum(_dop853.E5, K))
+        assert _bits(e3) == _bits(_row_sum(_dop853.E3, K))
+        assert _bits(rows) == _bits([h * v for row in _dop853.D for v in _row_sum(row, K)])
+
+
+KERNEL_PROBE = """
+import sys
+import magflow
+kernel = sys.modules["magflow.integrate"]._kernel
+magflow.classify(0.125, 0.3)
+print(kernel.cache_info().currsize)
+magflow.integrate(magflow.PhaseState(0.0, 0.0, 0.5, 0.0), 1.0, with_events=False)
+print(kernel.cache_info().currsize)
+"""
+
+
+def test_kernel_is_built_on_the_first_integration():
+    res = subprocess.run([sys.executable, "-c", KERNEL_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
+                         timeout=120)
+    assert res.stdout.split() == ["0", "1"]

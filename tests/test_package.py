@@ -183,6 +183,23 @@ def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+EVENTS_PROBE = """
+import sys
+import magflow
+traj = magflow.integrate(magflow.state_from_integrals(0.1, 0.0, 0.3, 0.2, 1), 0.1)
+print(traj.events, 'scipy.optimize' in sys.modules)
+"""
+
+
+def test_events_without_a_root_leave_scipy_optimize_unloaded():
+    # the x-return event is exactly 0 at t = 0, which is no bracket; with no
+    # turning point or return in the span, brentq is never needed
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", EVENTS_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "[] False"
+
+
 SCIPY_SPECIAL_PROBE = """
 import sys
 import magflow

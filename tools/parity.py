@@ -29,7 +29,8 @@ interpreter that imports magflow from that ``src/``:
   through ``build_solution``'s ``D``;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state and ``Trajectory.eval`` at 50 times, and
-  the event times of 100 of them.
+  the event times of 100 of them; at tol 1e-11, and the same at tol 1e-9
+  and 1e-13 (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -53,9 +54,10 @@ edges of the principal strip; its LossOfPrecisionWarning next to k = 1 is
 silenced.  The integrate set, from a seventh generator, has 500 levels of
 the three strata, each with a start on its oval as for build_solution,
 t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
-and 50 times uniform between 0 and t_end; integrate at tol 1e-11 gives
-n_steps, nfev, the final state and eval at the times, and on the first
-100 levels, with events, the event times (outputs ``integrate_events``).
+and 50 times uniform between 0 and t_end; integrate at each of tol 1e-11,
+1e-9 and 1e-13 gives n_steps, nfev, the final state and eval at the
+times, and on the first 100 levels, with events, the event times (outputs
+``integrate_events``).
 The classify_wide levels, from an eighth generator, have E log-uniform over
 [5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
@@ -91,6 +93,8 @@ N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_0
 N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
 N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE = 500, 100, 64, 2_000
 BLOCK = 16384
+#: (tol, output prefix) of each run of the integrate set
+INTEGRATE_TOLS = ((1e-11, ""), (1e-9, "tol1e-09_"), (1e-13, "tol1e-13_"))
 
 
 def levels(rng, n):
@@ -227,7 +231,8 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
     run_elliptic(inp, out, errors)
-    run_integrate(inp, out, errors)
+    for tol, prefix in INTEGRATE_TOLS:
+        run_integrate(inp, tol, prefix, out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -338,10 +343,10 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
         out[name], errors[name] = values, err
 
 
-def run_integrate(inp: dict, out: dict, errors: dict) -> None:
-    """integrate at tol 1e-11 on the integrate set: step and call counts, the
-    final state and eval at 50 times; with events on its first N_EVENTS
-    levels, the event times (NaN past the last) and their count."""
+def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
+    """integrate at tol on the integrate set: step and call counts, the final
+    state and eval at 50 times; with events on its first N_EVENTS levels,
+    the event times (NaN past the last) and their count."""
     from magflow import integrate, state_from_integrals
 
     n, n_times = inp["integrate_t"].shape
@@ -356,7 +361,7 @@ def run_integrate(inp: dict, out: dict, errors: dict) -> None:
                 float(inp["integrate_p"][i]), int(inp["integrate_sign"][i]))
         t_end = float(inp["integrate_t_end"][i])
         try:
-            traj = integrate(state_from_integrals(*args), t_end, 1e-11, with_events=False)
+            traj = integrate(state_from_integrals(*args), t_end, tol, with_events=False)
             counts[i] = traj.n_steps, traj.nfev
             final[i] = traj.states[-1]
             evals[i] = traj.eval(inp["integrate_t"][i])
@@ -367,7 +372,7 @@ def run_integrate(inp: dict, out: dict, errors: dict) -> None:
         if i >= N_EVENTS:
             continue
         try:
-            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end).events]
+            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end, tol).events]
         except Exception as exc:
             ev_err.append(type(exc).__name__)
             continue
@@ -375,12 +380,13 @@ def run_integrate(inp: dict, out: dict, errors: dict) -> None:
         ev_count[i] = len(times)
         times = times[:MAX_EVENTS]
         ev_times[i, :len(times)] = times
-    out["integrate.n_steps"], out["integrate.nfev"] = counts[:, 0], counts[:, 1]
+    name, ev_name = f"{prefix}integrate", f"{prefix}integrate_events"
+    out[f"{name}.n_steps"], out[f"{name}.nfev"] = counts[:, 0], counts[:, 1]
     for j, f in enumerate(("x", "y", "xdot", "ydot")):
-        out[f"integrate.final_{f}"] = final[:, j]
-        out[f"integrate.eval_{f}"] = evals[:, j]
-    out["integrate_events.count"], out["integrate_events.t"] = ev_count, ev_times
-    errors["integrate"], errors["integrate_events"] = err, ev_err
+        out[f"{name}.final_{f}"] = final[:, j]
+        out[f"{name}.eval_{f}"] = evals[:, j]
+    out[f"{ev_name}.count"], out[f"{ev_name}.t"] = ev_count, ev_times
+    errors[name], errors[ev_name] = err, ev_err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
