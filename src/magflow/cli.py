@@ -58,14 +58,14 @@ def fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-@contextlib.contextmanager
 def _output(out: str | None):
-    """The stream of --out: the named file, or stdout without one."""
+    """The stream of --out for a with statement: the named file, or stdout without one."""
     if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w", newline="\n") as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", newline="\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -77,30 +77,29 @@ def _json_dump(payload: dict, out: str | None) -> None:
     _write(json.dumps(payload, indent=2, allow_nan=True) + "\n", out)
 
 
+_DEFAULTS = dict(
+    e=0.125, p=0.0, x0=0.0, y0=0.0, sign=1, t_end=50.0, tol=1e-11,
+    e_min=0.05, e_max=0.45, p_min=-0.5, p_max=0.5, grid_n=1001,
+    xa=0.5 * math.pi, xb=1.5 * math.pi, strip=1, phase=0.0,
+    out=None,
+)
+
+#: the values a flag or config key may take, where its type allows more
+_CHOICES = {"sign": (-1, 1), "strip": (1, 2)}
+_HELP = {"e": "energy level E", "p": "momentum p", "sign": "sign of xdot(0)"}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged.
+    Each key of _DEFAULTS is a flag --key ('-' for '_') of its default's type."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags override it")
-    common.add_argument("--e", dest="e", type=float, default=None, help="energy level E")
-    common.add_argument("--p", dest="p", type=float, default=None, help="momentum p")
-    common.add_argument("--x0", type=float, default=None)
-    common.add_argument("--y0", type=float, default=None)
-    common.add_argument("--sign", type=int, choices=(-1, 1), default=None,
-                        help="sign of xdot(0)")
-    common.add_argument("--t-end", dest="t_end", type=float, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--e-min", dest="e_min", type=float, default=None)
-    common.add_argument("--e-max", dest="e_max", type=float, default=None)
-    common.add_argument("--p-min", dest="p_min", type=float, default=None)
-    common.add_argument("--p-max", dest="p_max", type=float, default=None)
-    common.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    common.add_argument("--xa", type=float, default=None)
-    common.add_argument("--xb", type=float, default=None)
-    common.add_argument("--strip", type=int, choices=(1, 2), default=None)
-    common.add_argument("--phase", type=float, default=None)
-    common.add_argument("--out", type=str, default=None)
+    for key, default in _DEFAULTS.items():
+        common.add_argument("--" + key.replace("_", "-"),
+                            type=str if default is None else type(default),
+                            choices=_CHOICES.get(key), default=None, help=_HELP.get(key))
 
     parser = argparse.ArgumentParser(
         prog="magflow",
@@ -110,33 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="integrate one orbit and export CSV samples")
-    sub.add_parser("compare", parents=[common],
-                   help="closed form vs direct integration report")
-    sub.add_parser("classify", parents=[common],
-                   help="orbit type of the level set (E, p)")
-    sub.add_parser("orbit", parents=[common],
-                   help="construct a simple contractible orbit")
-    sub.add_parser("action", parents=[common],
-                   help="action of the contractible orbit, three ways")
-    sub.add_parser("film", parents=[common],
-                   help="action of a cylinder-strip film")
-    sub.add_parser("sweep", parents=[common],
-                   help="classification sweep over an (E, p) grid")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
-_DEFAULTS = dict(
-    e=0.125, p=0.0, x0=0.0, y0=0.0, sign=1, t_end=50.0, tol=1e-11,
-    e_min=0.05, e_max=0.45, p_min=-0.5, p_max=0.5, grid_n=1001,
-    xa=0.5 * math.pi, xb=1.5 * math.pi, strip=1, phase=0.0,
-    out=None,
-)
-
-
 def _check_config_type(key: str, value) -> None:
-    """A config value must have the JSON type of its built-in default."""
+    """A config value must have the JSON type of its default and, as its flag, lie in _CHOICES."""
     default = _DEFAULTS[key]
     if isinstance(default, float):
         want, ok = "a number", isinstance(value, (int, float))
@@ -146,6 +125,8 @@ def _check_config_type(key: str, value) -> None:
         want, ok = "a string or null", value is None or isinstance(value, str)
     if isinstance(value, bool) or not ok:
         raise DomainError(f"config key '{key}' must be {want}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise DomainError(f"config key '{key}' must be one of {_CHOICES[key]}, got {value!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -185,8 +166,6 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise DomainError("t-end must be positive")
     if cfg.grid_n < 2:
         raise DomainError("grid-n must be at least 2")
-    if cfg.sign not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
 
 
 def cmd_simulate(cfg) -> None:
@@ -340,14 +319,15 @@ def cmd_sweep(cfg) -> None:
             fh.write(_sweep_rows(es, ps, cell, es_text, ps_text))
 
 
+#: each subcommand: its function and its help line
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "classify": cmd_classify,
-    "orbit": cmd_orbit,
-    "action": cmd_action,
-    "film": cmd_film,
-    "sweep": cmd_sweep,
+    "simulate": (cmd_simulate, "integrate one orbit and export CSV samples"),
+    "compare": (cmd_compare, "closed form vs direct integration report"),
+    "classify": (cmd_classify, "orbit type of the level set (E, p)"),
+    "orbit": (cmd_orbit, "construct a simple contractible orbit"),
+    "action": (cmd_action, "action of the contractible orbit, three ways"),
+    "film": (cmd_film, "action of a cylinder-strip film"),
+    "sweep": (cmd_sweep, "classification sweep over an (E, p) grid"),
 }
 
 
@@ -355,7 +335,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
     except _DOMAIN_ERRORS as exc:
         print(f"magflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -10,10 +10,12 @@ descending Landen recursion on the same rungs (sn_cn), and the
 incomplete F takes k' and K from it (F) on the strip n = round(phi/pi),
 so |phi| <= fl(pi/2) is n = 0.  legendre.LegendreReduction keeps the
 ladder of its (k, k') in its field ladder, so one run of the AGM serves a
-level's cycle data and its closed-form orbit.  The public complete_K(k, k')
-and incomplete_F(phi, k) run a ladder of their own and warn alike next to
-k = 1 (LossOfPrecisionWarning); sn(u, k) runs a silent one.  scipy enters
-in three places only, each importing scipy.special on first use: F by
+level's cycle data and its closed-form orbit.  masked_K_ladder is the one
+builder of a ladder; the public complete_K(k, k'), incomplete_F(phi, k)
+and sn(u, k) check their modulus and build through it.  Where complete_K
+or incomplete_F takes k' from k next to k = 1, it warns
+(LossOfPrecisionWarning); sn takes k' from k silently.  scipy enters in
+three places only, each importing scipy.special on first use: F by
 Carlson's R_F (elliprf, here), the per-sample R_J of y(t) where p != 0
 (closedform) and the R_D of orbits.action_contractible_formula.
 """
@@ -43,29 +45,10 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def _complement(k: float) -> float:
-    """k' = sqrt(1 - k^2) from k alone; next to k = 1 it keeps only the digits of 1 - k."""
-    return math.sqrt((1.0 - k) * (1.0 + k))
-
-
-def _given_or_complement(k: float, kc: float | None) -> float:
-    """The given k', or k' from k with a warning where K would magnify its rounding."""
-    if kc is not None:
-        kc = float(kc)
-        if not 0.0 < kc <= 1.0:
-            raise DomainError(f"complementary modulus must satisfy 0 < k' <= 1, got {kc}")
-        return kc
-    kc = _complement(k)
-    if kc * kc < _K_PRECISION_EDGE:
-        warnings.warn(
-            f"K(k) with 1-k^2 = {kc * kc:.3g}: value is near the logarithmic "
-            "divergence at k=1 and carries reduced precision",
-            LossOfPrecisionWarning,
-            # past complete_K_ladder and complete_K (or incomplete_F) to
-            # their caller; the package's own calls of complete_K_ladder pass k'
-            stacklevel=4,
-        )
-    return kc
+def _complement(k):
+    """k' = sqrt(1 - k^2) from k alone, on a float or array lanes in [0, 1);
+    next to k = 1 it keeps only the digits of 1 - k."""
+    return _xp.of(k).sqrt((1.0 - k) * (1.0 + k))
 
 
 class Ladder(NamedTuple):
@@ -180,28 +163,33 @@ def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return j, flip, flip * np.sin(phi), flip * np.cos(phi)
 
 
-def complete_K_ladder(k, kc=None):
-    """(K, ladder): complete_K and the AGM ladder it reads K from.
+def masked_K_ladder(k, kc=None):
+    """(K, ladder): K and the AGM ladder of k and k', floats or arrays of
+    one shape, the one builder of a ladder.
 
     complete_RD, complete_L, sn_cn and F read the same ladder, so one run
-    of the AGM serves everything of a modulus.  The arguments are those of
-    complete_K; an array goes to masked_K_ladder.
+    of the AGM serves everything of a modulus.  A k or k' outside its
+    domain gives K = NaN and rungs of no meaning, not DomainError: the
+    Legendre reduction's self-check then fails the level.  Without k' each
+    lane takes it from k, and a call where a lane in the domain has 1 - k^2
+    below _K_PRECISION_EDGE warns once, since K magnifies its rounding.
     """
-    if isinstance(k, np.ndarray):
-        return masked_K_ladder(k, kc)
-    k = _check_modulus(k)
-    ladder = _agm_ladder(k, _given_or_complement(k, kc))
-    return _quarter_period(ladder), ladder
-
-
-def masked_K_ladder(k, kc):
-    """complete_K_ladder of floats or arrays k and k', where a k or k'
-    outside its domain gives K = NaN and rungs of no meaning, not
-    DomainError: the Legendre reduction's self-check then fails the level."""
-    where = _xp.of(k).where
-    ok = (0.0 <= k) & (k < 1.0) & (0.0 < kc) & (kc <= 1.0)
-    ladder = _agm_ladder(where(ok, k, 0.0), where(ok, kc, 1.0))
-    return where(ok, _quarter_period(ladder), math.nan), ladder
+    xp = _xp.of(k)
+    ok = (0.0 <= k) & (k < 1.0)
+    if kc is None:
+        kc = _complement(xp.where(ok, k, 0.0))
+        if xp.any(kc * kc < _K_PRECISION_EDGE):
+            warnings.warn(
+                f"K(k) with 1-k^2 = {np.min(kc * kc):.3g}: value is near the "
+                "logarithmic divergence at k=1 and carries reduced precision",
+                LossOfPrecisionWarning,
+                # past masked_K_ladder and complete_K (or incomplete_F) to
+                # their caller; sn and the package's own calls pass k'
+                stacklevel=3,
+            )
+    ok = ok & (0.0 < kc) & (kc <= 1.0)
+    ladder = _agm_ladder(xp.where(ok, k, 0.0), xp.where(ok, kc, 1.0))
+    return xp.where(ok, _quarter_period(ladder), math.nan), ladder
 
 
 def complete_K(k, kc=None):
@@ -216,7 +204,12 @@ def complete_K(k, kc=None):
     lane equals the float call, and a lane outside the domain gives NaN
     where the float call raises DomainError.
     """
-    return complete_K_ladder(k, kc)[0]
+    if not isinstance(k, np.ndarray):
+        k = _check_modulus(k)
+        kc = None if kc is None else float(kc)
+        if kc is not None and not 0.0 < kc <= 1.0:
+            raise DomainError(f"complementary modulus must satisfy 0 < k' <= 1, got {kc}")
+    return masked_K_ladder(k, kc)[0]
 
 
 def F(phi: float, ladder: Ladder) -> float:
@@ -243,7 +236,7 @@ def incomplete_F(phi: float, k: float) -> float:
     elsewhere, on the one AGM ladder of k (F).  Strictly increasing in phi
     with F(pi/2, k) = K.  Next to k = 1 it warns as complete_K does.
     """
-    return F(phi, complete_K_ladder(k)[1])
+    return F(phi, masked_K_ladder(_check_modulus(k))[1])
 
 
 def sn(u, k: float):
@@ -254,5 +247,5 @@ def sn(u, k: float):
     """
     k = _check_modulus(k)
     u_arr = np.asarray(u, dtype=float)
-    out = sn_cn(u_arr, _agm_ladder(k, _complement(k)))[2]
+    out = sn_cn(u_arr, masked_K_ladder(k, _complement(k))[1])[2]
     return float(out[0]) if u_arr.ndim == 0 else out

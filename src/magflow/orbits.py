@@ -28,7 +28,8 @@ equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
 it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
 a = arcsin sqrt(2E), which is a complete elliptic integral too.
 action_direct and action_increment integrate over a given orbit by the
-closed-circuit trapezoid rule (257 nodes, tol 1e-8, one orbit evaluation).
+closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL = 1e-8, one
+orbit evaluation).
 
 The kind rule lives in legendre.quartic_from_params, with the roots and
 gaps it reads; this module reads QuarticCurve.kind and never tests the
@@ -75,6 +76,8 @@ EPS_CONTRACTIBLE = 1e-10
 
 #: nodes of the closed-circuit trapezoid rule's one batch over [0, T]
 CIRCUIT_NODES = 257
+#: the rule refines until two successive sums differ by less than this
+CIRCUIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ def _orbit_period(orbit, T: float | None) -> float:
     raise DomainError(f"unsupported orbit type {type(orbit).__name__}")
 
 
-def _circuit_trapezoid(orbit, T: float, integrand, tol: float = 1e-8):
+def _circuit_trapezoid(orbit, T: float, integrand):
     """Closed-circuit trapezoid rule for int_0^T integrand dt: (value, start, end).
 
     One evaluation at CIRCUIT_NODES equispaced times over [0, T] serves the
@@ -278,7 +281,7 @@ def _circuit_trapezoid(orbit, T: float, integrand, tol: float = 1e-8):
     (x, y, xdot, ydot) stacked along the last axis, and the sums T_n and
     T_{n/2}, whose end weights (f_0 + f_n)/2 suit a curve closed only to 1e-6.
     On a smooth T-periodic integrand they converge geometrically (Trefethen &
-    Weideman, SIAM Rev. 56, 2014).  Until |T_n - T_{n/2}| < tol, the n
+    Weideman, SIAM Rev. 56, 2014).  Until |T_n - T_{n/2}| < CIRCUIT_TOL, the n
     midpoints are evaluated in one call and n doubles, at most 12 times.
     """
     n = CIRCUIT_NODES - 1
@@ -294,9 +297,9 @@ def _circuit_trapezoid(orbit, T: float, integrand, tol: float = 1e-8):
     ends = 0.5 * (f[0] + f[-1])
     total = ends + f[1:-1].sum()
     s, prev = total * (T / n), (ends + f[2:-1:2].sum()) * (2.0 * T / n)
-    while abs(s - prev) >= tol:
+    while abs(s - prev) >= CIRCUIT_TOL:
         if n >= (CIRCUIT_NODES - 1) << 12:
-            raise MagflowError(f"trapezoid refinement did not stabilize to {tol}")
+            raise MagflowError(f"trapezoid refinement did not stabilize to {CIRCUIT_TOL}")
         q = np.array(orbit.eval(np.linspace(0.0, T, 2 * n + 1)[1::2])).T
         total += integrand(start, q).sum()
         n *= 2
@@ -310,7 +313,7 @@ def action_direct(orbit, E: float | None = None, T: float | None = None) -> floa
     Accepts a closed-form solution (period inferred) or an integrated
     trajectory spanning exactly one circuit.  The endpoints must agree on
     the torus to 1e-6, else OpenCurve.  E defaults to the energy at t = 0;
-    the closed-circuit trapezoid rule (257 nodes, tol 1e-8) takes the
+    the closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the
     integral from one evaluation of the orbit where it converges there.
     """
     T = _orbit_period(orbit, T)
@@ -328,7 +331,7 @@ def action_increment(orbit, p: float | None = None, T: float | None = None) -> f
 
     p defaults to ydot + sin x at t = 0 and Delta_y = y(T) - y(0) is the
     lifted increment; both come from the batch of the closed-circuit
-    trapezoid rule (257 nodes, tol 1e-8) that integrates xdot^2.
+    trapezoid rule (257 nodes, tol CIRCUIT_TOL) that integrates xdot^2.
     """
     T = _orbit_period(orbit, T)
     if T == 0.0:

@@ -294,6 +294,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     pytest.param("e_null.json", ("classify", {"e": None}), id="e_null"),
     pytest.param("out_int.json", ("classify", {"out": 7}), id="out_int"),
     pytest.param("sign_bool.json", ("simulate", {"sign": True}), id="sign_bool"),
+    # a value of the right type that its flag's choices refuse
+    pytest.param("strip_3.json", ("classify", {"strip": 3}), id="strip_3"),
+    pytest.param("sign_5.json", ("simulate", {"sign": 5}), id="sign_5"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, name, content):
     command = "classify"
@@ -310,6 +313,14 @@ def test_bad_config_exits_2(tmp_path, capsys, name, content):
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 2
     assert out == "" and err.startswith("magflow: ")
+
+
+@pytest.mark.parametrize("command, target", [("classify", "missing/x.json"), ("sweep", ".")])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    # a file in a directory that does not exist, and a directory
+    code, out, err = run(capsys, command, "--grid-n", "3", "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == "" and err.startswith("magflow: cannot write ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -329,7 +329,7 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
         rj_batches.append(np.size(w))
         return elliprj(x, y, z, w)
 
-    # patched where closedform and complete_K_ladder look them up;
+    # patched where closedform and masked_K_ladder look them up;
     # _sn_integral imports elliprj from scipy.special at call time
     monkeypatch.setattr(magflow.closedform, "sn_cn", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)

@@ -12,7 +12,7 @@ from magflow import (
     incomplete_F,
     sn,
 )
-from magflow.elliptic import F, complete_K_ladder, complete_L, complete_RD, sn_cn
+from magflow.elliptic import F, complete_L, complete_RD, masked_K_ladder, sn_cn
 
 # frozen from the AGM oracle: K(0.5) = pi / (2 agm(1, sqrt(0.75)))
 K_HALF = 1.6857503548125961
@@ -57,7 +57,7 @@ def test_modulus_caches_consistent_K(rng):
     # the ladder is the record of a modulus: it starts at (1, k', k) and K
     # is read from it
     for k in rng.uniform(0.0, 0.98, 20):
-        K, ladder = complete_K_ladder(float(k))
+        K, ladder = masked_K_ladder(float(k))
         assert K == pytest.approx(F_quadrature(math.pi / 2, k), abs=1e-13)
         kc = math.sqrt((1.0 - k) * (1.0 + k))
         assert (ladder.a[0], ladder.b[0], ladder.c[0]) == (1.0, kc, k)
@@ -186,7 +186,7 @@ def test_modulus_with_complement_runs_one_ladder():
     # ladder; sn has period 4 K
     k = 0.9999
     kc = math.sqrt((1.0 - k) * (1.0 + k)) * (1.0 + 1e-9)
-    K, ladder = complete_K_ladder(k, kc)
+    K, ladder = masked_K_ladder(k, kc)
     assert ladder.b[0] == kc
     assert K == complete_K(k, kc) != complete_K(k)
     j, flip, s, c = sn_cn(np.array([K, 2.0 * K]), ladder)
@@ -196,8 +196,8 @@ def test_modulus_with_complement_runs_one_ladder():
     assert F(math.pi / 2, ladder) == pytest.approx(K, rel=1e-15)
     assert F(math.pi, ladder) == pytest.approx(2.0 * K, rel=1e-15)
     for bad in (0.0, -0.1, 1.5, math.nan):
-        with pytest.raises(DomainError):
-            complete_K_ladder(k, bad)
+        # the builder masks what complete_K refuses
+        assert math.isnan(masked_K_ladder(k, bad)[0])
         with pytest.raises(DomainError):
             complete_K(k, bad)
 
@@ -208,7 +208,7 @@ def test_sn_cn_keeps_cn_at_turning_points(rng):
     # 1.0e-8 for sqrt(1 - sn^2) on these phases)
     mp = pytest.importorskip("mpmath")
     for k in (0.5, 0.99, 0.999999):
-        K, ladder = complete_K_ladder(k)
+        K, ladder = masked_K_ladder(k)
         u = K * (1.0 + 2.0 * rng.integers(-3, 4, 20)) + rng.uniform(-1e-6, 1e-6, 20)
         _, _, s, c = sn_cn(u, ladder)
         with mp.workdps(40):
@@ -236,7 +236,7 @@ def test_ladder_RD_and_L_match_mpmath():
     worst_rd = worst_l = 0.0
     draws = ladder_draws(np.random.default_rng(19), 1000)
     for k, kc, one_c2 in zip(*(d.tolist() for d in draws)):
-        _, ladder = complete_K_ladder(k, kc)
+        _, ladder = masked_K_ladder(k, kc)
         rd, L = complete_RD(ladder, k * k), complete_L(ladder, one_c2)
         with mp.workdps(40):
             m = 1 - mp.mpf(kc) ** 2
@@ -253,12 +253,28 @@ def test_ladder_integral_lanes_equal_float_calls():
     k = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999999, math.sqrt(1.0 - 1e-14), 0.5])
     kc = np.sqrt((1.0 - k) * (1.0 + k))
     one_c2 = 1.0 - np.array([0.0, 0.3, 0.9, 0.5, 0.999, 0.2, 0.7, 0.0]) * k * k
-    K, ladder = complete_K_ladder(k, kc)
+    K, ladder = masked_K_ladder(k, kc)
     rd, L = complete_RD(ladder, k * k), complete_L(ladder, one_c2)
     rungs = set()
     for i in range(len(k)):
-        Ki, lad = complete_K_ladder(float(k[i]), float(kc[i]))
+        Ki, lad = masked_K_ladder(float(k[i]), float(kc[i]))
         rungs.add(len(lad.a))
         assert (K[i], rd[i], L[i]) == (Ki, complete_RD(lad, float(k[i] * k[i])),
                                        complete_L(lad, float(one_c2[i])))
     assert len(rungs) >= 4
+
+
+def test_complete_K_array_lanes_take_k_prime_from_k():
+    # without k' each lane takes it from k as the float call does; a lane
+    # outside [0, 1) is NaN, and a lane next to k = 1 makes the call warn once
+    k = np.array([0.0, 1e-9, 0.1, 0.5, 0.9, 0.999999, 1.0, -0.1, math.nan])
+    K = complete_K(k)
+    for i in range(6):
+        assert K[i] == complete_K(float(k[i]))
+    assert np.isnan(K[6:]).all()
+    near = np.array([0.5, 1.0 - 1e-12, 1.0 - 1e-13])
+    with pytest.warns(LossOfPrecisionWarning) as record:
+        K = complete_K(near)
+    assert len(record) == 1 and record[0].filename == __file__
+    with pytest.warns(LossOfPrecisionWarning):
+        assert K[1] == complete_K(float(near[1]))

@@ -26,7 +26,10 @@ interpreter that imports magflow from that ``src/``:
   reduction shows its own move and not only through ``eval_solution``;
 * ``elliptic.incomplete_F`` on 20,000 (k, phi) (output ``elliptic.F``),
   so that a change of F's strip reduction shows its own move and not only
-  through ``build_solution``'s ``D``;
+  through ``build_solution``'s ``D``, and ``elliptic.complete_K`` on the
+  same k (output ``elliptic.K``);
+* ``cli.main``, run in process, on 280 command lines, 40 of each
+  subcommand: the exit code and the text on stdout of each;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state and ``Trajectory.eval`` at 50 times, and
   the event times of 100 of them; at tol 1e-11, and the same at tol 1e-9
@@ -63,6 +66,14 @@ The classify_wide levels, from an eighth generator, have E log-uniform over
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
 sixth; past E = 6.7e153 the product of the four root gaps in the reduction
 overflows.
+The command lines, from a ninth generator, pass seeded options of their
+subcommand as flags (cli_options): levels of the uniform stratum for
+classify, and for simulate and compare with a start on the oval as for
+build_solution (where the level has none, the line exits 2), t_end in
+[0.5, 5], tol 1e-9 ... 1e-12 and grid_n 2 ... 29; contractible levels
+with 1 - 2E log-uniform over 1e-6 ... 1 for orbit and action; strips of
+width 0.1 ... 6.1 for film; and grids of 2 ... 8 points a side for sweep.
+Every fourth line moves its first two options into a JSON config file.
 For every output the report gives the number of values that differ in any
 bit and the largest absolute difference among them, where NaN equals NaN
 and a NaN on one side only counts as an infinite difference; for every
@@ -74,6 +85,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import io
 import json
 import math
@@ -92,6 +104,8 @@ SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
 N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
 N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE = 500, 100, 64, 2_000
+N_CLI = 40  # command lines per subcommand
+CLI_COMMANDS = ("simulate", "compare", "classify", "orbit", "action", "film", "sweep")
 BLOCK = 16384
 #: (tol, output prefix) of each run of the integrate set
 INTEGRATE_TOLS = ((1e-11, ""), (1e-9, "tol1e-09_"), (1e-13, "tol1e-13_"))
@@ -146,6 +160,43 @@ def oval_starts(rng, E, p):
     z0 = np.where(lo <= hi, lo + rng.uniform(0.0, 1.0, n) * (hi - lo), np.clip(p, -1.0, 1.0))
     x0 = np.where(rng.uniform(size=n) < 0.5, np.arcsin(z0), np.pi - np.arcsin(z0))
     return x0 + 2.0 * np.pi * rng.integers(-1, 2, n)
+
+
+def cli_options(rng, command: str) -> dict:
+    """Seeded options of one valid command line, by config key."""
+    u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+    if command in ("orbit", "action"):
+        E = 0.5 * (1.0 - 10.0 ** u(-6.0, 0.0))
+        return {"e": E, "strip": int(rng.choice([1, 2])),
+                "phase": math.asin(u(-1.0, 1.0) * math.sqrt(2.0 * E))}
+    if command == "film":
+        xa = u(-math.pi, math.pi)
+        return {"e": u(0.01, 2.0), "xa": xa, "xb": xa + u(0.1, 6.0)}
+    if command == "sweep":
+        e_min, p_min = u(0.01, 1.0), u(-2.5, 0.0)
+        return {"e_min": e_min, "e_max": e_min + u(0.0, 1.0), "p_min": p_min,
+                "p_max": p_min + u(0.0, 2.5), "grid_n": int(rng.integers(2, 9))}
+    E, p = u(0.01, 2.0), u(-2.5, 2.5)
+    if command == "classify":
+        return {"e": E, "p": p}
+    return {"e": E, "p": p, "x0": float(oval_starts(rng, np.array([E]), np.array([p]))[0]),
+            "y0": u(-1.0, 1.0), "sign": int(rng.choice([-1, 1])), "t_end": u(0.5, 5.0),
+            "tol": 10.0 ** -int(rng.integers(9, 13)), "grid_n": int(rng.integers(2, 30))}
+
+
+def cli_lines(rng, n: int) -> tuple[list[str], list[str]]:
+    """n command lines per subcommand as JSON argv lists, and the JSON config
+    file of each: every fourth line moves its first two options there, the
+    others have none ("")."""
+    argvs, configs = [], []
+    for command in CLI_COMMANDS:
+        for i in range(n):
+            opts = cli_options(rng, command)
+            cfg = {key: opts.pop(key) for key in list(opts)[:2]} if i % 4 == 3 else {}
+            flags = [a for key, v in opts.items() for a in ("--" + key.replace("_", "-"), repr(v))]
+            argvs.append(json.dumps([command, *flags]))
+            configs.append(json.dumps(cfg) if cfg else "")
+    return argvs, configs
 
 
 def inputs() -> dict:
@@ -207,6 +258,8 @@ def inputs() -> dict:
                  * t_end[:, None]})
     wide_rng = np.random.default_rng(SEED + 7)
     sets["classify_wide_E"], sets["classify_wide_p"] = wide_levels(wide_rng, N_WIDE)
+    argvs, configs = cli_lines(np.random.default_rng(SEED + 8), N_CLI)
+    sets["cli_argv"], sets["cli_config"] = np.array(argvs), np.array(configs)
     return sets
 
 
@@ -231,6 +284,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
     run_elliptic(inp, out, errors)
+    run_cli(inp, out, errors)
     for tol, prefix in INTEGRATE_TOLS:
         run_integrate(inp, tol, prefix, out, errors)
     out["errors"] = np.array(json.dumps(errors))
@@ -323,13 +377,15 @@ def run_actions(inp: dict, out: dict, errors: dict) -> None:
 
 
 def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
-    """elliptic.sn on the (k, u) set and incomplete_F on the (k, phi) set,
-    one call per pair, with incomplete_F's LossOfPrecisionWarning silenced."""
-    from magflow.elliptic import incomplete_F, sn
+    """elliptic.sn on the (k, u) set, incomplete_F on the (k, phi) set and
+    complete_K on its k, one call each, with the LossOfPrecisionWarning of
+    incomplete_F and complete_K silenced."""
+    from magflow.elliptic import complete_K, incomplete_F, sn
     from magflow.errors import LossOfPrecisionWarning
 
     for name, fn, key_k, key_arg in (("elliptic.sn", sn, "sn_k", "sn_u"),
-                                     ("elliptic.F", incomplete_F, "F_k", "F_phi")):
+                                     ("elliptic.F", incomplete_F, "F_k", "F_phi"),
+                                     ("elliptic.K", lambda _, k: complete_K(k), "F_k", "F_phi")):
         values, err = np.full(len(inp[key_k]), math.nan), []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LossOfPrecisionWarning)
@@ -341,6 +397,33 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
                     continue
                 err.append("")
         out[name], errors[name] = values, err
+
+
+def run_cli(inp: dict, out: dict, errors: dict) -> None:
+    """cli.main in process on the cli set: the exit code and stdout of each line."""
+    from magflow import cli
+
+    codes, texts, err = [], [], []
+    with tempfile.TemporaryDirectory(prefix="magflow-parity-cli-") as tmp:
+        for i, (argv, cfg) in enumerate(zip(inp["cli_argv"].tolist(),
+                                            inp["cli_config"].tolist())):
+            argv = json.loads(argv)
+            if cfg:
+                path = Path(tmp) / f"{i}.json"
+                path.write_text(cfg)
+                argv += ["--config", str(path)]
+            stdout = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(cli.main(argv))
+            except (Exception, SystemExit) as exc:
+                codes.append(-1)
+                err.append(type(exc).__name__)
+            else:
+                err.append("")
+            texts.append(stdout.getvalue())
+    out["cli.exit"], out["cli.stdout"] = np.array(codes), np.array(texts)
+    errors["cli"] = err
 
 
 def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
