@@ -21,7 +21,7 @@ print(f"level set:      E = {E}, p = {p}")
 print(f"initial state:  {state0}")
 
 for tol in (1e-5, 1e-7, 1e-9, 1e-11):
-    traj = integrate(state0, t_end=100.0, tol=tol, with_events=False)
+    traj = integrate(state0, t_end=100.0, tol=tol)
     dE, dp = conservation_report(traj)
     print(f"tol = {tol:.0e}:  max|dE| = {dE:.3e}   max|dp| = {dp:.3e}   "
           f"steps = {traj.n_steps}   nfev = {traj.nfev}")

@@ -22,8 +22,7 @@ ts = np.linspace(0.0, 50.0, 2000)
 for label, x0, E, p in CASES:
     sol = build_solution(x0, 0.0, E, p, +1)
     xc, yc, _, _ = eval_solution(sol, ts)
-    traj = integrate(state_from_integrals(x0, 0.0, E, p, +1), 50.0, 1e-11,
-                     with_events=False)
+    traj = integrate(state_from_integrals(x0, 0.0, E, p, +1), 50.0, 1e-11)
     xn, yn, _, _ = traj.eval(ts)
     print(f"{label}")
     print(f"    reduction: k^2={sol.k2:.6f}  C={sol.C:.6f}  sin-x period={sol.x_period:.6f}")

@@ -25,14 +25,13 @@ from .errors import (
     DomainError,
     LossOfPrecisionWarning,
     MagflowError,
-    NoReturnFound,
     OpenCurve,
     ReductionInconsistency,
     StepFailure,
     UnsupportedRegime,
     WrongRegime,
 )
-from .integrate import conservation_report, find_return, integrate, measure_period
+from .integrate import conservation_report, integrate
 from .legendre import map_xi_to_z, map_z_to_xi, quartic_from_params, reduce_to_legendre
 from .orbits import (
     CylinderStrip,
@@ -61,7 +60,6 @@ __all__ = [
     "DomainError",
     "LossOfPrecisionWarning",
     "MagflowError",
-    "NoReturnFound",
     "OpenCurve",
     "OrbitDisc",
     "OrbitKind",
@@ -85,7 +83,6 @@ __all__ = [
     "eval_solution",
     "film_action",
     "film_strip_grid_search",
-    "find_return",
     "incomplete_F",
     "integrals",
     "integrate",
@@ -93,7 +90,6 @@ __all__ = [
     "mane_level_scan",
     "map_xi_to_z",
     "map_z_to_xi",
-    "measure_period",
     "momentum",
     "quartic_from_params",
     "reduce_to_legendre",

@@ -23,7 +23,6 @@ from .dynamics import PhaseState, energy, momentum, state_from_integrals
 from .errors import (
     DegenerateCurve,
     DomainError,
-    NoReturnFound,
     OpenCurve,
     ReductionInconsistency,
     StepFailure,
@@ -48,7 +47,7 @@ EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
 _DOMAIN_ERRORS = (DomainError, DegenerateCurve, UnsupportedRegime, WrongRegime, OpenCurve)
-_NUMERIC_ERRORS = (StepFailure, ReductionInconsistency, NoReturnFound)
+_NUMERIC_ERRORS = (StepFailure, ReductionInconsistency)
 
 
 def fmt(v) -> str:
@@ -175,7 +174,7 @@ def cmd_simulate(cfg) -> None:
         rows = [_csv_row(0.0, state.as_array())]
     else:
         state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
-        traj = integrate(state, cfg.t_end, cfg.tol, with_events=False)
+        traj = integrate(state, cfg.t_end, cfg.tol)
         grid = np.linspace(0.0, cfg.t_end, cfg.grid_n)
         x, y, xd, yd = traj.eval(grid)
         rows = [_csv_row(t, (xi, yi, xdi, ydi))
@@ -190,7 +189,7 @@ def _csv_row(t, s) -> str:
 def cmd_compare(cfg) -> None:
     state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
     sol = build_solution(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
-    traj = integrate(state, cfg.t_end, cfg.tol, with_events=False)
+    traj = integrate(state, cfg.t_end, cfg.tol)
     grid = np.linspace(0.0, cfg.t_end, cfg.grid_n)
     xn, yn, _, _ = traj.eval(grid)
     xc, yc, _, _ = eval_solution(sol, grid)

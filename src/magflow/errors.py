@@ -33,10 +33,6 @@ class StepFailure(MagflowError, RuntimeError):
         self.t = t
 
 
-class NoReturnFound(MagflowError):
-    """No matching return event was located within the integration window."""
-
-
 class OpenCurve(MagflowError):
     """A closed-trajectory functional was applied to a non-closed curve."""
 

@@ -15,9 +15,10 @@ slightly, the step counts mostly stay.  The tests keep solve_ivp as the
 reference that step counts, states and events are checked against.
 A run takes at most MAX_STEPS accepted steps.
 Conservation of (E, p) is monitored, never enforced.  Events are found
-after the step loop: a sign change between step ends, then root
-bracketing on that step's dense-output polynomial, which is what makes
-period and y-increment measurements good to ~1e-10 in t.
+only when asked for, after the step loop: a sign change between step
+ends, then root bracketing on that step's dense-output polynomial, which
+is what makes the period and y-increment measurements of the tests'
+oracle (tests/oracles.py) good to ~1e-10 in t.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._dop853 import A, A_EXTRA, B, C, C_EXTRA, D, E3, E5
 from .dynamics import PhaseState, energy, momentum, rhs
-from .errors import DomainError, NoReturnFound, StepFailure
+from .errors import DomainError, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 # accepted steps a run may take: about 1.6 s of stepping on a 2-CPU Xeon
@@ -62,7 +63,7 @@ def _interpolate(F, x, y_old):
 class Trajectory:
     """One integrated orbit: the solver's accepted steps, the 7th-order
     interpolant of each, as scipy's Dop853DenseOutput holds one step's, and
-    the events found on them."""
+    the events found on them when asked for."""
 
     t: np.ndarray       # step ends, n + 1 of them, monotone in the direction of t_end
     states: np.ndarray  # shape (n + 1, 4): x, y, xdot, ydot at the step ends
@@ -316,13 +317,14 @@ def integrate(
     state0: PhaseState,
     t_end: float,
     tol: float = 1e-11,
-    with_events: bool = True,
+    with_events: bool = False,
 ) -> Trajectory:
     """Integrate the flow from state0 over [0, t_end].
 
     tol maps to (rtol=tol, atol=tol/100).  The samples are the solver's own
     values at its accepted steps; Trajectory.eval gives any other time.
-    With with_events, the x-turning (xdot = 0) and x-return (sin x back to
+    By default the run only steps and Trajectory.events stays empty.  With
+    with_events=True, the x-turning (xdot = 0) and x-return (sin x back to
     sin x0) events are found after the step loop, in one pass over the
     finished steps; scipy.optimize's brentq, imported on the first
     bracket, finds each root.  t_end < 0 integrates backwards.  A step that
@@ -373,41 +375,3 @@ def conservation_report(traj: Trajectory) -> tuple[float, float]:
     E = energy(traj.states)
     p = momentum(traj.states)
     return float(np.abs(E - E[0]).max()), float(np.abs(p - p[0]).max())
-
-
-@dataclass(frozen=True)
-class ReturnEvents:
-    """Localized event times of one orbit."""
-
-    turning_times: tuple[float, ...]   # xdot = 0 crossings
-    return_times: tuple[float, ...]    # sin x back to sin x0 with matching xdot sign
-    trajectory: Trajectory
-
-
-def find_return(
-    state0: PhaseState, t_end: float = 200.0, tol: float = 1e-11
-) -> ReturnEvents:
-    """Locate xdot = 0 crossings and same-direction returns of sin x."""
-    traj = integrate(state0, t_end, tol)
-    turning = tuple(t for t, kind in traj.events if kind == "x-turning")
-    sign0 = np.sign(state0.xdot)
-    returns = []
-    for t, kind in traj.events:
-        if kind != "x-return":
-            continue
-        st = traj.eval(t)
-        if sign0 == 0.0 or np.sign(st.xdot) == sign0:
-            returns.append(t)
-    return ReturnEvents(tuple(turning), tuple(returns), traj)
-
-
-def measure_period(
-    state0: PhaseState, t_end: float = 200.0, tol: float = 1e-11
-) -> float:
-    """Time of the first same-direction return of sin x (the sin-x period)."""
-    ev = find_return(state0, t_end, tol)
-    if not ev.return_times:
-        raise NoReturnFound(
-            f"no matching return of sin x within t_end = {t_end}"
-        )
-    return ev.return_times[0]

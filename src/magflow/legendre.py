@@ -315,11 +315,16 @@ def reduce_to_legendre(curve: QuarticCurve) -> LegendreReduction:
     k^2 - c^2 = (1 - c^2) g21^2 / (g23 g41 (1 + kappa')^2).
     """
     if curve.degenerate:
-        gap = min(curve.g13, curve.g21, curve.g42)
+        # the rule of quartic_from_params that decided the kind
+        if curve.kind == VERTICAL:
+            gap = min(abs(curve.z1 - curve.wall), abs(curve.z2 - curve.wall))
+            rule = (f"turning root {gap!r} from the wall z = {curve.wall:g}, vertical-line "
+                    f"threshold EPS_VERTICAL = {EPS_VERTICAL} relative to max(1, sqrt(2E), |p|)")
+        else:
+            gap = min(curve.g13, curve.g21, curve.g42)
+            rule = f"smallest root gap {gap!r}, separatrix threshold {EPS_DEGENERATE}"
         raise DegenerateCurve(
-            f"curve at (E={curve.E}, p={curve.p}) is a {KINDS[curve.kind].value}: "
-            f"smallest root gap {gap!r}, separatrix threshold {EPS_DEGENERATE}"
-        )
+            f"curve at (E={curve.E}, p={curve.p}) is a {KINDS[curve.kind].value}: {rule}")
     red = _reduction(curve)
     if not _passes(red):
         targets = ", ".join(f"xi({z:.6g}) = {got:.17g} (want {want:.17g})"

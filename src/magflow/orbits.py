@@ -307,39 +307,33 @@ def _circuit_trapezoid(orbit, T: float, integrand):
     return s, start, end
 
 
-def action_direct(orbit, E: float | None = None, T: float | None = None) -> float:
+def action_direct(orbit, T: float | None = None) -> float:
     """S_E = int L_E dt over one closed circuit of the orbit.
 
     Accepts a closed-form solution (period inferred) or an integrated
     trajectory spanning exactly one circuit.  The endpoints must agree on
-    the torus to 1e-6, else OpenCurve.  E defaults to the energy at t = 0;
-    the closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the
+    the torus to 1e-6, else OpenCurve.  E is the energy at t = 0; the
+    closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the
     integral from one evaluation of the orbit where it converges there.
     """
     T = _orbit_period(orbit, T)
     if T == 0.0:
         return 0.0
-
-    def integrand(s0, q):
-        return reduced_lagrangian(q, energy(s0) if E is None else E)
-
-    return _circuit_trapezoid(orbit, T, integrand)[0]
+    return _circuit_trapezoid(orbit, T, lambda s0, q: reduced_lagrangian(q, energy(s0)))[0]
 
 
-def action_increment(orbit, p: float | None = None, T: float | None = None) -> float:
+def action_increment(orbit, T: float | None = None) -> float:
     """S_E via the closed-curve identity int xdot^2 dt + p Delta_y.
 
-    p defaults to ydot + sin x at t = 0 and Delta_y = y(T) - y(0) is the
-    lifted increment; both come from the batch of the closed-circuit
+    p is ydot + sin x at t = 0 and Delta_y = y(T) - y(0) is the lifted
+    increment; both come from the batch of the closed-circuit
     trapezoid rule (257 nodes, tol CIRCUIT_TOL) that integrates xdot^2.
     """
     T = _orbit_period(orbit, T)
     if T == 0.0:
         return 0.0
     s, start, end = _circuit_trapezoid(orbit, T, lambda s0, q: q[:, 2] * q[:, 2])
-    if p is None:
-        p = momentum(start)
-    return s + p * (end[1] - start[1])
+    return s + momentum(start) * (end[1] - start[1])
 
 
 def action_contractible_formula(E: float) -> float:

@@ -31,13 +31,13 @@ from magflow import (
     lagrangian_sign_scan,
     mane_level_scan,
     map_z_to_xi,
-    measure_period,
     quartic_from_params,
     reduce_to_legendre,
     sn,
     state_from_integrals,
 )
 from tests.conftest import quartic, sample_level, sample_trapped
+from tests.oracles import measure_period
 
 SEED = 424242
 

@@ -80,6 +80,21 @@ def test_reduction_rejects_degenerate():
         build_solution(0.0, 0.0, 0.5, 0.0, 1)
 
 
+def test_degenerate_message_names_the_rule_that_decided_the_kind():
+    # p + sqrt(2E) = 1 exactly: the turning root sits on the wall z = 1
+    with pytest.raises(DegenerateCurve) as exc:
+        reduce_to_legendre(quartic_from_params(0.125, 0.5))
+    msg = str(exc.value)
+    assert "VerticalLine" in msg and "turning root 0.0 from the wall z = 1" in msg
+    assert "EPS_VERTICAL = 1e-12" in msg and "root gap" not in msg
+    # a gap of 1e-10 between the turning root and the wall, 1e-9 > gap > 1e-12
+    with pytest.raises(DegenerateCurve) as exc:
+        reduce_to_legendre(quartic_from_params(0.125, 0.5 + 1e-10))
+    msg = str(exc.value)
+    assert "Separatrix" in msg and "smallest root gap 1.0000000" in msg
+    assert "separatrix threshold 1e-09" in msg and "EPS_VERTICAL" not in msg
+
+
 def test_general_reduction_normalization():
     c = quartic_from_params(E_GEN, P_GEN)
     red = reduce_to_legendre(c)

@@ -32,6 +32,7 @@ from magflow import (
     vertical_line_action,
 )
 from magflow.cli import main
+from magflow.orbits import _circuit_trapezoid
 from magflow.quadrature import oval_quad
 from tests.conftest import sample_trapped
 
@@ -450,9 +451,9 @@ def test_each_action_is_one_orbit_evaluation(d):
 
 def test_action_increment_equals_xdot_square_integral_at_p_zero():
     sol = contractible_orbit(0.125)
-    # p = 0 exactly: increment form reduces to the xdot^2 integral
-    assert action_increment(sol, p=0.0) == pytest.approx(
-        action_increment(sol), abs=1e-12)
+    # p = 0: increment form reduces to the xdot^2 integral
+    xdot2 = _circuit_trapezoid(sol, sol.recurrence_time, lambda s0, q: q[:, 2] * q[:, 2])[0]
+    assert action_increment(sol) == pytest.approx(xdot2, abs=1e-12)
 
 
 def test_action_open_curve_rejected():

@@ -104,15 +104,16 @@ def _read_names(path: Path) -> set[str]:
 
 
 def test_no_unread_definitions():
-    # a function, class or method of the package that no code or test reads
-    # is dead, and so is a field of a dataclass or NamedTuple that none reads
-    # as an attribute; dunder methods are read by the interpreter
+    # a function, class or method of the package or of the tests' oracles
+    # that no code or test reads is dead, and so is a field of a dataclass or
+    # NamedTuple that none reads as an attribute; dunder methods are read by
+    # the interpreter
     read, attributes = set(), set()
     for top in ("src", "tests", "bench", "demos"):
         for path in sorted((ROOT / top).rglob("*.py")):
             read |= _read_names(path)
             attributes |= _read_attributes(path)
-    package = sorted((ROOT / "src" / "magflow").rglob("*.py"))
+    package = sorted((ROOT / "src" / "magflow").rglob("*.py")) + [ROOT / "tests" / "oracles.py"]
     unread = [f"{path.relative_to(ROOT)}:{line} {name}"
               for path in package
               for name, line in _defined_names(path).items()
@@ -186,7 +187,8 @@ def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
 EVENTS_PROBE = """
 import sys
 import magflow
-traj = magflow.integrate(magflow.state_from_integrals(0.1, 0.0, 0.3, 0.2, 1), 0.1)
+traj = magflow.integrate(magflow.state_from_integrals(0.1, 0.0, 0.3, 0.2, 1), 0.1,
+                         with_events=True)
 print(traj.events, 'scipy.optimize' in sys.modules)
 """
 
@@ -197,6 +199,26 @@ def test_events_without_a_root_leave_scipy_optimize_unloaded():
     src = str(ROOT / "src")
     res = subprocess.run([sys.executable, "-c", EVENTS_PROBE], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "[] False"
+
+
+QUICK_START_PROBE = """
+import sys
+import numpy as np
+from magflow import integrate, state_from_integrals
+traj = integrate(state_from_integrals(0.1, 0.0, 0.125, 0.3, +1), 50.0, tol=1e-11)
+traj.eval(np.linspace(0.0, 50.0, 1000))
+print(traj.events, 'scipy.optimize' in sys.modules)
+"""
+
+
+def test_default_integrate_leaves_scipy_optimize_unloaded():
+    # the README's quick-start run passes turning points and returns, and
+    # only steps: events, and brentq with them, are found only when asked for
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", QUICK_START_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=120)
     assert res.stdout.strip() == "[] False"
 
 

@@ -59,8 +59,8 @@ the three strata, each with a start on its oval as for build_solution,
 t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
 and 50 times uniform between 0 and t_end; integrate at each of tol 1e-11,
 1e-9 and 1e-13 gives n_steps, nfev, the final state and eval at the
-times, and on the first 100 levels, with events, the event times (outputs
-``integrate_events``).
+times, and on the first 100 levels, run again with with_events=True (the
+default is False), the event times (outputs ``integrate_events``).
 The classify_wide levels, from an eighth generator, have E log-uniform over
 [5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
@@ -428,8 +428,8 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
 
 def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
     """integrate at tol on the integrate set: step and call counts, the final
-    state and eval at 50 times; with events on its first N_EVENTS levels,
-    the event times (NaN past the last) and their count."""
+    state and eval at 50 times; on its first N_EVENTS levels, run again with
+    with_events=True, the event times (NaN past the last) and their count."""
     from magflow import integrate, state_from_integrals
 
     n, n_times = inp["integrate_t"].shape
@@ -455,7 +455,8 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
         if i >= N_EVENTS:
             continue
         try:
-            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end, tol).events]
+            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end, tol,
+                                                   with_events=True).events]
         except Exception as exc:
             ev_err.append(type(exc).__name__)
             continue
