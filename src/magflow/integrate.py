@@ -8,11 +8,16 @@ interpolant, with scipy's tableau kept in ._dop853.  The stages of a step
 are straight-line code written out from that tableau on the first
 integration, each sum in its row's order.  So it runs
 solve_ivp(method="DOP853", dense_output=True) without numpy's per-call
-cost, which on four components exceeds the arithmetic.  Only the rounding
-of its sums differs from scipy's BLAS, and a step's error estimate, a sum
-that cancels, carries that rounding into the step size: the step ends move
-slightly, the step counts mostly stay.  The tests keep solve_ivp as the
-reference that step counts, states and events are checked against.
+cost, which on four components exceeds the arithmetic.  No later step
+reads a step's interpolant, its 3 extra stages and 7 rows, so the loop
+only keeps each accepted step's stages, and one numpy pass per block of
+BLOCK_STEPS accepted steps builds their rows, each sum in its row's order
+again, so each row rounds as it would on Python floats.  Only the
+rounding of its sums differs from scipy's BLAS, and a step's error
+estimate, a sum that cancels, carries that rounding into the step size:
+the step ends move slightly, the step counts mostly stay.  The tests keep
+solve_ivp as the reference that step counts, states and events are
+checked against.
 A run takes at most MAX_STEPS accepted steps.
 Conservation of (E, p) is monitored, never enforced.  Events are found
 only when asked for, after the step loop: a sign change between step
@@ -24,6 +29,7 @@ oracle (tests/oracles.py) good to ~1e-10 in t.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,10 +40,14 @@ from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
-# accepted steps a run may take: about 1.6 s of stepping on a 2-CPU Xeon
-# host, and 67 times the 749 of the longest run of any test, demo, parity
-# set or benchmark level
+# accepted steps a run may take: about 0.65 s of stepping on a 2-CPU Xeon
+# host, 13 times the 3,858 of the longest test run and 67 times the 749 of
+# the longest run of any demo, parity set or benchmark level
 MAX_STEPS = 50_000
+# accepted steps whose stages wait for one pass that builds their
+# interpolant; a block bounds the stages held: a 46,271-step run peaks at
+# 66 MiB with it and at 198 MiB holding every step's stages to the end
+BLOCK_STEPS = 1024
 
 _EVENT_KINDS = ("x-turning", "x-return")
 
@@ -151,15 +161,14 @@ def _stage_source(j: int, row, c: float) -> list[str]:
 
 
 def _build_kernel(f):
-    """DOP853's step and dense-output stages as two straight-line functions
-    with right-hand side f, written out from the tableau of ._dop853.
+    """DOP853's step as a straight-line function with right-hand side f,
+    written out from the tableau of ._dop853.
 
     step(t, y, k0, h), with k0 = f(t, y), returns y_new, f_new, the E5 and
-    E3 sums and the 13 stages k0 ... k11, f_new; dense(t, y, h, K) takes
-    those 13, computes the 3 extra stages and returns the 4 D rows times h,
-    16 values in a row.  Each sum adds its terms in the row's order from
-    0.0, with each coefficient as its repr, so it rounds as the loop over
-    the row would.
+    E3 sums and the 13 stages k0 ... k11, f_new as one flat tuple of 52
+    floats, stage by stage.  Each sum adds its terms in the row's order
+    from 0.0, with each coefficient as its repr, so it rounds as the loop
+    over the row would.
     """
     lines = ["def step(t, y, k0, h):",
              "    y0, y1, y2, y3 = y",
@@ -168,22 +177,67 @@ def _build_kernel(f):
         lines += _stage_source(j, A[j], C[j])
     lines += [
         f"    y_new = ({', '.join(f'y{i} + h * ({_row_sum(B, i)})' for i in range(4))})",
-        "    k12 = rhs(t + h, y_new)",
+        f"    {_components(12)} = k12 = rhs(t + h, y_new)",
         f"    e5 = ({', '.join(_row_sum(E5, i) for i in range(4))})",
         f"    e3 = ({', '.join(_row_sum(E3, i) for i in range(4))})",
-        f"    return y_new, k12, e5, e3, ({', '.join(f'k{j}' for j in range(13))})",
-        "",
-        "def dense(t, y, h, K):",
-        "    y0, y1, y2, y3 = y",
-        f"    {', '.join(f'({_components(j)})' for j in range(13))} = K",
+        f"    return y_new, k12, e5, e3, ({', '.join(_components(j) for j in range(13))})",
     ]
-    for j, (row, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=13):
-        lines += _stage_source(j, row, c)
-    rows = ", ".join(f"h * ({_row_sum(row, i)})" for row in D for i in range(4))
-    lines.append(f"    return ({rows})")
     namespace = {"rhs": f}
     exec(compile("\n".join(lines) + "\n", "<dop853 kernel>", "exec"), namespace)
-    return namespace["step"], namespace["dense"]
+    return namespace["step"]
+
+
+# the 4 D rows share one support, stages 0 and 5-15 in the same order: per
+# stage of it, the 4 rows' coefficients as a (4, 1) column
+_D_COLUMNS = tuple((col[0][0], np.array([[a] for _, a in col])) for col in zip(*D))
+
+
+def _array(rows, shape):
+    """Sequences of floats, one after another, as an array of shape."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, math.prod(shape))
+    return flat.reshape(shape)
+
+
+def _in_order_sum(row, S):
+    """sum_j a_j S[j] over one row's (j, a_j) pairs, elementwise and added in
+    the row's order from 0.0: one IEEE operation per element and term, so
+    each element rounds as the kernel's written-out sum does."""
+    s = 0.0
+    for j, a in row:
+        s = s + a * S[j]
+    return s
+
+
+def _interpolant_rows(f, t, y, K):
+    """The interpolant rows of n accepted steps in one numpy pass, shape
+    (n, 7, 4): Dop853DenseOutput's rows, the last 4 from 3 more stages.
+
+    t and y are the n + 1 step ends and the states at them, K the 13 stages
+    of each step, shape (n, 13, 4).  The extra stages are f on Python
+    floats, a step at a time; every sum is an in-order row sum, so the rows
+    equal in every bit those of the same sums on Python floats, step by
+    step.  Inf and nan carry on as they would there, without a warning.
+    """
+    n = len(K)
+    with np.errstate(all="ignore"):
+        t0, h = t[:-1], t[1:] - t[:-1]
+        y0, hc = y[:-1], h[:, None]
+        dy = y[1:] - y0
+        f0, f_new = K[:, 0], K[:, 12]
+        # stage-major, so that each term of a sum is one contiguous array
+        S = np.empty((16, n, 4))
+        S[:13] = K.transpose(1, 0, 2)
+        for j, (row, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=13):
+            args = y0 + _in_order_sum(row, S) * hc
+            S[j] = _array(map(f, (t0 + c * h).tolist(), args.tolist()), (n, 4))
+        # all 4 D rows at once: a (4, 4n) sum, D row by (step, component)
+        rows = hc * _in_order_sum(_D_COLUMNS, S.reshape(16, 1, 4 * n)).reshape(4, n, 4)
+        F = np.empty((n, 7, 4))
+        F[:, 0] = dy
+        F[:, 1] = hc * f0 - dy
+        F[:, 2] = 2.0 * dy - hc * (f_new + f0)
+        F[:, 3:] = rows.transpose(1, 0, 2)
+    return F
 
 
 @functools.cache
@@ -234,17 +288,28 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     dense_output=True).
 
     Each step runs the straight-line stages of _kernel, built on the first
-    call.  Returns the step times, the states at them, the interpolant rows
-    of each step (shape (n, 7, 4)) and the count of right-hand-side calls.
-    Past MAX_STEPS accepted steps short of t_bound it raises StepFailure.
+    call.  The loop keeps the stages of each accepted step; every
+    BLOCK_STEPS accepted steps, and once at the end, _interpolant_rows turns
+    those kept into the steps' rows and they are dropped, so that a long run
+    never holds more than one block of stages.  Returns the step times, the
+    states at them, the interpolant rows of each step (shape (n, 7, 4)) and
+    the count of right-hand-side calls.  Past MAX_STEPS accepted steps short
+    of t_bound it raises StepFailure.
     """
-    step, dense = _kernel()
+    step = _kernel()
     direction = 1.0 if t_bound > 0.0 else -1.0
     t, y = 0.0, y0
     f = rhs(t, y)
     h_abs = _initial_step(y, f, t_bound, direction, rtol, atol)
     nfev = 2
-    ts, ys, Fs = [t], [y], []
+    ts, ys, Fs, stages = [t], [y], [], []
+
+    def block_pass():
+        n = len(stages)
+        Fs.append(_interpolant_rows(rhs, np.array(ts[-n - 1:]), np.array(ys[-n - 1:]),
+                                    _array(stages, (n, 13, 4))))
+        stages.clear()
+
     while direction * (t - t_bound) < 0.0:
         if len(ts) > MAX_STEPS:
             raise StepFailure(f"step budget exhausted: {MAX_STEPS} accepted steps reached "
@@ -271,18 +336,16 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-
-        # the dense output: Dop853DenseOutput's rows, the last 4 from 3 more stages
-        nfev += 3
-        dy = [b - a for a, b in zip(y, y_new)]
-        Fs.append([*dy,
-                   *(h * fo - d for fo, d in zip(f, dy)),
-                   *(2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)),
-                   *dense(t, y, h, K)])
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return np.array(ts), np.array(ys), np.array(Fs).reshape(-1, 7, 4), nfev
+        stages.append(K)
+        if len(stages) == BLOCK_STEPS:
+            block_pass()
+    if stages:
+        block_pass()
+    # 3 extra stages a step, for the interpolant
+    return np.array(ts), np.array(ys), np.concatenate(Fs), nfev + 3 * (len(ts) - 1)
 
 
 def _event_roots(events, ts, states, F) -> list[tuple[float, int]]:

@@ -357,9 +357,10 @@ def _draw(rng, p_special):
 
 def test_kernel_sums_are_the_row_sums_bit_for_bit():
     # a stand-in right-hand side hands out random stages and records where
-    # it is evaluated; every stage argument, y_new, the E5 and E3 sums and
-    # the D rows must equal the in-order row sums in every bit, also with
-    # signed zeros, subnormals, infinities and NaN among the stages
+    # it is evaluated; every stage argument, y_new and the E5 and E3 sums of
+    # step, and every extra-stage argument and interpolant row of the block
+    # pass must equal the in-order row sums in every bit, also with signed
+    # zeros, subnormals, infinities and NaN among the stages
     rng = random.Random(20261019)
     calls = []
 
@@ -367,27 +368,65 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
         calls.append((t, y))
         return K[len(calls)]
 
-    step, dense = integrate_module._build_kernel(stand_in)
+    step = integrate_module._build_kernel(stand_in)
     for trial in range(300):
         p_special = (0.0, 0.02, 0.2)[trial % 3]
         K = [tuple(_draw(rng, p_special) for _ in range(4)) for _ in range(16)]
         y = tuple(_draw(rng, p_special) for _ in range(4))
-        t, h = rng.uniform(-50.0, 50.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 0)
+        t = rng.uniform(-50.0, 50.0)
+        # the step the loop takes: the difference of the step ends
+        t_new = t + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 0)
+        h = t_new - t
         calls.clear()
         y_new, f_new, e5, e3, stages = step(t, y, K[0], h)
-        rows = dense(t, y, h, stages)
-        assert len(calls) == 15
-        assert stages == tuple(K[:13]) and f_new == K[12]
+        assert len(calls) == 12
+        assert stages == tuple(v for k in K[:13] for v in k) and f_new == K[12]
         want = [_stage_arg(_dop853.A[j], _dop853.C[j], K, t, y, h) for j in range(1, 12)]
         want.append((t + h, tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))))
+        assert _bits(y_new) == _bits(want[11][1])
+        assert _bits(e5) == _bits(_row_sum(_dop853.E5, K))
+        assert _bits(e3) == _bits(_row_sum(_dop853.E3, K))
+
+        F = integrate_module._interpolant_rows(stand_in, np.array([t, t_new]),
+                                               np.array([y, y_new]),
+                                               np.array(stages).reshape(1, 13, 4))
+        assert len(calls) == 15
         want += [_stage_arg(row, c, K, t, y, h)
                  for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA)]
         for (t_got, y_got), (t_want, y_want) in zip(calls, want):
             assert _bits((t_got, *y_got)) == _bits((t_want, *y_want)), trial
-        assert _bits(y_new) == _bits(want[11][1])
-        assert _bits(e5) == _bits(_row_sum(_dop853.E5, K))
-        assert _bits(e3) == _bits(_row_sum(_dop853.E3, K))
-        assert _bits(rows) == _bits([h * v for row in _dop853.D for v in _row_sum(row, K)])
+        assert _bits(F[0].ravel().tolist()) == _bits(_rows(K, y, y_new, h)), trial
+
+
+def _rows(K, y, y_new, h):
+    """The 7 interpolant rows of a step with the 16 stages K, flattened:
+    Dop853DenseOutput's rows from the step ends, then the D row sums."""
+    f, f_new = K[0], K[12]
+    dy = [b - a for a, b in zip(y, y_new)]
+    return [*dy,
+            *(h * fo - d for fo, d in zip(f, dy)),
+            *(2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)),
+            *(h * v for row in _dop853.D for v in _row_sum(row, K))]
+
+
+def test_interpolant_rows_across_blocks_are_the_row_sums():
+    # (x0, E, p) = (0, 1e6, 0) over t = 1: 3858 steps, more than 3 blocks;
+    # each step re-run from its (t, y, f, h) and its rows summed in order
+    traj = integrate(state_from_integrals(0.0, 0.0, 1e6, 0.0, 1), 1.0)
+    assert traj.n_steps > 3 * integrate_module.BLOCK_STEPS
+    step = integrate_module._kernel()
+    t, y = traj.t.tolist(), [tuple(s) for s in traj.states.tolist()]
+    want = []
+    for i in range(traj.n_steps):
+        h = t[i + 1] - t[i]
+        y_new, _, _, _, stages = step(t[i], y[i], rhs(t[i], y[i]), h)
+        assert _bits(y_new) == _bits(y[i + 1])
+        K = [stages[4 * j:4 * j + 4] for j in range(13)]
+        for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA):
+            K.append(rhs(*_stage_arg(row, c, K, t[i], y[i], h)))
+        want += _rows(K, y[i], y_new, h)
+    assert traj.F.shape == (traj.n_steps, 7, 4)
+    assert traj.F.tobytes() == _bits(want)
 
 
 KERNEL_PROBE = """

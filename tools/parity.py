@@ -31,9 +31,10 @@ interpreter that imports magflow from that ``src/``:
 * ``cli.main``, run in process, on 280 command lines, 40 of each
   subcommand: the exit code and the text on stdout of each;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
-  call counts, the final state and ``Trajectory.eval`` at 50 times, and
-  the event times of 100 of them; at tol 1e-11, and the same at tol 1e-9
-  and 1e-13 (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``).
+  call counts, the final state, the interpolant rows ``F`` of the first
+  and the last step and ``Trajectory.eval`` at 50 times, and the event
+  times of 100 of them; at tol 1e-11, and the same at tol 1e-9 and 1e-13
+  (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -58,9 +59,11 @@ silenced.  The integrate set, from a seventh generator, has 500 levels of
 the three strata, each with a start on its oval as for build_solution,
 t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
 and 50 times uniform between 0 and t_end; integrate at each of tol 1e-11,
-1e-9 and 1e-13 gives n_steps, nfev, the final state and eval at the
-times, and on the first 100 levels, run again with with_events=True (the
-default is False), the event times (outputs ``integrate_events``).
+1e-9 and 1e-13 gives n_steps, nfev, the final state, the rows F of the
+first and the last step (outputs ``F_first`` and ``F_last``, shape
+(500, 7, 4)) and eval at the times, and on the first 100 levels, run
+again with with_events=True (the default is False), the event times
+(outputs ``integrate_events``).
 The classify_wide levels, from an eighth generator, have E log-uniform over
 [5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
@@ -428,13 +431,15 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
 
 def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
     """integrate at tol on the integrate set: step and call counts, the final
-    state and eval at 50 times; on its first N_EVENTS levels, run again with
-    with_events=True, the event times (NaN past the last) and their count."""
+    state, the interpolant rows of the first and the last step and eval at
+    50 times; on its first N_EVENTS levels, run again with with_events=True,
+    the event times (NaN past the last) and their count."""
     from magflow import integrate, state_from_integrals
 
     n, n_times = inp["integrate_t"].shape
     counts = np.full((n, 2), -1)
     final = np.full((n, 4), math.nan)
+    F_ends = np.full((n, 2, 7, 4), math.nan)
     evals = np.full((n, 4, n_times), math.nan)
     ev_count = np.full(N_EVENTS, -1)
     ev_times = np.full((N_EVENTS, MAX_EVENTS), math.nan)
@@ -447,6 +452,7 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
             traj = integrate(state_from_integrals(*args), t_end, tol, with_events=False)
             counts[i] = traj.n_steps, traj.nfev
             final[i] = traj.states[-1]
+            F_ends[i] = traj.F[0], traj.F[-1]
             evals[i] = traj.eval(inp["integrate_t"][i])
         except Exception as exc:
             err.append(type(exc).__name__)
@@ -469,6 +475,7 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
     for j, f in enumerate(("x", "y", "xdot", "ydot")):
         out[f"{name}.final_{f}"] = final[:, j]
         out[f"{name}.eval_{f}"] = evals[:, j]
+    out[f"{name}.F_first"], out[f"{name}.F_last"] = F_ends[:, 0], F_ends[:, 1]
     out[f"{ev_name}.count"], out[f"{ev_name}.t"] = ev_count, ev_times
     errors[name], errors[ev_name] = err, ev_err
 
