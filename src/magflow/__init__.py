@@ -46,9 +46,6 @@ from .orbits import (
     cycle_data,
     delta_y,
     film_action,
-    film_strip_grid_search,
-    lagrangian_sign_scan,
-    mane_level_scan,
     vertical_line_action,
 )
 
@@ -82,12 +79,9 @@ __all__ = [
     "energy",
     "eval_solution",
     "film_action",
-    "film_strip_grid_search",
     "incomplete_F",
     "integrals",
     "integrate",
-    "lagrangian_sign_scan",
-    "mane_level_scan",
     "map_xi_to_z",
     "map_z_to_xi",
     "momentum",

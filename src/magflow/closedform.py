@@ -201,10 +201,11 @@ def build_solution(
     z0 = math.sin(x0)
     cos_x0 = math.cos(x0)
 
-    # at an oval end xi0 = -+1: the map sends a1 to -1 exactly (zeta = 0), a2 up to rounding
+    # at an oval end xi0 = -+1: the map sends a1 to -1 exactly (zeta = 0), a2 up to rounding,
+    # and the phase is -+K of the ladder, which F(asin(-+1)) misses by rounding
     zc = min(max(z0, curve.a1), curve.a2)
     xi0 = 1.0 if zc == curve.a2 else min(max(_xi_of_z(red, zc), -1.0), 1.0)
-    F0 = F(math.asin(xi0), red.ladder)
+    F0 = math.copysign(K, xi0) if abs(xi0) == 1.0 else F(math.asin(xi0), red.ladder)
     # the half period j of the motion just after t = 0, where
     # zdot = xdot cos x: on a wall z turns back, and cos x follows from
     # zdot and xdot; at an interior turning point xdot(0) = 0 and z turns

@@ -16,14 +16,13 @@ again, so each row rounds as it would on Python floats.  Only the
 rounding of its sums differs from scipy's BLAS, and a step's error
 estimate, a sum that cancels, carries that rounding into the step size:
 the step ends move slightly, the step counts mostly stay.  The tests keep
-solve_ivp as the reference that step counts, states and events are
-checked against.
+solve_ivp as the reference that step counts and states are checked
+against.
 A run takes at most MAX_STEPS accepted steps.
-Conservation of (E, p) is monitored, never enforced.  Events are found
-only when asked for, after the step loop: a sign change between step
-ends, then root bracketing on that step's dense-output polynomial, which
-is what makes the period and y-increment measurements of the tests'
-oracle (tests/oracles.py) good to ~1e-10 in t.
+Conservation of (E, p) is monitored, never enforced.  A run only steps:
+the turning points and returns of x, from which the tests measure the
+period and y-increment (tests/oracles.py), are found there on a finished
+Trajectory's steps and interpolant.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +48,9 @@ MAX_STEPS = 50_000
 # 66 MiB with it and at 198 MiB holding every step's stages to the end
 BLOCK_STEPS = 1024
 
-_EVENT_KINDS = ("x-turning", "x-return")
-
 # the step controller of scipy.integrate's RungeKutta solvers; the error
 # exponent is -1/(7 + 1) for DOP853's 7th-order error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
-_EPS = float(np.finfo(float).eps)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -71,15 +67,13 @@ def _interpolate(F, x, y_old):
 
 @dataclass
 class Trajectory:
-    """One integrated orbit: the solver's accepted steps, the 7th-order
-    interpolant of each, as scipy's Dop853DenseOutput holds one step's, and
-    the events found on them when asked for."""
+    """One integrated orbit: the solver's accepted steps and the 7th-order
+    interpolant of each, as scipy's Dop853DenseOutput holds one step's."""
 
     t: np.ndarray       # step ends, n + 1 of them, monotone in the direction of t_end
     states: np.ndarray  # shape (n + 1, 4): x, y, xdot, ydot at the step ends
     F: np.ndarray       # interpolant rows of each step, shape (n, 7, 4)
     nfev: int           # right-hand-side evaluations
-    events: list[tuple[float, str]] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -348,34 +342,6 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     return np.array(ts), np.array(ys), np.concatenate(Fs), nfev + 3 * (len(ts) - 1)
 
 
-def _event_roots(events, ts, states, F) -> list[tuple[float, int]]:
-    """(time, event index) of each root of events over the finished steps.
-
-    An event has a root on a step where its values at the step ends change
-    sign, as solve_ivp's find_active_events sees it for direction 0, and
-    brentq finds it on that step's interpolant, as solve_event_equation does.
-    A value exactly 0 at t = 0 is no bracket: brentq would return that end,
-    which integrate drops as the trivial event.
-    """
-    t = ts.tolist()
-    g = np.array([[ev(tj, yj) for ev in events] for tj, yj in zip(t, states.tolist())])
-    a, b = g[:-1], g[1:]
-    bracket = ((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))
-    bracket[0] &= a[0] != 0.0
-    if not bracket.any():
-        return []
-    # imported here, so that a run without a bracket never loads it
-    from scipy.optimize import brentq
-
-    roots = []
-    for i, k in zip(*np.nonzero(bracket)):
-        t_old, h, event = t[i], t[i + 1] - t[i], events[k]
-        root = brentq(lambda s: event(s, _interpolate(F[i], (s - t_old) / h, states[i])),
-                      t_old, t[i + 1], xtol=4 * _EPS, rtol=4 * _EPS)
-        roots.append((root, k))
-    return roots
-
-
 def integrate(
     state0: PhaseState,
     t_end: float,
@@ -386,44 +352,27 @@ def integrate(
 
     tol maps to (rtol=tol, atol=tol/100).  The samples are the solver's own
     values at its accepted steps; Trajectory.eval gives any other time.
-    By default the run only steps and Trajectory.events stays empty.  With
-    with_events=True, the x-turning (xdot = 0) and x-return (sin x back to
-    sin x0) events are found after the step loop, in one pass over the
-    finished steps; scipy.optimize's brentq, imported on the first
-    bracket, finds each root.  t_end < 0 integrates backwards.  A step that
-    fails, in floating point or for a step size below the spacing of t, and
-    a run that needs more than MAX_STEPS accepted steps raise StepFailure.
+    The run only steps: with_events=False, the default, is the one value
+    accepted, kept because the benchmark passes it, and True raises
+    DomainError.  t_end < 0 integrates backwards.  A step that fails, in
+    floating point or for a step size below the spacing of t, and a run
+    that needs more than MAX_STEPS accepted steps raise StepFailure.
     """
+    if with_events:
+        raise DomainError("integrate only steps; the turning and return events of a "
+                          "finished Trajectory are found in tests/oracles.py")
     tol = _check_tol(tol)
     if t_end == 0.0 or not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     y0 = (float(state0.x), float(state0.y), float(state0.xdot), float(state0.ydot))
     if not all(map(math.isfinite, y0)):
         raise DomainError(f"initial state must be finite, got {y0}")
-    x0_sin = math.sin(state0.x)
-
-    def ev_turning(t, y):
-        return y[2]
-
-    def ev_return(t, y):
-        return math.sin(y[0]) - x0_sin
-
-    # on vertical-line orbits and fixed points x is frozen and the event
-    # functions are identically zero; registering them would fire on every step
-    x_frozen = (abs(state0.xdot) < 1e-13
-                and abs(math.cos(state0.x) * state0.ydot) < 1e-13)
-    events = (ev_turning, ev_return) if with_events and not x_frozen else ()
     try:
         ts, states, F, nfev = _dop853(y0, float(t_end), tol, tol * 1e-2)
-        roots = _event_roots(events, ts, states, F) if events else []
     except (ArithmeticError, ValueError) as exc:
-        # math's domain and range errors where a state stops being finite,
-        # and an event that brentq finds unbracketed on its step
+        # math's domain and range errors where a state stops being finite
         raise StepFailure(f"{type(exc).__name__}: {exc}") from exc
-
-    # drop the trivial event at t = 0
-    ev_list = sorted((float(te), _EVENT_KINDS[k]) for te, k in roots if abs(te) > 1e-9)
-    return Trajectory(t=ts, states=states, F=F, nfev=nfev, events=ev_list)
+    return Trajectory(t=ts, states=states, F=F, nfev=nfev)
 
 
 def conservation_report(traj: Trajectory) -> tuple[float, float]:

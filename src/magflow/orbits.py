@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
-from .dynamics import PhaseState, TWO_PI, energy, momentum, reduced_lagrangian
+from .dynamics import TWO_PI, energy, momentum, reduced_lagrangian
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
@@ -407,98 +407,3 @@ def film_action(film) -> float:
     if isinstance(film, OrbitDisc):
         return film.multiplicity * film.orbit.reduction.cycle_values()[2]
     raise DomainError(f"unsupported film type {type(film).__name__}")
-
-
-@dataclass(frozen=True)
-class StripSearchResult:
-    x_a: float
-    x_b: float
-    action: float
-    grid_step: float
-
-
-def film_strip_grid_search(E: float, n: int = 200) -> StripSearchResult:
-    """Grid minimization of the strip action over (x_a, width).
-
-    The minimizing strip is the one between the vertical lines x = pi/2
-    and x = 3*pi/2 (closure of the region where the field is negative),
-    up to 2*pi translation; the grid resolution is 2*pi/(n+1).
-    """
-    if n < 2:
-        raise DomainError("grid must have at least 2 points per axis")
-    base = math.sqrt(2.0 * E) * 2.0 * TWO_PI
-    xa = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    width = np.arange(1, n + 1) * (TWO_PI / (n + 1))
-    best_val = math.inf
-    best = (0.0, 0.0)
-    # row-chunked scan keeps memory flat for fine grids
-    chunk = max(1, int(4e6 // n))
-    for lo in range(0, n, chunk):
-        xa_c = xa[lo:lo + chunk]
-        flux = TWO_PI * (np.sin(xa_c[:, None] + width[None, :])
-                         - np.sin(xa_c)[:, None])
-        i, j = np.unravel_index(np.argmin(flux), flux.shape)
-        if float(flux[i, j]) < best_val:
-            best_val = float(flux[i, j])
-            best = (float(xa_c[i]), float(xa_c[i] + width[j]))
-    return StripSearchResult(
-        x_a=best[0], x_b=best[1], action=base + best_val,
-        grid_step=TWO_PI / (n + 1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# critical level
-
-
-def mane_level_scan(grid_n: int = 64) -> float:
-    """Critical energy from the optimal gauge: sup over x of sin^2(x)/2.
-
-    With the zero gauge function the Hamiltonian of the shifted one-form
-    sin(x) dy is sin^2(x)/2, whose supremum 1/2 is attained at x = +-pi/2;
-    those two points are always included in the scan grid.
-    """
-    if grid_n < 8:
-        raise DomainError(f"grid_n must be at least 8, got {grid_n}")
-    xs = np.concatenate([
-        np.linspace(0.0, TWO_PI, grid_n),
-        [0.5 * math.pi, 1.5 * math.pi],
-    ])
-    return float(np.max(0.5 * np.sin(xs) ** 2))
-
-
-@dataclass(frozen=True)
-class SignScanResult:
-    E: float
-    n_samples: int
-    n_negative: int
-    min_value: float
-    min_state: PhaseState
-
-
-def lagrangian_sign_scan(
-    E: float, n_samples: int = 1000, seed: int = 0
-) -> SignScanResult:
-    """Sign census of L_E over random level-E states.
-
-    Velocities are scaled to the level (|qdot| = sqrt(2E), random
-    direction); the analytic minimizer direction (sin x = -1, xdot = 0,
-    ydot > 0) and its mirror are always included, so the scan attains the
-    true minimum 2E - sqrt(2E) of L_E on the level.
-    """
-    if E < 0.0:
-        raise DomainError(f"energy must be nonnegative, got {E}")
-    rng = np.random.default_rng(seed)
-    speed = math.sqrt(2.0 * E)
-    xs = rng.uniform(-math.pi, math.pi, n_samples)
-    psi = rng.uniform(0.0, TWO_PI, n_samples)
-    x = np.append(xs, (-0.5 * math.pi, 0.5 * math.pi))
-    states = np.array([x, np.zeros_like(x), np.append(speed * np.cos(psi), (0.0, 0.0)),
-                       np.append(speed * np.sin(psi), (speed, -speed))]).T
-    values = reduced_lagrangian(states, E)
-    i_min = int(np.argmin(values))
-    return SignScanResult(
-        E=float(E), n_samples=len(states),
-        n_negative=int(np.sum(values < 0.0)),
-        min_value=float(values[i_min]), min_state=PhaseState.from_array(states[i_min]),
-    )

@@ -26,10 +26,7 @@ from magflow import (
     delta_y,
     eval_solution,
     film_action,
-    film_strip_grid_search,
     integrate,
-    lagrangian_sign_scan,
-    mane_level_scan,
     map_z_to_xi,
     quartic_from_params,
     reduce_to_legendre,
@@ -37,7 +34,12 @@ from magflow import (
     state_from_integrals,
 )
 from tests.conftest import quartic, sample_level, sample_trapped
-from tests.oracles import measure_period
+from tests.oracles import (
+    film_strip_grid_search,
+    lagrangian_sign_scan,
+    mane_level_scan,
+    measure_period,
+)
 
 SEED = 424242
 
@@ -50,7 +52,7 @@ def report(num, label, ok, detail=""):
 def test_01_conservation_drift():
     s0 = state_from_integrals(0.1, 0.0, 0.3, 0.2, 1)
     t0 = time.perf_counter()
-    traj = integrate(s0, 100.0, 1e-11, with_events=False)
+    traj = integrate(s0, 100.0, 1e-11)
     elapsed = time.perf_counter() - t0
     dE, dp = conservation_report(traj)
     report(1, "first-integral drift at tol=1e-11 over t=100 below 1e-9",
@@ -74,7 +76,7 @@ def test_02_closed_form_matches_integrator():
         sol = build_solution(x0, 0.0, E, p, sgn)
         xc = eval_solution(sol, ts)[0]
         traj = integrate(state_from_integrals(x0, 0.0, E, p, sgn),
-                         50.0 + 1e-9, 1e-11, with_events=False)
+                         50.0 + 1e-9, 1e-11)
         xn = traj.eval(ts)[0]
         worst = max(worst, float(np.max(np.abs(np.sin(xc) - np.sin(xn)))))
     elapsed = time.perf_counter() - t0
@@ -163,6 +165,9 @@ def test_07_film_minimizer():
         res = film_strip_grid_search(E, n=6284)  # grid step below 1e-3
         ok &= abs(math.remainder(res.x_a - 0.5 * math.pi, 2 * math.pi)) < 1e-3
         ok &= abs(math.remainder(res.x_b - 1.5 * math.pi, 2 * math.pi)) < 1e-3
+        # the grid minimum lies above the closed form by at most pi step^2
+        closed = 4.0 * math.pi * (math.sqrt(2.0 * E) - 1.0)
+        ok &= 0.0 <= res.action - closed <= math.pi * res.grid_step ** 2
     report(7, "strip action at the negative-field strip is 4pi(sqrt(2E)-1); grid minimum sits there",
            ok, f"value at E=1/8: {exact:.15f}")
 
@@ -201,5 +206,7 @@ def test_10_critical_level():
     ok &= above.n_negative == 0
     ok &= at.min_value >= -1e-9
     ok &= abs(math.sin(at.min_state.x) + 1.0) < 1e-9 and abs(at.min_state.xdot) < 1e-9
+    for E, scan in ((0.4, below), (0.5, at), (0.6, above)):
+        ok &= abs(scan.min_value - (2.0 * E - math.sqrt(2.0 * E))) < 1e-12
     report(10, "critical level 1/2: gauge scan exact, L_E sign census at E in {0.4, 0.5, 0.6}",
            ok, f"min L at E=0.5: {at.min_value:.2e}")

@@ -69,7 +69,7 @@ def test_simulate_round_trips_binary64(tmp_path, capsys):
     from magflow import integrate, state_from_integrals
 
     s0 = state_from_integrals(0.0, 0.0, 0.3, 0.2, 1)
-    traj = integrate(s0, 3.0, 1e-11, with_events=False)
+    traj = integrate(s0, 3.0, 1e-11)
     grid = np.linspace(0.0, 3.0, 11)
     x, y, xd, yd = traj.eval(grid)
     assert np.array_equal(rows[:, 1], x)   # 17 digits reparse exactly

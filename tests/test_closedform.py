@@ -26,7 +26,7 @@ K_HALF = complete_K(0.5)
 
 def numeric_reference(sol, ts, tol=1e-11):
     s0 = state_from_integrals(sol.x0, sol.y0, sol.E, sol.p, sol.xdot_sign)
-    traj = integrate(s0, float(ts[-1]) + 1e-9, tol, with_events=False)
+    traj = integrate(s0, float(ts[-1]) + 1e-9, tol)
     return traj.eval(ts)
 
 
@@ -109,6 +109,29 @@ def test_start_at_turning_point():
     assert abs(st.xdot) < 1e-7
     after = sol.eval(0.05)
     assert after.x < st.x and after.xdot < 0.0
+
+
+@pytest.mark.parametrize("E, p, x0", [
+    (0.18230050950239163, 0.39649109610635813, 0.5 * math.pi),   # crossing, top wall
+    (0.49766262222561114, 0.007001713799390075, 0.5 * math.pi),  # crossing, top wall
+    (0.72, -0.9, -0.5 * math.pi),                                 # crossing, bottom wall
+    (1.125, 0.3, 0.5 * math.pi),                                  # winding
+    (1.125, 0.3, -0.5 * math.pi),
+    (0.125, 0.3, math.asin(-0.2)),                                # trapped, lower root
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_start_at_an_oval_end_has_the_ladders_phase(E, p, x0, sign):
+    # at xi0 = -+1 the start phase is an odd multiple m of the ladder's K
+    # itself, which F(asin(-+1)) missed by rounding: D = C (m K) exactly
+    mp = pytest.importorskip("mpmath")
+    sol = build_solution(x0, 0.0, E, p, sign)
+    K = sol.reduction.K
+    m = round(sol.D / (sol.C * K))
+    assert m % 2 == 1
+    assert sol.D == sol.C * (m * K)
+    with mp.workdps(40):
+        K_ref = mp.ellipk(1 - mp.mpf(sol.reduction.kc) ** 2)
+        assert float(abs(K / K_ref - 1)) < 1e-15
 
 
 def test_separatrix_rejected():

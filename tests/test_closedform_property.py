@@ -156,8 +156,7 @@ def test_start_on_a_wall_keeps_the_phase(E, p, sign):
     # 1.23e-6 and 4.5e-7 off DOP853, y 2.45e-6 and 9.6e-7
     sol = build_solution(0.5 * math.pi, 0.0, E, p, sign)
     s0 = sol.eval(0.0)
-    traj = integrate(PhaseState(0.5 * math.pi, 0.0, s0.xdot, s0.ydot), 20.0, 1e-12,
-                     with_events=False)
+    traj = integrate(PhaseState(0.5 * math.pi, 0.0, s0.xdot, s0.ydot), 20.0, 1e-12)
     ts = np.linspace(0.0, 20.0, 2001)
     x, y, _, _ = sol.eval(ts)
     x_rk, y_rk, _, _ = traj.eval(ts)

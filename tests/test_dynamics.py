@@ -108,7 +108,7 @@ def test_p_zero_reduces_to_pendulum_in_doubled_angle(rng):
         assert 2.0 * xddot == pytest.approx(-math.sin(2.0 * x), abs=1e-13)
 
     s0 = state_from_integrals(0.4, 0.0, 0.3, 0.0, 1)
-    traj = integrate(s0, 5.0, 1e-11, with_events=False)
+    traj = integrate(s0, 5.0, 1e-11)
     ts = np.linspace(0.0, 5.0, 2001)
     h = ts[1] - ts[0]
     x, _, _, _ = traj.eval(ts)

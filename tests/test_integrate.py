@@ -35,14 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_vertical_line_is_exact():
     # x = pi/2, ydot = sqrt(2E): both accelerations vanish identically
-    traj = integrate(PhaseState(HALF_PI, 0.0, 0.0, 1.0), 10.0, 1e-11, with_events=True)
+    ev = find_return(PhaseState(HALF_PI, 0.0, 0.0, 1.0), t_end=10.0)
+    traj = ev.trajectory
     ts = np.linspace(0.0, 10.0, 101)
     x, y, xd, yd = traj.eval(ts)
     assert np.max(np.abs(x - HALF_PI)) < 1e-12
     assert np.max(np.abs(y - ts)) < 1e-12
     dE, dp = conservation_report(traj)
     assert dE < 1e-12 and dp < 1e-12
-    assert all(kind != "x-turning" for _, kind in traj.events)
+    assert ev.turning_times == ev.return_times == ()
 
 
 def test_fixed_point_is_constant():
@@ -113,10 +114,10 @@ def test_no_return_on_vertical_line():
 def test_self_convergence_ladder():
     s0 = state_from_integrals(0.1, 0.0, 0.3, 0.0, 1)
     ts = np.linspace(0.0, 20.0, 200)
-    ref = np.array(integrate(s0, 20.0, 1e-13, with_events=False).eval(ts))
+    ref = np.array(integrate(s0, 20.0, 1e-13).eval(ts))
     errs = []
     for tol in (1e-5, 1e-7, 1e-9, 1e-11):
-        got = np.array(integrate(s0, 20.0, tol, with_events=False).eval(ts))
+        got = np.array(integrate(s0, 20.0, tol).eval(ts))
         errs.append(np.max(np.abs(got - ref)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -124,11 +125,11 @@ def test_self_convergence_ladder():
 def test_time_reversal():
     s0 = state_from_integrals(0.1, 0.0, 0.3, 0.2, 1)
     tol, T = 1e-9, 20.0
-    fwd = integrate(s0, T, tol, with_events=False)
+    fwd = integrate(s0, T, tol)
     # one-way accuracy estimated against a much tighter run
-    tight = integrate(s0, T, 1e-13, with_events=False)
+    tight = integrate(s0, T, 1e-13)
     one_way = np.max(np.abs(fwd.final_state.as_array() - tight.final_state.as_array()))
-    back = integrate(fwd.final_state, -T, tol, with_events=False)
+    back = integrate(fwd.final_state, -T, tol)
     round_trip = np.max(np.abs(back.final_state.as_array() - s0.as_array()))
     assert round_trip <= 10.0 * max(one_way, 1e-14)
 
@@ -137,7 +138,7 @@ def test_drift_scales_with_tolerance():
     s0 = state_from_integrals(0.1, 0.0, 0.3, 0.2, 1)
     drift = {}
     for tol in (1e-7, 1e-9):
-        dE, _ = conservation_report(integrate(s0, 100.0, tol, with_events=False))
+        dE, _ = conservation_report(integrate(s0, 100.0, tol))
         drift[tol] = dE
     assert drift[1e-7] / drift[1e-9] > 10.0
 
@@ -159,13 +160,13 @@ OVAL = state_from_integrals(0.0, 0.0, 0.125, 0.3, 1)
 
 def test_oracle_work_over_twenty_time_units():
     # DOP853 takes about 1770 right-hand-side calls here; RK45 took about 4680
-    assert integrate(OVAL, 20.0, 1e-11, with_events=False).nfev < 2500
+    assert integrate(OVAL, 20.0, 1e-11).nfev < 2500
 
 
 def test_oracle_matches_closed_form_on_an_oval():
     ts = np.linspace(0.0, 20.0, 201)
     xc, yc, _, _ = eval_solution(build_solution(0.0, 0.0, 0.125, 0.3, 1), ts)
-    xn, yn, _, _ = integrate(OVAL, 20.0, 1e-11, with_events=False).eval(ts)
+    xn, yn, _, _ = integrate(OVAL, 20.0, 1e-11).eval(ts)
     assert np.max(np.abs(np.sin(xc) - np.sin(xn))) < 2e-11
     assert np.max(np.abs(yc - yn)) < 3e-11
 
@@ -180,7 +181,7 @@ def test_samples_are_the_solver_step_values(monkeypatch):
         return interpolate(F, x, y_old)
 
     monkeypatch.setattr(integrate_module, "_interpolate", counted)
-    traj = integrate(OVAL, 5.0, 1e-11, with_events=False)
+    traj = integrate(OVAL, 5.0, 1e-11)
     assert calls == []
     assert traj.states.shape == (traj.n_steps + 1, 4)
     traj.eval(1.0)
@@ -240,7 +241,7 @@ REFERENCE_LEVELS = {
 def test_steps_and_values_match_solve_ivp(name, tol):
     x0, E, p, sign, t_end = REFERENCE_LEVELS[name]
     s0 = state_from_integrals(x0, 0.0, E, p, sign)
-    traj = integrate(s0, t_end, tol, with_events=False)
+    traj = integrate(s0, t_end, tol)
     ref = _reference(s0, t_end, tol)
     assert traj.n_steps == len(ref.t) - 1
     assert traj.nfev == ref.nfev
@@ -276,7 +277,7 @@ def test_overflowing_error_estimate_ends_like_solve_ivp():
     # Each error estimate here cancels to pure rounding noise, so the step
     # count can move by a step or so from scipy's BLAS summation order.
     s0 = state_from_integrals(0.0, 0.0, 1e300, 0.0, 1)
-    traj = integrate(s0, 1e-148, with_events=False)
+    traj = integrate(s0, 1e-148)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ref = _reference(s0, 1e-148, 1e-11)
@@ -296,7 +297,16 @@ def test_step_size_underflow_is_a_step_failure():
         ref = _reference(s0, 1e-100, 1e-11)
     assert ref.status == -1
     with pytest.raises(StepFailure):
-        integrate(s0, 1e-100, with_events=False)
+        integrate(s0, 1e-100)
+
+
+def test_with_events_accepts_only_false():
+    # the benchmark passes with_events=False; events are found in the tests
+    ref = integrate(OVAL, 5.0)
+    traj = integrate(OVAL, 5.0, with_events=False)
+    assert traj.t.tobytes() == ref.t.tobytes() and traj.F.tobytes() == ref.F.tobytes()
+    with pytest.raises(DomainError, match="tests/oracles.py"):
+        integrate(OVAL, 5.0, with_events=True)
 
 
 def test_non_finite_start_is_a_domain_error():
@@ -307,12 +317,12 @@ def test_non_finite_start_is_a_domain_error():
 
 
 def test_step_budget_ends_the_run(monkeypatch):
-    n = integrate(OVAL, 20.0, with_events=False).n_steps
+    n = integrate(OVAL, 20.0).n_steps
     monkeypatch.setattr(integrate_module, "MAX_STEPS", n)
-    assert integrate(OVAL, 20.0, with_events=False).n_steps == n
+    assert integrate(OVAL, 20.0).n_steps == n
     monkeypatch.setattr(integrate_module, "MAX_STEPS", 10)
     with pytest.raises(StepFailure) as exc:
-        integrate(OVAL, 20.0, with_events=False)
+        integrate(OVAL, 20.0)
     assert 0.0 < exc.value.t < 20.0
     assert str(exc.value) == f"step budget exhausted: 10 accepted steps reached t = " \
                              f"{exc.value.t:.17g} of t_end = 20"
@@ -435,7 +445,7 @@ import magflow
 kernel = sys.modules["magflow.integrate"]._kernel
 magflow.classify(0.125, 0.3)
 print(kernel.cache_info().currsize)
-magflow.integrate(magflow.PhaseState(0.0, 0.0, 0.5, 0.0), 1.0, with_events=False)
+magflow.integrate(magflow.PhaseState(0.0, 0.0, 0.5, 0.0), 1.0)
 print(kernel.cache_info().currsize)
 """
 

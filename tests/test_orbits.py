@@ -24,10 +24,7 @@ from magflow import (
     delta_y,
     eval_solution,
     film_action,
-    film_strip_grid_search,
     integrate,
-    lagrangian_sign_scan,
-    mane_level_scan,
     quartic_from_params,
     vertical_line_action,
 )
@@ -35,6 +32,7 @@ from magflow.cli import main
 from magflow.orbits import _circuit_trapezoid
 from magflow.quadrature import oval_quad
 from tests.conftest import sample_trapped
+from tests.oracles import film_strip_grid_search, lagrangian_sign_scan, mane_level_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -401,7 +399,7 @@ def gamma_line_trajectory(E=0.5):
     speed = math.sqrt(2.0 * E)
     T = TWO_PI / speed
     s0 = PhaseState(0.5 * math.pi, 0.0, 0.0, speed)
-    return integrate(s0, T, 1e-11, with_events=False)
+    return integrate(s0, T, 1e-11)
 
 
 def test_action_of_vertical_line_equals_4pi_at_critical_energy():
@@ -458,7 +456,7 @@ def test_action_increment_equals_xdot_square_integral_at_p_zero():
 
 def test_action_open_curve_rejected():
     s0 = PhaseState(0.0, 0.0, 0.5, 0.0)
-    traj = integrate(s0, 1.0, 1e-11, with_events=False)   # far from closing
+    traj = integrate(s0, 1.0, 1e-11)   # far from closing
     with pytest.raises(OpenCurve):
         action_direct(traj)
 
@@ -605,6 +603,11 @@ def test_film_grid_search_finds_the_negative_field_strip():
     assert math.remainder(res.x_b - 1.5 * math.pi, TWO_PI) == pytest.approx(
         0.0, abs=step)
     assert res.action == pytest.approx(-TWO_PI, abs=1e-3)
+    # no strip on the grid beats the closed form, and the nearest grid strip
+    # misses it by at most pi step^2
+    closed = film_action(CylinderStrip(0.5 * math.pi, 1.5 * math.pi, 0.125))
+    assert closed == 4.0 * math.pi * (math.sqrt(0.25) - 1.0)
+    assert 0.0 <= res.action - closed <= math.pi * step ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -632,3 +635,5 @@ def test_lagrangian_sign_census():
     assert abs(at.min_state.xdot) < 1e-12
     assert above.n_negative == 0
     assert above.min_value > 0.0
+    for E, scan in ((0.4, below), (0.5, at), (0.6, above)):
+        assert scan.min_value == pytest.approx(2.0 * E - math.sqrt(2.0 * E), abs=1e-12)

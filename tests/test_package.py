@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -125,33 +126,67 @@ def test_no_unread_definitions():
     assert unread == []
 
 
-def _magflow_imports(path: Path) -> list[tuple[str, str | None]]:
-    """(module, name) of each magflow import in a file; name None for `import module`."""
+def _magflow_imports(path: Path) -> list[tuple[str, str | None, str]]:
+    """(module, name, local name) of each magflow import in a file; name None
+    for `import module`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "magflow":
-            found += [(node.module, alias.name) for alias in node.names]
+            found += [(node.module, alias.name, alias.asname or alias.name)
+                      for alias in node.names]
         elif isinstance(node, ast.Import):
-            found += [(alias.name, None) for alias in node.names
+            found += [(alias.name, None, alias.asname or alias.name) for alias in node.names
                       if alias.name.split(".")[0] == "magflow"]
     return found
 
 
+def _resolve(node: ast.expr, names: dict):
+    """The object a name or attribute chain over the imported names refers
+    to; None where it starts from any other name."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, names)
+        return None if base is None else getattr(base, node.attr)
+    return None
+
+
 def test_bench_imports_resolve():
-    # the benchmark harness imports names from the package: a trimmed API
-    # must not silently break it
-    unresolved = []
-    imports = [(path, module, name) for path in sorted((ROOT / "bench").glob("*.py"))
-               for module, name in _magflow_imports(path)]
-    assert imports
-    for path, module, name in imports:
-        mod = importlib.import_module(module)
-        if name is not None and not hasattr(mod, name):
-            try:
-                importlib.import_module(f"{module}.{name}")
-            except ModuleNotFoundError:
-                unresolved.append(f"{path.relative_to(ROOT)}: from {module} import {name}")
+    # the benchmark harness imports names from the package and passes them
+    # keywords: a trimmed API must not silently break it
+    unresolved, names = [], {}
+    paths = sorted((ROOT / "bench").glob("*.py"))
+    for path in paths:
+        for module, name, local in _magflow_imports(path):
+            mod = importlib.import_module(module)
+            if name is None:
+                names[path, local] = mod
+            elif hasattr(mod, name):
+                names[path, local] = getattr(mod, name)
+            else:
+                try:
+                    names[path, local] = importlib.import_module(f"{module}.{name}")
+                except ModuleNotFoundError:
+                    unresolved.append(f"{path.relative_to(ROOT)}: from {module} import {name}")
+    assert names
+    n_keywords = 0
+    for path in paths:
+        local = {name: obj for (p, name), obj in names.items() if p == path}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = _resolve(node.func, local)
+            keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+            if func is None or not keywords:
+                continue
+            params = inspect.signature(func).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            n_keywords += len(keywords)
+            unresolved += [f"{path.relative_to(ROOT)}:{node.lineno} {kw}=" for kw in keywords
+                           if kw not in params]
+    assert n_keywords > 0
     assert unresolved == []
 
 
@@ -184,22 +219,13 @@ def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
     assert res.stdout.strip() == "False"
 
 
-EVENTS_PROBE = """
-import sys
-import magflow
-traj = magflow.integrate(magflow.state_from_integrals(0.1, 0.0, 0.3, 0.2, 1), 0.1,
-                         with_events=True)
-print(traj.events, 'scipy.optimize' in sys.modules)
-"""
-
-
-def test_events_without_a_root_leave_scipy_optimize_unloaded():
-    # the x-return event is exactly 0 at t = 0, which is no bracket; with no
-    # turning point or return in the span, brentq is never needed
-    src = str(ROOT / "src")
-    res = subprocess.run([sys.executable, "-c", EVENTS_PROBE], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.strip() == "[] False"
+def test_package_never_imports_scipy_optimize():
+    # root finding is the tests' oracle (tests/oracles.py), not the package's
+    found = [f"{path.relative_to(ROOT)}:{i}"
+             for path in sorted((ROOT / "src" / "magflow").rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             if "scipy.optimize" in line]
+    assert found == []
 
 
 QUICK_START_PROBE = """
@@ -208,18 +234,18 @@ import numpy as np
 from magflow import integrate, state_from_integrals
 traj = integrate(state_from_integrals(0.1, 0.0, 0.125, 0.3, +1), 50.0, tol=1e-11)
 traj.eval(np.linspace(0.0, 50.0, 1000))
-print(traj.events, 'scipy.optimize' in sys.modules)
+print('scipy.optimize' in sys.modules)
 """
 
 
 def test_default_integrate_leaves_scipy_optimize_unloaded():
-    # the README's quick-start run passes turning points and returns, and
-    # only steps: events, and brentq with them, are found only when asked for
+    # the README's quick-start run passes turning points and returns and
+    # only steps
     src = str(ROOT / "src")
     res = subprocess.run([sys.executable, "-c", QUICK_START_PROBE], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
                          timeout=120)
-    assert res.stdout.strip() == "[] False"
+    assert res.stdout.strip() == "False"
 
 
 SCIPY_SPECIAL_PROBE = """

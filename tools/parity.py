@@ -33,7 +33,9 @@ interpreter that imports magflow from that ``src/``:
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state, the interpolant rows ``F`` of the first
   and the last step and ``Trajectory.eval`` at 50 times, and the event
-  times of 100 of them; at tol 1e-11, and the same at tol 1e-9 and 1e-13
+  times of 100 of them, found by the tests' event pass
+  (``tests/oracles.py`` of the working tree) on each side's
+  ``Trajectory``; at tol 1e-11, and the same at tol 1e-9 and 1e-13
   (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
@@ -61,9 +63,9 @@ t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
 and 50 times uniform between 0 and t_end; integrate at each of tol 1e-11,
 1e-9 and 1e-13 gives n_steps, nfev, the final state, the rows F of the
 first and the last step (outputs ``F_first`` and ``F_last``, shape
-(500, 7, 4)) and eval at the times, and on the first 100 levels, run
-again with with_events=True (the default is False), the event times
-(outputs ``integrate_events``).
+(500, 7, 4)) and eval at the times, and on the first 100 levels the
+turning and return times of x merged in one sorted list (outputs
+``integrate_events``).
 The classify_wide levels, from an eighth generator, have E log-uniform over
 [5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
@@ -432,9 +434,13 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
 def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
     """integrate at tol on the integrate set: step and call counts, the final
     state, the interpolant rows of the first and the last step and eval at
-    50 times; on its first N_EVENTS levels, run again with with_events=True,
-    the event times (NaN past the last) and their count."""
+    50 times; on its first N_EVENTS levels, the turning and return times
+    of x that tests/oracles.py finds on the trajectory (NaN past the last)
+    and their count."""
     from magflow import integrate, state_from_integrals
+
+    sys.path.insert(0, str(ROOT))
+    from tests.oracles import event_times
 
     n, n_times = inp["integrate_t"].shape
     counts = np.full((n, 2), -1)
@@ -449,7 +455,7 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
                 float(inp["integrate_p"][i]), int(inp["integrate_sign"][i]))
         t_end = float(inp["integrate_t_end"][i])
         try:
-            traj = integrate(state_from_integrals(*args), t_end, tol, with_events=False)
+            traj = integrate(state_from_integrals(*args), t_end, tol)
             counts[i] = traj.n_steps, traj.nfev
             final[i] = traj.states[-1]
             F_ends[i] = traj.F[0], traj.F[-1]
@@ -460,13 +466,16 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
             err.append("")
         if i >= N_EVENTS:
             continue
+        if err[-1]:  # no trajectory to look for events on
+            ev_err.append(err[-1])
+            continue
         try:
-            times = [t for t, _kind in integrate(state_from_integrals(*args), t_end, tol,
-                                                   with_events=True).events]
+            turning, returns = event_times(traj)
         except Exception as exc:
             ev_err.append(type(exc).__name__)
             continue
         ev_err.append("")
+        times = sorted(turning + returns)
         ev_count[i] = len(times)
         times = times[:MAX_EVENTS]
         ev_times[i, :len(times)] = times
