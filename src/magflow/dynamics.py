@@ -74,8 +74,9 @@ def rhs(t, y):
     """Vector field (xdot, ydot, xddot, yddot) at y = (x, y, xdot, ydot).
 
     The (t, y) signature of an ODE right-hand side; t is unused.  y is any
-    sequence of four floats.  The integrator passes a tuple of Python
-    floats, cheaper per call than numpy scalar arithmetic on four elements.
+    sequence of four floats.  The integrator calls it on Python floats for
+    the first stage, the initial step and the 3 interpolant stages of each
+    step; its step kernel writes these operations into the other stages.
     """
     x, _, xd, yd = y
     c = math.cos(x)

@@ -4,20 +4,21 @@ The integrator is scipy's DOP853 algorithm, the Dormand-Prince 8(5,3) pair
 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
 section II.10) with its 7th-order dense output, run step by step on Python
 floats: scipy's initial-step rule, error norm, step controller and
-interpolant, with scipy's tableau kept in ._dop853.  The stages of a step
-are straight-line code written out from that tableau on the first
-integration, each sum in its row's order.  So it runs
-solve_ivp(method="DOP853", dense_output=True) without numpy's per-call
-cost, which on four components exceeds the arithmetic.  No later step
-reads a step's interpolant, its 3 extra stages and 7 rows, so the loop
-only keeps each accepted step's stages, and one numpy pass per block of
-BLOCK_STEPS accepted steps builds their rows, each sum in its row's order
-again, so each row rounds as it would on Python floats.  Only the
-rounding of its sums differs from scipy's BLAS, and a step's error
-estimate, a sum that cancels, carries that rounding into the step size:
-the step ends move slightly, the step counts mostly stay.  The tests keep
-solve_ivp as the reference that step counts and states are checked
-against.
+interpolant, with scipy's tableau kept in ._dop853.  A step is
+straight-line code written out from that tableau on the first
+integration, each sum in its row's order: the flow of dynamics.rhs in
+each stage after the first, then the scaled sums of squares of the error
+norm.  So it runs solve_ivp(method="DOP853", dense_output=True) without
+numpy's per-call cost, which on four components exceeds the arithmetic,
+and without a Python call per stage.  No later step reads a step's
+interpolant, its 3 extra stages and 7 rows, so the loop only keeps each
+accepted step's stages, and one numpy pass per block of BLOCK_STEPS
+accepted steps builds their rows, each sum in its row's order again, so
+each row rounds as it would on Python floats.  Only the rounding of its
+sums differs from scipy's BLAS, and a step's error estimate, a sum that
+cancels, carries that rounding into the step size: the step ends move
+slightly, the step counts mostly stay.  The tests keep solve_ivp as the
+reference that step counts and states are checked against.
 A run takes at most MAX_STEPS accepted steps.
 Conservation of (E, p) is monitored, never enforced.  A run only steps:
 the turning points and returns of x, from which the tests measure the
@@ -34,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import A, A_EXTRA, B, C, C_EXTRA, D, E3, E5
+from ._dop853 import A, A_EXTRA, B, C_EXTRA, D, E3, E5
 from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
-# accepted steps a run may take: about 0.65 s of stepping on a 2-CPU Xeon
+# accepted steps a run may take: about 0.57 s of stepping on a 2-CPU Xeon
 # host, 13 times the 3,858 of the longest test run and 67 times the 749 of
 # the longest run of any demo, parity set or benchmark level
 MAX_STEPS = 50_000
@@ -146,37 +147,50 @@ def _components(j: int) -> str:
     return ", ".join(f"k{j}_{i}" for i in range(4))
 
 
-def _stage_source(j: int, row, c: float) -> list[str]:
-    """Source of stage j: the right-hand side at t + c h, at y plus h times
-    the row's sum, then its components unpacked."""
-    args = ", ".join(f"y{i} + ({_row_sum(row, i)}) * h" for i in range(4))
-    return [f"    k{j} = rhs(t + {c!r} * h, ({args}))",
-            f"    {_components(j)} = k{j}"]
+def _flow_source(j: int, x: str, xd: str, yd: str) -> list[str]:
+    """Source of stage j, the flow at the sources x, xd and yd of x, xdot
+    and ydot, with dynamics.rhs's operations in its order."""
+    return [f"    c = cos({x})", f"    k{j}_0 = {xd}", f"    k{j}_1 = {yd}",
+            f"    k{j}_2 = c * k{j}_1", f"    k{j}_3 = -c * k{j}_0"]
 
 
-def _build_kernel(f):
-    """DOP853's step as a straight-line function with right-hand side f,
-    written out from the tableau of ._dop853.
+def _sum_of_squares(name: str) -> str:
+    """Source of the in-order sum from 0.0 of the squares of name0 ... name3."""
+    return " + ".join(["0.0", *(f"{name}{i} * {name}{i}" for i in range(4))])
 
-    step(t, y, k0, h), with k0 = f(t, y), returns y_new, f_new, the E5 and
-    E3 sums and the 13 stages k0 ... k11, f_new as one flat tuple of 52
-    floats, stage by stage.  Each sum adds its terms in the row's order
+
+@functools.cache
+def _kernel():
+    """DOP853's step as a straight-line function, written out from the
+    tableau of ._dop853 with the flow of dynamics.rhs in each stage, on the
+    first integration.
+
+    step(y, k0, h, rtol, atol), with k0 = rhs(t, y), returns y_new, f_new,
+    the sums of squares of the E5 and E3 sums scaled as scipy's error norm
+    scales them, and the 13 stages k0 ... k11, f_new as one flat tuple of
+    52 floats, stage by stage.  Each sum adds its terms in the row's order
     from 0.0, with each coefficient as its repr, so it rounds as the loop
-    over the row would.
+    over the row would; each stage skips the y sum that the flow never
+    reads.
     """
-    lines = ["def step(t, y, k0, h):",
+    lines = ["def step(y, k0, h, rtol, atol):",
              "    y0, y1, y2, y3 = y",
              f"    {_components(0)} = k0"]
     for j in range(1, 12):
-        lines += _stage_source(j, A[j], C[j])
-    lines += [
-        f"    y_new = ({', '.join(f'y{i} + h * ({_row_sum(B, i)})' for i in range(4))})",
-        f"    {_components(12)} = k12 = rhs(t + h, y_new)",
-        f"    e5 = ({', '.join(_row_sum(E5, i) for i in range(4))})",
-        f"    e3 = ({', '.join(_row_sum(E3, i) for i in range(4))})",
-        f"    return y_new, k12, e5, e3, ({', '.join(_components(j) for j in range(13))})",
-    ]
-    namespace = {"rhs": f}
+        lines += _flow_source(j, *(f"y{i} + ({_row_sum(A[j], i)}) * h" for i in (0, 2, 3)))
+    lines.append("    y_new = n0, n1, n2, n3 = "
+                 f"({', '.join(f'y{i} + h * ({_row_sum(B, i)})' for i in range(4))})")
+    lines += _flow_source(12, "n0", "n2", "n3")
+    for i in range(4):
+        # the larger of |y| and |y_new| as np.maximum takes it: nan wins
+        lines += [f"    a, b = abs(y{i}), abs(n{i})",
+                  "    s = atol + (a if a >= b else b if b > a else nan) * rtol",
+                  f"    u{i} = ({_row_sum(E5, i)}) / s",
+                  f"    v{i} = ({_row_sum(E3, i)}) / s"]
+    lines += [f"    return (y_new, ({_components(12)}), {_sum_of_squares('u')}, "
+              f"{_sum_of_squares('v')},",
+              f"            ({', '.join(_components(j) for j in range(13))}))"]
+    namespace = {"cos": math.cos, "nan": math.nan}
     exec(compile("\n".join(lines) + "\n", "<dop853 kernel>", "exec"), namespace)
     return namespace["step"]
 
@@ -234,12 +248,6 @@ def _interpolant_rows(f, t, y, K):
     return F
 
 
-@functools.cache
-def _kernel():
-    """The kernel on dynamics.rhs, built on the first integration."""
-    return _build_kernel(rhs)
-
-
 def _initial_step(y, f, t_bound: float, direction: float, rtol: float, atol: float) -> float:
     """scipy's select_initial_step from t = 0, for a 7th-order error estimate."""
     interval = abs(t_bound)
@@ -257,32 +265,12 @@ def _initial_step(y, f, t_bound: float, direction: float, rtol: float, atol: flo
     return min(100 * h0, h1, interval)
 
 
-def _error_norm(err5, err3, h: float, y, y_new, rtol: float, atol: float) -> float:
-    """DOP853's error norm from the E5 and E3 sums of a step: the 5th-order
-    estimate's, damped by the 3rd's."""
-    ss5 = ss3 = 0.0
-    for e5, e3, a, b in zip(err5, err3, y, y_new):
-        a, b = abs(a), abs(b)
-        big = a if a >= b else b if b > a else math.nan  # np.maximum: nan wins
-        scale = atol + big * rtol
-        e5, e3 = e5 / scale, e3 / scale
-        ss5 += e5 * e5
-        ss3 += e3 * e3
-    # scipy squares np.linalg.norm, the square root of the sum; a product,
-    # unlike a float's ** 2, overflows to inf and does not raise
-    r5, r3 = math.sqrt(ss5), math.sqrt(ss3)
-    n5, n3 = r5 * r5, r3 * r3
-    if n5 == 0.0 and n3 == 0.0:
-        return 0.0
-    return _div(abs(h) * n5, math.sqrt((n5 + 0.01 * n3) * 4))
-
-
 def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     """solve_ivp(rhs, (0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
     dense_output=True).
 
-    Each step runs the straight-line stages of _kernel, built on the first
-    call.  The loop keeps the stages of each accepted step; every
+    Each step runs the straight-line step of _kernel, built on the first
+    call, and takes the error norm from its sums of squares.  The loop keeps the stages of each accepted step; every
     BLOCK_STEPS accepted steps, and once at the end, _interpolant_rows turns
     those kept into the steps' rows and they are dropped, so that a long run
     never holds more than one block of stages.  Returns the step times, the
@@ -320,9 +308,16 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err5, err3, K = step(t, y, f, h)
+            y_new, f_new, ss5, ss3, K = step(y, f, h, rtol, atol)
             nfev += 12
-            error_norm = _error_norm(err5, err3, h, y, y_new, rtol, atol)
+            # DOP853's error norm, the 5th-order estimate's damped by the
+            # 3rd's: scipy squares np.linalg.norm, the square root of the
+            # sum; a product, unlike a float's ** 2, overflows to inf and
+            # does not raise
+            r5, r3 = math.sqrt(ss5), math.sqrt(ss3)
+            n5, n3 = r5 * r5, r3 * r3
+            error_norm = (0.0 if n5 == 0.0 and n3 == 0.0 else
+                          _div(h_abs * n5, math.sqrt((n5 + 0.01 * n3) * 4)))
             if error_norm < 1.0:
                 factor = (_MAX_FACTOR if error_norm == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))

@@ -365,20 +365,58 @@ def _draw(rng, p_special):
     return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.0)
 
 
+def _error_sums(err5, err3, y, y_new, rtol, atol):
+    """The sums of squares of the E5 and E3 sums over their scales, as
+    scipy's error norm forms them: the loop the kernel writes out."""
+    ss5 = ss3 = 0.0
+    for e5, e3, a, b in zip(err5, err3, y, y_new):
+        a, b = abs(a), abs(b)
+        big = a if a >= b else b if b > a else math.nan  # np.maximum: nan wins
+        scale = atol + big * rtol
+        e5, e3 = e5 / scale, e3 / scale
+        ss5 += e5 * e5
+        ss3 += e3 * e3
+    return ss5, ss3
+
+
+def _reference_step(t, y, k0, h, rtol, atol):
+    """The kernel's returns as the loop over the tableau rows forms them,
+    each stage from dynamics.rhs at its stage argument."""
+    K = [k0]
+    for j in range(1, 12):
+        K.append(rhs(*_stage_arg(_dop853.A[j], _dop853.C[j], K, t, y, h)))
+    y_new = tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))
+    K.append(rhs(t + h, y_new))
+    ss5, ss3 = _error_sums(_row_sum(_dop853.E5, K), _row_sum(_dop853.E3, K), y, y_new,
+                           rtol, atol)
+    return y_new, K[12], ss5, ss3, tuple(v for k in K for v in k)
+
+
+def _returns_bits(returns):
+    """The bits of the kernel's returns: y_new, f_new, the two sums of
+    squares and the 52 stage components."""
+    y_new, f_new, ss5, ss3, stages = returns
+    return _bits((*y_new, *f_new, ss5, ss3, *stages))
+
+
 def test_kernel_sums_are_the_row_sums_bit_for_bit():
-    # a stand-in right-hand side hands out random stages and records where
-    # it is evaluated; every stage argument, y_new and the E5 and E3 sums of
-    # step, and every extra-stage argument and interpolant row of the block
-    # pass must equal the in-order row sums in every bit, also with signed
-    # zeros, subnormals, infinities and NaN among the stages
+    # the kernel writes the flow into each stage: every stage must equal
+    # dynamics.rhs at the in-order row sums, and y_new and the scaled sums
+    # of squares must equal the loops over the rows in every bit, also with
+    # signed zeros, subnormals, infinities and NaN in y, k0 and the step; a
+    # stage argument of +-inf raises math.cos's ValueError on both sides.
+    # The block pass gets random stages from a stand-in right-hand side that
+    # records where it is evaluated; every extra-stage argument and
+    # interpolant row must equal the in-order row sums
     rng = random.Random(20261019)
     calls = []
 
     def stand_in(t, y):
         calls.append((t, y))
-        return K[len(calls)]
+        return K[12 + len(calls)]
 
-    step = integrate_module._build_kernel(stand_in)
+    step = integrate_module._kernel()
+    raised = 0
     for trial in range(300):
         p_special = (0.0, 0.02, 0.2)[trial % 3]
         K = [tuple(_draw(rng, p_special) for _ in range(4)) for _ in range(16)]
@@ -387,25 +425,32 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
         # the step the loop takes: the difference of the step ends
         t_new = t + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 0)
         h = t_new - t
-        calls.clear()
-        y_new, f_new, e5, e3, stages = step(t, y, K[0], h)
-        assert len(calls) == 12
-        assert stages == tuple(v for k in K[:13] for v in k) and f_new == K[12]
-        want = [_stage_arg(_dop853.A[j], _dop853.C[j], K, t, y, h) for j in range(1, 12)]
-        want.append((t + h, tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))))
-        assert _bits(y_new) == _bits(want[11][1])
-        assert _bits(e5) == _bits(_row_sum(_dop853.E5, K))
-        assert _bits(e3) == _bits(_row_sum(_dop853.E3, K))
+        rtol = 10.0 ** rng.uniform(-13.0, -3.0)
+        try:
+            want = _reference_step(t, y, K[0], h, rtol, rtol * 1e-2)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                step(y, K[0], h, rtol, rtol * 1e-2)
+            assert str(got.value) == str(exc), trial
+            raised += 1
+        else:
+            got = step(y, K[0], h, rtol, rtol * 1e-2)
+            assert _returns_bits(got) == _returns_bits(want), trial
 
+        calls.clear()
+        y_new = tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))
+        stages = [v for k in K[:13] for v in k]
         F = integrate_module._interpolant_rows(stand_in, np.array([t, t_new]),
                                                np.array([y, y_new]),
                                                np.array(stages).reshape(1, 13, 4))
-        assert len(calls) == 15
-        want += [_stage_arg(row, c, K, t, y, h)
+        assert len(calls) == 3
+        extra = [_stage_arg(row, c, K, t, y, h)
                  for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA)]
-        for (t_got, y_got), (t_want, y_want) in zip(calls, want):
+        for (t_got, y_got), (t_want, y_want) in zip(calls, extra):
             assert _bits((t_got, *y_got)) == _bits((t_want, *y_want)), trial
         assert _bits(F[0].ravel().tolist()) == _bits(_rows(K, y, y_new, h)), trial
+    # both branches ran, most trials through the bitwise comparison
+    assert 0 < raised < 100
 
 
 def _rows(K, y, y_new, h):
@@ -429,7 +474,7 @@ def test_interpolant_rows_across_blocks_are_the_row_sums():
     want = []
     for i in range(traj.n_steps):
         h = t[i + 1] - t[i]
-        y_new, _, _, _, stages = step(t[i], y[i], rhs(t[i], y[i]), h)
+        y_new, _, _, _, stages = step(y[i], rhs(t[i], y[i]), h, 1e-11, 1e-13)
         assert _bits(y_new) == _bits(y[i + 1])
         K = [stages[4 * j:4 * j + 4] for j in range(13)]
         for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA):
