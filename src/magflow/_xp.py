@@ -3,13 +3,21 @@
 The reduction and cycle-data formulas run on either kind of operand:
 Python floats for one level (classify, reduce_to_legendre,
 build_solution) and float arrays of one shape for a grid of levels
-(orbits.cycle_data).  A formula takes the operations from of(x), the
-math namespace for a float and the numpy one for an array, once per
-call.  Both square roots are correctly rounded, and minimum, maximum,
-where and copysign only pick or sign an operand, so one lane of an array
-call equals the float call bit for bit.  A float is never wrapped in a 0-d
-array: numpy's per-call overhead would cost a one-level call more than
-its arithmetic does.
+(orbits.cycle_data).  So does the closed-form phase (elliptic.sn_cn and
+closedform._orbit_phase): floats for build_solution's start phase, a
+scalar t of eval_solution and a scalar u of elliptic.sn, arrays for a
+batch of samples.  A formula takes the operations from of(x), the math
+namespace for a float and the numpy one for an array, once per call.
+Both square roots are correctly rounded, math's sin and cos give numpy's
+values, rint rounds half to even on either, and minimum, maximum, where
+and copysign only pick or sign an operand, so one lane of an array call
+equals the float call bit for bit (tests/test_phase_float.py checks
+each).  arcsin and log1p are numpy's ufuncs on a float too: numpy's
+kernels differ from libm's asin and log1p in the last bit on several per
+cent of arguments, and a ufunc runs the same kernel on a float as on an
+array.  Otherwise a float is never wrapped in a 0-d array: numpy's
+per-call overhead would cost a one-level call more than its arithmetic
+does.
 """
 
 from __future__ import annotations
@@ -39,6 +47,12 @@ FLOAT = SimpleNamespace(
     any=bool,
     all=bool,
     real=float,  # a numpy scalar argument becomes a Python float
+    sin=math.sin,
+    cos=math.cos,
+    arcsin=np.arcsin,  # numpy's kernels, see above
+    log1p=np.log1p,
+    # np.rint: half to even, keeping the sign of a zero, NaN and inf as they are
+    rint=lambda x: math.copysign(round(x), x) if math.isfinite(x) else x,
 )
 
 ARRAY = SimpleNamespace(
@@ -51,6 +65,11 @@ ARRAY = SimpleNamespace(
     any=np.any,
     all=np.all,
     real=lambda x: x,
+    sin=np.sin,
+    cos=np.cos,
+    arcsin=np.arcsin,
+    log1p=np.log1p,
+    rint=np.rint,
 )
 
 

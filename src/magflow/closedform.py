@@ -49,7 +49,9 @@ integral LegendreReduction.L (DLMF 19.25.14, 22.14).
 So one evaluation costs one sn/cn call for any t, plus one R_J call where
 c != 0, that is p != 0 (on p = 0 the map is affine and G = J1); the sin(x)
 period and the y-advance per period are those of
-LegendreReduction.cycle_values, the numbers classify reports.
+LegendreReduction.cycle_values, the numbers classify reports.  The phase
+is written once over _xp: a float phase runs on Python floats, a batch on
+numpy, and the two agree bit for bit (_orbit_phase).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _xp
 from .dynamics import TWO_PI, PhaseState, state_from_integrals
 from .elliptic import F, sn_cn
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
@@ -121,18 +124,19 @@ def _sn_integral(red: LegendreReduction, sn, cn, j, flip):
     and its R_J run only where c != 0, and import scipy.special on first
     use, so that building the cycle data does not load it.
     """
+    xp = _xp.of(sn)
     c, kc2, one_c2 = red.c, red.kc * red.kc, red.one_c2
     rho = math.sqrt(red.k2_c2 / one_c2)
     rhoc4 = (kc2 / one_c2) ** 2
-    s2, cn2, acn = sn * sn, cn * cn, np.abs(cn)
+    s2, cn2, acn = sn * sn, cn * cn, abs(cn)
     dn2 = cn2 + kc2 * s2
-    dn = np.sqrt(dn2)
+    dn = xp.sqrt(dn2)
     den = one_c2 + c * c * cn2  # 1 - c^2 sn^2
     # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0
     front, back = dn + acn, dn + rho * acn
-    Y = 2.0 * (1.0 + rho) * np.where(
+    Y = 2.0 * (1.0 + rho) * xp.where(
         cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
-    J1 = np.log1p(rho * Y) / (2.0 * rho * one_c2)
+    J1 = xp.log1p(rho * Y) / (2.0 * rho * one_c2)
     if c == 0.0:
         return J1
     from scipy.special import elliprj
@@ -156,25 +160,26 @@ def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
         return -j - 1.0, -flip
     if curve.kind == CROSSING:
         wall = -1.0 if curve.p < 0.0 else 1.0
-        b = np.mod(np.floor((j + 0.5 * (1.0 + wall)) / 2.0), 2.0)
+        b = (j + 0.5 * (1.0 + wall)) // 2.0 % 2.0
         return wall * b, 1.0 - 2.0 * b
     m = 0.0 if cos_x0 > 0 else 1.0
     return m, 1.0 - 2.0 * m
 
 
 def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
-    """(x - x_offset, z, the sign of xdot, G) at the phases u.
+    """(x - x_offset, z, the sign of xdot, G) at the phases u, a float or an array.
 
     sn_cn decides the half period j of each phase and its parity, the sign
     of zdot; the sheet of x, cos x and G's continuation read that one j.
-    build_solution takes its start here at D/C and eval_solution every
-    sample at (t + D)/C.
+    build_solution takes its start here at the float D/C and eval_solution
+    every sample at (t + D)/C, a float for a scalar t; a float phase equals
+    its lane of an array bit for bit, so y(0) = y0 on either path.
     """
     j, flip, sn, cn = sn_cn(u, red.ladder)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
     # z lies on the oval [a1, a2], inside [-1, 1]
-    x = np.pi * m + cos_sign * np.arcsin(z)
+    x = np.pi * m + cos_sign * _xp.of(z).arcsin(z)
     return x, z, flip * cos_sign, _sn_integral(red, sn, cn, j, flip)
 
 
@@ -227,14 +232,14 @@ def build_solution(
     # the start through eval_solution's path at its phase of t = 0, so that
     # y(0) = y0 holds by construction
     x_hat0, _, _, G0 = _orbit_phase(red, xdot_sign, cos_x0, D / C)
-    x_offset = x0 - float(x_hat0[0])
+    x_offset = x0 - float(x_hat0)
     n_turns = x_offset / TWO_PI
     if abs(n_turns - round(n_turns)) > 1e-8:
         raise ReductionInconsistency(
             f"x reconstruction offset {x_offset:.6g} is not a multiple of 2*pi"
         )
     x_offset = TWO_PI * round(n_turns)
-    G0 = float(G0[0])
+    G0 = float(G0)
     x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
@@ -248,22 +253,23 @@ def build_solution(
 def eval_solution(sol: ClosedFormSolution, t):
     """Evaluate (x, y, xdot, ydot) at time(s) t.
 
-    Scalar t returns a PhaseState; an array returns four arrays.  The
-    velocities come from the first integrals: ydot = p - sin x exactly, and
+    Scalar t returns a PhaseState of Python floats, computed on floats
+    (see _orbit_phase); an array returns four arrays.  The velocities come
+    from the first integrals: ydot = p - sin x exactly, and
     xdot = +-sqrt(2E - (p - sin x)^2) with the sign of zdot cos x, both
     read from the sheet of the phase.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    red = sol.reduction
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = float(t) if scalar else t
+    xp, red = _xp.of(t), sol.reduction
     x, z, xdot_sign, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0),
-                                      (t_arr + sol.D) / sol.C)
+                                      (t + sol.D) / sol.C)
     x = x + sol.x_offset
     ydot = sol.p - z
-    xdot = xdot_sign * np.sqrt(np.maximum(2.0 * sol.E - ydot * ydot, 0.0))
+    xdot = xdot_sign * xp.sqrt(xp.maximum(2.0 * sol.E - ydot * ydot, 0.0))
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
-    y = sol.y0 + red.q * t_arr - sol.C * red.h * red.one_c * (G - sol._G0)
+    y = sol.y0 + red.q * t - sol.C * red.h * red.one_c * (G - sol._G0)
     if scalar:
-        return PhaseState(float(x[0]), float(y[0]), float(xdot[0]), float(ydot[0]))
+        return PhaseState(float(x), float(y), float(xdot), float(ydot))
     return x, y, xdot, ydot

@@ -136,9 +136,9 @@ def complete_L(ladder: Ladder, one_c2):
     return _quarter_period(ladder) * s / one_c2
 
 
-def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sn_cn(u, ladder: Ladder):
     """(j, (-1)^j, sn, cn) at the phases u, on the float ladder of (k, k'),
-    by the descending Landen phase recursion; arrays of at least one dimension.
+    by the descending Landen phase recursion; u is a float or a float array.
 
     j is the half period of u, the one decision about a phase: u folds to
     v = mod(u + K, 2K) - K in [-K, K] and j = rint((u - v)/2K), so j agrees
@@ -147,20 +147,21 @@ def sn_cn(u, ladder: Ladder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     principal arcsin branch applies at every rung, |c_n/a_n sin phi| < 1,
     so no clip is needed; k = 0 runs no rung.  cn from the amplitude keeps
     full absolute accuracy at the turning points sn = +-1, where
-    sqrt(1 - sn^2) would lose half the digits.
+    sqrt(1 - sn^2) would lose half the digits.  A float u runs these lines
+    on Python floats (_xp) and equals its lane of an array bit for bit.
     This is the only routine that does per-phase elliptic work.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    xp = _xp.of(u)
     avals, _, cvals, _ = ladder
     n_steps = len(avals) - 1
     K = _quarter_period(ladder)
-    v = np.mod(u + K, 2.0 * K) - K
-    j = np.rint((u - v) / (2.0 * K))
+    v = (u + K) % (2.0 * K) - K
+    j = xp.rint((u - v) / (2.0 * K))
     phi = (2.0**n_steps) * avals[-1] * v
     for n in range(n_steps, 0, -1):
-        phi = 0.5 * (phi + np.arcsin((cvals[n] / avals[n]) * np.sin(phi)))
-    flip = 1.0 - 2.0 * np.mod(j, 2.0)
-    return j, flip, flip * np.sin(phi), flip * np.cos(phi)
+        phi = 0.5 * (phi + xp.arcsin((cvals[n] / avals[n]) * xp.sin(phi)))
+    flip = 1.0 - 2.0 * (j % 2.0)
+    return j, flip, flip * xp.sin(phi), flip * xp.cos(phi)
 
 
 def masked_K_ladder(k, kc=None):
@@ -240,12 +241,11 @@ def incomplete_F(phi: float, k: float) -> float:
 
 
 def sn(u, k: float):
-    """Jacobi sn(u, k) for real u, scalar or array.
+    """Jacobi sn(u, k) for real u: a float for a scalar u, else an array.
 
-    Descending Landen phase recursion on the AGM ladder (see sn_cn):
-    quadratic convergence, no series truncation.
+    Descending Landen phase recursion on the AGM ladder (see sn_cn), on
+    Python floats for a scalar: quadratic convergence, no series truncation.
     """
     k = _check_modulus(k)
-    u_arr = np.asarray(u, dtype=float)
-    out = sn_cn(u_arr, masked_K_ladder(k, _complement(k))[1])[2]
-    return float(out[0]) if u_arr.ndim == 0 else out
+    u = np.asarray(u, dtype=float)
+    return sn_cn(float(u) if u.ndim == 0 else u, masked_K_ladder(k, _complement(k))[1])[2]

@@ -355,11 +355,11 @@ def _xi_of_z(red: LegendreReduction, z):
 
 
 def _z_of_xi(red: LegendreReduction, xi):
-    """z of an array xi in [-1, 1], clamped to the oval [a1, a2] that
-    rounding may leave by an ulp."""
-    cv = red.curve
+    """z of xi in [-1, 1], a float or an array, clamped to the oval [a1, a2]
+    that rounding may leave by an ulp."""
+    cv, xp = red.curve, _xp.of(xi)
     z = cv.a1 + red.h * (1.0 + xi) / (1.0 + red.c * xi)
-    return np.minimum(np.maximum(z, cv.a1), cv.a2)
+    return xp.minimum(xp.maximum(z, cv.a1), cv.a2)
 
 
 def map_z_to_xi(red: LegendreReduction, z):

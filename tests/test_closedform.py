@@ -326,11 +326,12 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # elliptic.sn_cn is the one routine that does per-phase elliptic work
     # (sn runs through it too), and elliptic._agm_ladder the one that runs
     # the AGM: a build runs one ladder, the reduction's, and takes the one
-    # phase of t = 0 on it, and an evaluation runs no ladder and one batch
-    # of exactly its samples, so neither per-sample quadrature nor a second
-    # ladder of the same modulus can come back unseen.  y's R_J runs in
-    # the same batches where p != 0 and not at all on p = 0, where c = 0
-    # multiplies it away
+    # phase of t = 0 on it as a Python float, and an evaluation runs no
+    # ladder and one array batch of exactly its samples, so neither
+    # per-sample quadrature, nor a second ladder of the same modulus, nor a
+    # start phase wrapped in an array again can come back unseen.  y's R_J
+    # runs in the same batches where p != 0 and not at all on p = 0, where
+    # c = 0 multiplies it away
     import scipy.special
 
     import magflow.closedform
@@ -341,7 +342,7 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     elliprj = scipy.special.elliprj
 
     def counted(u, ladder):
-        batches.append(np.size(u))
+        batches.append((type(u), np.size(u)))
         return sn_cn(u, ladder)
 
     def counted_ladder(k, kc):
@@ -359,14 +360,14 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     monkeypatch.setattr(scipy.special, "elliprj", counted_rj)
     n_rj = 0 if p == 0.0 else 1
     sol = build_solution(x0, 0.0, E, p, sgn)
-    assert batches == [1]
+    assert batches == [(float, 1)]
     assert len(ladders) == 1
     assert rj_batches == [1] * n_rj
     batches.clear()
     ladders.clear()
     rj_batches.clear()
     eval_solution(sol, np.linspace(0.0, 50.0, 1000))
-    assert batches == [1000]
+    assert batches == [(np.ndarray, 1000)]
     assert ladders == []
     assert rj_batches == [1000] * n_rj
 

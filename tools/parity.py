@@ -15,7 +15,8 @@ interpreter that imports magflow from that ``src/``:
   float range (outputs prefixed ``classify_wide``);
 * ``build_solution`` on 20,000 orbits: D, x_offset, x_period,
   delta_y_per_cycle, k and k2, and ``eval_solution`` at 50 times each:
-  x, y, xdot and ydot;
+  x, y, xdot and ydot, and again at the first of them as a scalar
+  (outputs ``eval_scalar``), which takes the float path of the phase;
 * the same on 4,000 wall starts (outputs prefixed ``wall_``), with t = 0
   among the times;
 * the same on 2,000 orbits at p = 0 exactly (outputs prefixed ``p0_``),
@@ -329,6 +330,7 @@ def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> Non
     n, n_times = inp[f"{key}_t"].shape
     built = np.full((n, len(fields)), math.nan)
     evals = np.full((n, 4, n_times), math.nan)
+    scalars = np.full((n, 4), math.nan)
     b_err, e_err = [], []
     for i in range(n):
         try:
@@ -342,6 +344,7 @@ def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> Non
         built[i] = [getattr(sol, f) for f in fields]
         try:
             evals[i] = eval_solution(sol, inp[f"{key}_t"][i])
+            scalars[i] = eval_solution(sol, float(inp[f"{key}_t"][i, 0])).as_array()
         except Exception as exc:
             e_err.append(type(exc).__name__)
             continue
@@ -350,6 +353,7 @@ def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> Non
         out[f"{prefix}build_solution.{f}"] = built[:, j]
     for j, f in enumerate(("x", "y", "xdot", "ydot")):
         out[f"{prefix}eval_solution.{f}"] = evals[:, j]
+        out[f"{prefix}eval_scalar.{f}"] = scalars[:, j]
     errors[f"{prefix}build_solution"], errors[f"{prefix}eval_solution"] = b_err, e_err
 
 
