@@ -13,7 +13,6 @@ from .closedform import build_solution, eval_solution
 from .dynamics import (
     PhaseState,
     energy,
-    integrals,
     momentum,
     reduced_lagrangian,
     rhs,
@@ -32,7 +31,7 @@ from .errors import (
     WrongRegime,
 )
 from .integrate import conservation_report, integrate
-from .legendre import map_xi_to_z, map_z_to_xi, quartic_from_params, reduce_to_legendre
+from .legendre import map_z_to_xi, quartic_from_params, reduce_to_legendre
 from .orbits import (
     CylinderStrip,
     OrbitDisc,
@@ -44,7 +43,6 @@ from .orbits import (
     contractible_orbit,
     cycle_action,
     cycle_data,
-    delta_y,
     film_action,
     vertical_line_action,
 )
@@ -75,14 +73,11 @@ __all__ = [
     "contractible_orbit",
     "cycle_action",
     "cycle_data",
-    "delta_y",
     "energy",
     "eval_solution",
     "film_action",
     "incomplete_F",
-    "integrals",
     "integrate",
-    "map_xi_to_z",
     "map_z_to_xi",
     "momentum",
     "quartic_from_params",

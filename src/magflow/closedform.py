@@ -4,10 +4,11 @@ On any non-degenerate level set (E, p) the variable z = sin(x) oscillates
 over the bounded oval [a1, a2] of the quartic, and in the Legendre
 coordinate the motion is exactly
 
-    xi(t) = sn((t + D)/C, k),     sin x(t) = map_xi_to_z(xi(t)),
+    xi(t) = sn((t + D)/C, k),     sin x(t) = a1 + h (1 + xi(t))/(1 + c xi(t)),
 
-where (k, C) come from the reduction and the phase constant D matches the
-initial condition.  The reduction is the orbit's one modulus record: sn,
+where (k, C, h, c) come from the reduction, the second formula is the
+inverse of its coordinate map (legendre._z_of_xi), and the phase constant
+D matches the initial condition.  The reduction is the orbit's one modulus record: sn,
 cn, F and K all run on the AGM ladder it keeps (LegendreReduction.ladder),
 so a build runs the AGM once and an evaluation not at all.  Note the
 coordinate map is part of the solution: in the p = 0 trapped case it

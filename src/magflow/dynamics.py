@@ -29,11 +29,6 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    return float(np.mod(a, TWO_PI))
-
-
 @dataclass(frozen=True)
 class PhaseState:
     """A point (x, y, xdot, ydot) of the tangent bundle of the torus."""
@@ -51,32 +46,15 @@ class PhaseState:
         x, y, xd, yd = (float(v) for v in a)
         return cls(x, y, xd, yd)
 
-    def wrapped(self) -> tuple[float, float]:
-        """Angles reported mod 2*pi."""
-        return wrap_angle(self.x), wrap_angle(self.y)
-
-
-@dataclass(frozen=True)
-class FlowIntegrals:
-    """The conserved pair (E, p) labelling an invariant set of the flow."""
-
-    E: float
-    p: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.E) or not math.isfinite(self.p):
-            raise DomainError("first integrals must be finite")
-        if self.E < 0.0:
-            raise DomainError(f"energy must be nonnegative, got {self.E}")
-
 
 def rhs(t, y):
     """Vector field (xdot, ydot, xddot, yddot) at y = (x, y, xdot, ydot).
 
     The (t, y) signature of an ODE right-hand side; t is unused.  y is any
     sequence of four floats.  The integrator calls it on Python floats for
-    the first stage, the initial step and the 3 interpolant stages of each
-    step; its step kernel writes these operations into the other stages.
+    the first stage and the initial step; its step kernel writes these
+    operations into the other stages, and its block pass into the 3
+    interpolant stages of each step, on arrays.
     """
     x, _, xd, yd = y
     c = math.cos(x)
@@ -102,11 +80,6 @@ def momentum(state):
     """Conserved y-momentum p = ydot + sin(x), one value per state."""
     x, _, yd = _unpack(state)
     return yd + np.sin(x)
-
-
-def integrals(state: PhaseState) -> FlowIntegrals:
-    """Both first integrals of a state."""
-    return FlowIntegrals(energy(state), momentum(state))
 
 
 def reduced_lagrangian(state, E: float):

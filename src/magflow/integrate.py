@@ -13,9 +13,10 @@ numpy's per-call cost, which on four components exceeds the arithmetic,
 and without a Python call per stage.  No later step reads a step's
 interpolant, its 3 extra stages and 7 rows, so the loop only keeps each
 accepted step's stages, and one numpy pass per block of BLOCK_STEPS
-accepted steps builds their rows, each sum in its row's order again, so
-each row rounds as it would on Python floats.  Only the rounding of its
-sums differs from scipy's BLAS, and a step's error estimate, a sum that
+accepted steps builds their rows: the extra stages as the flow of
+dynamics.rhs over the block's argument rows, each sum in its row's order
+again, so each row rounds as it would on Python floats.  Only the
+rounding of its sums differs from scipy's BLAS, and a step's error estimate, a sum that
 cancels, carries that rounding into the step size: the step ends move
 slightly, the step counts mostly stay.  The tests keep solve_ivp as the
 reference that step counts and states are checked against.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import A, A_EXTRA, B, C_EXTRA, D, E3, E5
+from ._dop853 import A, A_EXTRA, B, D, E3, E5
 from .dynamics import PhaseState, energy, momentum, rhs
 from .errors import DomainError, StepFailure
 
@@ -216,28 +217,45 @@ def _in_order_sum(row, S):
     return s
 
 
-def _interpolant_rows(f, t, y, K):
+def _stages(hc, y0, K):
+    """The 16 stages of n steps, stage-major, shape (16, n, 4): the 13 of K,
+    shape (n, 13, 4), then the interpolant's 3 extra stages from the steps
+    hc, a column (n, 1), and their start states y0.
+
+    Each extra stage is the flow at its in-order argument sums with
+    dynamics.rhs's operations, and numpy's cos gives math.cos's values, so
+    it equals rhs on Python floats in every bit; x = +-inf raises
+    math.cos's ValueError, as rhs would.  Call it under
+    np.errstate(all="ignore"), as inf and nan carry on.
+    """
+    # stage-major, so that each term of a sum is one contiguous array
+    S = np.empty((16, len(K), 4))
+    S[:13] = K.transpose(1, 0, 2)
+    for j, row in enumerate(A_EXTRA, start=13):
+        x, _, xd, yd = (y0 + _in_order_sum(row, S) * hc).T
+        if np.isinf(x).any():
+            raise ValueError("math domain error")
+        c = np.cos(x)
+        S[j] = np.stack((xd, yd, c * yd, -c * xd), axis=1)
+    return S
+
+
+def _interpolant_rows(t, y, K):
     """The interpolant rows of n accepted steps in one numpy pass, shape
-    (n, 7, 4): Dop853DenseOutput's rows, the last 4 from 3 more stages.
+    (n, 7, 4): Dop853DenseOutput's rows, the last 4 from _stages.
 
     t and y are the n + 1 step ends and the states at them, K the 13 stages
-    of each step, shape (n, 13, 4).  The extra stages are f on Python
-    floats, a step at a time; every sum is an in-order row sum, so the rows
-    equal in every bit those of the same sums on Python floats, step by
-    step.  Inf and nan carry on as they would there, without a warning.
+    of each step, shape (n, 13, 4).  Every sum is an in-order row sum, so
+    the rows equal in every bit those of the same sums and rhs calls on
+    Python floats, step by step; inf and nan carry on without a warning.
     """
     n = len(K)
     with np.errstate(all="ignore"):
-        t0, h = t[:-1], t[1:] - t[:-1]
+        h = t[1:] - t[:-1]
         y0, hc = y[:-1], h[:, None]
         dy = y[1:] - y0
         f0, f_new = K[:, 0], K[:, 12]
-        # stage-major, so that each term of a sum is one contiguous array
-        S = np.empty((16, n, 4))
-        S[:13] = K.transpose(1, 0, 2)
-        for j, (row, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=13):
-            args = y0 + _in_order_sum(row, S) * hc
-            S[j] = _array(map(f, (t0 + c * h).tolist(), args.tolist()), (n, 4))
+        S = _stages(hc, y0, K)
         # all 4 D rows at once: a (4, 4n) sum, D row by (step, component)
         rows = hc * _in_order_sum(_D_COLUMNS, S.reshape(16, 1, 4 * n)).reshape(4, n, 4)
         F = np.empty((n, 7, 4))
@@ -288,7 +306,7 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
 
     def block_pass():
         n = len(stages)
-        Fs.append(_interpolant_rows(rhs, np.array(ts[-n - 1:]), np.array(ys[-n - 1:]),
+        Fs.append(_interpolant_rows(np.array(ts[-n - 1:]), np.array(ys[-n - 1:]),
                                     _array(stages, (n, 13, 4))))
         stages.clear()
 

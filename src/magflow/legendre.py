@@ -375,11 +375,3 @@ def map_z_to_xi(red: LegendreReduction, z):
     out = np.minimum(np.maximum(_xi_of_z(red, z_arr), -1.0), 1.0)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
-
-def map_xi_to_z(red: LegendreReduction, xi):
-    """Inverse coordinate map from [-1, 1] back to the oval."""
-    xi_arr = np.asarray(xi, dtype=float)
-    if xi_arr.size and (xi_arr.min() < -1.0 - 1e-12 or xi_arr.max() > 1.0 + 1e-12):
-        raise DomainError("xi outside [-1, 1]")
-    out = _z_of_xi(red, np.minimum(np.maximum(xi_arr, -1.0), 1.0))
-    return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out

@@ -218,20 +218,6 @@ def cycle_action(E: float, p: float) -> float:
     return c.action
 
 
-def delta_y(E: float, p: float) -> float:
-    """y-increment per x-cycle of a trapped oval orbit, classify(E, p).delta_y.
-
-    Delta_y = 2 int_{z1}^{z2} (p - z) dz/w, in closed form from the Legendre
-    reduction; its sign is -sign(p), and it is exactly 0 at p = 0.
-    """
-    c = classify(E, p)
-    if c.kind is not OrbitKind.TRAPPED_OVAL:
-        raise WrongRegime(
-            f"Delta_y is defined for trapped ovals only; (E={E}, p={p}) is not"
-        )
-    return c.delta_y
-
-
 def contractible_orbit(
     E: float, strip: int = 1, phase_x0: float = 0.0
 ) -> ClosedFormSolution:
@@ -262,9 +248,7 @@ def contractible_orbit(
 # action functionals
 
 
-def _orbit_period(orbit, T: float | None) -> float:
-    if T is not None:
-        return float(T)
+def _orbit_period(orbit) -> float:
     if isinstance(orbit, ClosedFormSolution):
         return orbit.recurrence_time
     if isinstance(orbit, Trajectory):
@@ -307,29 +291,31 @@ def _circuit_trapezoid(orbit, T: float, integrand):
     return s, start, end
 
 
-def action_direct(orbit, T: float | None = None) -> float:
-    """S_E = int L_E dt over one closed circuit of the orbit.
+def action_direct(orbit) -> float:
+    """S_E = int L_E dt over one closed circuit [0, T] of the orbit.
 
-    Accepts a closed-form solution (period inferred) or an integrated
-    trajectory spanning exactly one circuit.  The endpoints must agree on
-    the torus to 1e-6, else OpenCurve.  E is the energy at t = 0; the
-    closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the
-    integral from one evaluation of the orbit where it converges there.
+    T is the recurrence_time of a closed-form solution and the duration of
+    an integrated Trajectory, which must so span exactly one circuit; any
+    other orbit raises DomainError.  The endpoints must agree on the torus
+    to 1e-6, else OpenCurve.  E is the energy at t = 0; the closed-circuit
+    trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the integral from one
+    evaluation of the orbit where it converges there.
     """
-    T = _orbit_period(orbit, T)
+    T = _orbit_period(orbit)
     if T == 0.0:
         return 0.0
     return _circuit_trapezoid(orbit, T, lambda s0, q: reduced_lagrangian(q, energy(s0)))[0]
 
 
-def action_increment(orbit, T: float | None = None) -> float:
+def action_increment(orbit) -> float:
     """S_E via the closed-curve identity int xdot^2 dt + p Delta_y.
 
-    p is ydot + sin x at t = 0 and Delta_y = y(T) - y(0) is the lifted
-    increment; both come from the batch of the closed-circuit
-    trapezoid rule (257 nodes, tol CIRCUIT_TOL) that integrates xdot^2.
+    The circuit [0, T] is action_direct's.  p is ydot + sin x at t = 0 and
+    Delta_y = y(T) - y(0) is the lifted increment; both come from the batch
+    of the closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) that
+    integrates xdot^2.
     """
-    T = _orbit_period(orbit, T)
+    T = _orbit_period(orbit)
     if T == 0.0:
         return 0.0
     s, start, end = _circuit_trapezoid(orbit, T, lambda s0, q: q[:, 2] * q[:, 2])

@@ -23,7 +23,6 @@ from magflow import (
     conservation_report,
     contractible_orbit,
     CylinderStrip,
-    delta_y,
     eval_solution,
     film_action,
     integrate,
@@ -189,10 +188,10 @@ def test_08_no_contractible_orbits_at_or_above_half():
 
 def test_09_delta_y_sign_law():
     rng = np.random.default_rng(SEED + 3)
-    ok = abs(delta_y(0.125, 0.0)) < 1e-10
+    ok = abs(classify(0.125, 0.0).delta_y) < 1e-10
     for _ in range(50):
         E, p = sample_trapped(rng)
-        dy = delta_y(E, p)
+        dy = classify(E, p).delta_y
         ok &= (dy < 0 < p) or (p < 0 < dy)
     report(9, "sign(Delta_y) = -sign(p) on 50 trapped levels; zero at p=0", ok)
 

@@ -268,10 +268,8 @@ def test_state_repeats_after_recurrence_time():
 
 
 def test_sin_x_periodic_with_y_advancing_by_delta_y():
-    from magflow import delta_y
-
     sol = build_solution(0.1, 0.0, 0.125, 0.3, +1)
-    dy_oracle = delta_y(0.125, 0.3)
+    dy_oracle = classify(0.125, 0.3).delta_y
     assert sol.delta_y_per_cycle == pytest.approx(dy_oracle, abs=1e-8)
     for t in (0.0, 2.0):
         a, b = sol.eval(t), sol.eval(t + sol.x_period)

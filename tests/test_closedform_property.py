@@ -12,12 +12,11 @@ from magflow import (
     ReductionInconsistency,
     build_solution,
     integrate,
-    map_xi_to_z,
     quartic_from_params,
     reduce_to_legendre,
     state_from_integrals,
 )
-from magflow.legendre import WINDING
+from magflow.legendre import WINDING, _z_of_xi
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -120,7 +119,7 @@ def test_lift_is_continuous_and_recurs(a, log_gap, root, wall, side, frac, far_s
     # steps by 2 sqrt(2 d) as the sheet changes there; asin also turns the
     # rounding of z next to a wall into an error of order sqrt(eps)
     cv = sol.curve
-    miss = max([abs(float(map_xi_to_z(sol.reduction, xi)) - z)
+    miss = max([abs(_z_of_xi(sol.reduction, xi) - z)
                 for xi, z in ((-1.0, cv.a1), (1.0, cv.a2)) if abs(z) == 1.0], default=0.0)
     slack = 2.0 * math.sqrt(2.0 * (miss + 1e-15)) + 1e-12 * max(1.0, float(np.max(np.abs(x))))
     # |xdot| <= sqrt(2E)

@@ -7,7 +7,6 @@ from magflow import (
     DomainError,
     PhaseState,
     energy,
-    integrals,
     integrate,
     momentum,
     reduced_lagrangian,
@@ -90,14 +89,6 @@ def test_first_integral_derivatives_vanish(rng):
         assert abs(yddot + math.cos(s.x) * s.xdot) < 1e-15
 
 
-def test_invariants_object():
-    s = PhaseState(0.2, 0.0, 0.3, 0.4)
-    iv = integrals(s)
-    assert iv.E == energy(s) and iv.p == momentum(s)
-    with pytest.raises(DomainError):
-        type(iv)(-1.0, 0.0)
-
-
 def test_p_zero_reduces_to_pendulum_in_doubled_angle(rng):
     # for p = 0, u = 2x obeys u'' = -sin u; check the identity at states and
     # against a second difference along an integrated orbit
@@ -116,9 +107,3 @@ def test_p_zero_reduces_to_pendulum_in_doubled_angle(rng):
     second_diff = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
     assert np.max(np.abs(second_diff + np.sin(u[1:-1]))) < 5e-5
 
-
-def test_wrapped_reporting():
-    s = PhaseState(7.0, -1.0, 0.0, 0.0)
-    xw, yw = s.wrapped()
-    assert 0.0 <= xw < 2 * math.pi and 0.0 <= yw < 2 * math.pi
-    assert xw == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)

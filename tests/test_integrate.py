@@ -405,18 +405,13 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
     # of squares must equal the loops over the rows in every bit, also with
     # signed zeros, subnormals, infinities and NaN in y, k0 and the step; a
     # stage argument of +-inf raises math.cos's ValueError on both sides.
-    # The block pass gets random stages from a stand-in right-hand side that
-    # records where it is evaluated; every extra-stage argument and
-    # interpolant row must equal the in-order row sums
+    # The block pass gets the same draws as 13 stages: each of its 3 extra
+    # stages must equal dynamics.rhs at the in-order row sums, and each
+    # interpolant row the in-order row sums, in every bit; an extra-stage
+    # argument of +-inf raises the same ValueError on both sides
     rng = random.Random(20261019)
-    calls = []
-
-    def stand_in(t, y):
-        calls.append((t, y))
-        return K[12 + len(calls)]
-
     step = integrate_module._kernel()
-    raised = 0
+    raised = raised_rows = 0
     for trial in range(300):
         p_special = (0.0, 0.02, 0.2)[trial % 3]
         K = [tuple(_draw(rng, p_special) for _ in range(4)) for _ in range(16)]
@@ -437,20 +432,26 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
             got = step(y, K[0], h, rtol, rtol * 1e-2)
             assert _returns_bits(got) == _returns_bits(want), trial
 
-        calls.clear()
         y_new = tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))
-        stages = [v for k in K[:13] for v in k]
-        F = integrate_module._interpolant_rows(stand_in, np.array([t, t_new]),
-                                               np.array([y, y_new]),
-                                               np.array(stages).reshape(1, 13, 4))
-        assert len(calls) == 3
-        extra = [_stage_arg(row, c, K, t, y, h)
-                 for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA)]
-        for (t_got, y_got), (t_want, y_want) in zip(calls, extra):
-            assert _bits((t_got, *y_got)) == _bits((t_want, *y_want)), trial
+        K = K[:13]
+        block = (np.array([t, t_new]), np.array([y, y_new]), np.array(K).reshape(1, 13, 4))
+        try:
+            for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA):
+                K.append(rhs(*_stage_arg(row, c, K, t, y, h)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                integrate_module._interpolant_rows(*block)
+            assert str(got.value) == str(exc), trial
+            raised_rows += 1
+            continue
+        with np.errstate(all="ignore"):
+            S = integrate_module._stages(np.array([[h]]), block[1][:1], block[2])
+        assert _bits(S[13:, 0].ravel().tolist()) == _bits(np.ravel(K[13:]).tolist()), trial
+        F = integrate_module._interpolant_rows(*block)
         assert _bits(F[0].ravel().tolist()) == _bits(_rows(K, y, y_new, h)), trial
-    # both branches ran, most trials through the bitwise comparison
-    assert 0 < raised < 100
+    # both branches ran on each side, most trials through the bitwise
+    # comparison
+    assert 0 < raised < 100 and 0 < raised_rows < 100
 
 
 def _rows(K, y, y_new, h):

@@ -21,7 +21,6 @@ from magflow import (
     contractible_orbit,
     cycle_action,
     cycle_data,
-    delta_y,
     eval_solution,
     film_action,
     integrate,
@@ -29,6 +28,7 @@ from magflow import (
     vertical_line_action,
 )
 from magflow.cli import main
+from magflow.closedform import ClosedFormSolution
 from magflow.orbits import _circuit_trapezoid
 from magflow.quadrature import oval_quad
 from tests.conftest import sample_trapped
@@ -141,8 +141,6 @@ def test_cycle_data_match_oval_quadrature(E, p, kind):
     assert c.delta_y == pytest.approx(oval(lambda z: p - z), rel=1e-10, abs=1e-12)
     assert c.action == pytest.approx(oval(lambda z: 2.0 * E + z * (p - z)), rel=1e-10)
     assert cycle_action(E, p) == c.action
-    if kind is OrbitKind.TRAPPED_OVAL:
-        assert delta_y(E, p) == c.delta_y
 
 
 @pytest.mark.parametrize("E, p, kind", CYCLE_LEVELS)
@@ -284,34 +282,25 @@ def test_failed_lanes_are_the_levels_classify_rejects(monkeypatch, capsys):
 
 
 def test_delta_y_zero_at_zero_momentum():
-    assert abs(delta_y(0.125, 0.0)) < 1e-10
+    assert abs(classify(0.125, 0.0).delta_y) < 1e-10
 
 
 def test_delta_y_sign_opposite_to_p():
-    assert delta_y(0.125, 0.3) < -1e-4
-    assert delta_y(0.125, -0.3) > 1e-4
+    assert classify(0.125, 0.3).delta_y < -1e-4
+    assert classify(0.125, -0.3).delta_y > 1e-4
 
 
 def test_delta_y_antisymmetric(rng):
     for _ in range(20):
         E, p = sample_trapped(rng)
-        assert delta_y(E, p) == pytest.approx(-delta_y(E, -p), abs=1e-10)
-
-
-def test_delta_y_wrong_regime():
-    with pytest.raises(WrongRegime):
-        delta_y(1.0, 0.0)       # winding
-    with pytest.raises(WrongRegime):
-        delta_y(0.3, -0.5)      # crossing librator
-    with pytest.raises(WrongRegime):
-        delta_y(0.5, 0.0)       # separatrix
+        assert classify(E, p).delta_y == pytest.approx(-classify(E, -p).delta_y, abs=1e-10)
 
 
 def test_delta_y_matches_integrated_orbit():
     E, p = 0.125, 0.3
     sol = build_solution(math.asin(p), 0.0, E, p, 1)
     a, b = sol.eval(0.0), sol.eval(sol.x_period)
-    assert b.y - a.y == pytest.approx(delta_y(E, p), abs=1e-8)
+    assert b.y - a.y == pytest.approx(classify(E, p).delta_y, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -422,28 +411,25 @@ def test_action_positive_for_contractible_orbits():
         assert abs(direct - formula) < 1e-6
 
 
-class CountingOrbit:
-    """A solution that counts its .eval calls; the actions need T given."""
-
-    def __init__(self, sol):
-        self.sol, self.calls = sol, 0
-
-    def eval(self, t):
-        self.calls += 1
-        return self.sol.eval(t)
-
-
 @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8])
-def test_each_action_is_one_orbit_evaluation(d):
+def test_each_action_is_one_orbit_evaluation(d, monkeypatch):
     # the closed-circuit trapezoid rule's one batch of 257 nodes serves the
     # closure test, the start state and the quadrature to 1e-8 together
     E = 0.5 * (1.0 - d)
     sol = contractible_orbit(E)
     formula = action_contractible_formula(E)
+    calls = []
+    eval_ = ClosedFormSolution.eval
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return eval_(self, t)
+
+    monkeypatch.setattr(ClosedFormSolution, "eval", counted)
     for action in (action_direct, action_increment):
-        orbit = CountingOrbit(sol)
-        value = action(orbit, T=sol.recurrence_time)
-        assert orbit.calls == 1
+        calls.clear()
+        value = action(sol)
+        assert calls == [257]
         assert abs(value - formula) < 1e-13
 
 

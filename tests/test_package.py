@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -126,14 +127,22 @@ def test_no_unread_definitions():
     assert unread == []
 
 
-def _magflow_imports(path: Path) -> list[tuple[str, str | None, str]]:
+def _magflow_imports(path: Path,
+                     package: str | None = None) -> list[tuple[str, str | None, str]]:
     """(module, name, local name) of each magflow import in a file; name None
-    for `import module`."""
+    for `import module`.  A relative import counts when the file's package
+    is given."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "magflow":
-            found += [(node.module, alias.name, alias.asname or alias.name)
+        if not isinstance(node, ast.ImportFrom):
+            module = None
+        elif node.level and package:
+            module = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+        else:
+            module = node.module or ""
+        if module is not None and module.split(".")[0] == "magflow":
+            found += [(module, alias.name, alias.asname or alias.name)
                       for alias in node.names]
         elif isinstance(node, ast.Import):
             found += [(alias.name, None, alias.asname or alias.name) for alias in node.names
@@ -188,6 +197,44 @@ def test_bench_imports_resolve():
                            if kw not in params]
     assert n_keywords > 0
     assert unresolved == []
+
+
+def _import_target(module: str, name: str | None):
+    """The object that `from module import name` binds, or the module for
+    `import module` (name None)."""
+    mod = importlib.import_module(module)
+    if name is None:
+        return mod
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name of magflow.__all__ that only the tests import is API kept for
+    # them alone: a package module, the benchmark, a demo or a tool must
+    # import it, or read it as magflow.<name>.  Names resolve to objects, as
+    # in test_bench_imports_resolve, so a local variable or an attribute of
+    # the same name (cycle_data's delta_y, OrbitClassification.delta_y)
+    # does not count
+    files = [path for path in sorted((ROOT / "src" / "magflow").glob("*.py"))
+             if path.name != "__init__.py"]
+    for top in ("bench", "demos", "tools"):
+        files += sorted((ROOT / top).glob("*.py"))
+    called = set()
+    for path in files:
+        package_names = set()
+        for module, name, local in _magflow_imports(path, "magflow"):
+            target = _import_target(module, name)
+            called.add(id(target))
+            if target is magflow:
+                package_names.add(local)
+        called |= {id(getattr(magflow, node.attr))
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in package_names}
+    uncalled = [name for name in magflow.__all__ if id(getattr(magflow, name)) not in called]
+    assert uncalled == []
 
 
 def test_import_leaves_scipy_integrate_unloaded():

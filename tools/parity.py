@@ -37,7 +37,11 @@ interpreter that imports magflow from that ``src/``:
   times of 100 of them, found by the tests' event pass
   (``tests/oracles.py`` of the working tree) on each side's
   ``Trajectory``; at tol 1e-11, and the same at tol 1e-9 and 1e-13
-  (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``).
+  (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``);
+* ``integrate`` on the fixed extreme starts of EXTREME_STARTS (outputs
+  prefixed ``integrate_extreme``): step and call counts, the final state
+  and the rows ``F`` of the first and the last step, or the class and
+  message of the exception (output ``integrate_extreme.raised``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -67,6 +71,13 @@ first and the last step (outputs ``F_first`` and ``F_last``, shape
 (500, 7, 4)) and eval at the times, and on the first 100 levels the
 turning and return times of x merged in one sorted list (outputs
 ``integrate_events``).
+The extreme starts are those of the tests' extreme runs, at tol 1e-11:
+xdot = sqrt(2e300), where the error norms overflow, over t = 1e-148 and
+over t = 1, which exhausts the step budget; xdot = ydot = 1e200, where the
+error norm is NaN at every step size until the step underflows; xdot =
+sqrt(2e6) over t = 1 (3,858 steps, more than 3 blocks of the interpolant
+pass) and backwards over t = -1; and x = 1e300 over t = 1, where every
+stage takes the cosine of a huge argument.
 The classify_wide levels, from an eighth generator, have E log-uniform over
 [5e-324, 1.7e308] and p uniform over [-3, 3] for half of them,
 log-uniform in |p| over 1e-300 ... 1e300 for a third and exactly 0 for a
@@ -115,6 +126,15 @@ CLI_COMMANDS = ("simulate", "compare", "classify", "orbit", "action", "film", "s
 BLOCK = 16384
 #: (tol, output prefix) of each run of the integrate set
 INTEGRATE_TOLS = ((1e-11, ""), (1e-9, "tol1e-09_"), (1e-13, "tol1e-13_"))
+#: (x, y, xdot, ydot) and t_end of each extreme integrate run
+EXTREME_STARTS = (
+    ((0.0, 0.0, math.sqrt(2e300), 0.0), 1e-148),
+    ((0.0, 0.0, math.sqrt(2e300), 0.0), 1.0),
+    ((0.0, 0.0, 1e200, 1e200), 1e-100),
+    ((0.0, 0.0, math.sqrt(2e6), 0.0), 1.0),
+    ((0.0, 0.0, math.sqrt(2e6), 0.0), -1.0),
+    ((1e300, 0.0, 1.0, 0.0), 1.0),
+)
 
 
 def levels(rng, n):
@@ -293,6 +313,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_cli(inp, out, errors)
     for tol, prefix in INTEGRATE_TOLS:
         run_integrate(inp, tol, prefix, out, errors)
+    run_integrate_extreme(out, errors)
     out["errors"] = np.array(json.dumps(errors))
     np.savez(out_path, **out)
 
@@ -491,6 +512,37 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
     out[f"{name}.F_first"], out[f"{name}.F_last"] = F_ends[:, 0], F_ends[:, 1]
     out[f"{ev_name}.count"], out[f"{ev_name}.t"] = ev_count, ev_times
     errors[name], errors[ev_name] = err, ev_err
+
+
+def run_integrate_extreme(out: dict, errors: dict) -> None:
+    """integrate on EXTREME_STARTS: step and call counts, the final state and
+    the interpolant rows of the first and the last step, or the exception's
+    class and message."""
+    from magflow import PhaseState, integrate
+
+    n = len(EXTREME_STARTS)
+    counts = np.full((n, 2), -1)
+    final = np.full((n, 4), math.nan)
+    F_ends = np.full((n, 2, 7, 4), math.nan)
+    raised, err = [], []
+    for i, (state, t_end) in enumerate(EXTREME_STARTS):
+        try:
+            traj = integrate(PhaseState(*state), t_end)
+        except Exception as exc:
+            raised.append(f"{type(exc).__name__}: {exc}")
+            err.append(type(exc).__name__)
+            continue
+        raised.append("")
+        err.append("")
+        counts[i] = traj.n_steps, traj.nfev
+        final[i] = traj.states[-1]
+        F_ends[i] = traj.F[0], traj.F[-1]
+    name = "integrate_extreme"
+    out[f"{name}.n_steps"], out[f"{name}.nfev"] = counts[:, 0], counts[:, 1]
+    out[f"{name}.final"] = final
+    out[f"{name}.F_first"], out[f"{name}.F_last"] = F_ends[:, 0], F_ends[:, 1]
+    out[f"{name}.raised"] = np.array(raised)
+    errors[name] = err
 
 
 def run_side(src: Path, in_path: Path, out_path: Path) -> dict:
