@@ -12,10 +12,10 @@ Both square roots are correctly rounded, math's sin and cos give numpy's
 values, rint rounds half to even on either, and minimum, maximum, where
 and copysign only pick or sign an operand, so one lane of an array call
 equals the float call bit for bit (tests/test_phase_float.py checks
-each).  arcsin and log1p are numpy's ufuncs on a float too: numpy's
-kernels differ from libm's asin and log1p in the last bit on several per
-cent of arguments, and a ufunc runs the same kernel on a float as on an
-array.  Otherwise a float is never wrapped in a 0-d array: numpy's
+each).  arcsin, arctanh and log1p are numpy's ufuncs on a float too:
+numpy's kernels differ from libm's asin and log1p in the last bit on
+several per cent of arguments, and a ufunc runs the same kernel on a float
+as on an array.  Otherwise a float is never wrapped in a 0-d array: numpy's
 per-call overhead would cost a one-level call more than its arithmetic
 does.
 """
@@ -50,6 +50,7 @@ FLOAT = SimpleNamespace(
     sin=math.sin,
     cos=math.cos,
     arcsin=np.arcsin,  # numpy's kernels, see above
+    arctanh=np.arctanh,
     log1p=np.log1p,
     # np.rint: half to even, keeping the sign of a zero, NaN and inf as they are
     rint=lambda x: math.copysign(round(x), x) if math.isfinite(x) else x,
@@ -68,6 +69,7 @@ ARRAY = SimpleNamespace(
     sin=np.sin,
     cos=np.cos,
     arcsin=np.arcsin,
+    arctanh=np.arctanh,
     log1p=np.log1p,
     rint=np.rint,
 )

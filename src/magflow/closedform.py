@@ -42,17 +42,34 @@ c = s h the map reads z - nu = h (1 - c) sn/(1 + c sn), and
     J1 = int_0^u sn/(1 - c^2 sn^2) du'
        = [atanh(rho) - atanh(rho cn/dn)] / (rho (1 - c^2)),
          rho^2 = (k^2 - c^2)/(1 - c^2),
-    J2 = int_0^u sn^2/(1 - c^2 sn^2) du'
-       = (sn^3/3) R_J(cn^2, dn^2, 1, 1 - c^2 sn^2)   on |u| <= K,
+    J2 = int_0^u sn^2/(1 - c^2 sn^2) du',
 
 where J1 is 4K-periodic and J2(u + 2K) = J2(u) + L, with L the complete
-integral LegendreReduction.L (DLMF 19.25.14, 22.14).
-So one evaluation costs one sn/cn call for any t, plus one R_J call where
-c != 0, that is p != 0 (on p = 0 the map is affine and G = J1); the sin(x)
-period and the y-advance per period are those of
-LegendreReduction.cycle_values, the numbers classify reports.  The phase
-is written once over _xp: a float phase runs on Python floats, a batch on
-numpy, and the two agree bit for bit (_orbit_phase).
+integral LegendreReduction.L (DLMF 19.25.14, 22.14).  c J2 is Jacobi's
+form of the third-kind integral at the parameter a with sn a = c/k,
+Pi(u, a) = u Z(a) + (1/2) ln Theta(u - a)/Theta(u + a) (Whittaker &
+Watson, ch. XXII), over k cn a dn a = sqrt((k^2 - c^2)(1 - c^2)).  Each
+Landen rung squares the nome, so ln Theta at one rung is half of ln Theta
+at the next, less (1/2) ln dn, and the addition theorem of dn (DLMF
+22.8) gives ln dn(x + y)/dn(x - y) = -2 artanh(B/A), with A = dn x dn y
+and B = k^2 sn x cn x sn y cn y; both dn are positive, so |B/A| < 1.  On
+the folded phase v = u - 2K j in [-K, K],
+
+    c J2 = [v Z(a) - sum_n 2^-(n+1) artanh(q_n sin phi_n cos phi_n / d_n)]
+           / (k cn a dn a) + j c L,
+
+with phi_n the Landen amplitude of v at rung n, of modulus
+kappa_n = c_n/a_n, d_n = sqrt(cos^2 phi_n + kappa'_n^2 sin^2 phi_n), and
+Z(a) and q_n = kappa_n^2 sin phi_n(a) cos phi_n(a) / d_n(a) the constants
+of a (LegendreReduction.theta_terms).  The descent of sn already walks the
+phases phi_n (elliptic._sn_cn_rungs); a rung costs one artanh, and rung 0
+takes sin phi_0 cos phi_0 = sn cn and d_0 = dn from J1.  So one evaluation
+costs one sn/cn descent for any t, plus a few artanh where c != 0, that
+is p != 0 (on p = 0 the map is affine and G = J1); the sin(x) period and
+the y-advance per period are those of LegendreReduction.cycle_values, the
+numbers classify reports.  The phase is written once over _xp: a float
+phase runs on Python floats, a batch on numpy, and the two agree bit for
+bit (_orbit_phase).
 """
 
 from __future__ import annotations
@@ -64,7 +81,7 @@ import numpy as np
 
 from . import _xp
 from .dynamics import TWO_PI, PhaseState, state_from_integrals
-from .elliptic import F, sn_cn
+from .elliptic import F, _sn_cn_rungs
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
@@ -115,23 +132,47 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _sn_integral(red: LegendreReduction, sn, cn, j, flip):
-    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 from sn, cn, j, flip = (-1)^j at u.
+def _third_kind(red: LegendreReduction, j, v, sn, cn, dn, phi, sin_phi):
+    """c J2 at u = v + 2K j, for c != 0: Jacobi's third-kind integral at the
+    parameter a, sn a = c/k, over k cn a dn a (see the module docstring and
+    LegendreReduction.theta_terms), continued by j c L:
 
-    Every factor is a sum or product of positive terms: next to k = 1
+        c J2 = [v Z(a) - sum_n 2^-(n+1) artanh(q_n sin phi_n cos phi_n / d_n)]
+               / (k cn a dn a) + j c L.
+
+    v is the folded phase and phi, sin_phi its Landen phases
+    (elliptic._sn_cn_rungs); a rung that carries weight costs one artanh,
+    and rung 0 takes sin phi_0 cos phi_0 / d_0 = sn cn/dn.  Only at rung 0
+    can |B/A| come near 1, as k' -> 0, so only there is the rounding of its
+    argument held inside (-1, 1).
+    """
+    xp = _xp.of(sn)
+    Z, (w, q, bound), rungs = red.theta_terms
+    S = w * xp.arctanh(xp.minimum(xp.maximum(q * sn * cn / dn, -bound), bound))
+    for n, w, q, kap2, kapc2 in rungs:
+        # d_n^2 = kappa'^2 + kappa^2 cos^2 phi_n, a sum of positive terms
+        co = xp.cos(phi[n])
+        S = S + w * xp.arctanh(q * sin_phi[n] * co / xp.sqrt(kapc2 + kap2 * (co * co)))
+    return v * Z - S + j * (red.c * red.L)
+
+
+def _sn_integral(red: LegendreReduction, j, sn, cn, v, phi, sin_phi):
+    """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 at u, from the descent of
+    elliptic._sn_cn_rungs: the half period j, sn, cn, the folded phase
+    v = u - 2K j and the Landen phases phi, sin_phi of v.
+
+    Every factor of J1 is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
     from k', and where cn < 0 the denominator dn + rho cn is rewritten as
-    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).  On p = 0, c = 0 and G = J1: J2
-    and its R_J run only where c != 0, and import scipy.special on first
-    use, so that building the cycle data does not load it.
+    rho'^2 (1 - c^2 sn^2)/(dn - rho cn).  On p = 0, c = 0 and G = J1; c J2
+    (_third_kind) runs only where c != 0.
     """
     xp = _xp.of(sn)
     c, kc2, one_c2 = red.c, red.kc * red.kc, red.one_c2
     rho = math.sqrt(red.k2_c2 / one_c2)
     rhoc4 = (kc2 / one_c2) ** 2
     s2, cn2, acn = sn * sn, cn * cn, abs(cn)
-    dn2 = cn2 + kc2 * s2
-    dn = xp.sqrt(dn2)
+    dn = xp.sqrt(cn2 + kc2 * s2)
     den = one_c2 + c * c * cn2  # 1 - c^2 sn^2
     # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0
     front, back = dn + acn, dn + rho * acn
@@ -140,10 +181,7 @@ def _sn_integral(red: LegendreReduction, sn, cn, j, flip):
     J1 = xp.log1p(rho * Y) / (2.0 * rho * one_c2)
     if c == 0.0:
         return J1
-    from scipy.special import elliprj
-    # J2 on the half period [-K, K] that holds u - 2K j, continued by j L
-    J2 = flip * s2 * sn * elliprj(cn2, dn2, 1.0, den) / 3.0 + j * red.L
-    return J1 - c * J2
+    return J1 - _third_kind(red, j, v, sn, cn, dn, phi, sin_phi)
 
 
 def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
@@ -176,12 +214,12 @@ def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     every sample at (t + D)/C, a float for a scalar t; a float phase equals
     its lane of an array bit for bit, so y(0) = y0 on either path.
     """
-    j, flip, sn, cn = sn_cn(u, red.ladder)
+    j, flip, sn, cn, v, phi, sin_phi = _sn_cn_rungs(u, red.ladder)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
     # z lies on the oval [a1, a2], inside [-1, 1]
     x = np.pi * m + cos_sign * _xp.of(z).arcsin(z)
-    return x, z, flip * cos_sign, _sn_integral(red, sn, cn, j, flip)
+    return x, z, flip * cos_sign, _sn_integral(red, j, sn, cn, v, phi, sin_phi)
 
 
 def build_solution(

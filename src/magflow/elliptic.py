@@ -14,10 +14,12 @@ level's cycle data and its closed-form orbit.  masked_K_ladder is the one
 builder of a ladder; the public complete_K(k, k'), incomplete_F(phi, k)
 and sn(u, k) check their modulus and build through it.  Where complete_K
 or incomplete_F takes k' from k next to k = 1, it warns
-(LossOfPrecisionWarning); sn takes k' from k silently.  scipy enters in
-three places only, each importing scipy.special on first use: F by
-Carlson's R_F (elliprf, here), the per-sample R_J of y(t) where p != 0
-(closedform) and the R_D of orbits.action_contractible_formula.
+(LossOfPrecisionWarning); sn takes k' from k silently.  F takes
+Carlson's R_F and orbits.action_contractible_formula his R_D, both on
+Python floats by the duplication theorem and the series of DLMF 19.36(i)
+(_rf, _rd), and y(t)'s third-kind term where p != 0 reads the Landen phases
+of sn_cn's descent (_sn_cn_rungs, closedform), so no elliptic integral of
+the package calls scipy.
 """
 
 from __future__ import annotations
@@ -136,6 +138,82 @@ def complete_L(ladder: Ladder, one_c2):
     return _quarter_period(ladder) * s / one_c2
 
 
+# Carlson's stopping rule 4^-m Q < |A_m| with Q = (3r)^(-1/6) max|A_0 - x|
+# for R_F and (r/4)^(-1/6) max|A_0 - x| for R_D, at the binary64 r = 2^-53:
+# the series left after m duplications then errs by less than r
+_RF_Q = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
+_RD_Q = (0.25 * 2.0**-53) ** (-1.0 / 6.0)
+
+
+def _rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) on Python floats, x, y, z >= 0 and at most one
+    of them 0, by the duplication theorem and the fifth-order series of
+    DLMF 19.36.1 (Carlson 1995)."""
+    A0 = A = (x + y + z) / 3.0
+    dx, dy = A0 - x, A0 - y
+    Q = _RF_Q * max(abs(dx), abs(dy), abs(A0 - z))
+    f = 1.0  # 4^-m
+    while Q * f >= abs(A):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, A = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (A + lam)
+        f *= 0.25
+    X, Y = dx * f / A, dy * f / A
+    Z = -(X + Y)
+    E2, E3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0) / math.sqrt(A)
+
+
+def _rd(x: float, y: float, z: float) -> float:
+    """Carlson's R_D(x, y, z) on Python floats, x, y >= 0, at most one of
+    them 0, and z > 0, by the duplication theorem and the series of DLMF
+    19.36.2 (Carlson 1995)."""
+    A0 = A = (x + y + 3.0 * z) / 5.0
+    dx, dy = A0 - x, A0 - y
+    Q = _RD_Q * max(abs(dx), abs(dy), abs(A0 - z))
+    f, tail = 1.0, 0.0  # 4^-m and the sum of the duplication terms
+    while Q * f >= abs(A):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail += f / (sz * (z + lam))
+        x, y, z, A = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (A + lam)
+        f *= 0.25
+    X, Y = dx * f / A, dy * f / A
+    Z = -(X + Y) / 3.0
+    XY, Z2 = X * Y, Z * Z
+    E2, E3 = XY - 6.0 * Z2, (3.0 * XY - 8.0 * Z2) * Z
+    E4, E5 = 3.0 * (XY - Z2) * Z2, XY * Z2 * Z
+    series = (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0 - 3.0 * E4 / 22.0
+              - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0)
+    return f * series / (A * math.sqrt(A)) + 3.0 * tail
+
+
+def _sn_cn_rungs(u, ladder: Ladder):
+    """sn_cn with the phases of its descent: (j, (-1)^j, sn, cn, v, phi, sin_phi).
+
+    v = u - 2K j is the folded phase in [-K, K], and phi[n], sin_phi[n]
+    are the Landen amplitude of v at rung n, of modulus c_n/a_n, and its
+    sine, for n = 0 ... N, so phi[0] is the amplitude of v itself.
+    closedform reads them for the theta functions of y(t).
+    """
+    xp = _xp.of(u)
+    avals, _, cvals, _ = ladder
+    n_steps = len(avals) - 1
+    K = _quarter_period(ladder)
+    v = (u + K) % (2.0 * K) - K
+    j = xp.rint((u - v) / (2.0 * K))
+    phi, sin_phi = [None] * (n_steps + 1), [None] * (n_steps + 1)
+    p = (2.0**n_steps) * avals[-1] * v
+    for n in range(n_steps, 0, -1):
+        phi[n], s = p, xp.sin(p)
+        sin_phi[n] = s
+        p = 0.5 * (p + xp.arcsin((cvals[n] / avals[n]) * s))
+    phi[0], s = p, xp.sin(p)
+    sin_phi[0] = s
+    flip = 1.0 - 2.0 * (j % 2.0)
+    return j, flip, flip * s, flip * xp.cos(p), v, phi, sin_phi
+
+
 def sn_cn(u, ladder: Ladder):
     """(j, (-1)^j, sn, cn) at the phases u, on the float ladder of (k, k'),
     by the descending Landen phase recursion; u is a float or a float array.
@@ -149,19 +227,10 @@ def sn_cn(u, ladder: Ladder):
     full absolute accuracy at the turning points sn = +-1, where
     sqrt(1 - sn^2) would lose half the digits.  A float u runs these lines
     on Python floats (_xp) and equals its lane of an array bit for bit.
-    This is the only routine that does per-phase elliptic work.
+    This descent (_sn_cn_rungs) is the only routine that does per-phase
+    elliptic work.
     """
-    xp = _xp.of(u)
-    avals, _, cvals, _ = ladder
-    n_steps = len(avals) - 1
-    K = _quarter_period(ladder)
-    v = (u + K) % (2.0 * K) - K
-    j = xp.rint((u - v) / (2.0 * K))
-    phi = (2.0**n_steps) * avals[-1] * v
-    for n in range(n_steps, 0, -1):
-        phi = 0.5 * (phi + xp.arcsin((cvals[n] / avals[n]) * xp.sin(phi)))
-    flip = 1.0 - 2.0 * (j % 2.0)
-    return j, flip, flip * xp.sin(phi), flip * xp.cos(phi)
+    return _sn_cn_rungs(u, ladder)[:4]
 
 
 def masked_K_ladder(k, kc=None):
@@ -217,15 +286,13 @@ def F(phi: float, ladder: Ladder) -> float:
     """incomplete_F on the float ladder of (k, k'): k' = b_0, and K for the
     quasi-period, both read from the ladder.  The strip n = round(phi/pi)
     rounds the ties phi/pi = +-1/2 to even, so |phi| <= fl(pi/2) is n = 0."""
-    from scipy.special import elliprf
-
     phi = float(phi)
     n = round(phi / math.pi)
     r = phi - n * math.pi
     s, c = math.sin(r), math.cos(r)
     kc = ladder.b[0]
     # 1 - k^2 s^2 = c^2 + k'^2 s^2, a sum of two positive terms
-    val = s * float(elliprf(c * c, c * c + kc * kc * s * s, 1.0))
+    val = s * _rf(c * c, c * c + kc * kc * s * s, 1.0)
     return val + 2.0 * n * _quarter_period(ladder) if n != 0 else val
 
 

@@ -46,6 +46,7 @@ array call equals the float call bit for bit (see _xp).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -195,6 +196,50 @@ class LegendreReduction:
         moments and y(t) both read it.
         """
         return complete_L(self.ladder, self.one_c2)
+
+    @cached_property
+    def theta_terms(self) -> tuple[float, tuple, list]:
+        """(Z(a)/d, rung 0, rungs): the constants of the parameter a of y(t)'s
+        third-kind term, sn(a, k) = c/k, on a float reduction with c != 0;
+        d = k cn a dn a.
+
+        The phase of a ascends the AGM ladder by the Landen step of its
+        rung n, tan(phi_{n+1} - phi_n) = kappa'_n tan phi_n with
+        kappa_n = c_n/a_n and kappa'_n = b_n/a_n, here in products of sin and
+        cos: from sin phi_0 = c/k, cos phi_0 = cn a = sqrt(k^2 - c^2)/k and
+        d_0 = dn a = sqrt(1 - c^2),
+
+            sin phi_{n+1} = (1 + kappa'_n) sin phi_n cos phi_n / d_n,
+            cos phi_{n+1} = (cos^2 phi_n - kappa'_n sin^2 phi_n) / d_n,
+            d_n = sqrt(cos^2 phi_n + kappa'_n^2 sin^2 phi_n),
+
+        so no angle is rounded and sin phi_n keeps its relative accuracy as
+        a -> K on a tiny oval.  Z(a) = sum_{n>=1} c_n sin phi_n (the zeta
+        function on the ladder, A&S 17.6), and q_n = kappa_n^2 sin phi_n
+        cos phi_n / d_n.  Rung 0 gives its weight 1/(2d), q_0 = c rho with
+        rho^2 = (k^2 - c^2)/(1 - c^2), and |q_0|/(1 + k'), the bound of its
+        artanh argument, since |sin phi cos phi / d| <= 1/(1 + kappa').
+        Each later rung n whose kappa_n^2 is at least 1e-18 k^2 gives
+        (n, 2^-(n+1)/d, q_n, kappa_n^2, kappa'_n^2); a lower rung adds
+        nothing to closedform._third_kind, whatever the level.  Computed on
+        first use and kept, so a build forms them once and an evaluation not
+        at all.
+        """
+        lad, k2 = self.ladder, self.k2
+        d = math.sqrt(self.one_c2)
+        scale = 1.0 / (d * math.sqrt(self.k2_c2))  # 1/(k cn a dn a)
+        s, co = self.c / self.k, math.sqrt(self.k2_c2) / self.k
+        Z, rungs = 0.0, []
+        for n, (a, b, c) in enumerate(zip(lad.a, lad.b, lad.c)):
+            kap2, kapc = (c / a) * (c / a), b / a
+            if n:
+                d = math.sqrt(co * co + kapc * kapc * (s * s))
+                Z += c * s
+            if kap2 >= 1e-18 * k2:
+                rungs.append((n, 0.5 ** (n + 1) * scale, kap2 * s * co / d, kap2, kapc * kapc))
+            s, co = (1.0 + kapc) * s * co / d, (co * co - kapc * (s * s)) / d
+        (_, w0, q0, _, _), *rungs = rungs
+        return Z * scale, (w0, q0, abs(q0) / (1.0 + self.kc)), rungs
 
     def oval_moments(self) -> tuple[float, float, float]:
         """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.

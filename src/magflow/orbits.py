@@ -58,6 +58,7 @@ import numpy as np
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
 from .dynamics import TWO_PI, energy, momentum, reduced_lagrangian
+from .elliptic import _rd
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
 from .legendre import (
@@ -328,18 +329,15 @@ def action_contractible_formula(E: float) -> float:
     After sin x = sqrt(2E) sin(theta) this is 8E int_0^{pi/2} cos^2(theta)
     / sqrt(1 - k^2 sin^2 theta) dtheta with k^2 = 2E, and that integral is
     (E(k) - k'^2 K(k))/k^2 = (k'^2/3) R_D(0, 1, k'^2) (DLMF 19.25.1), one
-    Carlson integral with no cancellation, even as E -> 1/2.  scipy.special
-    is imported on first use, so that classify, cycle_data and films do
-    not load it.
+    Carlson integral with no cancellation, even as E -> 1/2, taken on
+    Python floats (elliptic._rd).
     """
     if not 0.0 < E < 0.5:
         raise DomainError(
             f"the contractible-orbit action requires 0 < E < 1/2, got E = {E}"
         )
-    from scipy.special import elliprd
-
     k2c = 1.0 - 2.0 * E
-    return 8.0 * E * k2c * float(elliprd(0.0, 1.0, k2c)) / 3.0
+    return 8.0 * E * k2c * _rd(0.0, 1.0, k2c) / 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -298,3 +298,95 @@ def test_F_and_K_match_mpmath():
                 ref = mp.ellipf(mp.mpf(phi), m)
                 worst_F = max(worst_F, float(abs(incomplete_F(float(phi), k) / ref - 1)))
     assert worst_F < 1e-15 and worst_K < 1e-15, (worst_F, worst_K)
+
+
+def third_kind_generic_levels():
+    # trapped, crossing and winding levels with either sign of p
+    return [(0.125, 0.3), (0.3, -0.5), (1.0, 0.3), (0.72, 0.9), (2.0, 0.5), (0.3, 0.2),
+            (0.05, -0.7), (3.0, -1.2)]
+
+
+def third_kind_tiny_levels():
+    # tiny ovals, a fraction f of their room 1 - sqrt(2E) from either wall:
+    # k^2 - c^2 down to 2e-13, and c/k -> 1 as f -> 0
+    out = []
+    for E in (1e-4, 1e-8, 1e-13):
+        a = math.sqrt(2.0 * E)
+        for f in (1e-8, 1e-6, 1e-3, 0.5):
+            out += [(E, side * (1.0 - a - f * (1.0 - a))) for side in (-1.0, 1.0)]
+    return out
+
+
+def third_kind_small_p_levels():
+    # |p| down to 1e-9 with either sign, so c -> 0 from either side
+    return [(E, side * q) for E in (0.125, 1.0) for q in (1e-9, 1e-6, 1e-3)
+            for side in (-1.0, 1.0)]
+
+
+def third_kind_gap_levels():
+    # the gap ladder at amplitude 0.8, and the corner (E, p) -> (1/2, 0),
+    # where both gaps to the walls close and 1 - k^2 falls to 2e-8
+    out = []
+    for root, wall, side in GAP_CONFIGS:
+        for g in (1.5e-9, 1.5e-6, 1.5e-3):
+            target = wall + side * g
+            out.append((0.32, target + 0.8 if root == "z1" else target - 0.8))
+    for d in (1e-8, 1e-6, 1e-4):
+        a = 1.0 - d
+        out += [(0.5 * a * a, side * 0.1 * d) for side in (-1.0, 1.0)]
+    return out
+
+
+def third_kind_errors(levels):
+    """Worst |c J2 - oracle| times |C h (1 - c)|, the J2 term's share of y,
+    of the package's theta form and of scipy's R_J form.
+
+    The phases are v = 0, +-K and four interior points of [-K, K], each in
+    the half periods j = -2, 0, 1 and 3.  The oracle is 40-digit mpmath on
+    the binary64 k', c and 1 - c^2 that the reduction holds and at the
+    folded phase v and j that the descent returns:
+    c J2 = c [sn^3 R_J(cn^2, dn^2, 1, 1 - c^2 + c^2 cn^2)/3 + j L] with
+    L = (2/3) R_J(0, k'^2, 1, 1 - c^2) (DLMF 19.25.2, 19.25.14).
+    """
+    from scipy.special import elliprj
+
+    from magflow.closedform import _third_kind
+    from magflow.elliptic import _sn_cn_rungs
+
+    worst_theta = worst_rj = 0.0
+    for E, p in levels:
+        red = reduce_to_legendre(quartic_from_params(E, p))
+        v0 = np.array([-1.0, -0.6, -1e-3, 0.0, 0.3, 0.9, 1.0]) * red.K
+        u = (v0[None, :] + 2.0 * red.K * np.array([-2.0, 0.0, 1.0, 3.0])[:, None]).ravel()
+        j, flip, s, c, v, phi, sin_phi = _sn_cn_rungs(u, red.ladder)
+        kc2, cc = red.kc * red.kc, red.c
+        dn = np.sqrt(c * c + kc2 * s * s)
+        theta = _third_kind(red, j, v, s, c, dn, phi, sin_phi)
+        rj = cc * (flip * s ** 3 * elliprj(c * c, dn * dn, 1.0, red.one_c2 + cc * cc * c * c)
+                   / 3.0 + j * red.L)
+        share = abs(red.C_const * red.h * red.one_c)
+        with mp.workdps(40):
+            m, cm, one_c2 = 1 - mp.mpf(red.kc) ** 2, mp.mpf(cc), mp.mpf(red.one_c2)
+            L = 2 * mp.elliprj(0, mp.mpf(red.kc) ** 2, 1, one_c2) / 3
+            for i, (vi, ji) in enumerate(zip(v.tolist(), j.tolist())):
+                sm = mp.ellipfun("sn", mp.mpf(vi), m=m)
+                cn2, dn2 = 1 - sm * sm, 1 - m * sm * sm
+                J2 = sm ** 3 * mp.elliprj(cn2, dn2, 1, one_c2 + cm * cm * cn2) / 3 if sm else 0
+                ref = cm * (J2 + ji * L)
+                worst_theta = max(worst_theta, float(abs(theta[i] - ref)) * share)
+                worst_rj = max(worst_rj, float(abs(rj[i] - ref)) * share)
+    return worst_theta, worst_rj
+
+
+# measured worst |c J2 - oracle| times |C h (1 - c)| of the theta form and
+# of scipy's R_J form: generic levels 1.6e-15 and 1.6e-15, tiny ovals
+# 3.0e-16 and 2.4e-16, |p| down to 1e-9 4.1e-18 and 8.7e-19, gaps and
+# k^2 -> 1 1.2e-14 and 2.3e-14.  Past j = 0 both carry j c L, whose rounding
+# grows with L next to a separatrix
+@pytest.mark.parametrize("ladder, bounds", [(third_kind_generic_levels, (1e-14, 1e-14)),
+                                            (third_kind_tiny_levels, (1e-15, 1e-15)),
+                                            (third_kind_small_p_levels, (1e-17, 1e-18)),
+                                            (third_kind_gap_levels, (1e-13, 1e-13))])
+def test_third_kind_term_matches_mpmath(ladder, bounds):
+    worst = third_kind_errors(ladder())
+    assert all(w < b for w, b in zip(worst, bounds)), worst

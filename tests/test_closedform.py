@@ -321,53 +321,50 @@ def test_sin_x_confined_to_oval(rng):
     (0.7, 1.0, 0.0, -1),         # p = 0, winding
 ])
 def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
-    # elliptic.sn_cn is the one routine that does per-phase elliptic work
-    # (sn runs through it too), and elliptic._agm_ladder the one that runs
-    # the AGM: a build runs one ladder, the reduction's, and takes the one
-    # phase of t = 0 on it as a Python float, and an evaluation runs no
-    # ladder and one array batch of exactly its samples, so neither
-    # per-sample quadrature, nor a second ladder of the same modulus, nor a
-    # start phase wrapped in an array again can come back unseen.  y's R_J
-    # runs in the same batches where p != 0 and not at all on p = 0, where
-    # c = 0 multiplies it away
-    import scipy.special
+    # elliptic._sn_cn_rungs, the Landen descent, is the one routine that
+    # does per-phase elliptic work (sn and sn_cn run through it too), and
+    # elliptic._agm_ladder the one that runs the AGM: a build runs one
+    # ladder, the reduction's, and takes the one phase of t = 0 on it as a
+    # Python float, and an evaluation runs no ladder and one array batch
+    # of exactly its samples, so neither per-sample quadrature, nor a
+    # second ladder of the same modulus, nor a start phase wrapped in an
+    # array again can come back unseen.  y's third-kind term reads the
+    # phases of that same descent where p != 0, and its constants of the
+    # parameter a are formed once, by the build; no scipy.special function
+    # runs, since importing scipy.special fails here
+    import sys
 
     import magflow.closedform
     import magflow.elliptic
 
-    batches, ladders, rj_batches = [], [], []
-    sn_cn, agm_ladder = magflow.closedform.sn_cn, magflow.elliptic._agm_ladder
-    elliprj = scipy.special.elliprj
+    batches, ladders = [], []
+    rungs, agm_ladder = magflow.closedform._sn_cn_rungs, magflow.elliptic._agm_ladder
 
     def counted(u, ladder):
         batches.append((type(u), np.size(u)))
-        return sn_cn(u, ladder)
+        return rungs(u, ladder)
 
     def counted_ladder(k, kc):
         ladders.append((k, kc))
         return agm_ladder(k, kc)
 
-    def counted_rj(x, y, z, w):
-        rj_batches.append(np.size(w))
-        return elliprj(x, y, z, w)
-
-    # patched where closedform and masked_K_ladder look them up;
-    # _sn_integral imports elliprj from scipy.special at call time
-    monkeypatch.setattr(magflow.closedform, "sn_cn", counted)
+    # patched where closedform and masked_K_ladder look them up
+    monkeypatch.setattr(magflow.closedform, "_sn_cn_rungs", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
-    monkeypatch.setattr(scipy.special, "elliprj", counted_rj)
-    n_rj = 0 if p == 0.0 else 1
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
     sol = build_solution(x0, 0.0, E, p, sgn)
     assert batches == [(float, 1)]
     assert len(ladders) == 1
-    assert rj_batches == [1] * n_rj
+    # the cached constants of a, formed by the build where p != 0 only
+    theta = vars(sol.reduction).get("theta_terms")
+    assert (theta is None) == (p == 0.0)
     batches.clear()
     ladders.clear()
-    rj_batches.clear()
-    eval_solution(sol, np.linspace(0.0, 50.0, 1000))
+    out = eval_solution(sol, np.linspace(0.0, 50.0, 1000))
     assert batches == [(np.ndarray, 1000)]
     assert ladders == []
-    assert rj_batches == [1000] * n_rj
+    assert vars(sol.reduction).get("theta_terms") is theta
+    assert all(np.isfinite(v).all() for v in out)
 
 
 @pytest.mark.parametrize("x0, E, p, sgn", [

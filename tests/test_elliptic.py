@@ -248,6 +248,38 @@ def test_ladder_RD_and_L_match_mpmath():
     assert worst_l < 6e-16
 
 
+def test_carlson_RF_and_RD_match_mpmath():
+    # elliptic._rf on the arguments F passes it, (cos^2 phi, cos^2 phi +
+    # k'^2 sin^2 phi, 1), on 3000 seeded draws with 1 - k^2 log-uniform in
+    # 1e-12 ... 1 and every tenth phi next to +-pi/2, and elliptic._rd on
+    # those of action_contractible_formula, (0, 1, 1 - 2E), on 2000 energies
+    # up to 1/2 - 1e-12; measured worst 6.4e-16 and 5.8e-16 (scipy's
+    # elliprf and elliprd: 4.0e-16 and 3.9e-16 on these draws)
+    mp = pytest.importorskip("mpmath")
+    from magflow.elliptic import _rd, _rf
+
+    rng = np.random.default_rng(23)
+    kc = np.sqrt(10.0 ** rng.uniform(-12.0, 0.0, 3000))
+    phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 3000)
+    phi[::10] = rng.choice([-1.0, 1.0], 300) * np.nextafter(0.5 * math.pi, 0.0)
+    s, c = np.sin(phi), np.cos(phi)
+    rf_args = zip((c * c).tolist(), (c * c + kc * kc * s * s).tolist())
+    z_rd = 1.0 - 2.0 * (0.5 * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 2000)))
+    worst_rf = worst_rd = 0.0
+    with mp.workdps(40):
+        for x, y in rf_args:
+            ref = mp.elliprf(x, y, 1)
+            worst_rf = max(worst_rf, float(abs(_rf(x, y, 1.0) - ref) / ref))
+        for z in z_rd.tolist():
+            # R_D(0, 1, k'^2) = 3 (E - k'^2 K)/(k^2 k'^2) (DLMF 19.25.1), at a
+            # tenth of the cost of mpmath's elliprd
+            m = 1 - mp.mpf(z)
+            ref = 3 * (mp.ellipe(m) - z * mp.ellipk(m)) / (m * z)
+            worst_rd = max(worst_rd, float(abs(_rd(0.0, 1.0, z) - ref) / ref))
+    assert worst_rf < 1e-15
+    assert worst_rd < 1e-15
+
+
 def test_ladder_integral_lanes_equal_float_calls():
     # one array call over lanes whose ladders stop at different rungs
     k = np.array([1e-9, 1e-4, 0.1, 0.5, 0.9, 0.999999, math.sqrt(1.0 - 1e-14), 0.5])

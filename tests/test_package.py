@@ -266,13 +266,23 @@ def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+def _package_lines_naming(module: str) -> list[str]:
+    """file:line of each line of src/magflow that names the module."""
+    return [f"{path.relative_to(ROOT)}:{i}"
+            for path in sorted((ROOT / "src" / "magflow").rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if module in line]
+
+
 def test_package_never_imports_scipy_optimize():
     # root finding is the tests' oracle (tests/oracles.py), not the package's
-    found = [f"{path.relative_to(ROOT)}:{i}"
-             for path in sorted((ROOT / "src" / "magflow").rglob("*.py"))
-             for i, line in enumerate(path.read_text().splitlines(), start=1)
-             if "scipy.optimize" in line]
-    assert found == []
+    assert _package_lines_naming("scipy.optimize") == []
+
+
+def test_package_never_imports_scipy_special():
+    # R_F and R_D are Carlson's on Python floats (elliptic._rf, _rd), and
+    # y(t)'s third-kind term reads theta functions from the Landen descent
+    assert _package_lines_naming("scipy.special") == []
 
 
 QUICK_START_PROBE = """
@@ -310,12 +320,51 @@ print('scipy.special' in sys.modules)
 
 
 def test_cycle_data_and_sweep_leave_scipy_special_unloaded(tmp_path):
-    # the complete integrals come from the AGM ladder of K; F, the R_J of y(t)
-    # and the contractible-orbit formula import scipy.special on first use
+    # the complete integrals come from the AGM ladder of K, and a build and
+    # an evaluation at p != 0 take F's R_F on floats and y(t)'s third-kind
+    # term from the Landen descent
     out = tmp_path / "sweep.tsv"
     src = str(ROOT / "src")
     res = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(out)],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.split() == ["False", "True"]
+    assert res.stdout.split() == ["False", "False"]
     assert len(out.read_text().splitlines()) == 1 + 5 * 5
+
+
+CLI_SPECIAL_PROBE = """
+import contextlib, io, os, sys
+import numpy as np
+import magflow
+from magflow import cli
+out = sys.argv[1]
+for argv in (["simulate", "--t-end=5", "--grid-n=11"],
+             ["compare", "--p=0.3", "--t-end=5", "--grid-n=11"],
+             ["classify", "--p=0.3"], ["orbit"], ["action"], ["film"],
+             ["sweep", "--grid-n=4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out=" + os.path.join(out, argv[0])]) == 0, argv
+    print(argv[0], 'scipy.special' in sys.modules)
+sol = magflow.build_solution(-2.0, 0.0, 0.3, -0.5, -1)
+magflow.eval_solution(sol, np.linspace(0.0, 20.0, 101))
+magflow.eval_solution(sol, 7.0)
+print('build_eval', 'scipy.special' in sys.modules)
+orbit = magflow.contractible_orbit(0.3, 1, 0.2)
+magflow.action_direct(orbit)
+magflow.action_increment(orbit)
+magflow.action_contractible_formula(0.3)
+print('actions', 'scipy.special' in sys.modules)
+"""
+
+
+def test_cli_orbits_and_actions_leave_scipy_special_unloaded(tmp_path):
+    # every CLI subcommand, compare at p != 0, a crossing orbit built and
+    # evaluated as a batch and at a scalar t, and all three actions
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", CLI_SPECIAL_PROBE, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    steps = dict(line.split() for line in res.stdout.splitlines())
+    assert list(steps) == ["simulate", "compare", "classify", "orbit", "action", "film",
+                           "sweep", "build_eval", "actions"]
+    assert set(steps.values()) == {"False"}, steps

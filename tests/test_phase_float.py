@@ -127,8 +127,10 @@ def draws(rng, n, lo_exp, hi_exp, signed=True):
 def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
     # 10^5 draws over the ranges the phase feeds each operation: the
     # amplitudes phi of the Landen rungs (up to 2^n K), arcsin of
-    # |c_n/a_n sin phi| < 1, the log1p and sqrt of positive terms, rint of
-    # (u - v)/2K, which is an integer up to rounding, and the clamp of z
+    # |c_n/a_n sin phi| < 1, arctanh of the theta terms of y, inside
+    # (-1, 1) and up to 1e-15 from either end, the log1p and sqrt of
+    # positive terms, rint of (u - v)/2K, which is an integer up to
+    # rounding, and the clamp of z
     n = 100_000
     unit = np.clip(draws(rng, n, -20.0, 0.0), -1.0, 1.0)
     unit[:8] = [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 1.0 - 2.0**-53, -1.0 + 2.0**-53]
@@ -139,6 +141,9 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
         "sin": (draws(rng, n, -20.0, 3.0),),
         "cos": (draws(rng, n, -20.0, 3.0),),
         "arcsin": (unit,),
+        "arctanh": (np.concatenate([rng.uniform(-1.0, 1.0, n // 2),
+                                    rng.choice([-1.0, 1.0], n - n // 2)
+                                    * (1.0 - 10.0 ** rng.uniform(-15.0, 0.0, n - n // 2))]),),
         "log1p": (draws(rng, n, -300.0, 300.0, signed=False),),
         "sqrt": (draws(rng, n, -300.0, 300.0, signed=False),),
         "rint": (near_whole,),

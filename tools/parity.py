@@ -23,6 +23,9 @@ interpreter that imports magflow from that ``src/``:
   the levels where the Legendre map is affine, with t = 0 among the times;
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
   (``contractible_orbit``);
+* ``action_contractible_formula`` on 2,000 energies (output
+  ``action_formula``), so that a change of its R_D shows its own move, as
+  ``elliptic.F`` shows that of F's R_F;
 * ``elliptic.sn`` on 20,000 (k, u), so that a change of the phase
   reduction shows its own move and not only through ``eval_solution``;
 * ``elliptic.incomplete_F`` on 20,000 (k, phi) (output ``elliptic.F``),
@@ -91,6 +94,8 @@ build_solution (where the level has none, the line exits 2), t_end in
 with 1 - 2E log-uniform over 1e-6 ... 1 for orbit and action; strips of
 width 0.1 ... 6.1 for film; and grids of 2 ... 8 points a side for sweep.
 Every fourth line moves its first two options into a JSON config file.
+The action_formula energies, from a tenth generator, have 1 - 2E
+log-uniform over 1e-12 ... 1.
 For every output the report gives the number of values that differ in any
 bit and the largest absolute difference among them, where NaN equals NaN
 and a NaN on one side only counts as an infinite difference; for every
@@ -120,7 +125,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
 N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
-N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE = 500, 100, 64, 2_000
+N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE, N_FORMULA = 500, 100, 64, 2_000, 2_000
 N_CLI = 40  # command lines per subcommand
 CLI_COMMANDS = ("simulate", "compare", "classify", "orbit", "action", "film", "sweep")
 BLOCK = 16384
@@ -286,6 +291,8 @@ def inputs() -> dict:
     sets["classify_wide_E"], sets["classify_wide_p"] = wide_levels(wide_rng, N_WIDE)
     argvs, configs = cli_lines(np.random.default_rng(SEED + 8), N_CLI)
     sets["cli_argv"], sets["cli_config"] = np.array(argvs), np.array(configs)
+    formula_rng = np.random.default_rng(SEED + 9)
+    sets["formula_E"] = 0.5 * (1.0 - 10.0 ** formula_rng.uniform(-12.0, 0.0, N_FORMULA))
     return sets
 
 
@@ -309,6 +316,7 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "wall", "wall_", out, errors)
     run_orbits(inp, "p0", "p0_", out, errors)
     run_actions(inp, out, errors)
+    run_action_formula(inp, out, errors)
     run_elliptic(inp, out, errors)
     run_cli(inp, out, errors)
     for tol, prefix in INTEGRATE_TOLS:
@@ -404,6 +412,21 @@ def run_actions(inp: dict, out: dict, errors: dict) -> None:
     for j, action in enumerate(actions):
         out[action.__name__] = values[j]
     errors.update(err)
+
+
+def run_action_formula(inp: dict, out: dict, errors: dict) -> None:
+    """action_contractible_formula on the formula energy set."""
+    from magflow import action_contractible_formula
+
+    values, err = np.full(len(inp["formula_E"]), math.nan), []
+    for i, E in enumerate(inp["formula_E"].tolist()):
+        try:
+            values[i] = action_contractible_formula(E)
+        except Exception as exc:
+            err.append(type(exc).__name__)
+            continue
+        err.append("")
+    out["action_formula"], errors["action_formula"] = values, err
 
 
 def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
