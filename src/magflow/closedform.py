@@ -70,6 +70,20 @@ the y-advance per period are those of LegendreReduction.cycle_values, the
 numbers classify reports.  The phase is written once over _xp: a float
 phase runs on Python floats, a batch on numpy, and the two agree bit for
 bit (_orbit_phase).
+
+Per sample, a batch costs one floor-mod (the fold of u to v), a sin and
+an arcsin per Landen rung, and where c != 0 a cos, a sqrt and an artanh
+per rung of the theta sum: about 220 ns at p != 0 and 145 ns at p = 0
+(4,000 samples at E = 0.3, 5 Landen rungs and 4 theta rungs, 2-CPU x86-64
+host).  The parity (-1)^j and the sheet of a crossing orbit take floors,
+not floor-mods (_xp.mod2), which cost a twentieth as much.  Per call it
+costs about 130 numpy calls at p != 0 and 75 at p = 0, 64 and 42 us at 16
+samples there.  The constants those calls read are formed once per
+reduction (LegendreReduction.phase_constants, by the build, and for arrays
+phase_constants_0d, by the first array evaluation), and each temporary
+that nothing else holds is updated in place.  On a one-sample array
+numpy's in-place operations cost more than new arrays, so such a call
+takes longer than one of a few samples; a scalar t takes the float path.
 """
 
 from __future__ import annotations
@@ -87,7 +101,9 @@ from .legendre import (
     CROSSING,
     WINDING,
     LegendreReduction,
+    PhaseConstants,
     QuarticCurve,
+    _constants,
     _xi_of_z,
     _z_of_xi,
     quartic_from_params,
@@ -132,7 +148,7 @@ class ClosedFormSolution:
         return eval_solution(self, t)
 
 
-def _third_kind(red: LegendreReduction, j, v, sn, cn, dn, phi, sin_phi):
+def _third_kind(pc: PhaseConstants, j, v, sn, cn, dn, phi, sin_phi):
     """c J2 at u = v + 2K j, for c != 0: Jacobi's third-kind integral at the
     parameter a, sn a = c/k, over k cn a dn a (see the module docstring and
     LegendreReduction.theta_terms), continued by j c L:
@@ -140,26 +156,42 @@ def _third_kind(red: LegendreReduction, j, v, sn, cn, dn, phi, sin_phi):
         c J2 = [v Z(a) - sum_n 2^-(n+1) artanh(q_n sin phi_n cos phi_n / d_n)]
                / (k cn a dn a) + j c L.
 
-    v is the folded phase and phi, sin_phi its Landen phases
-    (elliptic._sn_cn_rungs); a rung that carries weight costs one artanh,
-    and rung 0 takes sin phi_0 cos phi_0 / d_0 = sn cn/dn.  Only at rung 0
-    can |B/A| come near 1, as k' -> 0, so only there is the rounding of its
-    argument held inside (-1, 1).
+    pc holds the constants (PhaseConstants); v is the folded phase and phi,
+    sin_phi its Landen phases (elliptic._sn_cn_rungs).  A rung that carries
+    weight costs one artanh, and rung 0 takes sin phi_0 cos phi_0 / d_0 =
+    sn cn/dn.  Only at rung 0 can |B/A| come near 1, as k' -> 0, so only
+    there is the rounding of its argument held inside (-1, 1).
     """
     xp = _xp.of(sn)
-    Z, (w, q, bound), rungs = red.theta_terms
-    S = w * xp.arctanh(xp.minimum(xp.maximum(q * sn * cn / dn, -bound), bound))
+    Z, (w, q, lo, hi), rungs = pc.theta
+    S = q * sn
+    S *= cn
+    S /= dn
+    S = xp.arctanh(xp.minimum(xp.maximum(S, lo), hi))
+    S *= w
     for n, w, q, kap2, kapc2 in rungs:
         # d_n^2 = kappa'^2 + kappa^2 cos^2 phi_n, a sum of positive terms
         co = xp.cos(phi[n])
-        S = S + w * xp.arctanh(q * sin_phi[n] * co / xp.sqrt(kapc2 + kap2 * (co * co)))
-    return v * Z - S + j * (red.c * red.L)
+        d = co * co
+        d *= kap2
+        d += kapc2
+        a = q * sin_phi[n]
+        a *= co
+        a /= xp.sqrt(d)
+        a = xp.arctanh(a)
+        a *= w
+        S += a
+    out = v * Z  # v Z - S + j c L
+    out -= S
+    out += j * pc.cL
+    return out
 
 
-def _sn_integral(red: LegendreReduction, j, sn, cn, v, phi, sin_phi):
+def _sn_integral(pc: PhaseConstants, j, sn, cn, v, phi, sin_phi):
     """G(u) = int_0^u sn/(1 + c sn) du' = J1 - c J2 at u, from the descent of
     elliptic._sn_cn_rungs: the half period j, sn, cn, the folded phase
-    v = u - 2K j and the Landen phases phi, sin_phi of v.
+    v = u - 2K j and the Landen phases phi, sin_phi of v; pc holds the
+    constants (PhaseConstants).
 
     Every factor of J1 is a sum or product of positive terms: next to k = 1
     (rho -> 1) the complement rho'^2 = 1 - rho^2 = k'^2/(1 - c^2) is taken
@@ -168,20 +200,32 @@ def _sn_integral(red: LegendreReduction, j, sn, cn, v, phi, sin_phi):
     (_third_kind) runs only where c != 0.
     """
     xp = _xp.of(sn)
-    c, kc2, one_c2 = red.c, red.kc * red.kc, red.one_c2
-    rho = math.sqrt(red.k2_c2 / one_c2)
-    rhoc4 = (kc2 / one_c2) ** 2
-    s2, cn2, acn = sn * sn, cn * cn, abs(cn)
-    dn = xp.sqrt(cn2 + kc2 * s2)
-    den = one_c2 + c * c * cn2  # 1 - c^2 sn^2
-    # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0
-    front, back = dn + acn, dn + rho * acn
-    Y = 2.0 * (1.0 + rho) * xp.where(
-        cn >= 0.0, one_c2 * s2 / (front * back), front * back / (rhoc4 * den))
-    J1 = xp.log1p(rho * Y) / (2.0 * rho * one_c2)
-    if c == 0.0:
+    one_c2 = pc.one_c2
+    s2, cn2 = sn * sn, cn * cn
+    dn = pc.kc2 * s2
+    dn += cn2
+    dn = xp.sqrt(dn)
+    den = pc.c2 * cn2  # 1 - c^2 sn^2
+    den += one_c2
+    den *= pc.rhoc4
+    # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0,
+    # with Y / 2 (1 + rho) = (1 - c^2) sn^2 / (front back) or front back / (rho'^4 den)
+    back = abs(cn)
+    front = dn + back
+    back *= pc.rho
+    back += dn
+    front *= back
+    s2 *= one_c2
+    s2 /= front
+    Y = xp.where(cn >= 0.0, s2, front / den)
+    Y *= pc.two_one_rho
+    Y *= pc.rho
+    J1 = xp.log1p(Y)
+    J1 /= pc.two_rho_one_c2
+    if pc.theta is None:
         return J1
-    return J1 - _third_kind(red, j, v, sn, cn, dn, phi, sin_phi)
+    J1 -= _third_kind(pc, j, v, sn, cn, dn, phi, sin_phi)
+    return J1
 
 
 def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
@@ -191,16 +235,23 @@ def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
     crossing oval reaches the wall on the side of p, since its turning
     roots p -+ sqrt(2E) straddle that wall only, and m alternates between 0
     and +-1 there; a winding orbit steps one sheet at each wall, in the
-    direction of xdot.
+    direction of xdot.  On a crossing orbit m = wall b with
+    b = floor((j + (1 + wall)/2)/2) mod 2, both taken by floor (_xp.floor,
+    _xp.mod2): on a whole number j they equal numpy's // and %, signed
+    zeros, NaN and inf included, at a fraction of their cost.
     """
     if curve.kind == WINDING:
         if xdot_sign > 0:
             return j, flip
         return -j - 1.0, -flip
     if curve.kind == CROSSING:
+        xp = _xp.of(j)
         wall = -1.0 if curve.p < 0.0 else 1.0
-        b = (j + 0.5 * (1.0 + wall)) // 2.0 % 2.0
-        return wall * b, 1.0 - 2.0 * b
+        b = _xp.mod2(xp.floor(0.5 * (j + 0.5 * (1.0 + wall))))
+        m = wall * b
+        b *= -2.0
+        b += 1.0
+        return m, b
     m = 0.0 if cos_x0 > 0 else 1.0
     return m, 1.0 - 2.0 * m
 
@@ -214,12 +265,16 @@ def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     every sample at (t + D)/C, a float for a scalar t; a float phase equals
     its lane of an array bit for bit, so y(0) = y0 on either path.
     """
-    j, flip, sn, cn, v, phi, sin_phi = _sn_cn_rungs(u, red.ladder)
+    xp = _xp.of(u)
+    pc = _constants(red, xp)
+    j, flip, sn, cn, v, phi, sin_phi = _sn_cn_rungs(u, pc.descent)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
-    # z lies on the oval [a1, a2], inside [-1, 1]
-    x = np.pi * m + cos_sign * _xp.of(z).arcsin(z)
-    return x, z, flip * cos_sign, _sn_integral(red, j, sn, cn, v, phi, sin_phi)
+    # z lies on the oval [a1, a2], inside [-1, 1]; x = pi m + cos_sign asin z
+    x = xp.arcsin(z)
+    x *= cos_sign
+    x += np.pi * m
+    return x, z, flip * cos_sign, _sn_integral(pc, j, sn, cn, v, phi, sin_phi)
 
 
 def build_solution(
@@ -302,13 +357,20 @@ def eval_solution(sol: ClosedFormSolution, t):
     scalar = t.ndim == 0
     t = float(t) if scalar else t
     xp, red = _xp.of(t), sol.reduction
-    x, z, xdot_sign, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0),
-                                      (t + sol.D) / sol.C)
-    x = x + sol.x_offset
-    ydot = sol.p - z
-    xdot = xdot_sign * xp.sqrt(xp.maximum(2.0 * sol.E - ydot * ydot, 0.0))
+    pc = _constants(red, xp)
+    u = t + sol.D
+    u /= pc.C
+    x, z, xdot, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0), u)
+    x += sol.x_offset
+    ydot = pc.p - z
+    # xdot = sign sqrt(max(2E - ydot^2, 0))
+    xdot *= xp.sqrt(xp.maximum(pc.two_E - ydot * ydot, 0.0))
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
-    y = sol.y0 + red.q * t - sol.C * red.h * red.one_c * (G - sol._G0)
+    G -= sol._G0
+    G *= pc.Chc
+    y = pc.q * t
+    y += sol.y0
+    y -= G
     if scalar:
         return PhaseState(float(x), float(y), float(xdot), float(ydot))
     return x, y, xdot, ydot

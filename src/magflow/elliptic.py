@@ -10,9 +10,11 @@ descending Landen recursion on the same rungs (sn_cn), and the
 incomplete F takes k' and K from it (F) on the strip n = round(phi/pi),
 so |phi| <= fl(pi/2) is n = 0.  legendre.LegendreReduction keeps the
 ladder of its (k, k') in its field ladder, so one run of the AGM serves a
-level's cycle data and its closed-form orbit.  masked_K_ladder is the one
-builder of a ladder; the public complete_K(k, k'), incomplete_F(phi, k)
-and sn(u, k) check their modulus and build through it.  Where complete_K
+level's cycle data and its closed-form orbit, and the constants the
+descent reads from it (Descent) in its phase_constants.  masked_K_ladder
+is the one builder of a ladder; the public complete_K(k, k'),
+incomplete_F(phi, k) and sn(u, k) check their modulus and build through
+it.  Where complete_K
 or incomplete_F takes k' from k next to k = 1, it warns
 (LossOfPrecisionWarning); sn takes k' from k silently.  F takes
 Carlson's R_F and orbits.action_contractible_formula his R_D, both on
@@ -188,30 +190,63 @@ def _rd(x: float, y: float, z: float) -> float:
     return f * series / (A * math.sqrt(A)) + 3.0 * tail
 
 
-def _sn_cn_rungs(u, ladder: Ladder):
+class Descent(NamedTuple):
+    """The constants the descent of sn_cn reads from a ladder of N steps:
+    K, 2K, 2^N a_N and the rung ratios c_n/a_n for n = N ... 1, each formed
+    by the expression the descent once formed per call, so a descent on
+    them equals one on the ladder bit for bit."""
+
+    K: float
+    two_K: float
+    scale: float
+    ratios: tuple
+
+
+def descent(ladder: Ladder) -> Descent:
+    """The Descent of a float ladder, in Python floats."""
+    avals, _, cvals, _ = ladder
+    K = _quarter_period(ladder)
+    return Descent(K, 2.0 * K, (2.0 ** (len(avals) - 1)) * avals[-1],
+                   tuple([c / a for a, c in zip(avals[:0:-1], cvals[:0:-1])]))
+
+
+def _sn_cn_rungs(u, d: Descent):
     """sn_cn with the phases of its descent: (j, (-1)^j, sn, cn, v, phi, sin_phi).
 
+    d holds the constants of the ladder (Descent): Python floats for a
+    float u, and Python floats or float64 0-d arrays for an array u, which
+    give the same values (an array operand costs numpy less per call).
     v = u - 2K j is the folded phase in [-K, K], and phi[n], sin_phi[n]
     are the Landen amplitude of v at rung n, of modulus c_n/a_n, and its
     sine, for n = 0 ... N, so phi[0] is the amplitude of v itself.
-    closedform reads them for the theta functions of y(t).
+    closedform reads them for the theta functions of y(t).  j is a whole
+    number (or NaN), so its parity is _xp.mod2(j), which equals numpy's
+    j % 2.0 at a fraction of its cost; every temporary that nothing else
+    holds is updated in place.
     """
     xp = _xp.of(u)
-    avals, _, cvals, _ = ladder
-    n_steps = len(avals) - 1
-    K = _quarter_period(ladder)
-    v = (u + K) % (2.0 * K) - K
-    j = xp.rint((u - v) / (2.0 * K))
-    phi, sin_phi = [None] * (n_steps + 1), [None] * (n_steps + 1)
-    p = (2.0**n_steps) * avals[-1] * v
-    for n in range(n_steps, 0, -1):
+    K, two_K = d.K, d.two_K
+    v = (u + K) % two_K
+    v -= K
+    j = xp.rint((u - v) / two_K)
+    n = len(d.ratios)
+    phi, sin_phi = [None] * (n + 1), [None] * (n + 1)
+    p = d.scale * v
+    for ratio in d.ratios:
         phi[n], s = p, xp.sin(p)
         sin_phi[n] = s
-        p = 0.5 * (p + xp.arcsin((cvals[n] / avals[n]) * s))
+        p = xp.arcsin(ratio * s)
+        p += phi[n]
+        p *= 0.5
+        n -= 1
     phi[0], s = p, xp.sin(p)
     sin_phi[0] = s
-    flip = 1.0 - 2.0 * (j % 2.0)
-    return j, flip, flip * s, flip * xp.cos(p), v, phi, sin_phi
+    flip = _xp.mod2(j)  # 1 - 2 (j mod 2)
+    flip *= -2.0
+    flip += 1.0
+    cn = xp.cos(p)
+    cn *= flip
+    return j, flip, flip * s, cn, v, phi, sin_phi
 
 
 def sn_cn(u, ladder: Ladder):
@@ -230,7 +265,7 @@ def sn_cn(u, ladder: Ladder):
     This descent (_sn_cn_rungs) is the only routine that does per-phase
     elliptic work.
     """
-    return _sn_cn_rungs(u, ladder)[:4]
+    return _sn_cn_rungs(u, descent(ladder))[:4]
 
 
 def masked_K_ladder(k, kc=None):

@@ -95,14 +95,14 @@ class Trajectory:
         return float(self.t[-1] - self.t[0])
 
     def eval(self, t):
-        """The interpolant at t; scalar t gives a PhaseState, an array the
-        rows x, y, xdot, ydot.
+        """The interpolant at t; scalar t gives a PhaseState, an array of any
+        shape the rows x, y, xdot, ydot, each of the shape of t.
 
         A time takes the step that scipy's OdeSolution gives it: the one it
         lies in, the earlier one at a step end, the first or the last one
         outside the span.
         """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float).ravel()
         sign = 1.0 if self.t[1] > self.t[0] else -1.0
         i = np.searchsorted(sign * self.t, sign * t_arr, side="left") - 1
         np.clip(i, 0, self.n_steps - 1, out=i)
@@ -110,7 +110,8 @@ class Trajectory:
         vals = _interpolate(self.F[i], x[:, None], self.states[i]).T
         if np.ndim(t) == 0:
             return PhaseState.from_array(vals[:, 0])
-        return vals[0], vals[1], vals[2], vals[3]
+        shape = np.shape(t)
+        return tuple(v.reshape(shape) for v in vals)
 
 
 def _check_tol(tol: float) -> float:

@@ -50,11 +50,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _xp
-from .elliptic import Ladder, complete_L, complete_RD, masked_K_ladder
+from .elliptic import Descent, Ladder, complete_L, complete_RD, descent, masked_K_ladder
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the level is a separatrix (beyond
@@ -158,6 +159,45 @@ def quartic_from_params(E, p) -> QuarticCurve:
     )
 
 
+class PhaseConstants(NamedTuple):
+    """The constants of the closed-form phase of one float reduction
+    (LegendreReduction.phase_constants), each formed by the expression the
+    phase once formed per call: the descent of sn (elliptic.Descent), the
+    inverse map z(xi) (_z_of_xi), J1, y(t) and xdot of closedform, and the
+    third-kind term where c != 0 (theta: theta_terms with rung 0's
+    artanh bound as the pair -bound, bound; None where c = 0, as is cL)."""
+
+    descent: Descent
+    a1: float
+    a2: float
+    h: float
+    c: float
+    kc2: float             # k'^2
+    one_c2: float          # 1 - c^2
+    c2: float              # c^2
+    rho: float             # sqrt((k^2 - c^2)/(1 - c^2))
+    rhoc4: float           # rho'^4 = (k'^2/(1 - c^2))^2
+    two_one_rho: float     # 2 (1 + rho)
+    two_rho_one_c2: float  # 2 rho (1 - c^2)
+    p: float
+    q: float
+    C: float
+    Chc: float             # C h (1 - c)
+    two_E: float           # 2E
+    cL: float | None       # c L
+    theta: tuple | None
+
+
+def _zero_d(pc: PhaseConstants) -> PhaseConstants:
+    """pc with each of its floats a float64 0-d array."""
+    arr, d, theta = np.array, pc.descent, pc.theta
+    if theta is not None:
+        Z, bounds, rungs = theta
+        theta = (arr(Z), tuple(map(arr, bounds)), [(n, *map(arr, r)) for n, *r in rungs])
+    return PhaseConstants(Descent(*map(arr, d[:3]), tuple(map(arr, d.ratios))),
+                          *map(arr, pc[1:-2]), None if pc.cL is None else arr(pc.cL), theta)
+
+
 @dataclass(frozen=True)
 class LegendreReduction:
     """Constants and coordinate map taking the quartic to Legendre form.
@@ -166,7 +206,9 @@ class LegendreReduction:
     its inverse z - a1 = h (1 + xi) / (1 + c xi) with c = s h.  c and
     q = p - nu, the momentum less the centre of the map (xi = 0), are
     fields, formed once by the reduction.  The fields are floats, or
-    arrays of one shape when the curve's are.
+    arrays of one shape when the curve's are.  A float reduction also
+    keeps, once formed, the constants of a closed-form orbit on it: L,
+    theta_terms, phase_constants and phase_constants_0d.
     """
 
     curve: QuarticCurve
@@ -240,6 +282,41 @@ class LegendreReduction:
             s, co = (1.0 + kapc) * s * co / d, (co * co - kapc * (s * s)) / d
         (_, w0, q0, _, _), *rungs = rungs
         return Z * scale, (w0, q0, abs(q0) / (1.0 + self.kc)), rungs
+
+    @cached_property
+    def phase_constants(self) -> PhaseConstants:
+        """The PhaseConstants of a float reduction, in Python floats: the
+        constants of a closed-form phase on floats.  Formed on first use (by
+        build_solution, at its start phase) and kept.
+        """
+        c, one_c2 = self.c, self.one_c2
+        kc2 = self.kc * self.kc
+        rho = math.sqrt(self.k2_c2 / one_c2)
+        cL = theta = None
+        if c != 0.0:
+            cL = c * self.L
+            Z, (w, q, bound), rungs = self.theta_terms
+            theta = (Z, (w, q, -bound, bound), rungs)
+        cv = self.curve
+        return PhaseConstants(
+            descent=descent(self.ladder), a1=cv.a1, a2=cv.a2, h=self.h, c=c,
+            kc2=kc2, one_c2=one_c2, c2=c * c, rho=rho, rhoc4=(kc2 / one_c2) ** 2,
+            two_one_rho=2.0 * (1.0 + rho), two_rho_one_c2=2.0 * rho * one_c2,
+            p=cv.p, q=self.q, C=self.C_const, Chc=self.C_const * self.h * self.one_c,
+            two_E=2.0 * cv.E, cL=cL, theta=theta)
+
+    @cached_property
+    def phase_constants_0d(self) -> PhaseConstants:
+        """phase_constants with each float a float64 0-d array, the
+        constants of a phase on arrays: numpy multiplies an array by a 0-d
+        array in about two thirds of the time it takes for a Python float,
+        which it converts on every call.  The values are the same, so a
+        phase on floats equals its lane of one on arrays bit for bit.
+        Formed on the first array evaluation and kept; forming a 0-d array
+        costs about what one operation saves, so the record pays from the
+        second array evaluation of an orbit on.
+        """
+        return _zero_d(self.phase_constants)
 
     def oval_moments(self) -> tuple[float, float, float]:
         """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
@@ -399,12 +476,24 @@ def _xi_of_z(red: LegendreReduction, z):
     return (zeta - red.h) / (red.h * (1.0 - red.s * zeta))
 
 
+def _constants(red: LegendreReduction, xp) -> PhaseConstants:
+    """The PhaseConstants of a float reduction for operands of xp: 0-d
+    arrays for _xp.ARRAY, Python floats for _xp.FLOAT."""
+    return red.phase_constants_0d if xp is _xp.ARRAY else red.phase_constants
+
+
 def _z_of_xi(red: LegendreReduction, xi):
     """z of xi in [-1, 1], a float or an array, clamped to the oval [a1, a2]
-    that rounding may leave by an ulp."""
-    cv, xp = red.curve, _xp.of(xi)
-    z = cv.a1 + red.h * (1.0 + xi) / (1.0 + red.c * xi)
-    return xp.minimum(xp.maximum(z, cv.a1), cv.a2)
+    that rounding may leave by an ulp; on a float reduction."""
+    xp = _xp.of(xi)
+    pc = _constants(red, xp)
+    z = xi + 1.0  # a1 + h (1 + xi)/(1 + c xi)
+    z *= pc.h
+    den = pc.c * xi
+    den += 1.0
+    z /= den
+    z += pc.a1
+    return xp.minimum(xp.maximum(z, pc.a1), pc.a2)
 
 
 def map_z_to_xi(red: LegendreReduction, z):

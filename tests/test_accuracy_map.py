@@ -351,17 +351,17 @@ def third_kind_errors(levels):
     from scipy.special import elliprj
 
     from magflow.closedform import _third_kind
-    from magflow.elliptic import _sn_cn_rungs
+    from magflow.elliptic import _sn_cn_rungs, descent
 
     worst_theta = worst_rj = 0.0
     for E, p in levels:
         red = reduce_to_legendre(quartic_from_params(E, p))
         v0 = np.array([-1.0, -0.6, -1e-3, 0.0, 0.3, 0.9, 1.0]) * red.K
         u = (v0[None, :] + 2.0 * red.K * np.array([-2.0, 0.0, 1.0, 3.0])[:, None]).ravel()
-        j, flip, s, c, v, phi, sin_phi = _sn_cn_rungs(u, red.ladder)
+        j, flip, s, c, v, phi, sin_phi = _sn_cn_rungs(u, descent(red.ladder))
         kc2, cc = red.kc * red.kc, red.c
         dn = np.sqrt(c * c + kc2 * s * s)
-        theta = _third_kind(red, j, v, s, c, dn, phi, sin_phi)
+        theta = _third_kind(red.phase_constants_0d, j, v, s, c, dn, phi, sin_phi)
         rj = cc * (flip * s ** 3 * elliprj(c * c, dn * dn, 1.0, red.one_c2 + cc * cc * c * c)
                    / 3.0 + j * red.L)
         share = abs(red.C_const * red.h * red.one_c)

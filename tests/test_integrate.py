@@ -171,6 +171,26 @@ def test_oracle_matches_closed_form_on_an_oval():
     assert np.max(np.abs(yc - yn)) < 3e-11
 
 
+@pytest.mark.parametrize("orbit", ["closed form", "trajectory"])
+def test_eval_gives_each_row_the_shape_of_the_times(orbit):
+    # either orbit type takes times of any shape: a (2, 3) grid gives rows
+    # of shape (2, 3) equal to the flat call bit for bit, and an empty array
+    # empty rows
+    if orbit == "closed form":
+        sol = build_solution(0.0, 0.0, 0.125, 0.3, 1)
+    else:
+        sol = integrate(OVAL, 5.0, 1e-9)
+    grid = np.linspace(-1.0, 6.0, 6).reshape(2, 3)
+    flat = sol.eval(grid.ravel())
+    rows = sol.eval(grid)
+    assert len(rows) == 4
+    for row, want in zip(rows, flat):
+        assert row.shape == (2, 3)
+        assert np.array_equal(row.ravel().view(np.uint64), want.view(np.uint64))
+    for times in (np.zeros(0), np.zeros((2, 0))):
+        assert [row.shape for row in sol.eval(times)] == [times.shape] * 4
+
+
 def test_samples_are_the_solver_step_values(monkeypatch):
     # the states come from the solver's steps; the interpolant is not re-run
     calls = []

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from magflow import build_solution, eval_solution, sn
-from magflow._xp import ARRAY, FLOAT
-from magflow.closedform import _orbit_phase
+from magflow._xp import ARRAY, FLOAT, mod2
+from magflow.closedform import _orbit_phase, _sheet
 from magflow.elliptic import masked_K_ladder, sn_cn
+from magflow.legendre import CROSSING, quartic_from_params
 
 # every orbit kind, both signs of xdot, p = 0 and p != 0, and a level next
 # to a separatrix, where the ladder has the most rungs
@@ -42,11 +43,17 @@ def bits(a):
 
 def phases(K, u0, rng):
     """u0, 0, +-K, multiples of 2K, 3 ulp on either side of the half-period
-    boundaries (2i + 1) K, and |u| uniform and log-uniform up to 1e3."""
-    edges = (2.0 * np.arange(-4, 5) + 1.0) * K
+    boundaries (2i + 1) K, near and with |i| up to 1e5, and |u| uniform and
+    log-uniform up to 1e3 and up to 1e6, where the half period j runs down
+    to about -1e6/(2K)."""
+    i = np.concatenate([np.arange(-4, 5), rng.integers(-100_000, 100_000, 6),
+                        [-100_000, 99_999]])
+    edges = (2.0 * i + 1.0) * K
     near = edges[:, None] + np.arange(-3, 4)[None, :] * np.spacing(np.abs(edges))[:, None]
     wide = np.concatenate([rng.uniform(-1e3, 1e3, 300),
-                           rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-8.0, 3.0, 300)])
+                           rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-8.0, 3.0, 300),
+                           rng.uniform(-1e6, 1e6, 100),
+                           rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(3.0, 6.0, 100)])
     return [u0, 0.0, -0.0, K, -K, *(2.0 * K * np.arange(-6, 7)), *near.ravel(), *wide]
 
 
@@ -68,6 +75,7 @@ def test_float_phase_equals_array_lanes(x0, E, p, sign, rng):
     sol = build_solution(x0, 0.0, E, p, sign)
     red, cos_x0 = sol.reduction, math.cos(x0)
     us = phases(red.K, sol.D / sol.C, rng)
+    assert min(sn_cn(np.array(us), red.ladder)[0]) <= -1e5  # j far below 0
     assert not isinstance(_orbit_phase(red, sign, cos_x0, us[0])[0], np.ndarray)
     assert_lanes_equal(lambda u: sn_cn(u, red.ladder), us)
     assert_lanes_equal(lambda u: _orbit_phase(red, sign, cos_x0, u), us)
@@ -82,7 +90,7 @@ def test_sn_cn_float_equals_array_lanes(k, rng):
 @pytest.mark.parametrize("x0, E, p, sign", ORBITS)
 def test_scalar_eval_is_python_floats_equal_to_the_array_lane(x0, E, p, sign, rng):
     sol = build_solution(x0, 0.5, E, p, sign)
-    ts = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 6)])
+    ts = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 6), rng.uniform(-1e6, 1e6, 4)])
     lanes = eval_solution(sol, ts)
     for i, t in enumerate(ts.tolist()):
         s = eval_solution(sol, t)
@@ -130,7 +138,8 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
     # |c_n/a_n sin phi| < 1, arctanh of the theta terms of y, inside
     # (-1, 1) and up to 1e-15 from either end, the log1p and sqrt of
     # positive terms, rint of (u - v)/2K, which is an integer up to
-    # rounding, and the clamp of z
+    # rounding, floor of the half period j and of its halves (with
+    # half-integers, -0.0, NaN and +-inf among them), and the clamp of z
     n = 100_000
     unit = np.clip(draws(rng, n, -20.0, 0.0), -1.0, 1.0)
     unit[:8] = [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 1.0 - 2.0**-53, -1.0 + 2.0**-53]
@@ -147,6 +156,7 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
         "log1p": (draws(rng, n, -300.0, 300.0, signed=False),),
         "sqrt": (draws(rng, n, -300.0, 300.0, signed=False),),
         "rint": (near_whole,),
+        "floor": (near_whole,),
         # the phase passes NaN as the first operand only
         "minimum": (draws(rng, n, -5.0, 1.0), draws(rng, n, -5.0, 1.0)),
         "maximum": (draws(rng, n, -5.0, 1.0), draws(rng, n, -5.0, 1.0)),
@@ -158,3 +168,44 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
     cond, a, b = rng.uniform(size=n) < 0.5, rng.normal(size=n), rng.normal(size=n)
     on_floats = [FLOAT.where(*v) for v in zip(cond.tolist(), a.tolist(), b.tolist())]
     assert np.array_equal(bits(on_floats), bits(ARRAY.where(cond, a, b)))
+
+
+def whole_numbers(rng):
+    """Whole-numbered floats, as the half period j and the sheet's halves of
+    it are: every integer in [-9, 9], draws of either sign up to 2^53 in
+    magnitude, +-2^53 - 1, +-2^53, +-0, NaN and +-inf."""
+    big = np.rint(rng.choice([-1.0, 1.0], 3000) * 2.0 ** rng.uniform(0.0, 53.0, 3000))
+    edge = [2.0**53 - 1.0, 2.0**53, -(2.0**53) + 1.0, -(2.0**53)]
+    return [*np.arange(-9.0, 10.0), *big, *edge, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def test_floor_forms_equal_the_floor_mods_they_replace(rng):
+    # the parity of the half period j and the sheet of a crossing orbit take
+    # j mod 2 as j - 2 floor(j/2) (_xp.mod2) and (j + s) // 2 as floor of
+    # the half; on every whole number, +-0, NaN and +-inf they must equal
+    # numpy's % and // bit for bit, sign of zero included, on floats and on
+    # arrays, and a non-finite j must give NaN without raising
+    js = whole_numbers(rng)
+    arr = np.array(js)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(bits(mod2(arr)), bits(arr % 2.0))
+        assert np.array_equal(bits([mod2(j) for j in js]), bits(arr % 2.0))
+        for p, wall in ((0.6, 1.0), (-0.5, -1.0)):
+            curve = quartic_from_params(0.3, p)
+            assert curve.kind == CROSSING
+            b = (arr + 0.5 * (1.0 + wall)) // 2.0 % 2.0
+            want = (wall * b, 1.0 - 2.0 * b)  # m and cos x
+            on_floats = [_sheet(curve, 1, 1.0, j, None) for j in js]
+            for k, got in enumerate(_sheet(curve, 1, 1.0, arr, None)):
+                assert np.array_equal(bits(got), bits(want[k]))
+                assert np.array_equal(bits([v[k] for v in on_floats]), bits(want[k]))
+    # the parity sn_cn returns with j, over phases up to |u| = 1e6 and the
+    # non-finite ones
+    K, ladder = masked_K_ladder(0.6, 0.8)
+    us = np.array([*phases(K, 0.3, rng), math.nan, math.inf, -math.inf])
+    with np.errstate(invalid="ignore"):
+        j, flip = sn_cn(us, ladder)[:2]
+        assert np.array_equal(bits(flip), bits(1.0 - 2.0 * (j % 2.0)))
+    for u in (-0.0, 1e6, -1e6, math.nan, math.inf):
+        j, flip = sn_cn(u, ladder)[:2]
+        assert bits(flip) == bits(1.0 - 2.0 * (j % 2.0))

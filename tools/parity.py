@@ -21,6 +21,10 @@ interpreter that imports magflow from that ``src/``:
   among the times;
 * the same on 2,000 orbits at p = 0 exactly (outputs prefixed ``p0_``),
   the levels where the Legendre map is affine, with t = 0 among the times;
+* the same on 6,000 trapped, crossing and winding orbits at times up to
+  |t| = 1e6 (outputs prefixed ``long_``), where the half-period index of
+  a phase runs to about 1e5 and the fold, the parity and the sheet of x
+  meet large whole numbers, with NaN, +inf and -inf among the times;
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
   (``contractible_orbit``);
 * ``action_contractible_formula`` on 2,000 energies (output
@@ -96,6 +100,13 @@ width 0.1 ... 6.1 for film; and grids of 2 ... 8 points a side for sweep.
 Every fourth line moves its first two options into a JSON config file.
 The action_formula energies, from a tenth generator, have 1 - 2E
 log-uniform over 1e-12 ... 1.
+The long orbits, from an eleventh generator, are a third each trapped
+(sqrt(2E) uniform over (0.01, 0.99), p uniform where both turning roots
+stay 1e-3 or more inside the walls), crossing and winding (as the wall
+starts' levels, either wall), each with a start on its oval as for
+build_solution; t is uniform over [-1e6, 1e6], and each row holds one NaN,
+one +inf and one -inf at random places, so that the scalar at the first
+time meets them too.  Its RuntimeWarnings of invalid values are silenced.
 For every output the report gives the number of values that differ in any
 bit and the largest absolute difference among them, where NaN equals NaN
 and a NaN on one side only counts as an infinite difference; for every
@@ -124,7 +135,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20241013
 N_CYCLE, N_CLASSIFY, N_ORBITS, N_TIMES, N_WALL = 200_000, 3_000, 20_000, 50, 4_000
-N_ACTION, N_SN, N_P0, N_F = 2_000, 20_000, 2_000, 20_000
+N_ACTION, N_SN, N_P0, N_F, N_LONG = 2_000, 20_000, 2_000, 20_000, 6_000
 N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE, N_FORMULA = 500, 100, 64, 2_000, 2_000
 N_CLI = 40  # command lines per subcommand
 CLI_COMMANDS = ("simulate", "compare", "classify", "orbit", "action", "film", "sweep")
@@ -180,6 +191,20 @@ def wall_starts(rng, n):
     p = np.where(crossing, wall * (r + a_cross), p_wind)
     off = np.where(rng.uniform(size=n) < 0.25, 0.0, 10.0 ** rng.uniform(-16.0, -6.0, n))
     return 0.5 * a * a, p, wall * 0.5 * np.pi + strip * off, sign.astype(int)
+
+
+def long_levels(rng, n):
+    """(E, p): a third trapped, a third crossing at either wall, a third winding."""
+    n_trap, n_cross = n // 3, n // 3
+    a_trap = rng.uniform(0.01, 0.99, n_trap)
+    p_trap = rng.uniform(-1.0, 1.0, n_trap) * (1.0 - 1e-3 - a_trap)
+    wall = rng.choice([-1.0, 1.0], n_cross)
+    a_cross = rng.uniform(0.05, 2.4, n_cross)  # one root past the wall, one inside
+    r = rng.uniform(np.maximum(-1.0, 1.0 - 2.0 * a_cross) + 1e-3, 1.0 - 1e-3)
+    p_wind = rng.uniform(-1.5, 1.5, n - n_trap - n_cross)  # both roots past the walls
+    a_wind = 1.0 + np.abs(p_wind) + rng.uniform(1e-3, 1.5, len(p_wind))
+    a = np.concatenate([a_trap, a_cross, a_wind])
+    return 0.5 * a * a, np.concatenate([p_trap, wall * (r + a_cross), p_wind])
 
 
 def oval_starts(rng, E, p):
@@ -293,6 +318,15 @@ def inputs() -> dict:
     sets["cli_argv"], sets["cli_config"] = np.array(argvs), np.array(configs)
     formula_rng = np.random.default_rng(SEED + 9)
     sets["formula_E"] = 0.5 * (1.0 - 10.0 ** formula_rng.uniform(-12.0, 0.0, N_FORMULA))
+    long_rng = np.random.default_rng(SEED + 10)
+    E_long, p_long = long_levels(long_rng, N_LONG)
+    t_long = long_rng.uniform(-1e6, 1e6, (N_LONG, N_TIMES))
+    places = np.argsort(long_rng.uniform(size=(N_LONG, N_TIMES)), axis=1)[:, :3]
+    np.put_along_axis(t_long, places, np.array([math.nan, math.inf, -math.inf]), axis=1)
+    sets.update({"long_E": E_long, "long_p": p_long,
+                 "long_x0": oval_starts(long_rng, E_long, p_long),
+                 "long_y0": long_rng.uniform(-1.0, 1.0, N_LONG),
+                 "long_sign": long_rng.choice([-1, 1], N_LONG), "long_t": t_long})
     return sets
 
 
@@ -315,6 +349,8 @@ def worker(in_path: str, out_path: str) -> None:
     run_orbits(inp, "orbit", "", out, errors)
     run_orbits(inp, "wall", "wall_", out, errors)
     run_orbits(inp, "p0", "p0_", out, errors)
+    with np.errstate(invalid="ignore"):
+        run_orbits(inp, "long", "long_", out, errors)
     run_actions(inp, out, errors)
     run_action_formula(inp, out, errors)
     run_elliptic(inp, out, errors)
