@@ -205,8 +205,8 @@ def _sn_integral(pc: PhaseConstants, j, sn, cn, v, phi, sin_phi):
     dn = pc.kc2 * s2
     dn += cn2
     dn = xp.sqrt(dn)
-    den = pc.c2 * cn2  # 1 - c^2 sn^2
-    den += one_c2
+    den = pc.c2 * cn2
+    den += one_c2  # 1 - c^2 sn^2
     den *= pc.rhoc4
     # 2 [atanh(rho) - atanh(rho cn/dn)] = log1p(rho Y), on either side of cn = 0,
     # with Y / 2 (1 + rho) = (1 - c^2) sn^2 / (front back) or front back / (rho'^4 den)

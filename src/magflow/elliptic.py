@@ -192,9 +192,10 @@ def _rd(x: float, y: float, z: float) -> float:
 
 class Descent(NamedTuple):
     """The constants the descent of sn_cn reads from a ladder of N steps:
-    K, 2K, 2^N a_N and the rung ratios c_n/a_n for n = N ... 1, each formed
-    by the expression the descent once formed per call, so a descent on
-    them equals one on the ladder bit for bit."""
+    K, 2K, 2^N a_N and the rung ratios c_n/a_n for n = N ... 1.  Formed
+    once per ladder, each by the expression and in the order the descent
+    would use per call, so its values do not depend on where they were
+    formed."""
 
     K: float
     two_K: float

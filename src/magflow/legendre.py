@@ -161,11 +161,13 @@ def quartic_from_params(E, p) -> QuarticCurve:
 
 class PhaseConstants(NamedTuple):
     """The constants of the closed-form phase of one float reduction
-    (LegendreReduction.phase_constants), each formed by the expression the
-    phase once formed per call: the descent of sn (elliptic.Descent), the
-    inverse map z(xi) (_z_of_xi), J1, y(t) and xdot of closedform, and the
-    third-kind term where c != 0 (theta: theta_terms with rung 0's
-    artanh bound as the pair -bound, bound; None where c = 0, as is cL)."""
+    (LegendreReduction.phase_constants): the descent of sn
+    (elliptic.Descent), the inverse map z(xi) (_z_of_xi), J1, y(t) and
+    xdot of closedform, and the third-kind term where c != 0 (theta:
+    theta_terms with rung 0's artanh bound as the pair -bound, bound; None
+    where c = 0, as is cL).  Each is formed once, by the expression and in
+    the order the phase would use per call, so the phase's values do not
+    depend on where they were formed."""
 
     descent: Descent
     a1: float
