@@ -12,25 +12,30 @@ Both square roots are correctly rounded, math's sin and cos give numpy's
 values, rint rounds half to even on either, and minimum, maximum, where
 and copysign only pick or sign an operand, so one lane of an array call
 equals the float call bit for bit (tests/test_phase_float.py checks
-each).  floor keeps the sign of a zero, NaN and inf as numpy's does,
-where math.floor drops -0.0 and raises on NaN and inf; on a whole number
-j, mod2(j) = j - 2 floor(j/2) equals numpy's j % 2.0 bit for bit at a
-fraction of its cost (numpy's floor-mod is 21-28 ns an element, a floor
-about 1.5 ns).  arcsin, arctanh and log1p are numpy's ufuncs on a float
-too: numpy's kernels differ from libm's asin and log1p in the last bit on
-several per cent of arguments, and a ufunc runs the same kernel on a float
-as on an array.  Otherwise a float is never wrapped in a 0-d array: numpy's
-per-call overhead would cost a one-level call more than its arithmetic
-does.  The other way round, a constant that an array formula reads on
-every call is best a float64 0-d array, formed once: numpy converts a
-Python float operand anew on each call, which costs a small batch about a
-third more per operation; both hold the same value, so the result is the
-same bit for bit (legendre.LegendreReduction.phase_constants_0d).
+each).  remainder and multiply are % and *, on an array without numpy's
+warning at inf % y and 0 * inf, whose NaN a float gives silently.  any and
+all of an array count its nonzero elements (np.count_nonzero, a third of
+the time of x.any()), which also takes the numpy bool of a comparison of
+0-d arrays.  floor keeps the sign of a zero, NaN and inf as numpy's does,
+where math.floor drops -0.0 and raises on NaN and inf; on a whole number j,
+mod2(j) = j - 2 floor(j/2) equals numpy's j % 2.0 bit for bit at a fraction
+of its cost (numpy's floor-mod is 21-28 ns an element, a floor about
+1.5 ns).  arcsin, arctanh and log1p are numpy's ufuncs on a float too: numpy's
+kernels differ from libm's asin and log1p in the last bit on several per
+cent of arguments, and a ufunc runs the same kernel on a float as on an
+array.  Otherwise a float is never wrapped in a 0-d array: numpy's per-call
+overhead would cost a one-level call more than its arithmetic does.  The
+other way round, a constant that an array formula reads on every call is
+best a float64 0-d array, formed once: numpy converts a Python float
+operand anew on each call, which costs a small batch about a third more per
+operation; both hold the same value, so the result is the same bit for bit
+(legendre.LegendreReduction.phase_constants_0d).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,9 +45,7 @@ def _select(cond, x, y):
     return x if cond else y
 
 
-def _select_each(cond, new: tuple, old: tuple) -> tuple:
-    return tuple(np.where(cond, n, o) for n, o in zip(new, old))
-
+_quiet = np.errstate(invalid="ignore")  # as a decorator: 0.6 us a call, a with block 1 us
 
 FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
@@ -50,7 +53,8 @@ FLOAT = SimpleNamespace(
     minimum=lambda x, y: y if y < x else x,
     maximum=lambda x, y: y if y > x else x,
     where=_select,
-    where_each=_select,
+    remainder=operator.mod,
+    multiply=operator.mul,
     copysign=math.copysign,
     any=bool,
     all=bool,
@@ -71,10 +75,11 @@ ARRAY = SimpleNamespace(
     minimum=np.minimum,
     maximum=np.maximum,
     where=np.where,
-    where_each=_select_each,
+    remainder=_quiet(np.remainder),
+    multiply=_quiet(np.multiply),
     copysign=np.copysign,
-    any=np.any,
-    all=np.all,
+    any=np.count_nonzero,
+    all=lambda x: np.count_nonzero(x) == x.size,
     real=lambda x: x,
     sin=np.sin,
     cos=np.cos,

@@ -104,7 +104,7 @@ from .legendre import (
     PhaseConstants,
     QuarticCurve,
     _constants,
-    _xi_of_z,
+    _xi_of_zeta,
     _z_of_xi,
     quartic_from_params,
     reduce_to_legendre,
@@ -303,7 +303,7 @@ def build_solution(
     # at an oval end xi0 = -+1: the map sends a1 to -1 exactly (zeta = 0), a2 up to rounding,
     # and the phase is -+K of the ladder, which F(asin(-+1)) misses by rounding
     zc = min(max(z0, curve.a1), curve.a2)
-    xi0 = 1.0 if zc == curve.a2 else min(max(_xi_of_z(red, zc), -1.0), 1.0)
+    xi0 = 1.0 if zc == curve.a2 else min(max(_xi_of_zeta(red, zc - curve.a1), -1.0), 1.0)
     F0 = math.copysign(K, xi0) if abs(xi0) == 1.0 else F(math.asin(xi0), red.ladder)
     # the half period j of the motion just after t = 0, where
     # zdot = xdot cos x: on a wall z turns back, and cos x follows from
@@ -368,7 +368,7 @@ def eval_solution(sol: ClosedFormSolution, t):
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
     G -= sol._G0
     G *= pc.Chc
-    y = pc.q * t
+    y = xp.multiply(pc.q, t)  # q = 0 at p = 0: an infinite t gives NaN, silently
     y += sol.y0
     y -= G
     if scalar:

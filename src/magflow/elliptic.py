@@ -56,17 +56,19 @@ def _complement(k):
 
 
 class Ladder(NamedTuple):
-    """The rungs a_n, b_n, c_n of an AGM ladder, and ran[n], where step n + 1 ran.
+    """The rungs a_n, b_n, c_n of an AGM ladder, ab[n] = a_n b_n, whose root
+    is b_{n+1}, and ran[n], where step n + 1 ran.
 
-    On array lanes a lane that has stopped repeats its last rung, so a sum
-    over rungs adds rung n + 1 times ran[n], a bool that is 1 where the
-    step ran and 0 where it did not; a float ladder's ran is True
-    throughout.
+    On array lanes a lane that has stopped keeps its last a_n, hence its K,
+    while its b_n and c_n step on with the others, finite and meaningless;
+    so a sum over rungs adds rung n + 1 times ran[n], a bool that is 1
+    where the step ran and 0 where it did not; a float's ran is all True.
     """
 
     a: list
     b: list
     c: list
+    ab: list
     ran: list
 
 
@@ -74,21 +76,24 @@ def _agm_ladder(k, kc) -> Ladder:
     """AGM rungs (a_n, b_n, c_n) descending from (a, b, c) = (1, k', k).
 
     k and k' are floats, or float arrays of one shape.  A lane stops once
-    its own c has converged and stays put while the others run on, so it
+    its own c has converged and keeps its a while the others run on, so it
     takes the float call's steps and its last a_n, hence its K, equals the
-    float call's bit for bit.
+    float call's bit for bit (its b and c step on: see Ladder).
     """
     xp = _xp.of(k)
     # looked up once: on a float the lookups cost a third of a step
-    sqrt, where_each, running = xp.sqrt, xp.where_each, xp.any
+    sqrt, where, running = xp.sqrt, xp.where, xp.any
     a, b, c = 1.0, kc, k
-    ladder = Ladder([a], [b], [c], [])
+    ab = a * b
+    ladder = Ladder([a], [b], [c], [ab], [])
     run = abs(c) > _AGM_TOL
     while running(run):
-        a, b, c = where_each(run, (0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)), (a, b, c))
+        a, b, c = where(run, 0.5 * (a + b), a), sqrt(ab), 0.5 * (a - b)
+        ab = a * b
         ladder.a.append(a)
         ladder.b.append(b)
         ladder.c.append(c)
+        ladder.ab.append(ab)
         ladder.ran.append(run)
         run = run & (abs(c) > _AGM_TOL)
     return ladder
@@ -110,7 +115,10 @@ def complete_RD(ladder: Ladder, k2):
     """
     s = 0.0
     for n, (c, ran) in enumerate(zip(ladder.c[1:], ladder.ran)):
-        s = s + 2.0 ** n * c * c * ran
+        t = 2.0 ** n * c
+        t *= c
+        t *= ran
+        s += t
     return 3.0 * _quarter_period(ladder) * (0.5 + s / k2)
 
 
@@ -126,17 +134,19 @@ def complete_L(ladder: Ladder, one_c2):
 
     which never divides by c^2, so c = 0 takes the same formula.  one_c2
     = 1 - c^2 in (k'^2, 1] and the ladder are floats or array lanes; a lane
-    sums its own rungs only, so it equals the float call bit for bit.
+    sums its own rungs only, so it equals the float call bit for bit.  a_n
+    b_n is the ladder's ab[n]; one_c2 is never written into.
     """
     p2, p = one_c2, _xp.of(one_c2).sqrt(one_c2)
     Q = s = 1.0
-    for a, b, ran in zip(ladder.a, ladder.b, [True, *ladder.ran]):
-        ab = a * b
+    for ab, ran in zip(ladder.ab, [True, *ladder.ran]):
         d = p2 + ab
-        Q = 0.5 * Q * (p2 - ab) / d
-        s = s + Q * ran
-        p = d / (2.0 * p)
-        p2 = p * p
+        Q *= 0.5
+        Q *= p2 - ab
+        Q /= d
+        s += Q * ran
+        d /= 2.0 * p
+        p, p2 = d, d * d
     return _quarter_period(ladder) * s / one_c2
 
 
@@ -205,7 +215,7 @@ class Descent(NamedTuple):
 
 def descent(ladder: Ladder) -> Descent:
     """The Descent of a float ladder, in Python floats."""
-    avals, _, cvals, _ = ladder
+    avals, cvals = ladder.a, ladder.c
     K = _quarter_period(ladder)
     return Descent(K, 2.0 * K, (2.0 ** (len(avals) - 1)) * avals[-1],
                    tuple([c / a for a, c in zip(avals[:0:-1], cvals[:0:-1])]))
@@ -227,7 +237,7 @@ def _sn_cn_rungs(u, d: Descent):
     """
     xp = _xp.of(u)
     K, two_K = d.K, d.two_K
-    v = (u + K) % two_K
+    v = xp.remainder(u + K, two_K)
     v -= K
     j = xp.rint((u - v) / two_K)
     n = len(d.ratios)

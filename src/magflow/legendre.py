@@ -26,7 +26,7 @@ share a midpoint (always for p = 0), and the map is then affine.  The
 reduction forms c = s h (the inverse map is z = a1 + h (1 + xi)/(1 + c xi))
 and q = p - nu once, as fields of LegendreReduction.  It is normalized so that xi(a1) = -1, xi(a2) = +1, xi(a3) = -1/k,
 xi(a4) = +1/k.  One self-check, _passes, tests a reduction: 0 < k^2 < 1,
-K not NaN, C > 0 and the four map targets; reduce_to_legendre raises
+K not NaN, C > 0 and the map targets; reduce_to_legendre raises
 ReductionInconsistency when it fails, and reduce_lanes masks those lanes.
 
 quartic_from_params is the one home of the root picture: it forms the
@@ -320,8 +320,10 @@ class LegendreReduction:
         """
         return _zero_d(self.phase_constants)
 
-    def oval_moments(self) -> tuple[float, float, float]:
-        """m_j = int_{a1}^{a2} (z - p)^j dz / w for j = 0, 1, 2, in closed form.
+    def cycle_values(self):
+        """(period, Delta_y, action) of one sin-x cycle, 2 m_0, -2 m_1 and
+        2 int (2E + z(p - z)) dz/w, from the oval moments m_j = int_{a1}^{a2}
+        (z - p)^j dz / w, j = 0, 1, 2, in closed form; floats or array lanes.
 
         The moments are first taken about the centre nu = a1 + h of the map
         (xi = 0).  With c = s h the map reads z - nu = h (1 - c) xi / (1 + c xi)
@@ -343,33 +345,34 @@ class LegendreReduction:
         accurately summed field q = p - nu, so a nearly symmetric oval,
         where m_1 is small, keeps its digits.
         """
-        k2, c, h = self.k2, self.c, self.h
+        k2, c, q, L = self.k2, self.c, self.q, self.L
         c2 = c * c
-        K = self.K
-        RD = complete_RD(self.ladder, k2)
-        L = self.L
         # c^4 - k^2 = -(k^2 - c^2) - c^2 (1 - c^2): no cancellation
-        M = ((k2 * RD / 3.0 + (self.k2_c2 + c2 * self.one_c2) * L / 2.0 - c2 * K)
-             / (self.k2_c2 * self.one_c2))
-        C, hc = self.C_const, h * self.one_c
-        n0, n1, n2 = 2.0 * C * K, -C * hc * c * L, C * hc * hc * (2.0 * M - L)
-        q = self.q
-        return n0, n1 - q * n0, n2 - 2.0 * q * n1 + q * q * n0
-
-    def cycle_values(self):
-        """(period, Delta_y, action) of one sin-x cycle from the oval moments:
-        2 m_0, -2 m_1 and 2 int (2E + z(p - z)) dz/w; floats or array lanes."""
+        M = (self.k2_c2 + c2 * self.one_c2) * L / 2.0
+        M += k2 * complete_RD(self.ladder, k2) / 3.0
+        M -= c2 * self.K
+        M /= self.k2_c2 * self.one_c2
+        M *= 2.0
+        M -= L
+        C, hc = self.C_const, self.h * self.one_c
+        n0, n2 = 2.0 * C * self.K, C * hc
+        n1 = -n2 * c * L
+        n2 *= hc
+        n2 *= M  # C hc^2 (2M - L)
+        # the moments about p: m0 = n0, m1 = n1 - q n0, m2 = n2 - 2 q n1 + q^2 n0
+        n2 -= 2.0 * q * n1
+        n2 += q * q * n0
+        n1 -= q * n0
         E, p = self.curve.E, self.curve.p
-        m0, m1, m2 = self.oval_moments()
         # 2E + z(p - z) = 2E - p (z - p) - (z - p)^2
-        return 2.0 * m0, -2.0 * m1, 2.0 * (2.0 * E * m0 - p * m1 - m2)
+        return 2.0 * n0, -2.0 * n1, 2.0 * (2.0 * E * n0 - p * n1 - n2)
 
 
 def _map_targets(red: LegendreReduction):
     """(z, xi(z), wanted xi) of the four roots: the map sends a1, a2, a3, a4
     to -1, 1, -1/k, 1/k.  Floats or array lanes."""
     cv, k = red.curve, red.k
-    return [(z, _xi_of_z(red, z), want)
+    return [(z, _xi_of_zeta(red, z - cv.a1), want)
             for z, want in ((cv.a1, -1.0), (cv.a2, 1.0), (cv.a3, -1.0 / k), (cv.a4, 1.0 / k))]
 
 
@@ -377,13 +380,19 @@ def _passes(red: LegendreReduction):
     """The one self-check of a reduction: 0 < k^2 < 1, K not NaN, C > 0, and
     the map sends each root to its target within _NORMALIZATION_TOL.
 
+    zeta = z - a1 is read from the gaps, g21, -g13 and g41 at a2, a3 and a4
+    (fl(x - y) = -fl(y - x)).  a1's xi is -h/h, -1 wherever h is finite and
+    nonzero; elsewhere k is 0 or NaN, and where s is not finite a2's target
+    fails, so a1 needs no test.  _map_targets gives all four for a message.
     A float, or a mask over array lanes.  Every test is a comparison that
     is false on NaN, so a NaN anywhere fails the check.
     """
+    cv, inv_k, tol = red.curve, 1.0 / red.k, _NORMALIZATION_TOL
+    tol_k = tol * abs(inv_k)  # tol |want|: |want| >= 1 once 0 < k^2 < 1
     ok = (0.0 < red.k2) & (red.k2 < 1.0) & (red.K == red.K) & (red.C_const > 0.0)
-    for _z, got, want in _map_targets(red):
-        # |want| >= 1 for every target once 0 < k^2 < 1
-        ok = ok & (abs(got - want) <= _NORMALIZATION_TOL * abs(want))
+    for zeta, want, bound in ((cv.g21, 1.0, tol), (-cv.g13, -inv_k, tol_k),
+                              (cv.g41, inv_k, tol_k)):
+        ok &= abs(_xi_of_zeta(red, zeta) - want) <= bound
     return ok
 
 
@@ -391,15 +400,18 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
     """The constants of reduce_to_legendre, unchecked; float or array roots."""
     g13, g21, g23, g41, g42 = curve.g13, curve.g21, curve.g23, curve.g41, curve.g42
     sqrt = _xp.of(g13).sqrt
-    R = sqrt(g13 * g41 * g23 * g42)
-    w1, w2, w3, w4 = g13 * g41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
+    # a product or sum used twice is formed once (g23 g41 = g41 g23 exactly)
+    g13_41, g41_23 = g13 * g41, g41 * g23
+    R = sqrt(g13_41 * g23 * g42)
+    w1, w2, w3, w4 = g13_41 + R, g23 * g42 + R, g13 * g23 + R, g41 * g42 + R
     h = g21 / (1.0 + w2 / w1)
     k = h * (w3 / w1) / (g13 + h)
     C_const = 2.0 * k * sqrt(w1 * w2 / (w3 * w4)) / g21
-    kappa_c = R / (g41 * g23)  # sqrt(g13 g42 / (g41 g23))
-    T = g13 * g41 / R          # sqrt(g13 g41 / (g42 g23))
-    one_c2 = 4.0 * T / ((1.0 + T) * (1.0 + T))
-    kc = 2.0 * sqrt(kappa_c) / (1.0 + kappa_c)
+    kappa_c = R / g41_23  # sqrt(g13 g42 / (g41 g23))
+    T = g13_41 / R        # sqrt(g13 g41 / (g42 g23))
+    one_T, one_kappa_c = 1.0 + T, 1.0 + kappa_c
+    one_c2 = 4.0 * T / (one_T * one_T)
+    kc = 2.0 * sqrt(kappa_c) / one_kappa_c
     K, ladder = masked_K_ladder(k, kc)
     s = (curve.a1 + curve.a2 - curve.a3 - curve.a4) / w1
     # q = (2p - a1 - a2 - (p - a1) g21 s) / (2 - g21 s), from
@@ -413,9 +425,9 @@ def _reduction(curve: QuarticCurve) -> LegendreReduction:
         curve=curve, k2=k * k, k=k, kc=kc, K=K, ladder=ladder,
         C_const=C_const, s=s, h=h, c=s * h,
         q=(s2 + (e1 + e2) - (curve.p - curve.a1) * g21s) / (2.0 - g21s),
-        one_c=2.0 / (1.0 + T), one_c2=one_c2,
+        one_c=2.0 / one_T, one_c2=one_c2,
         # a product, not ** 2: numpy squares exactly, libm's pow need not
-        k2_c2=one_c2 * g21 * g21 / (g23 * g41 * ((1.0 + kappa_c) * (1.0 + kappa_c))),
+        k2_c2=one_c2 * g21 * g21 / (g41_23 * (one_kappa_c * one_kappa_c)),
     )
 
 
@@ -473,8 +485,7 @@ def reduce_lanes(curve: QuarticCurve) -> tuple[LegendreReduction, np.ndarray]:
     return red, curve.degenerate | ~_passes(red)
 
 
-def _xi_of_z(red: LegendreReduction, z):
-    zeta = z - red.curve.a1
+def _xi_of_zeta(red: LegendreReduction, zeta):
     return (zeta - red.h) / (red.h * (1.0 - red.s * zeta))
 
 
@@ -508,6 +519,6 @@ def map_z_to_xi(red: LegendreReduction, z):
             f"z outside the bounded oval [{c.a1:.6g}, {c.a2:.6g}]"
         )
     z_arr = np.minimum(np.maximum(z_arr, c.a1), c.a2)
-    out = np.minimum(np.maximum(_xi_of_z(red, z_arr), -1.0), 1.0)
+    out = np.minimum(np.maximum(_xi_of_zeta(red, z_arr - c.a1), -1.0), 1.0)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 

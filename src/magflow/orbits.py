@@ -12,12 +12,11 @@ turning roots z1,2 = p -+ sqrt(2E) of xdot relative to [-1, 1]:
 * |p| > 1+sqrt(2E) -> forbidden (empty level set)
 
 All cycle data of a level come from one Legendre reduction of the quartic
-(legendre.LegendreReduction.oval_moments: the moments int (z-p)^j dz/w,
-j = 0, 1, 2, over the bounded oval, as complete elliptic integrals read
-from the rungs of one AGM ladder; LegendreReduction.cycle_values forms
-the period, Delta_y and the action from them).  The sin-x period of a
-cycle is 4 C K(k), the same value the closed-form orbit reads from
-cycle_values.  The y-increment per
+(legendre.LegendreReduction.cycle_values: the period, Delta_y and the
+action from the moments int (z-p)^j dz/w, j = 0, 1, 2, over the bounded
+oval, as complete elliptic integrals read from the rungs of one AGM
+ladder).  The sin-x period of a cycle is 4 C K(k), the same value the
+closed-form orbit reads from cycle_values.  The y-increment per
 cycle is Delta_y = 2 int (p-z) dz / w, which is 0 for p = 0 and, on a
 trapped oval, has sign opposite to p.  The action of a closed curve on the
 level E is S_E = int L_E dt.  On shell |qdot| = sqrt(2E) and ydot = p - z,

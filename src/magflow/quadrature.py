@@ -1,7 +1,7 @@
 """Adaptive quadrature along the real oval of the quartic, the test oracle.
 
 No production path runs it: the period, Delta_y and the cycle action come
-in closed form from legendre.LegendreReduction.oval_moments.  One cycle-data
+in closed form from legendre.LegendreReduction.cycle_values.  One cycle-data
 test (tests/test_orbits.py) and the benchmark's trace use oval_quad as an
 independent check on them, which is also why this module, unlike the
 package, imports scipy.integrate.

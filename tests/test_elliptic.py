@@ -296,6 +296,32 @@ def test_ladder_integral_lanes_equal_float_calls():
     assert len(rungs) >= 4
 
 
+def test_ladder_lanes_do_not_depend_on_their_neighbours():
+    # a lane that stops keeps its last a_n while the others step on, and its
+    # b_n and c_n weigh nothing in R_D and L: K, R_D and L of 1 - k^2
+    # log-uniform in 1e-14 ... 1 (5 to 9 rungs) and of k = 1e-20 (no step),
+    # as one call and in blocks of 1, 7 and 100 lanes, give the same bits.
+    # Where k and k' agree, a stopped lane's a_n is a fixed point of the
+    # step (no change over 2e5 draws); a k' given apart from k (0.5 with
+    # k = 1e-20, where the float call runs no step and K = pi/2) shows a
+    # lane that would step on
+    k, kc, one_c2 = ladder_draws(np.random.default_rng(29), 300)
+    k[::50], kc[::50] = 1e-20, 1.0
+    k[25::50], kc[25::50] = 1e-20, 0.5
+
+    def integrals(s):
+        K, ladder = masked_K_ladder(k[s], kc[s])
+        return K, complete_RD(ladder, k[s] * k[s]), complete_L(ladder, one_c2[s])
+
+    whole = integrals(slice(None))
+    for size in (1, 7, 100):
+        blocks = [integrals(slice(i, i + size)) for i in range(0, len(k), size)]
+        for j, lanes in enumerate(whole):
+            assert np.concatenate([b[j] for b in blocks]).tobytes() == lanes.tobytes(), size
+    rungs = {len(masked_K_ladder(float(a), float(b))[1].a) for a, b in zip(k, kc)}
+    assert min(rungs) == 1 and max(rungs) >= 8
+
+
 def test_complete_K_array_lanes_take_k_prime_from_k():
     # without k' each lane takes it from k as the float call does; a lane
     # outside [0, 1) is NaN, and a lane next to k = 1 makes the call warn once

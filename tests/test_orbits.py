@@ -245,6 +245,106 @@ def test_classify_and_cycle_data_give_one_verdict_over_the_float_range(rng):
     assert 0 < d.failed.sum() < len(E)
 
 
+def mixed_levels(rng):
+    """(E, p) whose AGM ladders stop at different rungs, shuffled side by
+    side: uniform levels; turning roots 1e-9 ... 1 from a wall; crossing
+    levels next to E = 1/2 and p = 0, where g13 and g42 close together and
+    1 - k^2 falls to about 4e-9, the least the separatrix band leaves a
+    reduction (the slowest lanes of the ladder; some fail the self-check);
+    and forbidden, separatrix and vertical-line levels."""
+    n, sign = 200, lambda m: rng.choice([-1.0, 1.0], m)
+    E_uni, p_uni = rng.uniform(0.01, 2.0, n), rng.uniform(-2.5, 2.5, n)
+    E_wall = 10.0 ** rng.uniform(-6.0, 1.0, n)
+    gap = sign(n) * 10.0 ** rng.uniform(-9.0, 0.0, n)  # of the turning root, off the wall
+    p_wall = sign(n) * (1.0 + gap) + sign(n) * np.sqrt(2.0 * E_wall)
+    E_crit = 0.5 * (1.0 + sign(n) * 10.0 ** rng.uniform(-9.0, -1.0, n))
+    p_crit = sign(n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+    E_far = rng.uniform(0.01, 2.0, 20)
+    p_far = sign(20) * (1.0 + np.sqrt(2.0 * E_far) + rng.uniform(0.01, 1.0, 20))
+    # separatrices (a root gap of 1e-11, and a tiny oval whose 2 sqrt(2E) is
+    # 6e-10) and the vertical lines where p -+ sqrt(2E) = +-1 exactly
+    E_band = np.array([0.3, 0.3, 0.72, 5e-20, 0.125, 0.125, 0.125, 0.5])
+    p_band = np.array([1.0 - math.sqrt(0.6) + 1e-11, -1.0 - 1e-11 + math.sqrt(0.6),
+                       1.2 + 1e-11, 0.3, 0.5, -0.5, 1.5, 0.0])
+    E = np.concatenate([E_uni, E_wall, E_crit, E_far, E_band])
+    p = np.concatenate([p_uni, p_wall, p_crit, p_far, p_band])
+    order = rng.permutation(len(E))
+    return E[order], p[order]
+
+
+@pytest.mark.parametrize("tol", [None, 4e-16])
+def test_cycle_data_lanes_do_not_depend_on_their_neighbours(rng, monkeypatch, tol):
+    # the same levels as one call and in blocks of 1, 7 and 100 lanes (a
+    # bench sweep window) give the same bits: a lane whose ladder stopped
+    # keeps its own K while the others step on, and no call writes into
+    # the arrays it was given (float64 arrays, which np.asarray does not
+    # copy); at the tightened tolerance of
+    # test_failed_lanes_are_the_levels_classify_rejects, lanes of every kind
+    # of neighbour fail the self-check
+    import magflow.legendre
+    from magflow.legendre import reduce_lanes
+
+    if tol is not None:
+        monkeypatch.setattr(magflow.legendre, "_NORMALIZATION_TOL", tol)
+    E, p = mixed_levels(rng)
+    E_in, p_in = E.tobytes(), p.tobytes()
+    whole = cycle_data(E, p)
+    for size in (1, 7, 100):
+        blocks = [cycle_data(E[i:i + size], p[i:i + size]) for i in range(0, len(E), size)]
+        for name, lanes in zip(whole._fields, whole):
+            got = np.concatenate([getattr(b, name) for b in blocks])
+            assert got.tobytes() == lanes.tobytes(), (name, size)
+    assert (E.tobytes(), p.tobytes()) == (E_in, p_in)
+    assert set(whole.kind.tolist()) == set(range(len(OrbitKind)))
+    assert 0 < whole.failed.sum() < 0.5 * len(E)
+    with np.errstate(all="ignore"):
+        red, bad = reduce_lanes(quartic_from_params(E, p))
+    kc2 = (red.kc * red.kc)[~bad]
+    assert kc2.min() < 1e-8 and kc2.max() > 0.9
+
+
+def passes_four_targets(red):
+    """The self-check as it read all four map targets, a1's included, each
+    at zeta = z - a1 from a difference of the roots: the oracle of
+    legendre._passes, which reads three from the root gaps."""
+    import magflow.legendre
+
+    cv, h, s, k = red.curve, red.h, red.s, red.k
+    ok = (0.0 < red.k2) & (red.k2 < 1.0) & (red.K == red.K) & (red.C_const > 0.0)
+    for z, want in ((cv.a1, -1.0), (cv.a2, 1.0), (cv.a3, -1.0 / k), (cv.a4, 1.0 / k)):
+        zeta = z - cv.a1
+        got = (zeta - h) / (h * (1.0 - s * zeta))
+        ok = ok & (abs(got - want) <= magflow.legendre._NORMALIZATION_TOL * abs(want))
+    return ok
+
+
+@pytest.mark.parametrize("tol", [None, 4e-16])
+def test_self_check_from_the_gaps_equals_the_four_target_check(rng, monkeypatch, tol):
+    # _passes drops a1's target and reads the others from the gaps; its
+    # verdict equals the four targets' on every lane: mixed and float-range
+    # levels, and garbage lanes (forbidden and degenerate levels, E = inf
+    # and the subnormals, p = +-inf and NaN), on arrays and on floats
+    import magflow.legendre
+    from magflow.legendre import WINDING, _passes, _reduction
+
+    if tol is not None:
+        monkeypatch.setattr(magflow.legendre, "_NORMALIZATION_TOL", tol)
+    E_mix, p_mix = mixed_levels(rng)
+    E_wide, p_wide = wide_levels(rng, 2000)
+    E_bad = np.array([math.inf, math.inf, 5e-324, 1e-320, 1.7e308, 0.3, 0.3, 0.3, 0.3])
+    p_bad = np.array([0.0, math.nan, 0.3, -1.0, 1e308, math.inf, -math.inf, math.nan, -1e300])
+    E, p = (np.concatenate(v) for v in ((E_mix, E_wide, E_bad), (p_mix, p_wide, p_bad)))
+    with np.errstate(all="ignore"):
+        curve = quartic_from_params(E, p)
+        red = _reduction(curve)
+        got, want = _passes(red), passes_four_targets(red)
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < len(want)
+    for i in np.flatnonzero(curve.kind <= WINDING)[::7].tolist():
+        red = _reduction(quartic_from_params(float(E[i]), float(p[i])))
+        assert _passes(red) is passes_four_targets(red) is bool(want[i]), (E[i], p[i])
+
+
 def test_failed_lanes_are_the_levels_classify_rejects(monkeypatch, capsys):
     # no level fails the self-check at its tolerance of 1e-10; at 4e-16 some
     # levels over the README sweep ranges do, which reaches the failed-lane

@@ -124,6 +124,22 @@ def test_scalar_nonfinite_phase_gives_nan(bad):
     assert all(math.isnan(v) for v in sn_cn(bad, masked_K_ladder(0.5)[1]))
 
 
+@pytest.mark.parametrize("p", [0.2, 0.0])
+def test_nonfinite_times_of_an_array_give_nan_silently(p):
+    # numpy warns of an invalid value at the fold inf % 2K, and at p = 0,
+    # where q = 0, at q t = 0 inf; a float gives the same NaN silently, and
+    # so does each lane of an array, under the test suite's RuntimeWarning
+    # filter, equal to its float call bit for bit
+    sol = build_solution(0.1, 0.0, 0.3, p, +1)
+    ts = [math.inf, -math.inf, math.nan, 1.0]
+    lanes = eval_solution(sol, np.array(ts))
+    for i, t in enumerate(ts):
+        s = eval_solution(sol, t)
+        assert [bits(v) for v in (s.x, s.y, s.xdot, s.ydot)] == [bits(v[i]) for v in lanes]
+    assert not any(math.isnan(v[3]) for v in lanes)
+    assert np.array_equal(bits(sn(np.array(ts), 0.3)), bits([sn(t, 0.3) for t in ts]))
+
+
 def draws(rng, n, lo_exp, hi_exp, signed=True):
     """n floats, half uniform in magnitude over [0, 4], half log-uniform
     over [10^lo_exp, 10^hi_exp], with a random sign when signed."""
@@ -139,7 +155,8 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
     # (-1, 1) and up to 1e-15 from either end, the log1p and sqrt of
     # positive terms, rint of (u - v)/2K, which is an integer up to
     # rounding, floor of the half period j and of its halves (with
-    # half-integers, -0.0, NaN and +-inf among them), and the clamp of z
+    # half-integers, -0.0, NaN and +-inf among them), the clamp of z, the
+    # fold and q t of eval_solution, and any and all of a mask
     n = 100_000
     unit = np.clip(draws(rng, n, -20.0, 0.0), -1.0, 1.0)
     unit[:8] = [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 1.0 - 2.0**-53, -1.0 + 2.0**-53]
@@ -160,14 +177,30 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
         # the phase passes NaN as the first operand only
         "minimum": (draws(rng, n, -5.0, 1.0), draws(rng, n, -5.0, 1.0)),
         "maximum": (draws(rng, n, -5.0, 1.0), draws(rng, n, -5.0, 1.0)),
+        # the fold of u + K by 2K >= pi, and q t; +-inf, NaN and 0 among
+        # them, which numpy warns of unless these operations silence it
+        "remainder": (draws(rng, n, -20.0, 8.0), draws(rng, n, 0.5, 3.0, signed=False)),
+        "multiply": (draws(rng, n, -20.0, 8.0), draws(rng, n, -20.0, 8.0)),
     }
     cases["minimum"][0][:2] = cases["maximum"][0][:2] = math.nan
+    cases["remainder"][0][:5] = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+    cases["multiply"][0][:6] = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.0]
+    cases["multiply"][1][:6] = [math.inf, -math.inf, 0.0, -0.0, 1.0, math.nan]
     for name, args in cases.items():
         on_floats = [getattr(FLOAT, name)(*a) for a in zip(*(x.tolist() for x in args))]
         assert np.array_equal(bits(on_floats), bits(getattr(ARRAY, name)(*args))), name
     cond, a, b = rng.uniform(size=n) < 0.5, rng.normal(size=n), rng.normal(size=n)
     on_floats = [FLOAT.where(*v) for v in zip(cond.tolist(), a.tolist(), b.tolist())]
     assert np.array_equal(bits(on_floats), bits(ARRAY.where(cond, a, b)))
+    # any and all of a mask, the numpy bool of a comparison of 0-d arrays
+    # among them, and of a float's comparison
+    zero_d = np.array(0.3)
+    for mask in (np.zeros(0, bool), np.zeros(5, bool), np.arange(7) == 3, np.ones(4, bool),
+                 cond, zero_d > 0.1, zero_d > 1.0):
+        assert bool(ARRAY.any(mask)) is bool(np.any(mask))
+        assert bool(ARRAY.all(mask)) is bool(np.all(mask))
+    for truth in (0.3 > 0.1, 0.3 > 1.0):
+        assert FLOAT.any(truth) is FLOAT.all(truth) is truth
 
 
 def whole_numbers(rng):

@@ -9,7 +9,11 @@ other side.  Each side runs the same fixed, seeded sets in a fresh
 interpreter that imports magflow from that ``src/``:
 
 * ``cycle_data`` on 200,000 levels, in blocks of 16,384 like ``cli sweep``:
-  kind, delta_y, period, action and the failed mask;
+  kind, delta_y, period, action and the failed mask, and the same levels
+  again in blocks of 100 (outputs prefixed ``cycle_data100``), the size of
+  a bench ``sweep`` window, where the lanes of a block stop their AGM
+  ladders at other rungs; it reads the same inputs and draws no random
+  numbers, so every other set keeps its inputs;
 * ``classify`` on 3,000 levels: kind, turning roots, delta_y, period,
   action and contractible, and the same on 2,000 levels over the whole
   float range (outputs prefixed ``classify_wide``);
@@ -139,7 +143,7 @@ N_ACTION, N_SN, N_P0, N_F, N_LONG = 2_000, 20_000, 2_000, 20_000, 6_000
 N_INTEGRATE, N_EVENTS, MAX_EVENTS, N_WIDE, N_FORMULA = 500, 100, 64, 2_000, 2_000
 N_CLI = 40  # command lines per subcommand
 CLI_COMMANDS = ("simulate", "compare", "classify", "orbit", "action", "film", "sweep")
-BLOCK = 16384
+BLOCK, SMALL_BLOCK = 16384, 100
 #: (tol, output prefix) of each run of the integrate set
 INTEGRATE_TOLS = ((1e-11, ""), (1e-9, "tol1e-09_"), (1e-13, "tol1e-13_"))
 #: (x, y, xdot, ydot) and t_end of each extreme integrate run
@@ -340,9 +344,10 @@ def worker(in_path: str, out_path: str) -> None:
     out, errors = {"magflow_file": np.array(magflow.__file__)}, {}
 
     E, p = inp["cycle_E"], inp["cycle_p"]
-    blocks = [cycle_data(E[i:i + BLOCK], p[i:i + BLOCK]) for i in range(0, len(E), BLOCK)]
-    for name in ("kind", "delta_y", "period", "action", "failed"):
-        out[f"cycle_data.{name}"] = np.concatenate([getattr(b, name) for b in blocks])
+    for key, size in (("cycle_data", BLOCK), ("cycle_data100", SMALL_BLOCK)):
+        blocks = [cycle_data(E[i:i + size], p[i:i + size]) for i in range(0, len(E), size)]
+        for name in ("kind", "delta_y", "period", "action", "failed"):
+            out[f"{key}.{name}"] = np.concatenate([getattr(b, name) for b in blocks])
 
     run_classify(inp, "classify", out, errors)
     run_classify(inp, "classify_wide", out, errors)
