@@ -56,8 +56,8 @@ def _complement(k):
 
 
 class Ladder(NamedTuple):
-    """The rungs a_n, b_n, c_n of an AGM ladder, ab[n] = a_n b_n, whose root
-    is b_{n+1}, and ran[n], where step n + 1 ran.
+    """The rungs a_n, b_n, c_n of an AGM ladder, ran[n], where step n + 1
+    ran, and K = pi/(2 a_N) from its last rung.
 
     On array lanes a lane that has stopped keeps its last a_n, hence its K,
     while its b_n and c_n step on with the others, finite and meaningless;
@@ -68,8 +68,8 @@ class Ladder(NamedTuple):
     a: list
     b: list
     c: list
-    ab: list
     ran: list
+    K: float
 
 
 def _agm_ladder(k, kc) -> Ladder:
@@ -84,24 +84,16 @@ def _agm_ladder(k, kc) -> Ladder:
     # looked up once: on a float the lookups cost a third of a step
     sqrt, where, running = xp.sqrt, xp.where, xp.any
     a, b, c = 1.0, kc, k
-    ab = a * b
-    ladder = Ladder([a], [b], [c], [ab], [])
+    avals, bvals, cvals, ran = [a], [b], [c], []
     run = abs(c) > _AGM_TOL
     while running(run):
-        a, b, c = where(run, 0.5 * (a + b), a), sqrt(ab), 0.5 * (a - b)
-        ab = a * b
-        ladder.a.append(a)
-        ladder.b.append(b)
-        ladder.c.append(c)
-        ladder.ab.append(ab)
-        ladder.ran.append(run)
+        a, b, c = where(run, 0.5 * (a + b), a), sqrt(a * b), 0.5 * (a - b)
+        avals.append(a)
+        bvals.append(b)
+        cvals.append(c)
+        ran.append(run)
         run = run & (abs(c) > _AGM_TOL)
-    return ladder
-
-
-def _quarter_period(ladder: Ladder):
-    """K = pi/(2 agm(1, k')) from the last rung of the ladder."""
-    return math.pi / (2.0 * ladder.a[-1])
+    return Ladder(avals, bvals, cvals, ran, math.pi / (2.0 * a))
 
 
 def complete_RD(ladder: Ladder, k2):
@@ -119,7 +111,7 @@ def complete_RD(ladder: Ladder, k2):
         t *= c
         t *= ran
         s += t
-    return 3.0 * _quarter_period(ladder) * (0.5 + s / k2)
+    return 3.0 * ladder.K * (0.5 + s / k2)
 
 
 def complete_L(ladder: Ladder, one_c2):
@@ -134,12 +126,13 @@ def complete_L(ladder: Ladder, one_c2):
 
     which never divides by c^2, so c = 0 takes the same formula.  one_c2
     = 1 - c^2 in (k'^2, 1] and the ladder are floats or array lanes; a lane
-    sums its own rungs only, so it equals the float call bit for bit.  a_n
-    b_n is the ladder's ab[n]; one_c2 is never written into.
+    sums its own rungs only, so it equals the float call bit for bit;
+    one_c2 is never written into.
     """
     p2, p = one_c2, _xp.of(one_c2).sqrt(one_c2)
     Q = s = 1.0
-    for ab, ran in zip(ladder.ab, [True, *ladder.ran]):
+    for a, b, ran in zip(ladder.a, ladder.b, [True, *ladder.ran]):
+        ab = a * b
         d = p2 + ab
         Q *= 0.5
         Q *= p2 - ab
@@ -147,7 +140,7 @@ def complete_L(ladder: Ladder, one_c2):
         s += Q * ran
         d /= 2.0 * p
         p, p2 = d, d * d
-    return _quarter_period(ladder) * s / one_c2
+    return ladder.K * s / one_c2
 
 
 # Carlson's stopping rule 4^-m Q < |A_m| with Q = (3r)^(-1/6) max|A_0 - x|
@@ -215,8 +208,7 @@ class Descent(NamedTuple):
 
 def descent(ladder: Ladder) -> Descent:
     """The Descent of a float ladder, in Python floats."""
-    avals, cvals = ladder.a, ladder.c
-    K = _quarter_period(ladder)
+    avals, _, cvals, _, K = ladder
     return Descent(K, 2.0 * K, (2.0 ** (len(avals) - 1)) * avals[-1],
                    tuple([c / a for a, c in zip(avals[:0:-1], cvals[:0:-1])]))
 
@@ -305,7 +297,7 @@ def masked_K_ladder(k, kc=None):
             )
     ok = ok & (0.0 < kc) & (kc <= 1.0)
     ladder = _agm_ladder(xp.where(ok, k, 0.0), xp.where(ok, kc, 1.0))
-    return xp.where(ok, _quarter_period(ladder), math.nan), ladder
+    return xp.where(ok, ladder.K, math.nan), ladder
 
 
 def complete_K(k, kc=None):
@@ -339,7 +331,7 @@ def F(phi: float, ladder: Ladder) -> float:
     kc = ladder.b[0]
     # 1 - k^2 s^2 = c^2 + k'^2 s^2, a sum of two positive terms
     val = s * _rf(c * c, c * c + kc * kc * s * s, 1.0)
-    return val + 2.0 * n * _quarter_period(ladder) if n != 0 else val
+    return val + 2.0 * n * ladder.K if n != 0 else val
 
 
 def incomplete_F(phi: float, k: float) -> float:
