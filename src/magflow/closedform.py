@@ -90,11 +90,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _xp
-from .dynamics import TWO_PI, PhaseState, state_from_integrals
+from .dynamics import TWO_PI, PhaseState, circuit_states, state_from_integrals
 from .elliptic import F, _sn_cn_rungs
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
@@ -113,7 +114,12 @@ from .legendre import (
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """An exact orbit, evaluable at any time."""
+    """An exact orbit, evaluable at any time.
+
+    It keeps one batch of its own states, circuit: the first batch of the
+    closed-circuit trapezoid rule of the actions, 257 x 4 float64 (8 KiB),
+    formed by the first action on the orbit and freed with it.
+    """
 
     curve: QuarticCurve
     reduction: LegendreReduction
@@ -143,6 +149,19 @@ class ClosedFormSolution:
         if self.curve.kind == CROSSING:
             return 2.0 * self.x_period
         return self.x_period
+
+    @property
+    def circuit_span(self) -> tuple[float, float]:
+        """The closed circuit (0, recurrence_time) of the actions."""
+        return 0.0, self.recurrence_time
+
+    @cached_property
+    def circuit(self) -> np.ndarray:
+        """The states at CIRCUIT_NODES equispaced times over circuit_span,
+        one row (x, y, xdot, ydot) per time, read-only
+        (dynamics.circuit_states).  Formed on first use and kept:
+        action_direct and action_increment both read it."""
+        return circuit_states(self)
 
     def eval(self, t):
         return eval_solution(self, t)

@@ -28,6 +28,10 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
+#: nodes of the first batch of the closed-circuit trapezoid rule over an
+#: orbit's circuit span (circuit_states, orbits._circuit_trapezoid)
+CIRCUIT_NODES = 257
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -95,6 +99,22 @@ def reduced_lagrangian(state, E: float):
         raise DomainError(f"energy level must be nonnegative, got {E}")
     x, xd, yd = _unpack(state)
     return math.sqrt(2.0 * E) * np.hypot(xd, yd) + np.sin(x) * yd
+
+
+def circuit_states(orbit) -> np.ndarray:
+    """The states of orbit at CIRCUIT_NODES equispaced times over
+    orbit.circuit_span = (a, b), a < b, forward in time: one row
+    (x, y, xdot, ydot) per time, read-only.
+
+    The rows are the transpose of the four arrays orbit.eval returns, so
+    each column reads contiguous memory.  ClosedFormSolution.circuit and
+    Trajectory.circuit keep it, 257 x 4 float64 (8 KiB) per orbit, so the
+    actions of one orbit share one evaluation.
+    """
+    a, b = orbit.circuit_span
+    q = np.array(orbit.eval(np.linspace(a, b, CIRCUIT_NODES)))
+    q.flags.writeable = False
+    return q.T
 
 
 def state_from_integrals(

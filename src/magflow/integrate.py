@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dop853 import A, A_EXTRA, B, D, E3, E5
-from .dynamics import PhaseState, energy, momentum, rhs
+from .dynamics import PhaseState, circuit_states, energy, momentum, rhs
 from .errors import DomainError, StepFailure
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
@@ -67,10 +67,15 @@ def _interpolate(F, x, y_old):
     return y + y_old
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """One integrated orbit: the solver's accepted steps and the 7th-order
-    interpolant of each, as scipy's Dop853DenseOutput holds one step's."""
+    interpolant of each, as scipy's Dop853DenseOutput holds one step's.
+
+    Like a closed-form solution, it keeps the first batch of the
+    closed-circuit trapezoid rule of the actions, circuit: 257 x 4 float64
+    (8 KiB), formed by the first action on the run and freed with it.
+    """
 
     t: np.ndarray       # step ends, n + 1 of them, monotone in the direction of t_end
     states: np.ndarray  # shape (n + 1, 4): x, y, xdot, ydot at the step ends
@@ -93,6 +98,20 @@ class Trajectory:
     @property
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0])
+
+    @property
+    def circuit_span(self) -> tuple[float, float]:
+        """The span of the run as (a, b), a < b, forward in time, also
+        for a run integrated backwards."""
+        return tuple(sorted((float(self.t[0]), float(self.t[-1]))))
+
+    @functools.cached_property
+    def circuit(self) -> np.ndarray:
+        """The states at CIRCUIT_NODES equispaced times over circuit_span,
+        one row (x, y, xdot, ydot) per time, read-only
+        (dynamics.circuit_states).  Formed on first use and kept:
+        action_direct and action_increment both read it."""
+        return circuit_states(self)
 
     def eval(self, t):
         """The interpolant at t; scalar t gives a PhaseState, an array of any

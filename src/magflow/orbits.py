@@ -27,8 +27,12 @@ equals int xdot^2 dt + p Delta_y, and for the simple contractible orbits
 it has the closed expression 2 int_{-a}^{a} sqrt(2E - sin^2 x) dx,
 a = arcsin sqrt(2E), which is a complete elliptic integral too.
 action_direct and action_increment integrate over a given orbit by the
-closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL = 1e-8, one
-orbit evaluation).
+closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL = 1e-8), forward
+in time over the orbit's circuit span.  Its first batch, the states at the
+257 nodes, is the orbit's own circuit (dynamics.circuit_states), 8 KiB
+formed by the first action and kept with the orbit, so both actions on one
+orbit take one orbit evaluation together; only refinement midpoints, which
+depend on the integrand, are evaluated per call.
 
 The kind rule lives in legendre.quartic_from_params, with the roots and
 gaps it reads; this module reads QuarticCurve.kind and never tests the
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
-from .dynamics import TWO_PI, energy, momentum, reduced_lagrangian
+from .dynamics import CIRCUIT_NODES, TWO_PI, energy, momentum, reduced_lagrangian
 from .elliptic import _rd
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
@@ -74,9 +78,8 @@ from .legendre import (
 #: so rounding noise cannot flip the verdict)
 EPS_CONTRACTIBLE = 1e-10
 
-#: nodes of the closed-circuit trapezoid rule's one batch over [0, T]
-CIRCUIT_NODES = 257
-#: the rule refines until two successive sums differ by less than this
+#: the closed-circuit trapezoid rule, from its first batch of CIRCUIT_NODES
+#: (dynamics), refines until two successive sums differ by less than this
 CIRCUIT_TOL = 1e-8
 
 
@@ -179,8 +182,9 @@ def cycle_data(E, p) -> CycleData:
 
     The levels run through the formulas classify runs, as array lanes: one
     curve of the whole grid decides the kinds, and the kind masks the
-    vertical-line data and the moments of one Legendre reduction of every
-    lane.  Each lane equals classify(E, p) bit for bit.
+    moments of one Legendre reduction of every lane and the vertical-line
+    data, which are formed only on a grid with some vertical-line lane.
+    Each lane equals classify(E, p) bit for bit.
     """
     E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
                                np.atleast_1d(np.asarray(p, dtype=float)))
@@ -190,13 +194,17 @@ def cycle_data(E, p) -> CycleData:
         curve = quartic_from_params(E, p)  # DomainError unless E > 0
         red, bad = reduce_lanes(curve)
         cycle = red.cycle_values()
-        line_period, line_action = _line_data(curve)
-    oval, line = curve.kind <= WINDING, curve.kind == VERTICAL
+        line = curve.kind == VERTICAL
+        line_data = _line_data(curve) if np.count_nonzero(line) else None
+    oval = curve.kind <= WINDING
     failed = oval & bad
     ok = oval & ~bad
     delta_y = np.where(ok, cycle[1], np.nan)
-    period = np.where(ok, cycle[0], np.where(line, line_period, np.nan))
-    action = np.where(ok, cycle[2], np.where(line, line_action, np.nan))
+    period = np.where(ok, cycle[0], np.nan)
+    action = np.where(ok, cycle[2], np.nan)
+    if line_data is not None:  # no lane is both an oval and a vertical line
+        period = np.where(line, line_data[0], period)
+        action = np.where(line, line_data[1], action)
     return CycleData(curve.kind, delta_y, period, action, failed)
 
 
@@ -248,29 +256,30 @@ def contractible_orbit(
 # action functionals
 
 
-def _orbit_period(orbit) -> float:
-    if isinstance(orbit, ClosedFormSolution):
-        return orbit.recurrence_time
-    if isinstance(orbit, Trajectory):
-        return orbit.duration
+def _circuit_span(orbit) -> tuple[float, float]:
+    if isinstance(orbit, (ClosedFormSolution, Trajectory)):
+        return orbit.circuit_span
     raise DomainError(f"unsupported orbit type {type(orbit).__name__}")
 
 
-def _circuit_trapezoid(orbit, T: float, integrand):
-    """Closed-circuit trapezoid rule for int_0^T integrand dt: (value, start, end).
+def _circuit_trapezoid(orbit, integrand):
+    """Closed-circuit trapezoid rule for int_a^b integrand dt over
+    (a, b) = orbit.circuit_span: (value, start, end).
 
-    One evaluation at CIRCUIT_NODES equispaced times over [0, T] serves the
-    closure test (endpoints equal on the torus to 1e-6, else OpenCurve), the
-    start state integrand(start, states) may read, with the states
-    (x, y, xdot, ydot) stacked along the last axis, and the sums T_n and
-    T_{n/2}, whose end weights (f_0 + f_n)/2 suit a curve closed only to 1e-6.
-    On a smooth T-periodic integrand they converge geometrically (Trefethen &
-    Weideman, SIAM Rev. 56, 2014).  Until |T_n - T_{n/2}| < CIRCUIT_TOL, the n
-    midpoints are evaluated in one call and n doubles, at most 12 times.
+    The first batch is orbit.circuit, the read-only states at CIRCUIT_NODES
+    equispaced times over [a, b], formed once per orbit and shared by every
+    call on it.  It serves the closure test (endpoints equal on the torus to
+    1e-6, else OpenCurve), the start state integrand(start, states) may
+    read, with the states (x, y, xdot, ydot) stacked along the last axis,
+    and the sums T_n and T_{n/2}, whose end weights (f_0 + f_n)/2 suit a
+    curve closed only to 1e-6.  On a smooth periodic integrand they converge
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  Until
+    |T_n - T_{n/2}| < CIRCUIT_TOL, the n midpoints are evaluated in one call
+    of this rule's own and n doubles, at most 12 times.
     """
-    n = CIRCUIT_NODES - 1
-    # rows x, y, xdot, ydot, transposed: each column reads contiguous memory
-    q = np.array(orbit.eval(np.linspace(0.0, T, n + 1))).T
+    a, b = orbit.circuit_span
+    T, n = b - a, CIRCUIT_NODES - 1
+    q = orbit.circuit
     start, end = q[0], q[-1]
     d = end - start  # x and y on the torus, the velocities as they are
     gap = max(abs(math.remainder(d[0], TWO_PI)), abs(math.remainder(d[1], TWO_PI)),
@@ -284,7 +293,7 @@ def _circuit_trapezoid(orbit, T: float, integrand):
     while abs(s - prev) >= CIRCUIT_TOL:
         if n >= (CIRCUIT_NODES - 1) << 12:
             raise MagflowError(f"trapezoid refinement did not stabilize to {CIRCUIT_TOL}")
-        q = np.array(orbit.eval(np.linspace(0.0, T, 2 * n + 1)[1::2])).T
+        q = np.array(orbit.eval(np.linspace(a, b, 2 * n + 1)[1::2])).T
         total += integrand(start, q).sum()
         n *= 2
         s, prev = total * (T / n), s
@@ -292,33 +301,36 @@ def _circuit_trapezoid(orbit, T: float, integrand):
 
 
 def action_direct(orbit) -> float:
-    """S_E = int L_E dt over one closed circuit [0, T] of the orbit.
+    """S_E = int L_E dt over one closed circuit of the orbit.
 
-    T is the recurrence_time of a closed-form solution and the duration of
-    an integrated Trajectory, which must so span exactly one circuit; any
+    The circuit is [0, recurrence_time] of a closed-form solution and the
+    span of an integrated Trajectory, taken forward in time also for a run
+    integrated backwards; the run must so span exactly one circuit.  Any
     other orbit raises DomainError.  The endpoints must agree on the torus
-    to 1e-6, else OpenCurve.  E is the energy at t = 0; the closed-circuit
-    trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the integral from one
-    evaluation of the orbit where it converges there.
+    to 1e-6, else OpenCurve.  E is the energy at the start of the circuit;
+    the closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) takes the
+    integral from the orbit's circuit batch where it converges there, the
+    batch action_increment reads too.
     """
-    T = _orbit_period(orbit)
-    if T == 0.0:
+    a, b = _circuit_span(orbit)
+    if a == b:
         return 0.0
-    return _circuit_trapezoid(orbit, T, lambda s0, q: reduced_lagrangian(q, energy(s0)))[0]
+    return _circuit_trapezoid(orbit, lambda s0, q: reduced_lagrangian(q, energy(s0)))[0]
 
 
 def action_increment(orbit) -> float:
     """S_E via the closed-curve identity int xdot^2 dt + p Delta_y.
 
-    The circuit [0, T] is action_direct's.  p is ydot + sin x at t = 0 and
-    Delta_y = y(T) - y(0) is the lifted increment; both come from the batch
-    of the closed-circuit trapezoid rule (257 nodes, tol CIRCUIT_TOL) that
-    integrates xdot^2.
+    The circuit is action_direct's.  p is ydot + sin x at its start and
+    Delta_y = y(end) - y(start) is the lifted increment; both come from the
+    first batch of the closed-circuit trapezoid rule (257 nodes, tol
+    CIRCUIT_TOL) that integrates xdot^2, the orbit's circuit batch that
+    action_direct reads too.
     """
-    T = _orbit_period(orbit)
-    if T == 0.0:
+    a, b = _circuit_span(orbit)
+    if a == b:
         return 0.0
-    s, start, end = _circuit_trapezoid(orbit, T, lambda s0, q: q[:, 2] * q[:, 2])
+    s, start, end = _circuit_trapezoid(orbit, lambda s0, q: q[:, 2] * q[:, 2])
     return s + momentum(start) * (end[1] - start[1])
 
 

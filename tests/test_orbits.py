@@ -213,6 +213,40 @@ def test_cycle_data_lanes_equal_classify(rng):
     assert set(d.kind.tolist()) == set(range(len(kinds)))
 
 
+def test_cycle_data_forms_the_line_data_only_next_to_a_vertical_line(monkeypatch):
+    # a window of no vertical-line lane skips _line_data, a window of exactly
+    # one forms it, and so does a single vertical-line cell; every lane,
+    # and a single cell of each kind, equals classify bit for bit
+    import magflow.orbits
+
+    calls = []
+    line_data = magflow.orbits._line_data
+
+    def counted(curve):
+        calls.append(np.size(curve.E))
+        return line_data(curve)
+
+    monkeypatch.setattr(magflow.orbits, "_line_data", counted)
+    E, p = (g.ravel() for g in np.meshgrid(np.linspace(0.05, 1.2, 10),
+                                           np.linspace(-2.0, 2.0, 10)))
+    line = (0.5, 2.0)  # p - sqrt(2E) = 1: the vertical line x = pi/2
+    cells = [(0.125, 0.0), (0.3, 0.6), (3.0, 0.1), line, (0.5, 1e-10), (0.125, 2.5)]
+    kinds = list(OrbitKind)
+    bits = lambda vals: [float.hex(float(v)) if v == v else "nan" for v in vals]  # noqa: E731
+    for E_w, p_w, n_line in [(E, p, 0), (np.append(E, line[0]), np.append(p, line[1]), 1),
+                             *(([e], [q], int((e, q) == line)) for e, q in cells)]:
+        calls.clear()
+        d = cycle_data(E_w, p_w)
+        assert np.count_nonzero(d.kind == kinds.index(OrbitKind.VERTICAL_LINE)) == n_line
+        assert calls == ([len(E_w)] if n_line else [])
+        for i, (e, q) in enumerate(zip(np.asarray(E_w).tolist(), np.asarray(p_w).tolist())):
+            c = classify(e, q)
+            values = [math.nan if v is None else v for v in (c.delta_y, c.period, c.action)]
+            assert kinds[d.kind[i]] is c.kind, (e, q)
+            assert bits([d.delta_y[i], d.period[i], d.action[i]]) == bits(values), (e, q)
+    assert {classify(e, q).kind for e, q in cells} == set(OrbitKind)
+
+
 def wide_levels(rng, n):
     """(E, p) over the whole float range: E log-uniform over [5e-324, 1.7e308];
     p uniform over [-3, 3], log-uniform in |p| up to 1e300, or exactly 0."""
@@ -511,32 +545,99 @@ def test_action_positive_for_contractible_orbits():
         assert abs(direct - formula) < 1e-6
 
 
-@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8])
-def test_each_action_is_one_orbit_evaluation(d, monkeypatch):
-    # the closed-circuit trapezoid rule's one batch of 257 nodes serves the
-    # closure test, the start state and the quadrature to 1e-8 together
-    E = 0.5 * (1.0 - d)
-    sol = contractible_orbit(E)
-    formula = action_contractible_formula(E)
+def counted_eval(monkeypatch, cls):
+    """Record the size of each cls.eval call; return the list of sizes."""
     calls = []
-    eval_ = ClosedFormSolution.eval
+    eval_ = cls.eval
 
     def counted(self, t):
         calls.append(np.size(t))
         return eval_(self, t)
 
-    monkeypatch.setattr(ClosedFormSolution, "eval", counted)
-    for action in (action_direct, action_increment):
+    monkeypatch.setattr(cls, "eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_each_action_is_one_orbit_evaluation(d, monkeypatch):
+    # the orbit keeps the closed-circuit trapezoid rule's first batch of 257
+    # nodes, which serves the closure test, the start state and the
+    # quadrature to 1e-8 of both actions: on a fresh orbit, in either order,
+    # the two make one evaluation together, and either order gives each
+    # action the bits it has alone on a fresh orbit
+    E = 0.5 * (1.0 - d)
+    formula = action_contractible_formula(E)
+    actions = (action_direct, action_increment)
+    alone = {action: action(contractible_orbit(E)) for action in actions}
+    calls = counted_eval(monkeypatch, ClosedFormSolution)
+    for order in (actions, actions[::-1]):
+        sol = contractible_orbit(E)
         calls.clear()
-        value = action(sol)
+        values = {action: action(sol) for action in order}
         assert calls == [257]
-        assert abs(value - formula) < 1e-13
+        for action in order + order:
+            assert float.hex(action(sol)) == float.hex(values[action])
+        assert calls == [257]
+        for action, value in values.items():
+            assert float.hex(value) == float.hex(alone[action])
+            assert abs(value - formula) < 1e-13
+
+
+def test_the_circuit_batch_is_read_only():
+    sol = contractible_orbit(0.3)
+    q = sol.circuit
+    assert q.shape == (257, 4) and q is sol.circuit
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        q.base[0, 0] = 1.0
+    assert q[0].tolist() == sol.eval(0.0).as_array().tolist()
+
+
+def test_refinement_past_the_circuit_batch_leaves_it_unchanged(monkeypatch):
+    # |xdot| has a kink at each turning point, so the rule converges like
+    # 1/n^2 and doubles past 257 nodes; the integral of |xdot| over one
+    # circuit of the contractible orbit is 4 asin sqrt(2E)
+    E = 0.2
+    sol = contractible_orbit(E)
+    q = sol.circuit
+    before = q.tobytes()
+    calls = counted_eval(monkeypatch, ClosedFormSolution)
+    value = _circuit_trapezoid(sol, lambda s0, q: np.abs(q[:, 2]))[0]
+    assert len(calls) >= 2
+    assert calls == [256 << i for i in range(len(calls))]
+    assert sol.circuit is q and q.tobytes() == before
+    assert value == pytest.approx(4.0 * math.asin(math.sqrt(2.0 * E)), abs=1e-8)
+
+
+def test_both_actions_of_a_run_are_one_evaluation(monkeypatch):
+    from magflow.integrate import Trajectory
+
+    sol = contractible_orbit(0.3)
+    traj = integrate(sol.eval(0.0), sol.recurrence_time, 1e-12)
+    calls = counted_eval(monkeypatch, Trajectory)
+    direct, increment = action_direct(traj), action_increment(traj)
+    assert calls == [257]
+    formula = action_contractible_formula(0.3)
+    assert abs(direct - formula) < 1e-9 and abs(increment - formula) < 1e-9
+
+
+@pytest.mark.parametrize("E", [0.1, 0.3, 0.45])
+def test_actions_of_a_backward_run_keep_their_sign(E):
+    # a run from t = 0 back to -T spans the same circuit, taken forward in
+    # time from -T to 0
+    sol = contractible_orbit(E)
+    formula = action_contractible_formula(E)
+    for t_end in (sol.recurrence_time, -sol.recurrence_time):
+        traj = integrate(sol.eval(0.0), t_end, 1e-12)
+        assert abs(action_direct(traj) - formula) < 1e-9
+        assert abs(action_increment(traj) - formula) < 1e-9
 
 
 def test_action_increment_equals_xdot_square_integral_at_p_zero():
     sol = contractible_orbit(0.125)
     # p = 0: increment form reduces to the xdot^2 integral
-    xdot2 = _circuit_trapezoid(sol, sol.recurrence_time, lambda s0, q: q[:, 2] * q[:, 2])[0]
+    xdot2 = _circuit_trapezoid(sol, lambda s0, q: q[:, 2] * q[:, 2])[0]
     assert action_increment(sol) == pytest.approx(xdot2, abs=1e-12)
 
 

@@ -30,7 +30,11 @@ interpreter that imports magflow from that ``src/``:
   a phase runs to about 1e5 and the fold, the parity and the sheet of x
   meet large whole numbers, with NaN, +inf and -inf among the times;
 * ``action_direct`` and ``action_increment`` on 2,000 contractible orbits
-  (``contractible_orbit``);
+  (``contractible_orbit``), and ``action_increment`` then ``action_direct``
+  on a fresh orbit of the same inputs (outputs prefixed
+  ``actions_reversed.``), so that neither the call order nor the batch
+  of states an orbit keeps for both actions moves a value; it reads the
+  same inputs and draws no random numbers;
 * ``action_contractible_formula`` on 2,000 energies (output
   ``action_formula``), so that a change of its R_D shows its own move, as
   ``elliptic.F`` shows that of F's R_F;
@@ -428,31 +432,36 @@ def run_orbits(inp: dict, key: str, prefix: str, out: dict, errors: dict) -> Non
 
 
 def run_actions(inp: dict, out: dict, errors: dict) -> None:
-    """action_direct and action_increment on the contractible orbit set."""
+    """action_direct and action_increment on the contractible orbit set, and
+    again in the reverse order on a fresh orbit of the same inputs (outputs
+    prefixed ``actions_reversed.``)."""
     from magflow import action_direct, action_increment, contractible_orbit
 
-    actions = (action_direct, action_increment)
-    values = np.full((len(actions), len(inp["action_E"])), math.nan)
-    err = {name: [] for name in ("contractible_orbit", *(f.__name__ for f in actions))}
-    for i, (E, strip, phase) in enumerate(zip(inp["action_E"].tolist(),
-                                              inp["action_strip"].tolist(),
-                                              inp["action_phase"].tolist())):
-        try:
-            sol = contractible_orbit(E, strip, phase)
-        except Exception as exc:
-            err["contractible_orbit"].append(type(exc).__name__)
-            continue
-        err["contractible_orbit"].append("")
-        for j, action in enumerate(actions):
+    orders = (("", (action_direct, action_increment)),
+              ("actions_reversed.", (action_increment, action_direct)))
+    for prefix, actions in orders:
+        values = np.full((len(actions), len(inp["action_E"])), math.nan)
+        err = {prefix + name: []
+               for name in ("contractible_orbit", *(f.__name__ for f in actions))}
+        for i, (E, strip, phase) in enumerate(zip(inp["action_E"].tolist(),
+                                                  inp["action_strip"].tolist(),
+                                                  inp["action_phase"].tolist())):
             try:
-                values[j, i] = action(sol)
+                sol = contractible_orbit(E, strip, phase)
             except Exception as exc:
-                err[action.__name__].append(type(exc).__name__)
-            else:
-                err[action.__name__].append("")
-    for j, action in enumerate(actions):
-        out[action.__name__] = values[j]
-    errors.update(err)
+                err[prefix + "contractible_orbit"].append(type(exc).__name__)
+                continue
+            err[prefix + "contractible_orbit"].append("")
+            for j, action in enumerate(actions):
+                try:
+                    values[j, i] = action(sol)
+                except Exception as exc:
+                    err[prefix + action.__name__].append(type(exc).__name__)
+                else:
+                    err[prefix + action.__name__].append("")
+        for j, action in enumerate(actions):
+            out[prefix + action.__name__] = values[j]
+        errors.update(err)
 
 
 def run_action_formula(inp: dict, out: dict, errors: dict) -> None:
