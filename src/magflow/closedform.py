@@ -73,17 +73,18 @@ bit (_orbit_phase).
 
 Per sample, a batch costs one floor-mod (the fold of u to v), a sin and
 an arcsin per Landen rung, and where c != 0 a cos, a sqrt and an artanh
-per rung of the theta sum: about 220 ns at p != 0 and 145 ns at p = 0
-(4,000 samples at E = 0.3, 5 Landen rungs and 4 theta rungs, 2-CPU x86-64
+per rung of the theta sum: about 215 ns at p = 0.3 and 130 ns at p = 0
+(4,000 samples at E = 0.3, 5 Landen rungs and 5 theta rungs, 2-CPU x86-64
 host).  The parity (-1)^j and the sheet of a crossing orbit take floors,
 not floor-mods (_xp.mod2), which cost a twentieth as much.  Per call it
-costs about 130 numpy calls at p != 0 and 75 at p = 0, 64 and 42 us at 16
-samples there.  The constants those calls read are formed once per
-reduction (LegendreReduction.phase_constants, by the build, and for arrays
-phase_constants_0d, by the first array evaluation), and each temporary
-that nothing else holds is updated in place.  On a one-sample array
-numpy's in-place operations cost more than new arrays, so such a call
-takes longer than one of a few samples; a scalar t takes the float path.
+costs about 130 numpy calls at p != 0 and 75 at p = 0, 85 and 50 us at 16
+samples there.  The constants those calls read are one record of Python
+floats, formed once per reduction, by the build
+(LegendreReduction.phase_constants), for floats and arrays alike (_xp),
+and each temporary that nothing else holds is updated in place.  On a
+one-sample array numpy's in-place operations cost more than new arrays, so
+such a call takes longer than one of a few samples; a scalar t takes the
+float path.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ from .legendre import (
     LegendreReduction,
     PhaseConstants,
     QuarticCurve,
-    _constants,
     _xi_of_zeta,
     _z_of_xi,
     quartic_from_params,
@@ -284,8 +284,7 @@ def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     every sample at (t + D)/C, a float for a scalar t; a float phase equals
     its lane of an array bit for bit, so y(0) = y0 on either path.
     """
-    xp = _xp.of(u)
-    pc = _constants(red, xp)
+    xp, pc = _xp.of(u), red.phase_constants
     j, flip, sn, cn, v, phi, sin_phi = _sn_cn_rungs(u, pc.descent)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
@@ -376,7 +375,7 @@ def eval_solution(sol: ClosedFormSolution, t):
     scalar = t.ndim == 0
     t = float(t) if scalar else t
     xp, red = _xp.of(t), sol.reduction
-    pc = _constants(red, xp)
+    pc = red.phase_constants
     u = t + sol.D
     u /= pc.C
     x, z, xdot, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0), u)

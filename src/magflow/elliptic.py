@@ -216,9 +216,8 @@ def descent(ladder: Ladder) -> Descent:
 def _sn_cn_rungs(u, d: Descent):
     """sn_cn with the phases of its descent: (j, (-1)^j, sn, cn, v, phi, sin_phi).
 
-    d holds the constants of the ladder (Descent): Python floats for a
-    float u, and Python floats or float64 0-d arrays for an array u, which
-    give the same values (an array operand costs numpy less per call).
+    d holds the constants of the ladder (Descent) in Python floats, for a
+    float u and an array u alike (see _xp).
     v = u - 2K j is the folded phase in [-K, K], and phi[n], sin_phi[n]
     are the Landen amplitude of v at rung n, of modulus c_n/a_n, and its
     sine, for n = 0 ... N, so phi[0] is the amplitude of v itself.

@@ -96,10 +96,6 @@ class Trajectory:
         return PhaseState.from_array(self.states[-1])
 
     @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-    @property
     def circuit_span(self) -> tuple[float, float]:
         """The span of the run as (a, b), a < b, forward in time, also
         for a run integrated backwards."""

@@ -190,16 +190,6 @@ class PhaseConstants(NamedTuple):
     theta: tuple | None
 
 
-def _zero_d(pc: PhaseConstants) -> PhaseConstants:
-    """pc with each of its floats a float64 0-d array."""
-    arr, d, theta = np.array, pc.descent, pc.theta
-    if theta is not None:
-        Z, bounds, rungs = theta
-        theta = (arr(Z), tuple(map(arr, bounds)), [(n, *map(arr, r)) for n, *r in rungs])
-    return PhaseConstants(Descent(*map(arr, d[:3]), tuple(map(arr, d.ratios))),
-                          *map(arr, pc[1:-2]), None if pc.cL is None else arr(pc.cL), theta)
-
-
 @dataclass(frozen=True)
 class LegendreReduction:
     """Constants and coordinate map taking the quartic to Legendre form.
@@ -210,7 +200,7 @@ class LegendreReduction:
     fields, formed once by the reduction.  The fields are floats, or
     arrays of one shape when the curve's are.  A float reduction also
     keeps, once formed, the constants of a closed-form orbit on it: L,
-    theta_terms, phase_constants and phase_constants_0d.
+    theta_terms and phase_constants.
     """
 
     curve: QuarticCurve
@@ -288,8 +278,12 @@ class LegendreReduction:
     @cached_property
     def phase_constants(self) -> PhaseConstants:
         """The PhaseConstants of a float reduction, in Python floats: the
-        constants of a closed-form phase on floats.  Formed on first use (by
-        build_solution, at its start phase) and kept.
+        constants of every closed-form phase on it, on floats and on arrays
+        alike.  Formed on first use (by build_solution, at its start phase)
+        and kept.  A float operand gives numpy the float64 operation that a
+        0-d array of it would, so one record serves both operands bit for
+        bit, and a 0-d copy would cost more to form than an orbit's one or
+        two array evaluations save (_xp).
         """
         c, one_c2 = self.c, self.one_c2
         kc2 = self.kc * self.kc
@@ -306,19 +300,6 @@ class LegendreReduction:
             two_one_rho=2.0 * (1.0 + rho), two_rho_one_c2=2.0 * rho * one_c2,
             p=cv.p, q=self.q, C=self.C_const, Chc=self.C_const * self.h * self.one_c,
             two_E=2.0 * cv.E, cL=cL, theta=theta)
-
-    @cached_property
-    def phase_constants_0d(self) -> PhaseConstants:
-        """phase_constants with each float a float64 0-d array, the
-        constants of a phase on arrays: numpy multiplies an array by a 0-d
-        array in about two thirds of the time it takes for a Python float,
-        which it converts on every call.  The values are the same, so a
-        phase on floats equals its lane of one on arrays bit for bit.
-        Formed on the first array evaluation and kept; forming a 0-d array
-        costs about what one operation saves, so the record pays from the
-        second array evaluation of an orbit on.
-        """
-        return _zero_d(self.phase_constants)
 
     def cycle_values(self):
         """(period, Delta_y, action) of one sin-x cycle, 2 m_0, -2 m_1 and
@@ -489,17 +470,10 @@ def _xi_of_zeta(red: LegendreReduction, zeta):
     return (zeta - red.h) / (red.h * (1.0 - red.s * zeta))
 
 
-def _constants(red: LegendreReduction, xp) -> PhaseConstants:
-    """The PhaseConstants of a float reduction for operands of xp: 0-d
-    arrays for _xp.ARRAY, Python floats for _xp.FLOAT."""
-    return red.phase_constants_0d if xp is _xp.ARRAY else red.phase_constants
-
-
 def _z_of_xi(red: LegendreReduction, xi):
     """z of xi in [-1, 1], a float or an array, clamped to the oval [a1, a2]
     that rounding may leave by an ulp; on a float reduction."""
-    xp = _xp.of(xi)
-    pc = _constants(red, xp)
+    xp, pc = _xp.of(xi), red.phase_constants
     z = xi + 1.0  # a1 + h (1 + xi)/(1 + c xi)
     z *= pc.h
     den = pc.c * xi

@@ -330,41 +330,38 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # second ladder of the same modulus, nor a start phase wrapped in an
     # array again can come back unseen.  y's third-kind term reads the
     # phases of that same descent where p != 0, and its constants of the
-    # parameter a are formed once, by the build; so is the record of the
-    # phase's constants, in floats by the build and in 0-d arrays by the
-    # first array evaluation, and later evaluations reuse both; no
-    # scipy.special function runs, since importing scipy.special fails here
+    # parameter a are formed once, by the build; so is the one record of
+    # the phase's constants, in Python floats, which every later evaluation
+    # reads, on arrays and on a scalar alike, with no second record beside
+    # it; no scipy.special function runs, since importing scipy.special
+    # fails here
     import sys
 
     import magflow.closedform
     import magflow.elliptic
     import magflow.legendre
 
-    batches, ladders, records = [], [], []
+    batches, ladders, records, read = [], [], [], []
     rungs, agm_ladder = magflow.closedform._sn_cn_rungs, magflow.elliptic._agm_ladder
-    descent, zero_d = magflow.legendre.descent, magflow.legendre._zero_d
+    descent = magflow.legendre.descent
 
-    def counted(u, ladder):
+    def counted(u, d):
         batches.append((type(u), np.size(u)))
-        return rungs(u, ladder)
+        read.append(d)
+        return rungs(u, d)
 
     def counted_ladder(k, kc):
         ladders.append((k, kc))
         return agm_ladder(k, kc)
 
     def counted_descent(ladder):
-        records.append("floats")
+        records.append(ladder)
         return descent(ladder)
-
-    def counted_zero_d(pc):
-        records.append("0-d")
-        return zero_d(pc)
 
     # patched where closedform, masked_K_ladder and the reduction look them up
     monkeypatch.setattr(magflow.closedform, "_sn_cn_rungs", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
     monkeypatch.setattr(magflow.legendre, "descent", counted_descent)
-    monkeypatch.setattr(magflow.legendre, "_zero_d", counted_zero_d)
     monkeypatch.setitem(sys.modules, "scipy.special", None)
     sol = build_solution(x0, 0.0, E, p, sgn)
     assert batches == [(float, 1)]
@@ -373,9 +370,8 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     kept = vars(sol.reduction)
     theta = kept.get("theta_terms")
     assert (theta is None) == (p == 0.0)
-    assert records == ["floats"]
+    assert len(records) == 1
     floats = kept["phase_constants"]
-    assert "phase_constants_0d" not in kept
     batches.clear()
     ladders.clear()
     out = eval_solution(sol, np.linspace(0.0, 50.0, 1000))
@@ -383,12 +379,13 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     assert ladders == []
     assert kept.get("theta_terms") is theta
     assert all(np.isfinite(v).all() for v in out)
-    zero_d_record = kept["phase_constants_0d"]
     eval_solution(sol, np.linspace(0.0, 5.0, 7))
     eval_solution(sol, 1.5)
-    assert records == ["floats", "0-d"]
+    assert len(records) == 1
     assert kept["phase_constants"] is floats
-    assert kept["phase_constants_0d"] is zero_d_record
+    assert len(read) == 4 and all(d is floats.descent for d in read)
+    records_kept = [v for v in kept.values() if isinstance(v, magflow.legendre.PhaseConstants)]
+    assert records_kept == [floats]
 
 
 @pytest.mark.parametrize("x0, E, p, sgn", [

@@ -147,7 +147,7 @@ def test_samples_accessors():
     traj = integrate(PhaseState(0.0, 0.0, 0.5, 0.0), 3.0, 1e-9)
     assert np.all(np.diff(traj.t) > 0.0)
     assert traj.initial_state.xdot == 0.5
-    assert traj.duration == pytest.approx(3.0)
+    assert traj.circuit_span == pytest.approx((0.0, 3.0))
     assert traj.n_steps == len(traj.t) - 1 > 0
     assert traj.nfev > traj.n_steps
     x, _, _, _ = traj.eval(np.linspace(0.0, 3.0, 7))
