@@ -26,13 +26,9 @@ cent of arguments, and a ufunc runs the same kernel on a float as on an
 array.  Otherwise a float is never wrapped in a 0-d array: numpy's per-call
 overhead would cost a one-level call more than its arithmetic does.  The
 constants an array formula reads are Python floats too, one record for
-both operands (legendre.LegendreReduction.phase_constants): a float
-operand gives numpy the float64 operation a 0-d array of it would, so the
-result is the same bit for bit.  numpy converts a Python float anew on each
-call, which costs a 16-sample orbit evaluation about 12 us of 86 at p != 0;
-but a twin record of 0-d arrays took about 11 us to form, and an orbit is
-evaluated on arrays once or twice (its samples, and the circuit of its
-actions), so the twin did not pay (2-CPU x86-64 host).
+both operands (closedform.PhaseConstants, kept on the orbit): a
+Python-float constant gives numpy the float64 operation a 0-d array of it
+would, so the result is the same bit for bit.
 """
 
 from __future__ import annotations

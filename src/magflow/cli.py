@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import build_solution, eval_solution
-from .dynamics import PhaseState, energy, momentum, state_from_integrals
+from .dynamics import energy, momentum, state_from_integrals
 from .errors import (
     DegenerateCurve,
     DomainError,
@@ -167,15 +167,23 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise DomainError("grid-n must be at least 2")
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n); DomainError where n values do not fit in memory."""
+    try:
+        return np.linspace(lo, hi, n)
+    except MemoryError as exc:
+        raise DomainError(f"grid-n {n} is too large: {exc}") from exc
+
+
 def cmd_simulate(cfg) -> None:
     header = "t,x,y,xdot,ydot,E_inst,p_inst"
+    state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
     if cfg.e == 0.0:
-        state = PhaseState(cfg.x0, cfg.y0, 0.0, 0.0)
-        rows = [_csv_row(0.0, state.as_array())]
+        # an admissible start at E = 0 is a fixed point, at rest
+        rows = [_csv_row(0.0, (cfg.x0, cfg.y0, 0.0, 0.0))]
     else:
-        state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
+        grid = _grid(0.0, cfg.t_end, cfg.grid_n)
         traj = integrate(state, cfg.t_end, cfg.tol)
-        grid = np.linspace(0.0, cfg.t_end, cfg.grid_n)
         x, y, xd, yd = traj.eval(grid)
         rows = [_csv_row(t, (xi, yi, xdi, ydi))
                 for t, xi, yi, xdi, ydi in zip(grid, x, y, xd, yd)]
@@ -189,8 +197,8 @@ def _csv_row(t, s) -> str:
 def cmd_compare(cfg) -> None:
     state = state_from_integrals(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
     sol = build_solution(cfg.x0, cfg.y0, cfg.e, cfg.p, cfg.sign)
+    grid = _grid(0.0, cfg.t_end, cfg.grid_n)
     traj = integrate(state, cfg.t_end, cfg.tol)
-    grid = np.linspace(0.0, cfg.t_end, cfg.grid_n)
     xn, yn, _, _ = traj.eval(grid)
     xc, yc, _, _ = eval_solution(sol, grid)
     payload = {
@@ -307,8 +315,7 @@ def cmd_sweep(cfg) -> None:
     if cfg.e_min <= 0.0 or cfg.e_max < cfg.e_min or cfg.p_max < cfg.p_min:
         raise DomainError("sweep ranges require 0 < e-min <= e-max, p-min <= p-max")
     n = cfg.grid_n
-    es = np.linspace(cfg.e_min, cfg.e_max, n)
-    ps = np.linspace(cfg.p_min, cfg.p_max, n)
+    es, ps = _grid(cfg.e_min, cfg.e_max, n), _grid(cfg.p_min, cfg.p_max, n)
     es_text, ps_text = [fmt(v) for v in es.tolist()], [fmt(v) for v in ps.tolist()]
     with _output(cfg.out) as fh:
         fh.write("E\tp\tkind\tdelta_y\tperiod\taction\n")

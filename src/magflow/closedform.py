@@ -61,7 +61,7 @@ the folded phase v = u - 2K j in [-K, K],
 with phi_n the Landen amplitude of v at rung n, of modulus
 kappa_n = c_n/a_n, d_n = sqrt(cos^2 phi_n + kappa'_n^2 sin^2 phi_n), and
 Z(a) and q_n = kappa_n^2 sin phi_n(a) cos phi_n(a) / d_n(a) the constants
-of a (LegendreReduction.theta_terms).  The descent of sn already walks the
+of a (theta of PhaseConstants).  The descent of sn already walks the
 phases phi_n (elliptic._sn_cn_rungs); a rung costs one artanh, and rung 0
 takes sin phi_0 cos phi_0 = sn cn and d_0 = dn from J1.  So one evaluation
 costs one sn/cn descent for any t, plus a few artanh where c != 0, that
@@ -79,8 +79,8 @@ host).  The parity (-1)^j and the sheet of a crossing orbit take floors,
 not floor-mods (_xp.mod2), which cost a twentieth as much.  Per call it
 costs about 130 numpy calls at p != 0 and 75 at p = 0, 85 and 50 us at 16
 samples there.  The constants those calls read are one record of Python
-floats, formed once per reduction, by the build
-(LegendreReduction.phase_constants), for floats and arrays alike (_xp),
+floats (PhaseConstants), formed once, by the build, and kept on the orbit
+(ClosedFormSolution.phase_constants), for floats and arrays alike (_xp),
 and each temporary that nothing else holds is updated in place.  On a
 one-sample array numpy's in-place operations cost more than new arrays, so
 such a call takes longer than one of a few samples; a scalar t takes the
@@ -90,26 +90,107 @@ float path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _xp
 from .dynamics import TWO_PI, PhaseState, circuit_states, state_from_integrals
-from .elliptic import F, _sn_cn_rungs
+from .elliptic import Descent, F, _sn_cn_rungs, descent
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
     WINDING,
     LegendreReduction,
-    PhaseConstants,
     QuarticCurve,
     _xi_of_zeta,
     _z_of_xi,
     quartic_from_params,
     reduce_to_legendre,
 )
+
+
+class PhaseConstants(NamedTuple):
+    """The constants of one orbit's closed-form phase, in Python floats: the
+    descent of sn (elliptic.Descent), J1, y(t) and xdot, and the third-kind
+    term where c != 0 (cL = c L and theta, both None where c = 0).  The
+    build forms the record once (_phase_constants) and keeps it on the
+    orbit (ClosedFormSolution.phase_constants); every phase reads it, on
+    floats and on arrays alike (_xp).  The map z(xi) reads its constants
+    from the reduction (legendre._z_of_xi), and y(t) the reduction's q and
+    the orbit's p and C.  Each constant is formed by the expression and in
+    the order the phase would use per call, so the phase's values do not
+    depend on where they were formed."""
+
+    descent: Descent
+    kc2: float             # k'^2
+    one_c2: float          # 1 - c^2
+    c2: float              # c^2
+    rho: float             # sqrt((k^2 - c^2)/(1 - c^2))
+    rhoc4: float           # rho'^4 = (k'^2/(1 - c^2))^2
+    two_one_rho: float     # 2 (1 + rho)
+    two_rho_one_c2: float  # 2 rho (1 - c^2)
+    Chc: float             # C h (1 - c)
+    two_E: float           # 2E
+    cL: float | None       # c L
+    theta: tuple | None    # (Z(a)/d, (w, q, -bound, bound), rungs): see _phase_constants
+
+
+def _phase_constants(red: LegendreReduction) -> PhaseConstants:
+    """The PhaseConstants of an orbit on the float reduction red, in one pass.
+
+    theta holds the constants of the parameter a of y(t)'s third-kind term,
+    sn(a, k) = c/k, where c != 0: Z(a)/d, rung 0 and the later rungs, with
+    d = k cn a dn a.  The phase of a ascends the AGM ladder by the Landen
+    step of its rung n, tan(phi_{n+1} - phi_n) = kappa'_n tan phi_n with
+    kappa_n = c_n/a_n and kappa'_n = b_n/a_n, here in products of sin and
+    cos: from sin phi_0 = c/k, cos phi_0 = cn a = sqrt(k^2 - c^2)/k and
+    d_0 = dn a = sqrt(1 - c^2),
+
+        sin phi_{n+1} = (1 + kappa'_n) sin phi_n cos phi_n / d_n,
+        cos phi_{n+1} = (cos^2 phi_n - kappa'_n sin^2 phi_n) / d_n,
+        d_n = sqrt(cos^2 phi_n + kappa'_n^2 sin^2 phi_n),
+
+    so no angle is rounded and sin phi_n keeps its relative accuracy as
+    a -> K on a tiny oval.  Z(a) = sum_{n>=1} c_n sin phi_n (the zeta
+    function on the ladder, A&S 17.6), and q_n = kappa_n^2 sin phi_n
+    cos phi_n / d_n.  Rung 0 is (w, q, -bound, bound): its weight 1/(2d),
+    q_0 = c rho with rho^2 = (k^2 - c^2)/(1 - c^2), and the bound
+    |q_0|/(1 + k') of its artanh argument, since
+    |sin phi cos phi / d| <= 1/(1 + kappa').  Each later rung n whose
+    kappa_n^2 is at least 1e-18 k^2 gives (n, 2^-(n+1)/d, q_n, kappa_n^2,
+    kappa'_n^2); a lower rung adds nothing to _third_kind, whatever the
+    level.
+    """
+    c, one_c2, k2_c2 = red.c, red.one_c2, red.k2_c2
+    kc2 = red.kc * red.kc
+    rho = math.sqrt(k2_c2 / one_c2)
+    cL = theta = None
+    if c != 0.0:
+        cL = c * red.L
+        lad, k = red.ladder, red.k
+        d = math.sqrt(one_c2)
+        scale = 1.0 / (d * math.sqrt(k2_c2))  # 1/(k cn a dn a)
+        s, co = c / k, math.sqrt(k2_c2) / k
+        Z, rungs = 0.0, []
+        for n, (a_n, b_n, c_n) in enumerate(zip(lad.a, lad.b, lad.c)):
+            kap2, kapc = (c_n / a_n) * (c_n / a_n), b_n / a_n
+            if n:
+                d = math.sqrt(co * co + kapc * kapc * (s * s))
+                Z += c_n * s
+            if kap2 >= 1e-18 * red.k2:
+                rungs.append((n, 0.5 ** (n + 1) * scale, kap2 * s * co / d, kap2, kapc * kapc))
+            s, co = (1.0 + kapc) * s * co / d, (co * co - kapc * (s * s)) / d
+        (_, w, q, _, _), *rungs = rungs
+        bound = abs(q) / (1.0 + red.kc)
+        theta = (Z * scale, (w, q, -bound, bound), rungs)
+    return PhaseConstants(
+        descent=descent(red.ladder), kc2=kc2, one_c2=one_c2, c2=c * c, rho=rho,
+        rhoc4=(kc2 / one_c2) ** 2, two_one_rho=2.0 * (1.0 + rho),
+        two_rho_one_c2=2.0 * rho * one_c2, Chc=red.C_const * red.h * red.one_c,
+        two_E=2.0 * red.curve.E, cL=cL, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -123,6 +204,7 @@ class ClosedFormSolution:
 
     curve: QuarticCurve
     reduction: LegendreReduction
+    phase_constants: PhaseConstants = field(repr=False, compare=False)  # formed by the build
     E: float
     p: float
     x0: float
@@ -170,7 +252,7 @@ class ClosedFormSolution:
 def _third_kind(pc: PhaseConstants, j, v, sn, cn, dn, phi, sin_phi):
     """c J2 at u = v + 2K j, for c != 0: Jacobi's third-kind integral at the
     parameter a, sn a = c/k, over k cn a dn a (see the module docstring and
-    LegendreReduction.theta_terms), continued by j c L:
+    _phase_constants), continued by j c L:
 
         c J2 = [v Z(a) - sum_n 2^-(n+1) artanh(q_n sin phi_n cos phi_n / d_n)]
                / (k cn a dn a) + j c L.
@@ -275,8 +357,9 @@ def _sheet(curve: QuarticCurve, xdot_sign: int, cos_x0: float, j, flip):
     return m, 1.0 - 2.0 * m
 
 
-def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
-    """(x - x_offset, z, the sign of xdot, G) at the phases u, a float or an array.
+def _orbit_phase(red: LegendreReduction, pc: PhaseConstants, xdot_sign: int, cos_x0: float, u):
+    """(x - x_offset, z, the sign of xdot, G) at the phases u, a float or an array;
+    pc is the orbit's PhaseConstants.
 
     sn_cn decides the half period j of each phase and its parity, the sign
     of zdot; the sheet of x, cos x and G's continuation read that one j.
@@ -284,7 +367,7 @@ def _orbit_phase(red: LegendreReduction, xdot_sign: int, cos_x0: float, u):
     every sample at (t + D)/C, a float for a scalar t; a float phase equals
     its lane of an array bit for bit, so y(0) = y0 on either path.
     """
-    xp, pc = _xp.of(u), red.phase_constants
+    xp = _xp.of(u)
     j, flip, sn, cn, v, phi, sin_phi = _sn_cn_rungs(u, pc.descent)
     z = _z_of_xi(red, sn)  # sn lies in [-1, 1] by construction
     m, cos_sign = _sheet(red.curve, xdot_sign, cos_x0, j, flip)
@@ -343,7 +426,8 @@ def build_solution(
     D = C * u_ref
     # the start through eval_solution's path at its phase of t = 0, so that
     # y(0) = y0 holds by construction
-    x_hat0, _, _, G0 = _orbit_phase(red, xdot_sign, cos_x0, D / C)
+    pc = _phase_constants(red)
+    x_hat0, _, _, G0 = _orbit_phase(red, pc, xdot_sign, cos_x0, D / C)
     x_offset = x0 - float(x_hat0)
     n_turns = x_offset / TWO_PI
     if abs(n_turns - round(n_turns)) > 1e-8:
@@ -355,7 +439,7 @@ def build_solution(
     x_period, delta_y, _action = red.cycle_values()
 
     return ClosedFormSolution(
-        curve=curve, reduction=red,
+        curve=curve, reduction=red, phase_constants=pc,
         E=float(E), p=float(p), x0=float(x0), y0=float(y0),
         xdot_sign=xdot_sign, C=C, D=D, x_offset=x_offset,
         x_period=x_period, delta_y_per_cycle=delta_y, _G0=G0,
@@ -374,19 +458,18 @@ def eval_solution(sol: ClosedFormSolution, t):
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = float(t) if scalar else t
-    xp, red = _xp.of(t), sol.reduction
-    pc = red.phase_constants
+    xp, red, pc = _xp.of(t), sol.reduction, sol.phase_constants
     u = t + sol.D
-    u /= pc.C
-    x, z, xdot, G = _orbit_phase(red, sol.xdot_sign, math.cos(sol.x0), u)
+    u /= sol.C
+    x, z, xdot, G = _orbit_phase(red, pc, sol.xdot_sign, math.cos(sol.x0), u)
     x += sol.x_offset
-    ydot = pc.p - z
+    ydot = sol.p - z
     # xdot = sign sqrt(max(2E - ydot^2, 0))
     xdot *= xp.sqrt(xp.maximum(pc.two_E - ydot * ydot, 0.0))
     # y - y0 = int_0^t (p - z) dt = (p - nu) t - C h (1 - c) (G(u) - G(u0))
     G -= sol._G0
     G *= pc.Chc
-    y = xp.multiply(pc.q, t)  # q = 0 at p = 0: an infinite t gives NaN, silently
+    y = xp.multiply(red.q, t)  # q = 0 at p = 0: an infinite t gives NaN, silently
     y += sol.y0
     y -= G
     if scalar:

@@ -10,8 +10,9 @@ descending Landen recursion on the same rungs (sn_cn), and the
 incomplete F takes k' and K from it (F) on the strip n = round(phi/pi),
 so |phi| <= fl(pi/2) is n = 0.  legendre.LegendreReduction keeps the
 ladder of its (k, k') in its field ladder, so one run of the AGM serves a
-level's cycle data and its closed-form orbit, and the constants the
-descent reads from it (Descent) in its phase_constants.  masked_K_ladder
+level's cycle data and its closed-form orbit, and the orbit keeps the
+constants the descent reads from it (Descent) in its phase record
+(closedform.PhaseConstants).  masked_K_ladder
 is the one builder of a ladder; the public complete_K(k, k'),
 incomplete_F(phi, k) and sn(u, k) check their modulus and build through
 it.  Where complete_K

@@ -46,16 +46,14 @@ array call equals the float call bit for bit (see _xp).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _xp
-from .elliptic import Descent, Ladder, complete_L, complete_RD, descent, masked_K_ladder
+from .elliptic import Ladder, complete_L, complete_RD, masked_K_ladder
 from .errors import DegenerateCurve, DomainError, ReductionInconsistency
 
 #: absolute root-gap threshold below which the level is a separatrix (beyond
@@ -159,37 +157,6 @@ def quartic_from_params(E, p) -> QuarticCurve:
     )
 
 
-class PhaseConstants(NamedTuple):
-    """The constants of the closed-form phase of one float reduction
-    (LegendreReduction.phase_constants): the descent of sn
-    (elliptic.Descent), the inverse map z(xi) (_z_of_xi), J1, y(t) and
-    xdot of closedform, and the third-kind term where c != 0 (theta:
-    theta_terms with rung 0's artanh bound as the pair -bound, bound; None
-    where c = 0, as is cL).  Each is formed once, by the expression and in
-    the order the phase would use per call, so the phase's values do not
-    depend on where they were formed."""
-
-    descent: Descent
-    a1: float
-    a2: float
-    h: float
-    c: float
-    kc2: float             # k'^2
-    one_c2: float          # 1 - c^2
-    c2: float              # c^2
-    rho: float             # sqrt((k^2 - c^2)/(1 - c^2))
-    rhoc4: float           # rho'^4 = (k'^2/(1 - c^2))^2
-    two_one_rho: float     # 2 (1 + rho)
-    two_rho_one_c2: float  # 2 rho (1 - c^2)
-    p: float
-    q: float
-    C: float
-    Chc: float             # C h (1 - c)
-    two_E: float           # 2E
-    cL: float | None       # c L
-    theta: tuple | None
-
-
 @dataclass(frozen=True)
 class LegendreReduction:
     """Constants and coordinate map taking the quartic to Legendre form.
@@ -198,9 +165,10 @@ class LegendreReduction:
     its inverse z - a1 = h (1 + xi) / (1 + c xi) with c = s h.  c and
     q = p - nu, the momentum less the centre of the map (xi = 0), are
     fields, formed once by the reduction.  The fields are floats, or
-    arrays of one shape when the curve's are.  A float reduction also
-    keeps, once formed, the constants of a closed-form orbit on it: L,
-    theta_terms and phase_constants.
+    arrays of one shape when the curve's are.  It keeps one more value
+    once formed, L, which cycle_values and the phase record of a
+    closed-form orbit (closedform.PhaseConstants, kept on the orbit) both
+    read.
     """
 
     curve: QuarticCurve
@@ -230,76 +198,6 @@ class LegendreReduction:
         moments and y(t) both read it.
         """
         return complete_L(self.ladder, self.one_c2)
-
-    @cached_property
-    def theta_terms(self) -> tuple[float, tuple, list]:
-        """(Z(a)/d, rung 0, rungs): the constants of the parameter a of y(t)'s
-        third-kind term, sn(a, k) = c/k, on a float reduction with c != 0;
-        d = k cn a dn a.
-
-        The phase of a ascends the AGM ladder by the Landen step of its
-        rung n, tan(phi_{n+1} - phi_n) = kappa'_n tan phi_n with
-        kappa_n = c_n/a_n and kappa'_n = b_n/a_n, here in products of sin and
-        cos: from sin phi_0 = c/k, cos phi_0 = cn a = sqrt(k^2 - c^2)/k and
-        d_0 = dn a = sqrt(1 - c^2),
-
-            sin phi_{n+1} = (1 + kappa'_n) sin phi_n cos phi_n / d_n,
-            cos phi_{n+1} = (cos^2 phi_n - kappa'_n sin^2 phi_n) / d_n,
-            d_n = sqrt(cos^2 phi_n + kappa'_n^2 sin^2 phi_n),
-
-        so no angle is rounded and sin phi_n keeps its relative accuracy as
-        a -> K on a tiny oval.  Z(a) = sum_{n>=1} c_n sin phi_n (the zeta
-        function on the ladder, A&S 17.6), and q_n = kappa_n^2 sin phi_n
-        cos phi_n / d_n.  Rung 0 gives its weight 1/(2d), q_0 = c rho with
-        rho^2 = (k^2 - c^2)/(1 - c^2), and |q_0|/(1 + k'), the bound of its
-        artanh argument, since |sin phi cos phi / d| <= 1/(1 + kappa').
-        Each later rung n whose kappa_n^2 is at least 1e-18 k^2 gives
-        (n, 2^-(n+1)/d, q_n, kappa_n^2, kappa'_n^2); a lower rung adds
-        nothing to closedform._third_kind, whatever the level.  Computed on
-        first use and kept, so a build forms them once and an evaluation not
-        at all.
-        """
-        lad, k2 = self.ladder, self.k2
-        d = math.sqrt(self.one_c2)
-        scale = 1.0 / (d * math.sqrt(self.k2_c2))  # 1/(k cn a dn a)
-        s, co = self.c / self.k, math.sqrt(self.k2_c2) / self.k
-        Z, rungs = 0.0, []
-        for n, (a, b, c) in enumerate(zip(lad.a, lad.b, lad.c)):
-            kap2, kapc = (c / a) * (c / a), b / a
-            if n:
-                d = math.sqrt(co * co + kapc * kapc * (s * s))
-                Z += c * s
-            if kap2 >= 1e-18 * k2:
-                rungs.append((n, 0.5 ** (n + 1) * scale, kap2 * s * co / d, kap2, kapc * kapc))
-            s, co = (1.0 + kapc) * s * co / d, (co * co - kapc * (s * s)) / d
-        (_, w0, q0, _, _), *rungs = rungs
-        return Z * scale, (w0, q0, abs(q0) / (1.0 + self.kc)), rungs
-
-    @cached_property
-    def phase_constants(self) -> PhaseConstants:
-        """The PhaseConstants of a float reduction, in Python floats: the
-        constants of every closed-form phase on it, on floats and on arrays
-        alike.  Formed on first use (by build_solution, at its start phase)
-        and kept.  A float operand gives numpy the float64 operation that a
-        0-d array of it would, so one record serves both operands bit for
-        bit, and a 0-d copy would cost more to form than an orbit's one or
-        two array evaluations save (_xp).
-        """
-        c, one_c2 = self.c, self.one_c2
-        kc2 = self.kc * self.kc
-        rho = math.sqrt(self.k2_c2 / one_c2)
-        cL = theta = None
-        if c != 0.0:
-            cL = c * self.L
-            Z, (w, q, bound), rungs = self.theta_terms
-            theta = (Z, (w, q, -bound, bound), rungs)
-        cv = self.curve
-        return PhaseConstants(
-            descent=descent(self.ladder), a1=cv.a1, a2=cv.a2, h=self.h, c=c,
-            kc2=kc2, one_c2=one_c2, c2=c * c, rho=rho, rhoc4=(kc2 / one_c2) ** 2,
-            two_one_rho=2.0 * (1.0 + rho), two_rho_one_c2=2.0 * rho * one_c2,
-            p=cv.p, q=self.q, C=self.C_const, Chc=self.C_const * self.h * self.one_c,
-            two_E=2.0 * cv.E, cL=cL, theta=theta)
 
     def cycle_values(self):
         """(period, Delta_y, action) of one sin-x cycle, 2 m_0, -2 m_1 and
@@ -473,14 +371,14 @@ def _xi_of_zeta(red: LegendreReduction, zeta):
 def _z_of_xi(red: LegendreReduction, xi):
     """z of xi in [-1, 1], a float or an array, clamped to the oval [a1, a2]
     that rounding may leave by an ulp; on a float reduction."""
-    xp, pc = _xp.of(xi), red.phase_constants
+    xp, a1, a2 = _xp.of(xi), red.curve.a1, red.curve.a2
     z = xi + 1.0  # a1 + h (1 + xi)/(1 + c xi)
-    z *= pc.h
-    den = pc.c * xi
+    z *= red.h
+    den = red.c * xi
     den += 1.0
     z /= den
-    z += pc.a1
-    return xp.minimum(xp.maximum(z, pc.a1), pc.a2)
+    z += a1
+    return xp.minimum(xp.maximum(z, a1), a2)
 
 
 def map_z_to_xi(red: LegendreReduction, z):

@@ -350,7 +350,7 @@ def third_kind_errors(levels):
     """
     from scipy.special import elliprj
 
-    from magflow.closedform import _third_kind
+    from magflow.closedform import _phase_constants, _third_kind
     from magflow.elliptic import _sn_cn_rungs, descent
 
     worst_theta = worst_rj = 0.0
@@ -361,7 +361,7 @@ def third_kind_errors(levels):
         j, flip, s, c, v, phi, sin_phi = _sn_cn_rungs(u, descent(red.ladder))
         kc2, cc = red.kc * red.kc, red.c
         dn = np.sqrt(c * c + kc2 * s * s)
-        theta = _third_kind(red.phase_constants, j, v, s, c, dn, phi, sin_phi)
+        theta = _third_kind(_phase_constants(red), j, v, s, c, dn, phi, sin_phi)
         rj = cc * (flip * s ** 3 * elliprj(c * c, dn * dn, 1.0, red.one_c2 + cc * cc * c * c)
                    / 3.0 + j * red.L)
         share = abs(red.C_const * red.h * red.one_c)

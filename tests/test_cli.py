@@ -51,11 +51,18 @@ def test_simulate_vertical_line(capsys):
 
 
 def test_simulate_zero_energy_single_row(capsys):
-    code, out, _ = run(capsys, "simulate", "--e", "0", "--x0", "0.3")
+    # at E = 0 only p = sin x0 is admissible, here p = 0 at x0 = 0
+    code, out, _ = run(capsys, "simulate", "--e", "0", "--x0", "0")
     assert code == 0
     _, rows = parse_csv(out)
     assert rows.shape[0] == 1
     assert rows[0, 3] == 0.0 and rows[0, 4] == 0.0
+
+
+def test_simulate_zero_energy_forbidden_momentum_exits_2(capsys):
+    code, out, err = run(capsys, "simulate", "--e", "0", "--p", "5")
+    assert code == 2
+    assert out == "" and "forbidden region" in err
 
 
 def test_simulate_round_trips_binary64(tmp_path, capsys):
@@ -333,6 +340,15 @@ def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("magflow: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+def test_grid_too_large_for_memory_exits_2(capsys, command):
+    # 8e11 bytes a grid: numpy refuses the allocation at once
+    code, out, err = run(capsys, command, "--grid-n", "100000000000")
+    assert code == 2
+    assert out == "" and err.startswith("magflow: grid-n 100000000000 is too large")
+    assert len(err.splitlines()) == 1
 
 
 def test_invalid_tolerance_exits_2(capsys):

@@ -328,22 +328,22 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
     # Python float, and an evaluation runs no ladder and one array batch
     # of exactly its samples, so neither per-sample quadrature, nor a
     # second ladder of the same modulus, nor a start phase wrapped in an
-    # array again can come back unseen.  y's third-kind term reads the
-    # phases of that same descent where p != 0, and its constants of the
-    # parameter a are formed once, by the build; so is the one record of
-    # the phase's constants, in Python floats, which every later evaluation
-    # reads, on arrays and on a scalar alike, with no second record beside
-    # it; no scipy.special function runs, since importing scipy.special
-    # fails here
+    # array again can come back unseen.  The build forms the one record of
+    # the phase's constants, in Python floats, with y's third-kind
+    # constants of the parameter a where p != 0 (y's third-kind term reads
+    # the phases of that same descent), and keeps it on the solution; every
+    # later evaluation reads it, on arrays and on a scalar alike, and the
+    # reduction keeps no constant of the orbit beside its own L.  No
+    # scipy.special function runs, since importing scipy.special fails here
+    import dataclasses
     import sys
 
     import magflow.closedform
     import magflow.elliptic
-    import magflow.legendre
 
     batches, ladders, records, read = [], [], [], []
     rungs, agm_ladder = magflow.closedform._sn_cn_rungs, magflow.elliptic._agm_ladder
-    descent = magflow.legendre.descent
+    descent = magflow.closedform.descent
 
     def counted(u, d):
         batches.append((type(u), np.size(u)))
@@ -358,34 +358,31 @@ def test_elliptic_work_is_one_phase_per_sample(monkeypatch, x0, E, p, sgn):
         records.append(ladder)
         return descent(ladder)
 
-    # patched where closedform, masked_K_ladder and the reduction look them up
+    # patched where closedform, masked_K_ladder and the record look them up
     monkeypatch.setattr(magflow.closedform, "_sn_cn_rungs", counted)
     monkeypatch.setattr(magflow.elliptic, "_agm_ladder", counted_ladder)
-    monkeypatch.setattr(magflow.legendre, "descent", counted_descent)
+    monkeypatch.setattr(magflow.closedform, "descent", counted_descent)
     monkeypatch.setitem(sys.modules, "scipy.special", None)
     sol = build_solution(x0, 0.0, E, p, sgn)
     assert batches == [(float, 1)]
     assert len(ladders) == 1
-    # the cached constants of a, formed by the build where p != 0 only
-    kept = vars(sol.reduction)
-    theta = kept.get("theta_terms")
-    assert (theta is None) == (p == 0.0)
     assert len(records) == 1
-    floats = kept["phase_constants"]
+    record = sol.phase_constants
+    assert isinstance(record, magflow.closedform.PhaseConstants)
+    # the constants of a, formed by the build where p != 0 only
+    assert (record.theta is None) == (p == 0.0)
     batches.clear()
     ladders.clear()
     out = eval_solution(sol, np.linspace(0.0, 50.0, 1000))
     assert batches == [(np.ndarray, 1000)]
     assert ladders == []
-    assert kept.get("theta_terms") is theta
     assert all(np.isfinite(v).all() for v in out)
     eval_solution(sol, np.linspace(0.0, 5.0, 7))
     eval_solution(sol, 1.5)
     assert len(records) == 1
-    assert kept["phase_constants"] is floats
-    assert len(read) == 4 and all(d is floats.descent for d in read)
-    records_kept = [v for v in kept.values() if isinstance(v, magflow.legendre.PhaseConstants)]
-    assert records_kept == [floats]
+    assert len(read) == 4 and all(d is record.descent for d in read)
+    fields = {f.name for f in dataclasses.fields(sol.reduction)}
+    assert set(vars(sol.reduction)) - fields == {"L"}
 
 
 @pytest.mark.parametrize("x0, E, p, sgn", [

@@ -73,12 +73,12 @@ def assert_lanes_equal(f, us):
 @pytest.mark.parametrize("x0, E, p, sign", ORBITS)
 def test_float_phase_equals_array_lanes(x0, E, p, sign, rng):
     sol = build_solution(x0, 0.0, E, p, sign)
-    red, cos_x0 = sol.reduction, math.cos(x0)
+    red, pc, cos_x0 = sol.reduction, sol.phase_constants, math.cos(x0)
     us = phases(red.K, sol.D / sol.C, rng)
     assert min(sn_cn(np.array(us), red.ladder)[0]) <= -1e5  # j far below 0
-    assert not isinstance(_orbit_phase(red, sign, cos_x0, us[0])[0], np.ndarray)
+    assert not isinstance(_orbit_phase(red, pc, sign, cos_x0, us[0])[0], np.ndarray)
     assert_lanes_equal(lambda u: sn_cn(u, red.ladder), us)
-    assert_lanes_equal(lambda u: _orbit_phase(red, sign, cos_x0, u), us)
+    assert_lanes_equal(lambda u: _orbit_phase(red, pc, sign, cos_x0, u), us)
 
 
 @pytest.mark.parametrize("k", [0.0, 1e-9, 0.5, 0.999, math.sqrt(1.0 - 1e-12)])
