@@ -73,18 +73,19 @@ bit (_orbit_phase).
 
 Per sample, a batch costs one floor-mod (the fold of u to v), a sin and
 an arcsin per Landen rung, and where c != 0 a cos, a sqrt and an artanh
-per rung of the theta sum: about 215 ns at p = 0.3 and 130 ns at p = 0
-(4,000 samples at E = 0.3, 5 Landen rungs and 5 theta rungs, 2-CPU x86-64
-host).  The parity (-1)^j and the sheet of a crossing orbit take floors,
-not floor-mods (_xp.mod2), which cost a twentieth as much.  Per call it
-costs about 130 numpy calls at p != 0 and 75 at p = 0, 85 and 50 us at 16
-samples there.  The constants those calls read are one record of Python
-floats (PhaseConstants), formed once, by the build, and kept on the orbit
-(ClosedFormSolution.phase_constants), for floats and arrays alike (_xp),
-and each temporary that nothing else holds is updated in place.  On a
-one-sample array numpy's in-place operations cost more than new arrays, so
-such a call takes longer than one of a few samples; a scalar t takes the
-float path.
+per rung of the theta sum: about 225 ns at p = 0.3 and 135 ns at p = 0
+(4,000 samples at E = 0.3, 4 Landen rungs and 5 theta rungs, 2-CPU x86-64
+host); the descent leaves out the top rungs that would only halve the
+phase (elliptic.Descent), here one.  The parity (-1)^j and the sheet of a
+crossing orbit take floors, not floor-mods (_xp.mod2), which cost a
+twentieth as much.  Per call it costs about 125 numpy calls at p != 0 and
+70 at p = 0, 95 and 58 us at 16 samples there.  The constants those calls
+read are one record of Python floats (PhaseConstants), formed once, by
+the build, and kept on the orbit (ClosedFormSolution.phase_constants), for
+floats and arrays alike (_xp), and each temporary that nothing else holds
+is updated in place.  On a one-sample array numpy's in-place operations
+cost more than new arrays, so such a call takes longer than one of a few
+samples; a scalar t takes the float path.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ import numpy as np
 
 from . import _xp
 from .dynamics import TWO_PI, PhaseState, circuit_states, state_from_integrals
-from .elliptic import Descent, F, _sn_cn_rungs, descent
+from .elliptic import THETA_WEIGHT, Descent, F, _sn_cn_rungs, descent
 from .errors import DomainError, ReductionInconsistency, UnsupportedRegime
 from .legendre import (
     CROSSING,
@@ -160,9 +161,10 @@ def _phase_constants(red: LegendreReduction) -> PhaseConstants:
     q_0 = c rho with rho^2 = (k^2 - c^2)/(1 - c^2), and the bound
     |q_0|/(1 + k') of its artanh argument, since
     |sin phi cos phi / d| <= 1/(1 + kappa').  Each later rung n whose
-    kappa_n^2 is at least 1e-18 k^2 gives (n, 2^-(n+1)/d, q_n, kappa_n^2,
-    kappa'_n^2); a lower rung adds nothing to _third_kind, whatever the
-    level.
+    kappa_n^2 is at least THETA_WEIGHT k^2 gives (n, 2^-(n+1)/d, q_n,
+    kappa_n^2, kappa'_n^2); a lower rung adds nothing to _third_kind,
+    whatever the level, and elliptic.descent keeps every rung that has
+    weight.
     """
     c, one_c2, k2_c2 = red.c, red.one_c2, red.k2_c2
     kc2 = red.kc * red.kc
@@ -180,7 +182,7 @@ def _phase_constants(red: LegendreReduction) -> PhaseConstants:
             if n:
                 d = math.sqrt(co * co + kapc * kapc * (s * s))
                 Z += c_n * s
-            if kap2 >= 1e-18 * red.k2:
+            if kap2 >= THETA_WEIGHT * red.k2:
                 rungs.append((n, 0.5 ** (n + 1) * scale, kap2 * s * co / d, kap2, kapc * kapc))
             s, co = (1.0 + kapc) * s * co / d, (co * co - kapc * (s * s)) / d
         (_, w, q, _, _), *rungs = rungs

@@ -123,16 +123,22 @@ def state_from_integrals(
     """Reconstruct a state at (x0, y0) from (E, p) and a sign for xdot.
 
     ydot = p - sin(x0) is forced; xdot = xdot_sign*sqrt(2E - (p - sin x0)^2)
-    is determined only up to the caller-supplied sign.
+    is determined only up to the caller-supplied sign.  A negative radicand
+    within the rounding of its operands is a turning point, xdot = 0; any
+    other start off the level raises DomainError.
     """
     if E < 0.0:
         raise DomainError(f"energy must be nonnegative, got {E}")
     if xdot_sign not in (-1, 1):
         raise DomainError(f"xdot_sign must be +1 or -1, got {xdot_sign}")
-    ydot = p - math.sin(x0)
+    sin_x0 = math.sin(x0)
+    ydot = p - sin_x0
     rad = 2.0 * E - ydot * ydot
     if rad < 0.0:
-        if rad > -1e-14 * max(1.0, 2.0 * E):
+        # the rounding of the operands: 2E, ydot^2 and ydot's own, of the
+        # larger of |p| and |sin x0|, doubled in ydot^2
+        slack = 1e-14 * max(2.0 * E, ydot * ydot, abs(ydot) * max(abs(p), abs(sin_x0)))
+        if rad > -slack:
             rad = 0.0  # turning point hit within rounding
         else:
             raise DomainError(

@@ -194,12 +194,29 @@ def _rd(x: float, y: float, z: float) -> float:
     return f * series / (A * math.sqrt(A)) + 3.0 * tail
 
 
+# the theta sum of y(t)'s third-kind term (closedform._phase_constants)
+# gives weight to the rungs n whose (c_n/a_n)^2 is at least THETA_WEIGHT k^2
+THETA_WEIGHT = 1e-18
+# a ratio c_n/a_n in [0, 2^-55) moves no phase p at its rung: there
+# |asin(ratio sin p)| < 2^-54 |p|, below half an ulp of p, so the rung
+# only halves p
+_FLAT_RATIO = 2.0 ** -55
+
+
 class Descent(NamedTuple):
     """The constants the descent of sn_cn reads from a ladder of N steps:
-    K, 2K, 2^N a_N and the rung ratios c_n/a_n for n = N ... 1.  Formed
+    K, 2K, 2^n a_N and the rung ratios c_i/a_i for i = n ... 1.  Formed
     once per ladder, each by the expression and in the order the descent
     would use per call, so its values do not depend on where they were
-    formed."""
+    formed.
+
+    The top N - n rungs, whose ratios move no phase and carry no theta
+    weight (_FLAT_RATIO, THETA_WEIGHT), are left out: each would only
+    halve the phase, exactly, so 2^n a_N = 2^-(N - n) 2^N a_N takes their
+    halvings, and the phases of rungs n ... 0 are those of the full
+    ladder, bit for bit.  The halvings and the product are exact because
+    the folded phase v is 0 or a multiple of about an ulp of K, never
+    near the subnormal range."""
 
     K: float
     two_K: float
@@ -210,8 +227,12 @@ class Descent(NamedTuple):
 def descent(ladder: Ladder) -> Descent:
     """The Descent of a float ladder, in Python floats."""
     avals, _, cvals, _, K = ladder
-    return Descent(K, 2.0 * K, (2.0 ** (len(avals) - 1)) * avals[-1],
-                   tuple([c / a for a, c in zip(avals[:0:-1], cvals[:0:-1])]))
+    ratios = [c / a for a, c in zip(avals[1:], cvals[1:])]
+    weight = THETA_WEIGHT * (cvals[0] * cvals[0])
+    n = len(ratios)
+    while n and 0.0 <= ratios[n - 1] < _FLAT_RATIO and ratios[n - 1] * ratios[n - 1] < weight:
+        n -= 1
+    return Descent(K, 2.0 * K, (2.0 ** n) * avals[-1], tuple(reversed(ratios[:n])))
 
 
 def _sn_cn_rungs(u, d: Descent):
@@ -221,7 +242,8 @@ def _sn_cn_rungs(u, d: Descent):
     float u and an array u alike (see _xp).
     v = u - 2K j is the folded phase in [-K, K], and phi[n], sin_phi[n]
     are the Landen amplitude of v at rung n, of modulus c_n/a_n, and its
-    sine, for n = 0 ... N, so phi[0] is the amplitude of v itself.
+    sine, for n = 0 ... len(d.ratios), the rungs the descent keeps, so
+    phi[0] is the amplitude of v itself.
     closedform reads them for the theta functions of y(t).  j is a whole
     number (or NaN), so its parity is _xp.mod2(j), which equals numpy's
     j % 2.0 at a fraction of its cost; every temporary that nothing else

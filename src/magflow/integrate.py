@@ -12,11 +12,13 @@ norm.  So it runs solve_ivp(method="DOP853", dense_output=True) without
 numpy's per-call cost, which on four components exceeds the arithmetic,
 and without a Python call per stage.  No later step reads a step's
 interpolant, its 3 extra stages and 7 rows, so the loop only keeps each
-accepted step's stages, and one numpy pass per block of BLOCK_STEPS
-accepted steps builds their rows: the extra stages as the flow of
-dynamics.rhs over the block's argument rows, each sum in its row's order
-again, so each row rounds as it would on Python floats.  Only the
-rounding of its sums differs from scipy's BLAS, and a step's error estimate, a sum that
+accepted step's end, state and the 9 of its 13 stages that the
+interpolant reads (KEPT_STAGES), and one numpy pass per block of
+BLOCK_STEPS accepted steps converts them to arrays, once, and builds
+their rows: the extra stages as the flow of dynamics.rhs over the
+block's argument rows, each sum in its row's order again, so each row
+rounds as it would on Python floats.  Only the rounding of its sums
+differs from scipy's BLAS, and a step's error estimate, a sum that
 cancels, carries that rounding into the step size: the step ends move
 slightly, the step counts mostly stay.  The tests keep solve_ivp as the
 reference that step counts and states are checked against.
@@ -49,6 +51,10 @@ MAX_STEPS = 50_000
 # interpolant; a block bounds the stages held: a 46,271-step run peaks at
 # 66 MiB with it and at 198 MiB holding every step's stages to the end
 BLOCK_STEPS = 1024
+# the stages of a step that its interpolant reads: f0, f_new and those
+# below 13 of the rows of the extra stages and the dense output; the rest,
+# 1 to 4, only the step's own sums read
+KEPT_STAGES = tuple(sorted({0, 12, *(j for row in (*A_EXTRA, *D) for j, _ in row if j < 13)}))
 
 # the step controller of scipy.integrate's RungeKutta solvers; the error
 # exponent is -1/(7 + 1) for DOP853's 7th-order error estimate
@@ -118,11 +124,17 @@ class Trajectory:
         outside the span.
         """
         t_arr = np.asarray(t, dtype=float).ravel()
-        sign = 1.0 if self.t[1] > self.t[0] else -1.0
-        i = np.searchsorted(sign * self.t, sign * t_arr, side="left") - 1
+        ends = self.t
+        sign = 1.0 if ends[1] > ends[0] else -1.0
+        i = np.searchsorted(sign * ends, sign * t_arr, side="left") - 1
         np.clip(i, 0, self.n_steps - 1, out=i)
-        x = (t_arr - self.t[i]) / (self.t[i + 1] - self.t[i])
-        vals = _interpolate(self.F[i], x[:, None], self.states[i]).T
+        t0 = ends.take(i)
+        x = (t_arr - t0) / (ends.take(i + 1) - t0)
+        # gathered component-major, rows (4, 7, m) and states (4, m), so that
+        # each operation of the interpolant runs along the m times, not
+        # along the 4 components of each
+        vals = _interpolate(self.F.transpose(2, 1, 0).take(i, axis=2), x,
+                            self.states.T.take(i, axis=1))
         if np.ndim(t) == 0:
             return PhaseState.from_array(vals[:, 0])
         shape = np.shape(t)
@@ -184,11 +196,11 @@ def _kernel():
 
     step(y, k0, h, rtol, atol), with k0 = rhs(t, y), returns y_new, f_new,
     the sums of squares of the E5 and E3 sums scaled as scipy's error norm
-    scales them, and the 13 stages k0 ... k11, f_new as one flat tuple of
-    52 floats, stage by stage.  Each sum adds its terms in the row's order
-    from 0.0, with each coefficient as its repr, so it rounds as the loop
-    over the row would; each stage skips the y sum that the flow never
-    reads.
+    scales them, and the stages of KEPT_STAGES, those the interpolant
+    reads, as one flat tuple of 36 floats, stage by stage.  Each sum adds
+    its terms in the row's order from 0.0, with each coefficient as its
+    repr, so it rounds as the loop over the row would; each stage skips
+    the y sum that the flow never reads.
     """
     lines = ["def step(y, k0, h, rtol, atol):",
              "    y0, y1, y2, y3 = y",
@@ -206,15 +218,20 @@ def _kernel():
                   f"    v{i} = ({_row_sum(E3, i)}) / s"]
     lines += [f"    return (y_new, ({_components(12)}), {_sum_of_squares('u')}, "
               f"{_sum_of_squares('v')},",
-              f"            ({', '.join(_components(j) for j in range(13))}))"]
+              f"            ({', '.join(_components(j) for j in KEPT_STAGES)}))"]
     namespace = {"cos": math.cos, "nan": math.nan}
     exec(compile("\n".join(lines) + "\n", "<dop853 kernel>", "exec"), namespace)
     return namespace["step"]
 
 
+# the slot of each stage in the stage-major record of _stages: the kept
+# stages, then the interpolant's 3 extra stages 13, 14 and 15
+_SLOT = {j: i for i, j in enumerate((*KEPT_STAGES, 13, 14, 15))}
+# the A_EXTRA rows over those slots
+_A_EXTRA_SLOTS = tuple(tuple((_SLOT[j], a) for j, a in row) for row in A_EXTRA)
 # the 4 D rows share one support, stages 0 and 5-15 in the same order: per
-# stage of it, the 4 rows' coefficients as a (4, 1) column
-_D_COLUMNS = tuple((col[0][0], np.array([[a] for _, a in col])) for col in zip(*D))
+# stage of it, its slot and the 4 rows' coefficients as a (4, 1) column
+_D_COLUMNS = tuple((_SLOT[col[0][0]], np.array([[a] for _, a in col])) for col in zip(*D))
 
 
 def _array(rows, shape):
@@ -234,9 +251,10 @@ def _in_order_sum(row, S):
 
 
 def _stages(hc, y0, K):
-    """The 16 stages of n steps, stage-major, shape (16, n, 4): the 13 of K,
-    shape (n, 13, 4), then the interpolant's 3 extra stages from the steps
-    hc, a column (n, 1), and their start states y0.
+    """The stages of n steps that the interpolant reads, stage-major, shape
+    (12, n, 4), stage j at slot _SLOT[j]: the 9 of KEPT_STAGES in K, shape
+    (n, 9, 4), then the interpolant's 3 extra stages from the steps hc, a
+    column (n, 1), and their start states y0.
 
     Each extra stage is the flow at its in-order argument sums with
     dynamics.rhs's operations, and numpy's cos gives math.cos's values, so
@@ -245,9 +263,10 @@ def _stages(hc, y0, K):
     np.errstate(all="ignore"), as inf and nan carry on.
     """
     # stage-major, so that each term of a sum is one contiguous array
-    S = np.empty((16, len(K), 4))
-    S[:13] = K.transpose(1, 0, 2)
-    for j, row in enumerate(A_EXTRA, start=13):
+    m = len(KEPT_STAGES)
+    S = np.empty((m + 3, len(K), 4))
+    S[:m] = K.transpose(1, 0, 2)
+    for j, row in enumerate(_A_EXTRA_SLOTS, start=m):
         x, _, xd, yd = (y0 + _in_order_sum(row, S) * hc).T
         if np.isinf(x).any():
             raise ValueError("math domain error")
@@ -260,20 +279,22 @@ def _interpolant_rows(t, y, K):
     """The interpolant rows of n accepted steps in one numpy pass, shape
     (n, 7, 4): Dop853DenseOutput's rows, the last 4 from _stages.
 
-    t and y are the n + 1 step ends and the states at them, K the 13 stages
-    of each step, shape (n, 13, 4).  Every sum is an in-order row sum, so
-    the rows equal in every bit those of the same sums and rhs calls on
-    Python floats, step by step; inf and nan carry on without a warning.
+    t and y are the n + 1 step ends and the states at them, K the stages of
+    KEPT_STAGES of each step, shape (n, 9, 4): stages 1 to 4, which only
+    the step's own sums read, are never kept.  Every sum is an in-order
+    row sum, so the rows equal in every bit those of the same sums and rhs
+    calls on Python floats, step by step; inf and nan carry on without a
+    warning.
     """
     n = len(K)
     with np.errstate(all="ignore"):
         h = t[1:] - t[:-1]
         y0, hc = y[:-1], h[:, None]
         dy = y[1:] - y0
-        f0, f_new = K[:, 0], K[:, 12]
+        f0, f_new = K[:, _SLOT[0]], K[:, _SLOT[12]]
         S = _stages(hc, y0, K)
         # all 4 D rows at once: a (4, 4n) sum, D row by (step, component)
-        rows = hc * _in_order_sum(_D_COLUMNS, S.reshape(16, 1, 4 * n)).reshape(4, n, 4)
+        rows = hc * _in_order_sum(_D_COLUMNS, S.reshape(len(S), 1, 4 * n)).reshape(4, n, 4)
         F = np.empty((n, 7, 4))
         F[:, 0] = dy
         F[:, 1] = hc * f0 - dy
@@ -304,33 +325,45 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
     dense_output=True).
 
     Each step runs the straight-line step of _kernel, built on the first
-    call, and takes the error norm from its sums of squares.  The loop keeps the stages of each accepted step; every
-    BLOCK_STEPS accepted steps, and once at the end, _interpolant_rows turns
-    those kept into the steps' rows and they are dropped, so that a long run
-    never holds more than one block of stages.  Returns the step times, the
-    states at them, the interpolant rows of each step (shape (n, 7, 4)) and
-    the count of right-hand-side calls.  Past MAX_STEPS accepted steps short
+    call, and takes the error norm from its sums of squares.  The loop
+    keeps the end, the state and the kept stages (KEPT_STAGES) of each
+    accepted step; every BLOCK_STEPS accepted steps, and once at the end,
+    the block's ends and states become arrays, the only conversion of
+    them, which _interpolant_rows and the returns both read, and
+    _interpolant_rows turns the kept stages into the steps' rows and they
+    are dropped, so that a long run never holds more than one block of
+    stages.  Returns the step times, the states at them, the interpolant
+    rows of each step (shape (n, 7, 4)) and the count of right-hand-side
+    calls.  Past MAX_STEPS accepted steps short
     of t_bound it raises StepFailure.
     """
     step = _kernel()
+    sqrt, nextafter = math.sqrt, math.nextafter
     direction = 1.0 if t_bound > 0.0 else -1.0
+    toward = direction * math.inf
     t, y = 0.0, y0
     f = rhs(t, y)
     h_abs = _initial_step(y, f, t_bound, direction, rtol, atol)
-    nfev = 2
-    ts, ys, Fs, stages = [t], [y], [], []
+    nfev, n_steps = 2, 0
+    # the step ends, states and stages of the open block, from its start
+    ts, ys, stages = [t], [y], []
+    add_t, add_y, add_stages = ts.append, ys.append, stages.append
+    # per finished block: its step ends and states, from its start, and rows
+    T, Y, Fs = [], [], []
 
     def block_pass():
         n = len(stages)
-        Fs.append(_interpolant_rows(np.array(ts[-n - 1:]), np.array(ys[-n - 1:]),
-                                    _array(stages, (n, 13, 4))))
+        T.append(np.fromiter(ts, float, n + 1))
+        Y.append(_array(ys, (n + 1, 4)))
+        Fs.append(_interpolant_rows(T[-1], Y[-1], _array(stages, (n, len(KEPT_STAGES), 4))))
+        del ts[:-1], ys[:-1]
         stages.clear()
 
     while direction * (t - t_bound) < 0.0:
-        if len(ts) > MAX_STEPS:
+        if n_steps >= MAX_STEPS:
             raise StepFailure(f"step budget exhausted: {MAX_STEPS} accepted steps reached "
                               f"t = {t:.17g} of t_end = {t_bound:.17g}", t=t)
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * abs(nextafter(t, toward) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -348,10 +381,10 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
             # 3rd's: scipy squares np.linalg.norm, the square root of the
             # sum; a product, unlike a float's ** 2, overflows to inf and
             # does not raise
-            r5, r3 = math.sqrt(ss5), math.sqrt(ss3)
+            r5, r3 = sqrt(ss5), sqrt(ss3)
             n5, n3 = r5 * r5, r3 * r3
             error_norm = (0.0 if n5 == 0.0 and n3 == 0.0 else
-                          _div(h_abs * n5, math.sqrt((n5 + 0.01 * n3) * 4)))
+                          _div(h_abs * n5, sqrt((n5 + 0.01 * n3) * 4)))
             if error_norm < 1.0:
                 factor = (_MAX_FACTOR if error_norm == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -360,15 +393,19 @@ def _dop853(y0: tuple, t_bound: float, rtol: float, atol: float):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        stages.append(K)
+        n_steps += 1
+        add_t(t)
+        add_y(y)
+        add_stages(K)
         if len(stages) == BLOCK_STEPS:
             block_pass()
     if stages:
         block_pass()
-    # 3 extra stages a step, for the interpolant
-    return np.array(ts), np.array(ys), np.concatenate(Fs), nfev + 3 * (len(ts) - 1)
+    # each block's arrays start at the last row of the block before, and
+    # each step takes 3 extra stages for its interpolant
+    return (np.concatenate([T[0], *(a[1:] for a in T[1:])]),
+            np.concatenate([Y[0], *(a[1:] for a in Y[1:])]),
+            np.concatenate(Fs), nfev + 3 * n_steps)
 
 
 def integrate(

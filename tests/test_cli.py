@@ -65,6 +65,16 @@ def test_simulate_zero_energy_forbidden_momentum_exits_2(capsys):
     assert out == "" and "forbidden region" in err
 
 
+@pytest.mark.parametrize("argv", [["--e", "1e-20", "--p", "9e-8", "--x0", "0"],
+                                  ["--e", "0", "--p", "9e-8"]])
+def test_simulate_tiny_energy_off_level_start_exits_2(capsys, argv):
+    # (p - sin x0)^2 = 8.1e-15 is 4e5 times 2E or more: far past the
+    # rounding of the operands, so no turning point within rounding
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 2
+    assert out == "" and "forbidden region" in err
+
+
 def test_simulate_round_trips_binary64(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code = main(["simulate", "--e", "0.3", "--p", "0.2", "--t-end", "3",

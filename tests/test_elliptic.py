@@ -12,7 +12,18 @@ from magflow import (
     incomplete_F,
     sn,
 )
-from magflow.elliptic import F, complete_L, complete_RD, masked_K_ladder, sn_cn
+from magflow.elliptic import (
+    Descent,
+    F,
+    Ladder,
+    _complement,
+    _sn_cn_rungs,
+    complete_L,
+    complete_RD,
+    descent,
+    masked_K_ladder,
+    sn_cn,
+)
 
 # frozen from the AGM oracle: K(0.5) = pi / (2 agm(1, sqrt(0.75)))
 K_HALF = 1.6857503548125961
@@ -336,3 +347,49 @@ def test_complete_K_array_lanes_take_k_prime_from_k():
     assert len(record) == 1 and record[0].filename == __file__
     with pytest.warns(LossOfPrecisionWarning):
         assert K[1] == complete_K(float(near[1]))
+
+
+def _full_descent(ladder):
+    """The Descent of every rung of a float ladder: 2^N a_N and all N ratios."""
+    avals, _, cvals, _, K = ladder
+    return Descent(K, 2.0 * K, 2.0 ** (len(avals) - 1) * avals[-1],
+                   tuple(c / a for a, c in zip(avals[:0:-1], cvals[:0:-1])))
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_descent_leaves_out_only_rungs_that_move_no_phase(rng):
+    # a top rung whose ratio c_n/a_n lies in [0, 2^-55) and carries no theta
+    # weight only halves the phase: j, (-1)^j, sn, cn, the folded phase and
+    # every phase and sine of the rungs kept equal those of the full ladder
+    # bit for bit, for an array u and float u, signed zeros, subnormals and
+    # NaN among them.  The ladders of k = 1e-12 and 0.5 leave out their top
+    # rung; that of 0.8, whose top ratio is negative, keeps it
+    u = np.concatenate([rng.uniform(-1000.0, 1000.0, 500),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan]])
+    left_out = {}
+    for k in (1e-12, 1e-9, 1e-4, 0.3, 0.5, 0.8, 0.99, 1.0 - 1e-12):
+        ladder = masked_K_ladder(k, _complement(k))[1]
+        d, full = descent(ladder), _full_descent(ladder)
+        n = len(d.ratios)
+        left_out[k] = len(full.ratios) - n
+        for x in (u, *u[::25].tolist()):
+            got, want = _sn_cn_rungs(x, d), _sn_cn_rungs(x, full)
+            for a, b in zip(got[:5], want[:5]):
+                assert _float_bits(a) == _float_bits(b), (k, x)
+            for a, b in zip(got[5:], want[5:]):
+                assert len(a) == n + 1
+                assert _float_bits(a) == _float_bits(b[:n + 1]), (k, x)
+    assert left_out[1e-12] == left_out[0.5] == 1 and left_out[0.8] == 0
+
+
+def test_descent_keeps_each_rung_that_carries_theta_weight():
+    # below k^2 = 1e-15 a ratio under 2^-55 can still carry theta weight,
+    # (c_n/a_n)^2 >= 1e-18 k^2: such a rung stays, one just below goes
+    def top(c1):
+        return descent(Ladder([1.0, 1.0], [1.0, 1.0], [1e-12, c1], [True], math.pi / 2.0))
+
+    assert top(1e-20).ratios == (1e-20,)
+    assert top(1e-22).ratios == () and top(1e-22).scale == 1.0

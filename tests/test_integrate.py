@@ -412,11 +412,26 @@ def _reference_step(t, y, k0, h, rtol, atol):
     return y_new, K[12], ss5, ss3, tuple(v for k in K for v in k)
 
 
+def _kept(stages):
+    """The components of the stages of KEPT_STAGES among the 52 of all 13."""
+    return tuple(v for j in integrate_module.KEPT_STAGES for v in stages[4 * j:4 * j + 4])
+
+
 def _returns_bits(returns):
     """The bits of the kernel's returns: y_new, f_new, the two sums of
-    squares and the 52 stage components."""
+    squares and the components of the kept stages."""
     y_new, f_new, ss5, ss3, stages = returns
     return _bits((*y_new, *f_new, ss5, ss3, *stages))
+
+
+def test_kept_stages_are_those_the_interpolant_reads():
+    # stages 0 and 12 are f0 and f_new; the extra stages and the dense
+    # output read the others below 13, so a tableau that reads one more
+    # keeps it
+    read = np.flatnonzero(np.any(_dense(_dop853.A_EXTRA, 16)[:, :13] != 0.0, axis=0)
+                          | np.any(_dense(_dop853.D, 16)[:, :13] != 0.0, axis=0))
+    assert integrate_module.KEPT_STAGES == tuple(sorted({0, 12, *read.tolist()}))
+    assert integrate_module.KEPT_STAGES == (0, 5, 6, 7, 8, 9, 10, 11, 12)
 
 
 def test_kernel_sums_are_the_row_sums_bit_for_bit():
@@ -425,7 +440,8 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
     # of squares must equal the loops over the rows in every bit, also with
     # signed zeros, subnormals, infinities and NaN in y, k0 and the step; a
     # stage argument of +-inf raises math.cos's ValueError on both sides.
-    # The block pass gets the same draws as 13 stages: each of its 3 extra
+    # The kernel returns the kept stages, each equal to its reference stage.
+    # The block pass gets the same draws as kept stages: each of its 3 extra
     # stages must equal dynamics.rhs at the in-order row sums, and each
     # interpolant row the in-order row sums, in every bit; an extra-stage
     # argument of +-inf raises the same ValueError on both sides
@@ -450,11 +466,12 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
             raised += 1
         else:
             got = step(y, K[0], h, rtol, rtol * 1e-2)
-            assert _returns_bits(got) == _returns_bits(want), trial
+            assert _returns_bits(got) == _returns_bits((*want[:4], _kept(want[4]))), trial
 
         y_new = tuple(yi + h * w for yi, w in zip(y, _row_sum(_dop853.B, K)))
         K = K[:13]
-        block = (np.array([t, t_new]), np.array([y, y_new]), np.array(K).reshape(1, 13, 4))
+        kept = [K[j] for j in integrate_module.KEPT_STAGES]
+        block = (np.array([t, t_new]), np.array([y, y_new]), np.array(kept).reshape(1, -1, 4))
         try:
             for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA):
                 K.append(rhs(*_stage_arg(row, c, K, t, y, h)))
@@ -466,7 +483,7 @@ def test_kernel_sums_are_the_row_sums_bit_for_bit():
             continue
         with np.errstate(all="ignore"):
             S = integrate_module._stages(np.array([[h]]), block[1][:1], block[2])
-        assert _bits(S[13:, 0].ravel().tolist()) == _bits(np.ravel(K[13:]).tolist()), trial
+        assert _bits(S[len(kept):, 0].ravel().tolist()) == _bits(np.ravel(K[13:]).tolist()), trial
         F = integrate_module._interpolant_rows(*block)
         assert _bits(F[0].ravel().tolist()) == _bits(_rows(K, y, y_new, h)), trial
     # both branches ran on each side, most trials through the bitwise
@@ -487,7 +504,8 @@ def _rows(K, y, y_new, h):
 
 def test_interpolant_rows_across_blocks_are_the_row_sums():
     # (x0, E, p) = (0, 1e6, 0) over t = 1: 3858 steps, more than 3 blocks;
-    # each step re-run from its (t, y, f, h) and its rows summed in order
+    # each step re-run from its (t, y, f, h) by the kernel and by the loop
+    # over the rows, which forms all 13 stages, and its rows summed in order
     traj = integrate(state_from_integrals(0.0, 0.0, 1e6, 0.0, 1), 1.0)
     assert traj.n_steps > 3 * integrate_module.BLOCK_STEPS
     step = integrate_module._kernel()
@@ -495,8 +513,11 @@ def test_interpolant_rows_across_blocks_are_the_row_sums():
     want = []
     for i in range(traj.n_steps):
         h = t[i + 1] - t[i]
-        y_new, _, _, _, stages = step(y[i], rhs(t[i], y[i]), h, 1e-11, 1e-13)
+        f = rhs(t[i], y[i])
+        y_new, _, _, _, stages = _reference_step(t[i], y[i], f, h, 1e-11, 1e-13)
         assert _bits(y_new) == _bits(y[i + 1])
+        got = step(y[i], f, h, 1e-11, 1e-13)
+        assert _bits((*got[0], *got[4])) == _bits((*y_new, *_kept(stages)))
         K = [stages[4 * j:4 * j + 4] for j in range(13)]
         for row, c in zip(_dop853.A_EXTRA, _dop853.C_EXTRA):
             K.append(rhs(*_stage_arg(row, c, K, t[i], y[i], h)))

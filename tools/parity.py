@@ -48,15 +48,18 @@ interpreter that imports magflow from that ``src/``:
   subcommand: the exit code and the text on stdout of each;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state, the interpolant rows ``F`` of the first
-  and the last step and ``Trajectory.eval`` at 50 times, and the event
+  and the last step, one SHA-256 digest of the bytes of ``t``,
+  ``states`` and ``F`` (output ``digest``), so that any step that moves
+  counts, and ``Trajectory.eval`` at 50 times, and the event
   times of 100 of them, found by the tests' event pass
   (``tests/oracles.py`` of the working tree) on each side's
   ``Trajectory``; at tol 1e-11, and the same at tol 1e-9 and 1e-13
   (outputs prefixed ``tol1e-09_`` and ``tol1e-13_``);
 * ``integrate`` on the fixed extreme starts of EXTREME_STARTS (outputs
-  prefixed ``integrate_extreme``): step and call counts, the final state
-  and the rows ``F`` of the first and the last step, or the class and
-  message of the exception (output ``integrate_extreme.raised``).
+  prefixed ``integrate_extreme``): step and call counts, the final state,
+  the rows ``F`` of the first and the last step and the digest of every
+  step, or the class and message of the exception (output
+  ``integrate_extreme.raised``).
 
 The levels mix three strata: (E, p) uniform over (0.01, 2) x (-2.5, 2.5),
 a turning root p -+ sqrt(2E) within 1e-13 ... 1e-2 of a wall z = +-1 (next
@@ -83,7 +86,8 @@ t_end = 20 but for every tenth level, which runs backwards to t_end = -20,
 and 50 times uniform between 0 and t_end; integrate at each of tol 1e-11,
 1e-9 and 1e-13 gives n_steps, nfev, the final state, the rows F of the
 first and the last step (outputs ``F_first`` and ``F_last``, shape
-(500, 7, 4)) and eval at the times, and on the first 100 levels the
+(500, 7, 4)), the digest of t, states and F (the empty string where the
+run raised) and eval at the times, and on the first 100 levels the
 turning and return times of x merged in one sorted list (outputs
 ``integrate_events``).
 The extreme starts are those of the tests' extreme runs, at tol 1e-11:
@@ -127,6 +131,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -529,12 +534,21 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
     errors["cli"] = err
 
 
+def trajectory_digest(traj) -> str:
+    """The SHA-256 of the bytes of a Trajectory's t, states and F: any step
+    that moves, not only the first and the last, changes it."""
+    h = hashlib.sha256()
+    for a in (traj.t, traj.states, traj.F):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -> None:
     """integrate at tol on the integrate set: step and call counts, the final
-    state, the interpolant rows of the first and the last step and eval at
-    50 times; on its first N_EVENTS levels, the turning and return times
-    of x that tests/oracles.py finds on the trajectory (NaN past the last)
-    and their count."""
+    state, the interpolant rows of the first and the last step, the digest
+    of every step (trajectory_digest) and eval at 50 times; on its first N_EVENTS
+    levels, the turning and return times of x that tests/oracles.py finds
+    on the trajectory (NaN past the last) and their count."""
     from magflow import integrate, state_from_integrals
 
     sys.path.insert(0, str(ROOT))
@@ -544,6 +558,7 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
     counts = np.full((n, 2), -1)
     final = np.full((n, 4), math.nan)
     F_ends = np.full((n, 2, 7, 4), math.nan)
+    digests = [""] * n
     evals = np.full((n, 4, n_times), math.nan)
     ev_count = np.full(N_EVENTS, -1)
     ev_times = np.full((N_EVENTS, MAX_EVENTS), math.nan)
@@ -557,6 +572,7 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
             counts[i] = traj.n_steps, traj.nfev
             final[i] = traj.states[-1]
             F_ends[i] = traj.F[0], traj.F[-1]
+            digests[i] = trajectory_digest(traj)
             evals[i] = traj.eval(inp["integrate_t"][i])
         except Exception as exc:
             err.append(type(exc).__name__)
@@ -583,20 +599,22 @@ def run_integrate(inp: dict, tol: float, prefix: str, out: dict, errors: dict) -
         out[f"{name}.final_{f}"] = final[:, j]
         out[f"{name}.eval_{f}"] = evals[:, j]
     out[f"{name}.F_first"], out[f"{name}.F_last"] = F_ends[:, 0], F_ends[:, 1]
+    out[f"{name}.digest"] = np.array(digests)
     out[f"{ev_name}.count"], out[f"{ev_name}.t"] = ev_count, ev_times
     errors[name], errors[ev_name] = err, ev_err
 
 
 def run_integrate_extreme(out: dict, errors: dict) -> None:
-    """integrate on EXTREME_STARTS: step and call counts, the final state and
-    the interpolant rows of the first and the last step, or the exception's
-    class and message."""
+    """integrate on EXTREME_STARTS: step and call counts, the final state,
+    the interpolant rows of the first and the last step and the digest of
+    every step (trajectory_digest), or the exception's class and message."""
     from magflow import PhaseState, integrate
 
     n = len(EXTREME_STARTS)
     counts = np.full((n, 2), -1)
     final = np.full((n, 4), math.nan)
     F_ends = np.full((n, 2, 7, 4), math.nan)
+    digests = [""] * n
     raised, err = [], []
     for i, (state, t_end) in enumerate(EXTREME_STARTS):
         try:
@@ -610,10 +628,12 @@ def run_integrate_extreme(out: dict, errors: dict) -> None:
         counts[i] = traj.n_steps, traj.nfev
         final[i] = traj.states[-1]
         F_ends[i] = traj.F[0], traj.F[-1]
+        digests[i] = trajectory_digest(traj)
     name = "integrate_extreme"
     out[f"{name}.n_steps"], out[f"{name}.nfev"] = counts[:, 0], counts[:, 1]
     out[f"{name}.final"] = final
     out[f"{name}.F_first"], out[f"{name}.F_last"] = F_ends[:, 0], F_ends[:, 1]
+    out[f"{name}.digest"] = np.array(digests)
     out[f"{name}.raised"] = np.array(raised)
     errors[name] = err
 
