@@ -1,9 +1,11 @@
 """Command-line front end with bit-stable CSV/JSON/TSV export.
 
+One parser reads the command and its flags, which may come before or after
+it; every command takes every flag and ignores those it does not read.
 Numbers are serialized with 17 significant digits ('.' decimal separator,
 no locale), which round-trips binary64 exactly, so identical configurations
 produce byte-identical files.  Exit codes: 0 success, 2 domain or regime
-error, 3 numeric failure.
+error or a command line argparse rejects, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import build_solution, eval_solution
-from .dynamics import energy, momentum, state_from_integrals
+from .dynamics import energy, momentum, speed, state_from_integrals
 from .errors import (
     DegenerateCurve,
     DomainError,
@@ -52,9 +54,7 @@ _NUMERIC_ERRORS = (StepFailure, ReductionInconsistency)
 
 def fmt(v) -> str:
     """17-significant-digit decimal form; empty string for missing values."""
-    if v is None:
-        return ""
-    return f"{float(v):.17g}"
+    return "" if v is None else f"{float(v):.17g}"
 
 
 def _output(out: str | None):
@@ -85,31 +85,31 @@ _DEFAULTS = dict(
 
 #: the values a flag or config key may take, where its type allows more
 _CHOICES = {"sign": (-1, 1), "strip": (1, 2)}
-_HELP = {"e": "energy level E", "p": "momentum p", "sign": "sign of xdot(0)"}
+_HELP = dict(
+    e="energy level E", p="momentum p", x0="start x(0)", y0="start y(0)", sign="sign of xdot(0)",
+    t_end="time span (simulate, compare)", tol="RK tolerance (simulate, compare)",
+    e_min="least E of the sweep", e_max="greatest E of the sweep", p_min="least p of the sweep",
+    p_max="greatest p of the sweep", grid_n="samples in t (simulate, compare), a side (sweep)",
+    xa="left edge of the film's strip", xb="right edge of the film's strip",
+    strip="strip of the contractible orbit: cos x > 0 (1) or < 0 (2)",
+    phase="x(0) of the contractible orbit", out="output file (default stdout)",
+)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged.
+    """The one argument parser, built once per process; parsing leaves it unchanged.
     Each key of _DEFAULTS is a flag --key ('-' for '_') of its default's type."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file of defaults; explicit flags override it")
-    for key, default in _DEFAULTS.items():
-        common.add_argument("--" + key.replace("_", "-"),
-                            type=str if default is None else type(default),
-                            choices=_CHOICES.get(key), default=None, help=_HELP.get(key))
-
     parser = argparse.ArgumentParser(
-        prog="magflow",
-        description="Magnetic geodesic flow on the flat two-torus "
-                    "(field cos x dx^dy): simulation, closed forms, "
-                    "classification, actions and films.",
-    )
+        prog="magflow", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Magnetic geodesic flow on the flat two-torus (field cos x dx^dy).",
+        epilog="commands:\n" + "".join(f"  {c:10s}{h}\n" for c, (_, h) in _COMMANDS.items()))
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON file of defaults; explicit flags override it")
+    for key, default in _DEFAULTS.items():
+        parser.add_argument("--" + key.replace("_", "-"), choices=_CHOICES.get(key),
+                            type=str if default is None else type(default), help=_HELP[key])
     return parser
 
 
@@ -255,7 +255,7 @@ def cmd_action(cfg) -> None:
 def cmd_film(cfg) -> None:
     strip = CylinderStrip(cfg.xa, cfg.xb, cfg.e)
     value = film_action(strip)
-    best = 4.0 * math.pi * (math.sqrt(2.0 * cfg.e) - 1.0)
+    best = 4.0 * math.pi * (speed(cfg.e) - 1.0)
     is_min = (
         abs(math.remainder(cfg.xa - 0.5 * math.pi, 2.0 * math.pi)) < 1e-6
         and abs(math.remainder(cfg.xb - 1.5 * math.pi, 2.0 * math.pi)) < 1e-6
@@ -325,7 +325,7 @@ def cmd_sweep(cfg) -> None:
             fh.write(_sweep_rows(es, ps, cell, es_text, ps_text))
 
 
-#: each subcommand: its function and its help line
+#: each command: its function and its help line
 _COMMANDS = {
     "simulate": (cmd_simulate, "integrate one orbit and export CSV samples"),
     "compare": (cmd_compare, "closed form vs direct integration report"),

@@ -86,6 +86,19 @@ def momentum(state):
     return yd + np.sin(x)
 
 
+def speed(E: float) -> float:
+    """sqrt(2E), the speed on the level E.
+
+    Where 2E overflows (E > DBL_MAX/2) it is 2 sqrt(E/2): halving and
+    doubling are exact there, so that is the correctly rounded sqrt(2E)
+    too.  Everywhere else it is math.sqrt(2.0 * E) bit for bit.
+    """
+    two_e = 2.0 * E
+    if two_e == math.inf:
+        return 2.0 * math.sqrt(0.5 * E)
+    return math.sqrt(two_e)
+
+
 def reduced_lagrangian(state, E: float):
     """Level-E reduced Lagrangian L_E = sqrt(2E)|qdot| + sin(x) ydot, per state.
 
@@ -98,7 +111,7 @@ def reduced_lagrangian(state, E: float):
     if E < 0.0:
         raise DomainError(f"energy level must be nonnegative, got {E}")
     x, xd, yd = _unpack(state)
-    return math.sqrt(2.0 * E) * np.hypot(xd, yd) + np.sin(x) * yd
+    return speed(E) * np.hypot(xd, yd) + np.sin(x) * yd
 
 
 def circuit_states(orbit) -> np.ndarray:

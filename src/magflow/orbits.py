@@ -60,7 +60,7 @@ import numpy as np
 
 from . import _xp
 from .closedform import ClosedFormSolution, build_solution
-from .dynamics import CIRCUIT_NODES, TWO_PI, energy, momentum, reduced_lagrangian
+from .dynamics import CIRCUIT_NODES, TWO_PI, energy, momentum, reduced_lagrangian, speed
 from .elliptic import _rd
 from .errors import DegenerateCurve, DomainError, MagflowError, OpenCurve, WrongRegime
 from .integrate import Trajectory
@@ -397,7 +397,7 @@ def film_action(film) -> float:
     cycle action of its reduction.
     """
     if isinstance(film, CylinderStrip):
-        return (math.sqrt(2.0 * film.E) * 2.0 * TWO_PI
+        return (speed(film.E) * 2.0 * TWO_PI
                 + TWO_PI * (math.sin(film.x_b) - math.sin(film.x_a)))
     if isinstance(film, OrbitDisc):
         return film.multiplicity * film.orbit.reduction.cycle_values()[2]

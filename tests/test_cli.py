@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from magflow import MagflowError, OrbitKind, classify
-from magflow.cli import _build_parser, fmt, main
+from magflow import __version__
+from magflow.cli import _COMMANDS, _DEFAULTS, _build_parser, _resolve_config, fmt, main
 
 GAMMA_P = repr(1.0 + math.sqrt(0.5))  # vertical-line momentum at E = 0.25
 
@@ -210,6 +212,96 @@ def test_parser_built_once_and_reused(capsys):
     assert _build_parser() is _build_parser()
 
 
+def test_one_parser_without_subparsers():
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in _build_parser()._actions)
+
+
+# command lines of every command, each with the values it resolves to where
+# they differ from _DEFAULTS; "CFG" names a config file of {"e": 0.3, "p": 0.1}
+PARSE_TABLE = [
+    (["simulate", "--e", "0.125", "--p", "0", "--t-end", "5", "--grid-n", "41"],
+     dict(e=0.125, t_end=5.0, grid_n=41)),
+    (["simulate", "--x0=-1.5", "--y0", "0.25", "--sign", "-1", "--tol=1e-9"],
+     dict(x0=-1.5, y0=0.25, sign=-1, tol=1e-9)),
+    (["compare", "--e=0.125", "--p=-1e-05", "--t-end=20", "--grid-n=1001", "--out=r.json"],
+     dict(e=0.125, p=-1e-05, t_end=20.0, grid_n=1001, out="r.json")),
+    (["classify", "--e", "1", "--p", "-0.5"], dict(e=1.0, p=-0.5)),
+    (["classify", "--config", "CFG"], dict(e=0.3, p=0.1)),
+    (["classify", "--config=CFG", "--p", "-2"], dict(e=0.3, p=-2.0)),
+    (["orbit", "--e", "0.2", "--strip", "2", "--phase", "-0.1"], dict(e=0.2, strip=2, phase=-0.1)),
+    (["action", "--e=0.45", "--strip=1"], dict(e=0.45)),
+    (["film", "--e", "0.125", "--xa", "-3", "--xb=2.5"], dict(e=0.125, xa=-3.0, xb=2.5)),
+    (["sweep", "--e-min", "0.05", "--e-max", "1.2", "--p-min", "-2", "--p-max=2",
+      "--grid-n", "161", "--out", "s.tsv"],
+     dict(e_min=0.05, e_max=1.2, p_min=-2.0, p_max=2.0, grid_n=161, out="s.tsv")),
+    (["sweep", "--grid", "5"], dict(grid_n=5)),  # an unambiguous prefix of --grid-n
+]
+
+
+def resolved(argv, cfg_path):
+    argv = [a.replace("CFG", str(cfg_path)) for a in argv]
+    args = _build_parser().parse_args(argv)
+    return args.command, vars(_resolve_config(args))
+
+
+@pytest.mark.parametrize("argv, want", PARSE_TABLE, ids=[" ".join(a) for a, _ in PARSE_TABLE])
+def test_command_lines_parse_to_pinned_config(tmp_path, argv, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"e": 0.3, "p": 0.1}))
+    assert resolved(argv, cfg) == (argv[0], dict(_DEFAULTS, **want))
+    # the options before the command read the same
+    assert resolved(argv[1:] + argv[:1], cfg) == (argv[0], dict(_DEFAULTS, **want))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--e", "1", "--p", "-0.5"],
+    ["film", "--e", "0.125", "--xa", "1.5707963", "--xb", "4.7123890"],
+    ["sweep", "--e-min=0.1", "--e-max=0.9", "--p-min=-1.5", "--p-max=1.5", "--grid-n=4"],
+    ["compare", "--e", "0.125", "--p", "0.3", "--t-end", "2", "--grid-n", "11"],
+])
+def test_options_before_the_command_give_the_same_output(capsys, argv):
+    after = run(capsys, *argv)
+    assert after[0] == 0 and after[1]
+    assert run(capsys, *argv[1:], argv[0]) == after
+    assert run(capsys, *argv[1:3], argv[0], *argv[3:]) == after
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--version", "classify"],
+                                  ["classify", "--version"], ["--e", "1", "sweep", "--version"]])
+def test_version_exits_0_before_or_after_the_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--e", "1"], "the following arguments are required: command"),
+    (["integrate", "--e", "1"], "argument command: invalid choice: 'integrate'"),
+    (["sweep", "--p-m", "1"], "ambiguous option: --p-m could match --p-min, --p-max"),
+])
+def test_rejected_command_lines_exit_2_with_one_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: magflow ") and out.err.count("usage:") == 1
+    assert out.err.count("error:") == 1 and f"\nmagflow: error: {message}" in out.err
+
+
+def test_help_names_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_text) in _COMMANDS.items():
+        assert f"  {name:10s}{help_text}\n" in out
+    for key in ("config", *_DEFAULTS):
+        assert "--" + key.replace("_", "-") in out
+
+
 def test_compare_report(capsys):
     code, out, _ = run(capsys, "compare", "--e", "0.125", "--p", "0.3",
                        "--t-end", "20", "--grid-n", "201")
@@ -242,6 +334,22 @@ def test_film_matches_quoted_value(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["action"] == pytest.approx(-6.2831853, abs=1e-6)
+    assert rep["is_minimizer"] is True
+
+
+@pytest.mark.parametrize("e", ["1e308", repr(sys.float_info.max)])
+def test_film_where_2e_overflows_is_finite(capsys, e):
+    # 2E overflows above DBL_MAX/2, but sqrt(2E) and both actions are finite
+    mp = pytest.importorskip("mpmath")
+    code, out, _ = run(capsys, "film", "--e", e)
+    assert code == 0
+    rep = json.loads(out)
+    with mp.workdps(40):
+        E, xa, xb = (mp.mpf(float(v)) for v in (e, rep["x_a"], rep["x_b"]))
+        action = 4 * mp.pi * mp.sqrt(2 * E) + 2 * mp.pi * (mp.sin(xb) - mp.sin(xa))
+        best = 4 * mp.pi * (mp.sqrt(2 * E) - 1)
+        for key, want in (("action", float(action)), ("minimizer_action", float(best))):
+            assert math.isfinite(rep[key]) and abs(rep[key] - want) <= 4 * math.ulp(want)
     assert rep["is_minimizer"] is True
 
 

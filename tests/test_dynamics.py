@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from magflow import (
     rhs,
     state_from_integrals,
 )
+from magflow.dynamics import speed
 
 HALF_PI = 0.5 * math.pi
 
@@ -54,6 +56,18 @@ def test_reduced_lagrangian_vanishes_at_critical_configuration():
     assert np.array_equal(reduced_lagrangian(stack, 0.37), one_by_one)
     with pytest.raises(DomainError):
         reduced_lagrangian(s, -0.1)
+
+
+def test_speed_is_sqrt_2e_and_finite_up_to_dbl_max():
+    mp = pytest.importorskip("mpmath")
+    half_max = sys.float_info.max / 2
+    for E in (0.0, 5e-324, 0.125, 0.5, 1e300, half_max):
+        assert speed(E) == math.sqrt(2.0 * E)  # bit for bit where 2E is finite
+    for E in (math.nextafter(half_max, math.inf), 1e308, sys.float_info.max):
+        with mp.workdps(50):
+            assert speed(E) == float(mp.sqrt(2 * mp.mpf(E)))  # correctly rounded
+        # a unit velocity along x at sin x = 0 reads the speed alone
+        assert reduced_lagrangian(PhaseState(0.0, 0.0, 1.0, 0.0).as_array(), E) == speed(E)
 
 
 def test_state_from_integrals_examples():

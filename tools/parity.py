@@ -45,7 +45,10 @@ interpreter that imports magflow from that ``src/``:
   through ``build_solution``'s ``D``, and ``elliptic.complete_K`` on the
   same k (output ``elliptic.K``);
 * ``cli.main``, run in process, on 280 command lines, 40 of each
-  subcommand: the exit code and the text on stdout of each;
+  command: the exit code and the text on stdout of each, and every fifth
+  line again with its options, ``--config`` included, moved before the
+  command (outputs prefixed ``cli_flags_first``); it reads the same lines
+  and draws no random numbers, so every other set keeps its inputs;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state, the interpolant rows ``F`` of the first
   and the last step, one SHA-256 digest of the bytes of ``t``,
@@ -508,30 +511,38 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
 
 
 def run_cli(inp: dict, out: dict, errors: dict) -> None:
-    """cli.main in process on the cli set: the exit code and stdout of each line."""
+    """cli.main in process on the cli set: the exit code and stdout of each
+    line; and every fifth line again with its options, --config included,
+    before the command (outputs prefixed cli_flags_first)."""
     from magflow import cli
 
-    codes, texts, err = [], [], []
     with tempfile.TemporaryDirectory(prefix="magflow-parity-cli-") as tmp:
+        lines = []
         for i, (argv, cfg) in enumerate(zip(inp["cli_argv"].tolist(),
                                             inp["cli_config"].tolist())):
-            argv = json.loads(argv)
+            command, *options = json.loads(argv)
             if cfg:
                 path = Path(tmp) / f"{i}.json"
                 path.write_text(cfg)
-                argv += ["--config", str(path)]
-            stdout = io.StringIO()
-            try:
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                    codes.append(cli.main(argv))
-            except (Exception, SystemExit) as exc:
-                codes.append(-1)
-                err.append(type(exc).__name__)
-            else:
-                err.append("")
-            texts.append(stdout.getvalue())
-    out["cli.exit"], out["cli.stdout"] = np.array(codes), np.array(texts)
-    errors["cli"] = err
+                options += ["--config", str(path)]
+            lines.append((command, options))
+        sets = {"cli": [[command, *options] for command, options in lines],
+                "cli_flags_first": [[*options, command] for command, options in lines[::5]]}
+        for name, argvs in sets.items():
+            codes, texts, err = [], [], []
+            for argv in argvs:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        codes.append(cli.main(argv))
+                except (Exception, SystemExit) as exc:
+                    codes.append(-1)
+                    err.append(type(exc).__name__)
+                else:
+                    err.append("")
+                texts.append(stdout.getvalue())
+            out[f"{name}.exit"], out[f"{name}.stdout"] = np.array(codes), np.array(texts)
+            errors[name] = err
 
 
 def trajectory_digest(traj) -> str:
