@@ -1,20 +1,26 @@
 """Command-line front end with bit-stable CSV/JSON/TSV export.
 
 One parser reads the command and its flags, which may come before or after
-it; every command takes every flag and ignores those it does not read.
+it; every command takes every flag and ignores those it does not read.  A
+negative number after a flag as a word of its own is that flag's value, in
+any form float() reads ('--p -1e-05' is '--p=-1e-05').
 Numbers are serialized with 17 significant digits ('.' decimal separator,
 no locale), which round-trips binary64 exactly, so identical configurations
-produce byte-identical files.  Exit codes: 0 success, 2 domain or regime
-error or a command line argparse rejects, 3 numeric failure.
+produce byte-identical files.  Every command hands its text to one writer,
+_write, in blocks: without --out they go to sys.stdout as text, with it
+their UTF-8 bytes go to the file by os.write, so the file holds exactly the
+bytes stdout would carry ('\n' newlines; all output is ASCII).  Exit codes:
+0 success, 2 domain or regime error or a command line argparse rejects, 3
+numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,23 +63,37 @@ def fmt(v) -> str:
     return "" if v is None else f"{float(v):.17g}"
 
 
-def _output(out: str | None):
-    """The stream of --out for a with statement: the named file, or stdout without one."""
+#: os.open flags of --out: created or truncated; O_BINARY (Windows) keeps '\n' as is
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write(blocks, out: str | None) -> None:
+    """Write the text blocks in order to the file out, or to stdout without one.
+
+    The file is opened, as open(out, "w") would, before the first block is
+    taken from blocks, so a lazy sequence forms its blocks one at a time;
+    each block's UTF-8 bytes go to it by os.write.
+    """
     if out is None:
-        return contextlib.nullcontext(sys.stdout)
+        for block in blocks:
+            sys.stdout.write(block)
+        return
     try:
-        return open(out, "w", newline="\n")
+        fd = os.open(out, _OUT_FLAGS, 0o666)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}") from exc
+    try:
+        for block in blocks:
+            data = block.encode()
+            while data:  # os.write may take only a part
+                data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
-def _write(text: str, out: str | None) -> None:
-    with _output(out) as fh:
-        fh.write(text)
-
-
-def _json_dump(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2, allow_nan=True) + "\n", out)
+def _json(payload: dict) -> str:
+    """The text of a JSON report."""
+    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
 
 _DEFAULTS = dict(
@@ -96,11 +116,45 @@ _HELP = dict(
 )
 
 
+#: the words argparse reads as a flag that takes a value: each such flag and
+#: each prefix of one that is no prefix of --help or --version
+_VALUE_FLAG_WORDS = frozenset(
+    flag[:i] for flag in ("--config", *("--" + key.replace("_", "-") for key in _DEFAULTS))
+    for i in range(3, len(flag) + 1)
+) - frozenset(flag[:i] for flag in ("--help", "--version") for i in range(3, len(flag) + 1))
+
+
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number after a value flag as
+    its value, '--p -1e-05' as '--p=-1e-05': argparse reads a word that
+    starts with '-' as an option unless it looks like -1 or -.5."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = sys.argv[1:] if args is None else list(args)
+        if not _VALUE_FLAG_WORDS.isdisjoint(words):  # some flag word waits for its value
+            args, words = words, []
+            for word in args:
+                if (word[:1] == "-" and words and words[-1] in _VALUE_FLAG_WORDS
+                        and _is_number(word)):
+                    words[-1] += "=" + word
+                else:
+                    words.append(word)
+        return super().parse_known_args(words, namespace)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one argument parser, built once per process; parsing leaves it unchanged.
     Each key of _DEFAULTS is a flag --key ('-' for '_') of its default's type."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magflow", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Magnetic geodesic flow on the flat two-torus (field cos x dx^dy).",
         epilog="commands:\n" + "".join(f"  {c:10s}{h}\n" for c, (_, h) in _COMMANDS.items()))
@@ -154,10 +208,14 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
+#: the keys of float values, each of which must be finite
+_FLOAT_KEYS = tuple(key for key, default in _DEFAULTS.items() if isinstance(default, float))
+
+
 def _validate(cfg: argparse.Namespace) -> None:
-    for key, default in _DEFAULTS.items():
+    for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
-        if isinstance(default, float) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise DomainError(f"{key} must be finite, got {value}")
     if not TOL_MIN <= cfg.tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -187,7 +245,7 @@ def cmd_simulate(cfg) -> None:
         x, y, xd, yd = traj.eval(grid)
         rows = [_csv_row(t, (xi, yi, xdi, ydi))
                 for t, xi, yi, xdi, ydi in zip(grid, x, y, xd, yd)]
-    _write("\n".join([header] + rows) + "\n", cfg.out)
+    _write(["\n".join([header] + rows) + "\n"], cfg.out)
 
 
 def _csv_row(t, s) -> str:
@@ -213,11 +271,11 @@ def cmd_compare(cfg) -> None:
         "samples": int(cfg.grid_n),
         "nfev": traj.nfev,
     }
-    _json_dump(payload, cfg.out)
+    _write([_json(payload)], cfg.out)
 
 
 def cmd_classify(cfg) -> None:
-    _json_dump(classify(cfg.e, cfg.p).to_dict(), cfg.out)
+    _write([_json(classify(cfg.e, cfg.p).to_dict())], cfg.out)
 
 
 def cmd_orbit(cfg) -> None:
@@ -234,7 +292,7 @@ def cmd_orbit(cfg) -> None:
         "delta_y": sol.delta_y_per_cycle,
         "action": sol.reduction.cycle_values()[2],
     }
-    _json_dump(payload, cfg.out)
+    _write([_json(payload)], cfg.out)
 
 
 def cmd_action(cfg) -> None:
@@ -249,7 +307,7 @@ def cmd_action(cfg) -> None:
         "action_formula": formula,
         "max_discrepancy": max(abs(direct - increment), abs(direct - formula)),
     }
-    _json_dump(payload, cfg.out)
+    _write([_json(payload)], cfg.out)
 
 
 def cmd_film(cfg) -> None:
@@ -268,7 +326,7 @@ def cmd_film(cfg) -> None:
         "minimizer_action": best,
         "is_minimizer": is_min,
     }
-    _json_dump(payload, cfg.out)
+    _write([_json(payload)], cfg.out)
 
 
 #: cells of the sweep grid per cycle_data call and per write, so memory
@@ -311,18 +369,22 @@ def _sweep_rows(es: np.ndarray, ps: np.ndarray, cell: np.ndarray,
                     for f, (a, b, dy, per, act) in zip(fmt_index, values)])
 
 
+def _sweep_blocks(es: np.ndarray, ps: np.ndarray):
+    """The sweep TSV: its header, then the rows of _SWEEP_BLOCK cells at a
+    time, in row-major order, E outer and p inner."""
+    es_text, ps_text = [fmt(v) for v in es.tolist()], [fmt(v) for v in ps.tolist()]
+    yield "E\tp\tkind\tdelta_y\tperiod\taction\n"
+    cells = len(es) * len(ps)
+    for lo in range(0, cells, _SWEEP_BLOCK):
+        yield _sweep_rows(es, ps, np.arange(lo, min(lo + _SWEEP_BLOCK, cells)), es_text, ps_text)
+
+
 def cmd_sweep(cfg) -> None:
     if cfg.e_min <= 0.0 or cfg.e_max < cfg.e_min or cfg.p_max < cfg.p_min:
         raise DomainError("sweep ranges require 0 < e-min <= e-max, p-min <= p-max")
     n = cfg.grid_n
     es, ps = _grid(cfg.e_min, cfg.e_max, n), _grid(cfg.p_min, cfg.p_max, n)
-    es_text, ps_text = [fmt(v) for v in es.tolist()], [fmt(v) for v in ps.tolist()]
-    with _output(cfg.out) as fh:
-        fh.write("E\tp\tkind\tdelta_y\tperiod\taction\n")
-        # cells in row-major order, E outer and p inner
-        for lo in range(0, n * n, _SWEEP_BLOCK):
-            cell = np.arange(lo, min(lo + _SWEEP_BLOCK, n * n))
-            fh.write(_sweep_rows(es, ps, cell, es_text, ps_text))
+    _write(_sweep_blocks(es, ps), cfg.out)
 
 
 #: each command: its function and its help line

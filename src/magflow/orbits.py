@@ -186,8 +186,11 @@ def cycle_data(E, p) -> CycleData:
     data, which are formed only on a grid with some vertical-line lane.
     Each lane equals classify(E, p) bit for bit.
     """
-    E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
-                               np.atleast_1d(np.asarray(p, dtype=float)))
+    # float64 lanes of one 1-D shape, as cli sweep passes them, serve as they are
+    if not (type(E) is type(p) is np.ndarray and E.ndim == 1 and E.shape == p.shape
+            and E.dtype == p.dtype == np.float64):
+        E, p = np.broadcast_arrays(np.atleast_1d(np.asarray(E, dtype=float)),
+                                   np.atleast_1d(np.asarray(p, dtype=float)))
     # lanes of another kind, or failed, hold garbage, and 2E overflows
     # next to E = 1e308
     with np.errstate(all="ignore"):

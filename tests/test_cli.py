@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -226,6 +228,7 @@ PARSE_TABLE = [
     (["compare", "--e=0.125", "--p=-1e-05", "--t-end=20", "--grid-n=1001", "--out=r.json"],
      dict(e=0.125, p=-1e-05, t_end=20.0, grid_n=1001, out="r.json")),
     (["classify", "--e", "1", "--p", "-0.5"], dict(e=1.0, p=-0.5)),
+    (["classify", "--e", "1", "--p", "-1e-05"], dict(e=1.0, p=-1e-05)),
     (["classify", "--config", "CFG"], dict(e=0.3, p=0.1)),
     (["classify", "--config=CFG", "--p", "-2"], dict(e=0.3, p=-2.0)),
     (["orbit", "--e", "0.2", "--strip", "2", "--phase", "-0.1"], dict(e=0.2, strip=2, phase=-0.1)),
@@ -235,6 +238,7 @@ PARSE_TABLE = [
       "--grid-n", "161", "--out", "s.tsv"],
      dict(e_min=0.05, e_max=1.2, p_min=-2.0, p_max=2.0, grid_n=161, out="s.tsv")),
     (["sweep", "--grid", "5"], dict(grid_n=5)),  # an unambiguous prefix of --grid-n
+    (["sweep", "--p-mi", "-2.5e-1", "--e-max", "-1e+300"], dict(p_min=-0.25, e_max=-1e300)),
 ]
 
 
@@ -253,8 +257,24 @@ def test_command_lines_parse_to_pinned_config(tmp_path, argv, want):
     assert resolved(argv[1:] + argv[:1], cfg) == (argv[0], dict(_DEFAULTS, **want))
 
 
+FLOAT_KEYS = [key for key, default in _DEFAULTS.items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_negative_exponent_values_parse_after_a_flag_word(key):
+    # argparse alone reads "-1e-05" after a bare flag as an option; each
+    # float flag takes it, and the other forms float() reads, as its value,
+    # as a separate word or after "=", after the command or before it
+    flag = "--" + key.replace("_", "-")
+    for value in ("-1e-05", "-2.5E+3", "-7e0", "-.5e-3", "-0.5", "-3"):
+        for argv in (["classify", flag, value], ["classify", f"{flag}={value}"],
+                     [flag, value, "classify"], [flag, value, "--e", value, "classify"]):
+            assert getattr(_build_parser().parse_args(argv), key) == float(value), argv
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--e", "1", "--p", "-0.5"],
+    ["classify", "--e", "1", "--p", "-1e-05"],
     ["film", "--e", "0.125", "--xa", "1.5707963", "--xb", "4.7123890"],
     ["sweep", "--e-min=0.1", "--e-max=0.9", "--p-min=-1.5", "--p-max=1.5", "--grid-n=4"],
     ["compare", "--e", "0.125", "--p", "0.3", "--t-end", "2", "--grid-n", "11"],
@@ -280,6 +300,8 @@ def test_version_exits_0_before_or_after_the_command(capsys, argv):
     (["--e", "1"], "the following arguments are required: command"),
     (["integrate", "--e", "1"], "argument command: invalid choice: 'integrate'"),
     (["sweep", "--p-m", "1"], "ambiguous option: --p-m could match --p-min, --p-max"),
+    # a word after a flag that is no number is still read as an option
+    (["classify", "--p", "-x"], "argument --p: expected one argument"),
 ])
 def test_rejected_command_lines_exit_2_with_one_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -440,10 +462,42 @@ def test_bad_config_exits_2(tmp_path, capsys, name, content):
     assert out == "" and err.startswith("magflow: ")
 
 
-@pytest.mark.parametrize("command, target", [("classify", "missing/x.json"), ("sweep", ".")])
+# a short valid command line of each command
+QUICK_LINES = {
+    "simulate": ["--e", "0.125", "--p", "0.2", "--t-end", "1", "--grid-n", "5"],
+    "compare": ["--e", "0.125", "--p", "0.3", "--t-end", "1", "--grid-n", "5"],
+    "classify": ["--e", "1", "--p", "0"],
+    "orbit": ["--e", "0.125"],
+    "action": ["--e", "0.2"],
+    "film": ["--e", "0.125"],
+    "sweep": ["--grid-n", "3"],
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, command):
+    code, text, _ = run(capsys, command, *QUICK_LINES[command])
+    assert code == 0 and text
+    # an existing longer file is replaced whole, and a new file gets the
+    # mode open(path, "w") gives it under the umask
+    longer, new, ref = tmp_path / "longer", tmp_path / "new", tmp_path / "ref"
+    longer.write_bytes(b"x" * (3 * len(text) + 4096))
+    umask = os.umask(0o027)
+    try:
+        for path in (longer, new):
+            assert run(capsys, command, *QUICK_LINES[command], "--out", str(path)) == (0, "", "")
+        open(ref, "w").close()
+    finally:
+        os.umask(umask)
+    assert longer.read_bytes() == new.read_bytes() == text.encode()
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("command, target", [(command, target) for command in _COMMANDS
+                                             for target in ("missing/x.json", ".")])
 def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
     # a file in a directory that does not exist, and a directory
-    code, out, err = run(capsys, command, "--grid-n", "3", "--out", str(tmp_path / target))
+    code, out, err = run(capsys, command, *QUICK_LINES[command], "--out", str(tmp_path / target))
     assert code == 2
     assert out == "" and err.startswith("magflow: cannot write ")
 

@@ -311,8 +311,10 @@ def test_cycle_data_lanes_do_not_depend_on_their_neighbours(rng, monkeypatch, to
     # the same levels as one call and in blocks of 1, 7 and 100 lanes (a
     # bench sweep window) give the same bits: a lane whose ladder stopped
     # keeps its own K while the others step on, and no call writes into
-    # the arrays it was given (float64 arrays, which np.asarray does not
-    # copy); at the tightened tolerance of
+    # the arrays it was given (1-D float64 lanes of one shape, which
+    # cycle_data uses as they are); the inputs it broadcasts first (a
+    # scalar E with an array p, 2-D grids, lists and 0-d arrays) give the
+    # bits of those lanes too; at the tightened tolerance of
     # test_failed_lanes_are_the_levels_classify_rejects, lanes of every kind
     # of neighbour fail the self-check
     import magflow.legendre
@@ -328,6 +330,15 @@ def test_cycle_data_lanes_do_not_depend_on_their_neighbours(rng, monkeypatch, to
         for name, lanes in zip(whole._fields, whole):
             got = np.concatenate([getattr(b, name) for b in blocks])
             assert got.tobytes() == lanes.tobytes(), (name, size)
+    grid = cycle_data(E.reshape(4, -1), p.reshape(4, -1))
+    assert grid.kind.shape == (4, len(E) // 4)
+    broadcast = [(grid, whole), (cycle_data(E.tolist(), p.tolist()), whole),
+                 (cycle_data(E[0], p), cycle_data(np.full_like(p, E[0]), p)),
+                 *((cycle_data(E[i], np.asarray(p[i])), cycle_data(E[i:i + 1], p[i:i + 1]))
+                   for i in range(0, len(E), 37))]
+    for got, want in broadcast:
+        for name, lanes in zip(want._fields, want):
+            assert getattr(got, name).tobytes() == lanes.tobytes(), name
     assert (E.tobytes(), p.tobytes()) == (E_in, p_in)
     assert set(whole.kind.tolist()) == set(range(len(OrbitKind)))
     assert 0 < whole.failed.sum() < 0.5 * len(E)

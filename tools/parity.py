@@ -47,8 +47,11 @@ interpreter that imports magflow from that ``src/``:
 * ``cli.main``, run in process, on 280 command lines, 40 of each
   command: the exit code and the text on stdout of each, and every fifth
   line again with its options, ``--config`` included, moved before the
-  command (outputs prefixed ``cli_flags_first``); it reads the same lines
-  and draws no random numbers, so every other set keeps its inputs;
+  command (outputs prefixed ``cli_flags_first``), and every fifth line
+  again with ``--out`` into a file of the temporary directory: the exit
+  code, stdout, whether the file was written and its bytes (outputs
+  prefixed ``cli_out``); it reads the same lines and draws no random
+  numbers, so every other set keeps its inputs;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state, the interpolant rows ``F`` of the first
   and the last step, one SHA-256 digest of the bytes of ``t``,
@@ -512,8 +515,10 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
 
 def run_cli(inp: dict, out: dict, errors: dict) -> None:
     """cli.main in process on the cli set: the exit code and stdout of each
-    line; and every fifth line again with its options, --config included,
-    before the command (outputs prefixed cli_flags_first)."""
+    line; every fifth line again with its options, --config included,
+    before the command (outputs prefixed cli_flags_first); and every fifth
+    line again with --out (outputs prefixed cli_out), which also records
+    the bytes of the file, the empty string where none was written."""
     from magflow import cli
 
     with tempfile.TemporaryDirectory(prefix="magflow-parity-cli-") as tmp:
@@ -526,8 +531,11 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
                 path.write_text(cfg)
                 options += ["--config", str(path)]
             lines.append((command, options))
+        out_paths = [Path(tmp) / f"out{i}" for i in range(len(lines[::5]))]
         sets = {"cli": [[command, *options] for command, options in lines],
-                "cli_flags_first": [[*options, command] for command, options in lines[::5]]}
+                "cli_flags_first": [[*options, command] for command, options in lines[::5]],
+                "cli_out": [[command, *options, "--out", str(path)]
+                            for (command, options), path in zip(lines[::5], out_paths)]}
         for name, argvs in sets.items():
             codes, texts, err = [], [], []
             for argv in argvs:
@@ -543,6 +551,10 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
                 texts.append(stdout.getvalue())
             out[f"{name}.exit"], out[f"{name}.stdout"] = np.array(codes), np.array(texts)
             errors[name] = err
+        out["cli_out.written"] = np.array([path.exists() for path in out_paths])
+        # latin-1 keeps every byte as one character
+        out["cli_out.file"] = np.array([path.read_bytes().decode("latin-1") if path.exists()
+                                        else "" for path in out_paths])
 
 
 def trajectory_digest(traj) -> str:
