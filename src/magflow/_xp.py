@@ -3,11 +3,13 @@
 The reduction and cycle-data formulas run on either kind of operand:
 Python floats for one level (classify, reduce_to_legendre,
 build_solution) and float arrays of one shape for a grid of levels
-(orbits.cycle_data).  So does the closed-form phase (elliptic.sn_cn and
-closedform._orbit_phase): floats for build_solution's start phase, a
-scalar t of eval_solution and a scalar u of elliptic.sn, arrays for a
-batch of samples.  A formula takes the operations from of(x), the math
-namespace for a float and the numpy one for an array, once per call.
+(orbits.cycle_data).  So do the closed-form phase (elliptic._sn_cn_rungs,
+closedform._orbit_phase) and the flow (dynamics.rhs): floats for
+build_solution's start phase, a scalar t of eval_solution, a scalar u of
+elliptic.sn and the RK oracle's first stage, arrays for a batch of samples
+and the interpolant stages of a block of RK steps.  A formula takes the
+operations from of(x), the math namespace for a float and the numpy one
+for an array, once per call.
 Both square roots are correctly rounded, math's sin and cos give numpy's
 values, rint rounds half to even on either, and minimum, maximum, where
 and copysign only pick or sign an operand, so one lane of an array call

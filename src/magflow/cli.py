@@ -10,8 +10,10 @@ produce byte-identical files.  Every command hands its text to one writer,
 _write, in blocks: without --out they go to sys.stdout as text, with it
 their UTF-8 bytes go to the file by os.write, so the file holds exactly the
 bytes stdout would carry ('\n' newlines; all output is ASCII).  Exit codes:
-0 success, 2 domain or regime error or a command line argparse rejects, 3
-numeric failure.
+0 success, 1 stdout closed by its reader (a broken pipe: the rest of the
+output is dropped silently, as the note on SIGPIPE of Python's signal
+documentation does), 2 domain or regime error, a file or stdout that cannot
+be written or a command line argparse rejects, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .orbits import (
 )
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
@@ -72,23 +75,31 @@ def _write(blocks, out: str | None) -> None:
 
     The file is opened, as open(out, "w") would, before the first block is
     taken from blocks, so a lazy sequence forms its blocks one at a time;
-    each block's UTF-8 bytes go to it by os.write.
+    each block's UTF-8 bytes go to it by os.write.  A failed write raises
+    DomainError, a broken pipe on stdout BrokenPipeError.
     """
-    if out is None:
-        for block in blocks:
-            sys.stdout.write(block)
-        return
     try:
+        if out is None:
+            for block in blocks:
+                sys.stdout.write(block)
+            sys.stdout.flush()  # a failure raises here, not at exit
+            return
         fd = os.open(out, _OUT_FLAGS, 0o666)
+        try:
+            for block in blocks:
+                data = block.encode()
+                while data:  # os.write may take only a part
+                    data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc}") from exc
-    try:
-        for block in blocks:
-            data = block.encode()
-            while data:  # os.write may take only a part
-                data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+        if out is None:
+            # what stdout still holds goes nowhere at exit, as in the note
+            # on SIGPIPE of Python's signal documentation
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise
+        raise DomainError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
 
 
 def _json(payload: dict) -> str:
@@ -410,6 +421,8 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"magflow: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        return EXIT_CLOSED_PIPE
     return EXIT_OK
 
 

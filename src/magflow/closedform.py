@@ -19,7 +19,7 @@ on, with cos x = (-1)^m.  z = +1 at the phases u = K and z = -1 at u = -K
 (mod 4K); m changes there exactly when the oval reaches that wall, while
 interior endpoints are xdot-turning points where the sign of zdot flips
 instead.  One integer per phase, the half-period index j, decides all
-of it.  elliptic.sn_cn decides it and its parity (-1)^j, folding u to
+of it.  elliptic._sn_cn_rungs decides it and its parity (-1)^j, folding u to
 v = u - 2K j in [-K, K] and sn, cn by (-1)^j; the sheet m, cos x = (-1)^m,
 the sign (-1)^j of zdot and the continuation of J2 below read them
 (_orbit_phase), so none can disagree with sn or another at a boundary.
@@ -363,8 +363,9 @@ def _orbit_phase(red: LegendreReduction, pc: PhaseConstants, xdot_sign: int, cos
     """(x - x_offset, z, the sign of xdot, G) at the phases u, a float or an array;
     pc is the orbit's PhaseConstants.
 
-    sn_cn decides the half period j of each phase and its parity, the sign
-    of zdot; the sheet of x, cos x and G's continuation read that one j.
+    _sn_cn_rungs decides the half period j of each phase and its parity,
+    the sign of zdot; the sheet of x, cos x and G's continuation read that
+    one j.
     build_solution takes its start here at the float D/C and eval_solution
     every sample at (t + D)/C, a float for a scalar t; a float phase equals
     its lane of an array bit for bit, so y(0) = y0 on either path.

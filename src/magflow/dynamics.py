@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _xp
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -54,14 +55,16 @@ class PhaseState:
 def rhs(t, y):
     """Vector field (xdot, ydot, xddot, yddot) at y = (x, y, xdot, ydot).
 
-    The (t, y) signature of an ODE right-hand side; t is unused.  y is any
-    sequence of four floats.  The integrator calls it on Python floats for
-    the first stage and the initial step; its step kernel writes these
-    operations into the other stages, and its block pass into the 3
-    interpolant stages of each step, on arrays.
+    The (t, y) signature of an ODE right-hand side; t is unused.  y is four
+    floats, or four float arrays of one shape, each lane of which gives the
+    float call's values bit for bit (_xp); x = +-inf raises math.cos's
+    ValueError on a float.  The integrator calls it on Python floats for
+    the first stage and the initial step and on arrays for the 3
+    interpolant stages of each step; its step kernel writes these
+    operations into the other stages.
     """
     x, _, xd, yd = y
-    c = math.cos(x)
+    c = _xp.of(x).cos(x)
     return (xd, yd, c * yd, -c * xd)
 
 

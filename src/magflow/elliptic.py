@@ -6,23 +6,23 @@ float or on array lanes, is the one record of a modulus: it starts at
 (a, b, c) = (1, k', k), K is read from its last rung, R_D(0, k'^2, 1) by
 DLMF 19.8.5 and L = (2/3) R_J(0, k'^2, 1, 1 - c^2) by the sequence of
 DLMF 19.8.6 from its rungs (complete_RD, complete_L), sn and cn by the
-descending Landen recursion on the same rungs (sn_cn), and the
-incomplete F takes k' and K from it (F) on the strip n = round(phi/pi),
-so |phi| <= fl(pi/2) is n = 0.  legendre.LegendreReduction keeps the
-ladder of its (k, k') in its field ladder, so one run of the AGM serves a
-level's cycle data and its closed-form orbit, and the orbit keeps the
-constants the descent reads from it (Descent) in its phase record
-(closedform.PhaseConstants).  masked_K_ladder
-is the one builder of a ladder; the public complete_K(k, k'),
-incomplete_F(phi, k) and sn(u, k) check their modulus and build through
-it.  Where complete_K
-or incomplete_F takes k' from k next to k = 1, it warns
-(LossOfPrecisionWarning); sn takes k' from k silently.  F takes
-Carlson's R_F and orbits.action_contractible_formula his R_D, both on
-Python floats by the duplication theorem and the series of DLMF 19.36(i)
-(_rf, _rd), and y(t)'s third-kind term where p != 0 reads the Landen phases
-of sn_cn's descent (_sn_cn_rungs, closedform), so no elliptic integral of
-the package calls scipy.
+descending Landen recursion on the same rungs (_sn_cn_rungs, on the
+constants descent reads from the ladder), and the incomplete F takes k'
+and K from it (F) on the strip n = round(phi/pi), so |phi| <= fl(pi/2) is
+n = 0.  legendre.LegendreReduction keeps the ladder of its (k, k') in its
+field ladder, so one run of the AGM serves a level's cycle data and its
+closed-form orbit, and the orbit keeps the constants the descent reads
+from it (Descent) in its phase record (closedform.PhaseConstants).
+masked_K_ladder is the one builder of a ladder, of a given k' or one
+taken from k, on floats or array lanes; the public complete_K(k),
+incomplete_F(phi, k) and sn(u, k) check their float modulus and build
+through it.  Where complete_K or incomplete_F takes k' from k next to
+k = 1, it warns (LossOfPrecisionWarning); sn takes k' from k silently.
+F takes Carlson's R_F and orbits.action_contractible_formula his R_D, both
+on Python floats by the duplication theorem and the series of DLMF
+19.36(i) (_rf, _rd), and y(t)'s third-kind term where p != 0 reads the
+Landen phases of the descent (_sn_cn_rungs, closedform), so no elliptic
+integral of the package calls scipy.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ _FLAT_RATIO = 2.0 ** -55
 
 
 class Descent(NamedTuple):
-    """The constants the descent of sn_cn reads from a ladder of N steps:
+    """The constants the descent of _sn_cn_rungs reads from a ladder of N steps:
     K, 2K, 2^n a_N and the rung ratios c_i/a_i for i = n ... 1.  Formed
     once per ladder, each by the expression and in the order the descent
     would use per call, so its values do not depend on where they were
@@ -236,18 +236,23 @@ def descent(ladder: Ladder) -> Descent:
 
 
 def _sn_cn_rungs(u, d: Descent):
-    """sn_cn with the phases of its descent: (j, (-1)^j, sn, cn, v, phi, sin_phi).
+    """(j, (-1)^j, sn, cn, v, phi, sin_phi) at the phases u, a float or an
+    array, by the descending Landen phase recursion on the ladder whose
+    constants d holds (Descent); a float u runs on Python floats (_xp) and
+    equals its lane of an array bit for bit.  This descent is the only
+    routine that does per-phase elliptic work.
 
-    d holds the constants of the ladder (Descent) in Python floats, for a
-    float u and an array u alike (see _xp).
-    v = u - 2K j is the folded phase in [-K, K], and phi[n], sin_phi[n]
-    are the Landen amplitude of v at rung n, of modulus c_n/a_n, and its
-    sine, for n = 0 ... len(d.ratios), the rungs the descent keeps, so
-    phi[0] is the amplitude of v itself.
-    closedform reads them for the theta functions of y(t).  j is a whole
-    number (or NaN), so its parity is _xp.mod2(j), which equals numpy's
-    j % 2.0 at a fraction of its cost; every temporary that nothing else
-    holds is updated in place.
+    j is the half period of u, the one decision about a phase: u folds to
+    v = mod(u + K, 2K) - K in [-K, K] and j = rint((u - v)/2K), so j agrees
+    with v by construction, and sn, cn = (-1)^j (sin phi, cos phi) at the
+    amplitude phi of v; j is a whole number (or NaN), so its parity is
+    _xp.mod2(j).  On [-K, K] the principal arcsin branch applies at every
+    rung, |c_n/a_n sin phi| < 1; k = 0 runs no rung.  cn from the amplitude
+    keeps full absolute accuracy at the turning points sn = +-1, where
+    sqrt(1 - sn^2) would lose half the digits.  phi[n], sin_phi[n] are the
+    amplitude of v at rung n, of modulus c_n/a_n, and its sine, for n = 0
+    ... len(d.ratios), the rungs the descent keeps; closedform reads them
+    for the theta functions of y(t).  Temporaries are updated in place.
     """
     xp = _xp.of(u)
     K, two_K = d.K, d.two_K
@@ -274,30 +279,11 @@ def _sn_cn_rungs(u, d: Descent):
     return j, flip, flip * s, cn, v, phi, sin_phi
 
 
-def sn_cn(u, ladder: Ladder):
-    """(j, (-1)^j, sn, cn) at the phases u, on the float ladder of (k, k'),
-    by the descending Landen phase recursion; u is a float or a float array.
-
-    j is the half period of u, the one decision about a phase: u folds to
-    v = mod(u + K, 2K) - K in [-K, K] and j = rint((u - v)/2K), so j agrees
-    with v by construction, and sn, cn = (-1)^j (sin phi, cos phi) at the
-    amplitude phi of v.  closedform reads the same j and (-1)^j.  On [-K, K] the
-    principal arcsin branch applies at every rung, |c_n/a_n sin phi| < 1,
-    so no clip is needed; k = 0 runs no rung.  cn from the amplitude keeps
-    full absolute accuracy at the turning points sn = +-1, where
-    sqrt(1 - sn^2) would lose half the digits.  A float u runs these lines
-    on Python floats (_xp) and equals its lane of an array bit for bit.
-    This descent (_sn_cn_rungs) is the only routine that does per-phase
-    elliptic work.
-    """
-    return _sn_cn_rungs(u, descent(ladder))[:4]
-
-
 def masked_K_ladder(k, kc=None):
     """(K, ladder): K and the AGM ladder of k and k', floats or arrays of
     one shape, the one builder of a ladder.
 
-    complete_RD, complete_L, sn_cn and F read the same ladder, so one run
+    complete_RD, complete_L, descent and F read the same ladder, so one run
     of the AGM serves everything of a modulus.  A k or k' outside its
     domain gives K = NaN and rungs of no meaning, not DomainError: the
     Legendre reduction's self-check then fails the level.  Without k' each
@@ -322,24 +308,15 @@ def masked_K_ladder(k, kc=None):
     return xp.where(ok, ladder.K, math.nan), ladder
 
 
-def complete_K(k, kc=None):
-    """Complete elliptic integral of the first kind, K = pi/(2 agm(1, k')).
-
-    k' = sqrt(1 - k^2) is taken from k unless it is given: next to k = 1,
-    (1 - k)(1 + k) keeps only the digits of 1 - k, and K, which grows like
-    log(4/k'), magnifies the last bit of k, so a k' built from the data k
-    came from (the root gaps of a quartic, see legendre) keeps K accurate
-    there.  The AGM is the ladder that sn runs on, so sn has period 4 K
-    exactly.  k and a given k' may also be float arrays of one shape: each
-    lane equals the float call, and a lane outside the domain gives NaN
-    where the float call raises DomainError.
+def complete_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, K = pi/(2 agm(1, k')),
+    for a float 0 <= k < 1, on the ladder that sn runs on, so sn has period
+    4 K exactly.  k' = sqrt(1 - k^2) is taken from k, which keeps only the
+    digits of 1 - k, and K, which grows like log(4/k'), magnifies them: it
+    warns next to k = 1 (LossOfPrecisionWarning).  masked_K_ladder takes a
+    k' formed from the data k came from (see legendre), and array lanes.
     """
-    if not isinstance(k, np.ndarray):
-        k = _check_modulus(k)
-        kc = None if kc is None else float(kc)
-        if kc is not None and not 0.0 < kc <= 1.0:
-            raise DomainError(f"complementary modulus must satisfy 0 < k' <= 1, got {kc}")
-    return masked_K_ladder(k, kc)[0]
+    return masked_K_ladder(_check_modulus(k))[0]
 
 
 def F(phi: float, ladder: Ladder) -> float:
@@ -370,9 +347,11 @@ def incomplete_F(phi: float, k: float) -> float:
 def sn(u, k: float):
     """Jacobi sn(u, k) for real u: a float for a scalar u, else an array.
 
-    Descending Landen phase recursion on the AGM ladder (see sn_cn), on
-    Python floats for a scalar: quadratic convergence, no series truncation.
+    Descending Landen phase recursion on the AGM ladder (see _sn_cn_rungs),
+    on Python floats for a scalar: quadratic convergence, no series
+    truncation.
     """
     k = _check_modulus(k)
     u = np.asarray(u, dtype=float)
-    return sn_cn(float(u) if u.ndim == 0 else u, masked_K_ladder(k, _complement(k))[1])[2]
+    d = descent(masked_K_ladder(k, _complement(k))[1])
+    return _sn_cn_rungs(float(u) if u.ndim == 0 else u, d)[2]

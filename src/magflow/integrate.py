@@ -15,8 +15,8 @@ interpolant, its 3 extra stages and 7 rows, so the loop only keeps each
 accepted step's end, state and the 9 of its 13 stages that the
 interpolant reads (KEPT_STAGES), and one numpy pass per block of
 BLOCK_STEPS accepted steps converts them to arrays, once, and builds
-their rows: the extra stages as the flow of dynamics.rhs over the
-block's argument rows, each sum in its row's order again, so each row
+their rows: the extra stages by dynamics.rhs on the block's argument
+rows, each sum in its row's order again, so each row
 rounds as it would on Python floats.  Only the rounding of its sums
 differs from scipy's BLAS, and a step's error estimate, a sum that
 cancels, carries that rounding into the step size: the step ends move
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,13 @@ _A_EXTRA_SLOTS = tuple(tuple((_SLOT[j], a) for j, a in row) for row in A_EXTRA)
 _D_COLUMNS = tuple((_SLOT[col[0][0]], np.array([[a] for _, a in col])) for col in zip(*D))
 
 
+# dynamics.rhs on a code object of its own for array calls: CPython
+# specializes a float product per code object, and its specialized and
+# generic products of two NaNs of opposite sign differ in sign, so array
+# calls of rhs's code would move its float calls' NaN bits off the kernel's
+_rhs_on_arrays = types.FunctionType(rhs.__code__.replace(), rhs.__globals__)
+
+
 def _array(rows, shape):
     """Sequences of floats, one after another, as an array of shape."""
     flat = np.fromiter(itertools.chain.from_iterable(rows), float, math.prod(shape))
@@ -256,22 +264,20 @@ def _stages(hc, y0, K):
     (n, 9, 4), then the interpolant's 3 extra stages from the steps hc, a
     column (n, 1), and their start states y0.
 
-    Each extra stage is the flow at its in-order argument sums with
-    dynamics.rhs's operations, and numpy's cos gives math.cos's values, so
-    it equals rhs on Python floats in every bit; x = +-inf raises
-    math.cos's ValueError, as rhs would.  Call it under
-    np.errstate(all="ignore"), as inf and nan carry on.
+    Each extra stage is dynamics.rhs (_rhs_on_arrays) on the rows of its
+    in-order argument sums, each lane of which equals rhs on Python floats
+    in every bit; x = +-inf raises math.cos's ValueError, as rhs on floats
+    would.  Call it under np.errstate(all="ignore"), as inf and nan carry on.
     """
     # stage-major, so that each term of a sum is one contiguous array
     m = len(KEPT_STAGES)
     S = np.empty((m + 3, len(K), 4))
     S[:m] = K.transpose(1, 0, 2)
     for j, row in enumerate(_A_EXTRA_SLOTS, start=m):
-        x, _, xd, yd = (y0 + _in_order_sum(row, S) * hc).T
-        if np.isinf(x).any():
+        arg = (y0 + _in_order_sum(row, S) * hc).T
+        if np.isinf(arg[0]).any():
             raise ValueError("math domain error")
-        c = np.cos(x)
-        S[j] = np.stack((xd, yd, c * yd, -c * xd), axis=1)
+        S[j].T[:] = _rhs_on_arrays(None, arg)
     return S
 
 

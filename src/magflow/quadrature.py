@@ -4,7 +4,8 @@ No production path runs it: the period, Delta_y and the cycle action come
 in closed form from legendre.LegendreReduction.cycle_values.  One cycle-data
 test (tests/test_orbits.py) and the benchmark's trace use oval_quad as an
 independent check on them, which is also why this module, unlike the
-package, imports scipy.integrate.
+package, imports scipy.integrate: scipy comes with the test extra
+(pip install magflow[test]), not with the package.
 
 Integrals of the form  int g(z) dz / sqrt(P(z))  over the bounded oval
 [a1, a2] have inverse-square-root singularities at both endpoints.  The

@@ -502,6 +502,38 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
     assert out == "" and err.startswith("magflow: cannot write ")
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_full_device_exits_2_with_one_line(capsys, command):
+    # every write to /dev/full fails with ENOSPC: on --out in process, and
+    # on stdout in a fresh interpreter, whose exit flushes nothing further
+    code, out, err = run(capsys, command, *QUICK_LINES[command], "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "magflow: cannot write /dev/full: [Errno 28] No space left on device\n"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "magflow.cli", command,
+                               *QUICK_LINES[command]], stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "magflow: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_stdout_closed_by_its_reader_exits_1_silently():
+    # a sweep far larger than a pipe buffer into a reader that takes one
+    # line and closes: no traceback, and no "Exception ignored" at exit
+    proc = subprocess.Popen([sys.executable, "-m", "magflow.cli", "sweep", "--grid-n", "400"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"E\tp\tkind\tdelta_y\tperiod\taction\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--e", "nan", "--t-end", "1"),
     ("classify", "--e", "inf"),

@@ -22,7 +22,6 @@ from magflow.elliptic import (
     complete_RD,
     descent,
     masked_K_ladder,
-    sn_cn,
 )
 
 # frozen from the AGM oracle: K(0.5) = pi / (2 agm(1, sqrt(0.75)))
@@ -199,18 +198,16 @@ def test_modulus_with_complement_runs_one_ladder():
     kc = math.sqrt((1.0 - k) * (1.0 + k)) * (1.0 + 1e-9)
     K, ladder = masked_K_ladder(k, kc)
     assert ladder.b[0] == kc
-    assert K == complete_K(k, kc) != complete_K(k)
-    j, flip, s, c = sn_cn(np.array([K, 2.0 * K]), ladder)
+    assert K == ladder.K != complete_K(k)
+    j, flip, s, c = _sn_cn_rungs(np.array([K, 2.0 * K]), descent(ladder))[:4]
     assert np.array_equal(flip, (-1.0) ** j)
     assert s[0] == 1.0 and c[0] == pytest.approx(0.0, abs=1e-15)
     assert c[1] == -1.0
     assert F(math.pi / 2, ladder) == pytest.approx(K, rel=1e-15)
     assert F(math.pi, ladder) == pytest.approx(2.0 * K, rel=1e-15)
     for bad in (0.0, -0.1, 1.5, math.nan):
-        # the builder masks what complete_K refuses
+        # the builder masks a k' outside (0, 1]
         assert math.isnan(masked_K_ladder(k, bad)[0])
-        with pytest.raises(DomainError):
-            complete_K(k, bad)
 
 
 def test_sn_cn_keeps_cn_at_turning_points(rng):
@@ -221,7 +218,7 @@ def test_sn_cn_keeps_cn_at_turning_points(rng):
     for k in (0.5, 0.99, 0.999999):
         K, ladder = masked_K_ladder(k)
         u = K * (1.0 + 2.0 * rng.integers(-3, 4, 20)) + rng.uniform(-1e-6, 1e-6, 20)
-        _, _, s, c = sn_cn(u, ladder)
+        _, _, s, c = _sn_cn_rungs(u, descent(ladder))[:4]
         with mp.workdps(40):
             ref = [mp.ellipfun("cn", mp.mpf(v), m=mp.mpf(k) ** 2) for v in u]
         assert max(float(abs(ci - r)) for ci, r in zip(c, ref)) < 1e-15
@@ -334,19 +331,23 @@ def test_ladder_lanes_do_not_depend_on_their_neighbours():
 
 
 def test_complete_K_array_lanes_take_k_prime_from_k():
-    # without k' each lane takes it from k as the float call does; a lane
-    # outside [0, 1) is NaN, and a lane next to k = 1 makes the call warn once
+    # complete_K is the checked entry of a float k, and masked_K_ladder
+    # builds array lanes: without k' each lane takes it from k as the float
+    # call does, a lane outside [0, 1) is NaN, and a lane next to k = 1 makes
+    # the call warn once
     k = np.array([0.0, 1e-9, 0.1, 0.5, 0.9, 0.999999, 1.0, -0.1, math.nan])
-    K = complete_K(k)
+    K = masked_K_ladder(k)[0]
     for i in range(6):
         assert K[i] == complete_K(float(k[i]))
     assert np.isnan(K[6:]).all()
     near = np.array([0.5, 1.0 - 1e-12, 1.0 - 1e-13])
     with pytest.warns(LossOfPrecisionWarning) as record:
-        K = complete_K(near)
-    assert len(record) == 1 and record[0].filename == __file__
+        K = masked_K_ladder(near)[0]
+    assert len(record) == 1
     with pytest.warns(LossOfPrecisionWarning):
         assert K[1] == complete_K(float(near[1]))
+    with pytest.raises(TypeError):
+        complete_K(k)
 
 
 def _full_descent(ladder):

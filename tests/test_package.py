@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import magflow
+from magflow.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -237,35 +238,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the package never imports scipy.integrate: only the tests (solve_ivp,
-    # quad) and magflow.quadrature, which one test and the bench trace use
-    code = "import sys, magflow; print('scipy.integrate' in sys.modules)"
-    src = str(ROOT / "src")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.strip() == "False"
-
-
-CLI_INTEGRATE_PROBE = """
-import sys
-from magflow import cli
-out = sys.argv[1]
-assert cli.main(["compare", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
-assert cli.main(["simulate", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
-print('scipy.integrate' in sys.modules)
-"""
-
-
-def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
-    # the RK oracle carries its own tableau; only the tests run solve_ivp
-    src = str(ROOT / "src")
-    res = subprocess.run([sys.executable, "-c", CLI_INTEGRATE_PROBE, str(tmp_path / "out")],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.strip() == "False"
-
-
 def _package_lines_naming(module: str) -> list[str]:
     """file:line of each line of src/magflow that names the module."""
     return [f"{path.relative_to(ROOT)}:{i}"
@@ -332,8 +304,10 @@ def test_cycle_data_and_sweep_leave_scipy_special_unloaded(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 5 * 5
 
 
-CLI_SPECIAL_PROBE = """
+NO_SCIPY_PROBE = """
 import contextlib, io, os, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy or a submodule fails
 import numpy as np
 import magflow
 from magflow import cli
@@ -342,29 +316,40 @@ for argv in (["simulate", "--t-end=5", "--grid-n=11"],
              ["compare", "--p=0.3", "--t-end=5", "--grid-n=11"],
              ["classify", "--p=0.3"], ["orbit"], ["action"], ["film"],
              ["sweep", "--grid-n=4"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*argv, "--out=" + os.path.join(out, argv[0])]) == 0, argv
-    print(argv[0], 'scipy.special' in sys.modules)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main(argv)
+    path = os.path.join(out, argv[0] + "-" + sys.argv[2])
+    assert cli.main([*argv, "--out=" + path]) == 0, argv
+    with open(path) as fh:
+        assert fh.read() == text.getvalue(), argv
+    print(argv[0], code, repr(text.getvalue()))
 sol = magflow.build_solution(-2.0, 0.0, 0.3, -0.5, -1)
-magflow.eval_solution(sol, np.linspace(0.0, 20.0, 101))
-magflow.eval_solution(sol, 7.0)
-print('build_eval', 'scipy.special' in sys.modules)
+batch = np.array(magflow.eval_solution(sol, np.linspace(0.0, 20.0, 101)))
+print("build_eval", batch.tobytes().hex(), magflow.eval_solution(sol, 7.0))
 orbit = magflow.contractible_orbit(0.3, 1, 0.2)
-magflow.action_direct(orbit)
-magflow.action_increment(orbit)
-magflow.action_contractible_formula(0.3)
-print('actions', 'scipy.special' in sys.modules)
+print("actions", repr(magflow.action_direct(orbit)), repr(magflow.action_increment(orbit)),
+      repr(magflow.action_contractible_formula(0.3)))
+print("scipy", sys.modules.get("scipy", "unloaded"))
 """
 
 
-def test_cli_orbits_and_actions_leave_scipy_special_unloaded(tmp_path):
-    # every CLI subcommand, compare at p != 0, a crossing orbit built and
-    # evaluated as a batch and at a scalar t, and all three actions
+def test_package_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with every import of scipy made
+    # to fail, import magflow, each CLI command (compare at p != 0), a
+    # crossing orbit built and evaluated as a batch and at a scalar t, and
+    # all three actions print what they print with scipy importable, and
+    # nothing of the package loads scipy in either run
     src = str(ROOT / "src")
-    res = subprocess.run([sys.executable, "-c", CLI_SPECIAL_PROBE, str(tmp_path)],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    steps = dict(line.split() for line in res.stdout.splitlines())
-    assert list(steps) == ["simulate", "compare", "classify", "orbit", "action", "film",
-                           "sweep", "build_eval", "actions"]
-    assert set(steps.values()) == {"False"}, steps
+    runs = {}
+    for mode in ("blocked", "normal"):
+        res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path), mode],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.returncode == 0 and res.stderr == "", (mode, res.stderr)
+        runs[mode] = res.stdout.splitlines()
+    assert runs["blocked"][-1] == "scipy None" and runs["normal"][-1] == "scipy unloaded"
+    assert runs["blocked"][:-1] == runs["normal"][:-1]
+    steps = [line.split(" ", 1)[0] for line in runs["normal"]]
+    assert steps[:7] == list(_COMMANDS)
+    assert steps[-3:] == ["build_eval", "actions", "scipy"]

@@ -1,10 +1,12 @@
 """The closed-form phase on Python floats equals its lane of an array call.
 
-elliptic.sn_cn and closedform._orbit_phase are written once over _xp: a
-float phase (build_solution's start, a scalar t of eval_solution, a scalar
-u of elliptic.sn) runs the lines on Python floats, a batch on numpy.  Every
-value of the float path must equal the array path bit for bit, so that
-y(0) = y0 and x_offset stay exact and no output of the package moves.
+elliptic._sn_cn_rungs and closedform._orbit_phase are written once over
+_xp: a float phase (build_solution's start, a scalar t of eval_solution, a
+scalar u of elliptic.sn) runs the lines on Python floats, a batch on numpy.
+Every value of the float path must equal the array path bit for bit, so
+that y(0) = y0 and x_offset stay exact and no output of the package moves.
+So must dynamics.rhs, the flow, which the RK oracle calls on floats for
+its first stage and on arrays for the interpolant stages of a block.
 """
 
 import math
@@ -15,7 +17,8 @@ import pytest
 from magflow import build_solution, eval_solution, sn
 from magflow._xp import ARRAY, FLOAT, mod2
 from magflow.closedform import _orbit_phase, _sheet
-from magflow.elliptic import masked_K_ladder, sn_cn
+from magflow.dynamics import rhs
+from magflow.elliptic import _sn_cn_rungs, descent, masked_K_ladder
 from magflow.legendre import CROSSING, quartic_from_params
 
 # every orbit kind, both signs of xdot, p = 0 and p != 0, and a level next
@@ -75,16 +78,18 @@ def test_float_phase_equals_array_lanes(x0, E, p, sign, rng):
     sol = build_solution(x0, 0.0, E, p, sign)
     red, pc, cos_x0 = sol.reduction, sol.phase_constants, math.cos(x0)
     us = phases(red.K, sol.D / sol.C, rng)
-    assert min(sn_cn(np.array(us), red.ladder)[0]) <= -1e5  # j far below 0
+    assert min(_sn_cn_rungs(np.array(us), pc.descent)[0]) <= -1e5  # j far below 0
     assert not isinstance(_orbit_phase(red, pc, sign, cos_x0, us[0])[0], np.ndarray)
-    assert_lanes_equal(lambda u: sn_cn(u, red.ladder), us)
+    # j, (-1)^j, sn, cn and the folded phase v
+    assert_lanes_equal(lambda u: _sn_cn_rungs(u, pc.descent)[:5], us)
     assert_lanes_equal(lambda u: _orbit_phase(red, pc, sign, cos_x0, u), us)
 
 
 @pytest.mark.parametrize("k", [0.0, 1e-9, 0.5, 0.999, math.sqrt(1.0 - 1e-12)])
 def test_sn_cn_float_equals_array_lanes(k, rng):
     K, ladder = masked_K_ladder(k, math.sqrt((1.0 - k) * (1.0 + k)))
-    assert_lanes_equal(lambda u: sn_cn(u, ladder), phases(K, 0.5 * K, rng))
+    d = descent(ladder)
+    assert_lanes_equal(lambda u: _sn_cn_rungs(u, d)[:5], phases(K, 0.5 * K, rng))
 
 
 @pytest.mark.parametrize("x0, E, p, sign", ORBITS)
@@ -121,7 +126,7 @@ def test_scalar_nonfinite_phase_gives_nan(bad):
         s = eval_solution(build_solution(x0, 0.0, E, p, sign), bad)
         assert all(math.isnan(v) for v in (s.x, s.y, s.xdot, s.ydot))
     assert math.isnan(sn(bad, 0.5))
-    assert all(math.isnan(v) for v in sn_cn(bad, masked_K_ladder(0.5)[1]))
+    assert all(math.isnan(v) for v in _sn_cn_rungs(bad, descent(masked_K_ladder(0.5)[1]))[:5])
 
 
 @pytest.mark.parametrize("p", [0.2, 0.0])
@@ -156,7 +161,7 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
     # positive terms, rint of (u - v)/2K, which is an integer up to
     # rounding, floor of the half period j and of its halves (with
     # half-integers, -0.0, NaN and +-inf among them), the clamp of z, the
-    # fold and q t of eval_solution, and any and all of a mask
+    # fold and q t of eval_solution, any and all of a mask, and the flow
     n = 100_000
     unit = np.clip(draws(rng, n, -20.0, 0.0), -1.0, 1.0)
     unit[:8] = [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 1.0 - 2.0**-53, -1.0 + 2.0**-53]
@@ -201,6 +206,20 @@ def test_xp_operations_of_the_phase_agree_on_floats_and_arrays(rng):
         assert bool(ARRAY.all(mask)) is bool(np.all(mask))
     for truth in (0.3 > 0.1, 0.3 > 1.0):
         assert FLOAT.any(truth) is FLOAT.all(truth) is truth
+    # the flow dynamics.rhs, whose cos comes from _xp: x, xdot and ydot up
+    # to 1e300, with +-0, subnormals and NaN among each; x = +-inf raises
+    # math.cos's ValueError on floats, as the RK oracle's block pass raises
+    # it for an array (integrate._stages)
+    flow = [draws(rng, n, -320.0, 300.0) for _ in range(3)]
+    for v in flow:
+        v[:6] = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.nan]
+        rng.shuffle(v)
+    x, xd, yd = flow
+    on_floats = [rhs(0.0, s) for s in zip(x.tolist(), x.tolist(), xd.tolist(), yd.tolist())]
+    assert np.array_equal(bits(on_floats), bits(np.array(rhs(0.0, (x, x, xd, yd))).T))
+    for x_inf in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="math domain error"):
+            rhs(0.0, (x_inf, 0.0, 1.0, 1.0))
 
 
 def whole_numbers(rng):
@@ -232,13 +251,14 @@ def test_floor_forms_equal_the_floor_mods_they_replace(rng):
             for k, got in enumerate(_sheet(curve, 1, 1.0, arr, None)):
                 assert np.array_equal(bits(got), bits(want[k]))
                 assert np.array_equal(bits([v[k] for v in on_floats]), bits(want[k]))
-    # the parity sn_cn returns with j, over phases up to |u| = 1e6 and the
-    # non-finite ones
+    # the parity the descent returns with j, over phases up to |u| = 1e6
+    # and the non-finite ones
     K, ladder = masked_K_ladder(0.6, 0.8)
+    d = descent(ladder)
     us = np.array([*phases(K, 0.3, rng), math.nan, math.inf, -math.inf])
     with np.errstate(invalid="ignore"):
-        j, flip = sn_cn(us, ladder)[:2]
+        j, flip = _sn_cn_rungs(us, d)[:2]
         assert np.array_equal(bits(flip), bits(1.0 - 2.0 * (j % 2.0)))
     for u in (-0.0, 1e6, -1e6, math.nan, math.inf):
-        j, flip = sn_cn(u, ladder)[:2]
+        j, flip = _sn_cn_rungs(u, d)[:2]
         assert bits(flip) == bits(1.0 - 2.0 * (j % 2.0))

@@ -50,8 +50,11 @@ interpreter that imports magflow from that ``src/``:
   command (outputs prefixed ``cli_flags_first``), and every fifth line
   again with ``--out`` into a file of the temporary directory: the exit
   code, stdout, whether the file was written and its bytes (outputs
-  prefixed ``cli_out``); it reads the same lines and draws no random
-  numbers, so every other set keeps its inputs;
+  prefixed ``cli_out``), and every seventh line again with ``--out
+  /dev/full``, where every write fails: the exit code and the first line
+  of stderr (outputs prefixed ``cli_write_fail``; left out where there is
+  no ``/dev/full``); it reads the same lines and draws no random numbers,
+  so every other set keeps its inputs;
 * ``integrate``, the RK oracle, on 500 orbits over |t| = 20: step and
   call counts, the final state, the interpolant rows ``F`` of the first
   and the last step, one SHA-256 digest of the bytes of ``t``,
@@ -516,9 +519,11 @@ def run_elliptic(inp: dict, out: dict, errors: dict) -> None:
 def run_cli(inp: dict, out: dict, errors: dict) -> None:
     """cli.main in process on the cli set: the exit code and stdout of each
     line; every fifth line again with its options, --config included,
-    before the command (outputs prefixed cli_flags_first); and every fifth
+    before the command (outputs prefixed cli_flags_first); every fifth
     line again with --out (outputs prefixed cli_out), which also records
-    the bytes of the file, the empty string where none was written."""
+    the bytes of the file, the empty string where none was written; and
+    every seventh line again with --out /dev/full (outputs prefixed
+    cli_write_fail), which also records the first line of stderr."""
     from magflow import cli
 
     with tempfile.TemporaryDirectory(prefix="magflow-parity-cli-") as tmp:
@@ -536,8 +541,11 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
                 "cli_flags_first": [[*options, command] for command, options in lines[::5]],
                 "cli_out": [[command, *options, "--out", str(path)]
                             for (command, options), path in zip(lines[::5], out_paths)]}
+        if os.path.exists("/dev/full"):
+            sets["cli_write_fail"] = [[command, *options, "--out", "/dev/full"]
+                                      for command, options in lines[::7]]
         for name, argvs in sets.items():
-            codes, texts, err = [], [], []
+            codes, texts, stderrs, err = [], [], [], []
             for argv in argvs:
                 stdout, stderr = io.StringIO(), io.StringIO()
                 try:
@@ -549,7 +557,10 @@ def run_cli(inp: dict, out: dict, errors: dict) -> None:
                 else:
                     err.append("")
                 texts.append(stdout.getvalue())
+                stderrs.append(stderr.getvalue().partition("\n")[0])
             out[f"{name}.exit"], out[f"{name}.stdout"] = np.array(codes), np.array(texts)
+            if name == "cli_write_fail":
+                out[f"{name}.stderr"] = np.array(stderrs)
             errors[name] = err
         out["cli_out.written"] = np.array([path.exists() for path in out_paths])
         # latin-1 keeps every byte as one character
