@@ -238,6 +238,35 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package never imports scipy.integrate: only the tests (solve_ivp,
+    # quad) and magflow.quadrature, which one test and the bench trace use
+    code = "import sys, magflow; print('scipy.integrate' in sys.modules)"
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
+
+
+CLI_INTEGRATE_PROBE = """
+import sys
+from magflow import cli
+out = sys.argv[1]
+assert cli.main(["compare", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
+assert cli.main(["simulate", "--t-end=5", "--grid-n=11", "--out=" + out]) == 0
+print('scipy.integrate' in sys.modules)
+"""
+
+
+def test_compare_and_simulate_leave_scipy_integrate_unloaded(tmp_path):
+    # the RK oracle carries its own tableau; only the tests run solve_ivp
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", CLI_INTEGRATE_PROBE, str(tmp_path / "out")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
+
+
 def _package_lines_naming(module: str) -> list[str]:
     """file:line of each line of src/magflow that names the module."""
     return [f"{path.relative_to(ROOT)}:{i}"
@@ -302,6 +331,44 @@ def test_cycle_data_and_sweep_leave_scipy_special_unloaded(tmp_path):
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert res.stdout.split() == ["False", "False"]
     assert len(out.read_text().splitlines()) == 1 + 5 * 5
+
+
+CLI_SPECIAL_PROBE = """
+import contextlib, io, os, sys
+import numpy as np
+import magflow
+from magflow import cli
+out = sys.argv[1]
+for argv in (["simulate", "--t-end=5", "--grid-n=11"],
+             ["compare", "--p=0.3", "--t-end=5", "--grid-n=11"],
+             ["classify", "--p=0.3"], ["orbit"], ["action"], ["film"],
+             ["sweep", "--grid-n=4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out=" + os.path.join(out, argv[0])]) == 0, argv
+    print(argv[0], 'scipy.special' in sys.modules)
+sol = magflow.build_solution(-2.0, 0.0, 0.3, -0.5, -1)
+magflow.eval_solution(sol, np.linspace(0.0, 20.0, 101))
+magflow.eval_solution(sol, 7.0)
+print('build_eval', 'scipy.special' in sys.modules)
+orbit = magflow.contractible_orbit(0.3, 1, 0.2)
+magflow.action_direct(orbit)
+magflow.action_increment(orbit)
+magflow.action_contractible_formula(0.3)
+print('actions', 'scipy.special' in sys.modules)
+"""
+
+
+def test_cli_orbits_and_actions_leave_scipy_special_unloaded(tmp_path):
+    # every CLI subcommand, compare at p != 0, a crossing orbit built and
+    # evaluated as a batch and at a scalar t, and all three actions
+    src = str(ROOT / "src")
+    res = subprocess.run([sys.executable, "-c", CLI_SPECIAL_PROBE, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    steps = dict(line.split() for line in res.stdout.splitlines())
+    assert list(steps) == ["simulate", "compare", "classify", "orbit", "action", "film",
+                           "sweep", "build_eval", "actions"]
+    assert set(steps.values()) == {"False"}, steps
 
 
 NO_SCIPY_PROBE = """
